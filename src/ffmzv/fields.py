@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import fpx
+
 
 class FieldError(ValueError):
     pass
@@ -23,53 +25,6 @@ def is_prime(n: int) -> bool:
         if n % d == 0:
             return False
         d += 1
-    return True
-
-
-def _fp_poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _fp_poly_mod(a, m, p):
-    # m monic; reduce a modulo m in-place style
-    a = list(a)
-    dm = len(m) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-        a[i] = 0
-    while len(a) > dm:
-        a.pop()
-    while len(a) < dm:
-        a.append(0)
-    return a
-
-
-def _is_irreducible(m, p) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(m)/2."""
-    dm = len(m) - 1
-    if dm < 1:
-        return False
-    for d in range(1, dm // 2 + 1):
-        # enumerate monic polys of degree d over F_p
-        for code in range(p ** d):
-            divisor = []
-            c = code
-            for _ in range(d):
-                divisor.append(c % p)
-                c //= p
-            divisor.append(1)
-            # long division remainder check
-            rem = _fp_poly_mod(m, divisor, p)
-            if all(x == 0 for x in rem):
-                return False
     return True
 
 
@@ -87,7 +42,7 @@ def default_modulus(p: int, e: int):
             coeffs.append(c % p)
             c //= p
         m = coeffs + [1]
-        if _is_irreducible(m, p):
+        if fpx.is_irreducible(m, p):
             return tuple(m)
     raise FieldError(f"no irreducible of degree {e} over F_{p}")
 
@@ -109,7 +64,7 @@ class FieldSpec:
         modulus = tuple(x % p for x in modulus[:-1]) + (modulus[-1],)
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree e")
-        if e > 1 and not _is_irreducible(list(modulus), p):
+        if e > 1 and not fpx.is_irreducible(modulus, p):
             raise FieldError("modulus is reducible")
         self.p = p
         self.e = e
@@ -137,8 +92,8 @@ class FieldSpec:
             for a in range(q):
                 row = []
                 for b in range(q):
-                    prod = _fp_poly_mul(digits(a), digits(b), p)
-                    row.append(undig(_fp_poly_mod(prod, m, p)))
+                    prod = fpx.mul(digits(a), digits(b), p)
+                    row.append(undig(fpx.mod(prod, m, p)))
                 self._mul.append(row)
         self._inv = [0] * q
         for a in range(1, q):

@@ -11,8 +11,10 @@ d = w_1 + ... + w_r with basis
 
 rows numbered top-down inside each block (highest power of (t-θ) first).
 
-Everything the library needs — the t-action matrix ρ_t and the
-distinguished integral points — comes out of one worklist reduction:
+The t-action matrix ρ_t is θ·I plus the in-block shift
+ν_{(ℓ,j)} → ν_{(ℓ,j+1)}, read off from t = θ + (t-θ); only the r top
+columns j = w_ℓ-1 leave the σ-basis.  Those columns and the
+distinguished integral points come out of a worklist reduction:
 repeatedly split a coefficient f of m_ℓ as f = g·(t-θ)^{w_ℓ} + γ and
 trade the g-part for terms one σ-level up via
 
@@ -147,21 +149,30 @@ class Motive:
         return coords
 
     def rho_t_entries(self):
-        """The t-action as a dict (row, col) -> {σ-level: coefficient}."""
+        """The t-action as a dict (row, col) -> {σ-level: coefficient}.
+
+        t·(t-θ)^j m_ℓ = θ·(t-θ)^j m_ℓ + (t-θ)^{j+1} m_ℓ, so ρ_t is θ·I
+        plus the in-block shift ν_{(ℓ,j)} → ν_{(ℓ,j+1)}, both at σ-level
+        0.  Only in the top column j = w_ℓ-1 does (t-θ)^{w_ℓ} leave the
+        σ-basis; it alone goes through the worklist.
+        """
+        theta = Poly.gen(self.field)
+        if self.rational:
+            theta = RatFrac.from_poly(theta)
+        one = self._cone()
         entries = {}
         for ell in range(1, self.r + 1):
             w = self.weights[ell - 1]
-            t_bipoly = BiPoly(
-                self.field,
-                (self._czero(), self._cone()),
-                self.rational,
-            )
             for j in range(w):
                 col = self.row(ell, j)
-                f = t_bipoly * _tm_theta_power(self.field, j, self.rational)
-                for n, a, row in self.reduce([(0, f, ell)]):
-                    slot = entries.setdefault((row, col), {})
-                    slot[n] = slot[n] + a if n in slot else a
+                entries[(col, col)] = {0: theta}
+                if j + 1 < w:
+                    entries[(self.row(ell, j + 1), col)] = {0: one}
+            top = self.row(ell, w - 1)
+            f = _tm_theta_power(self.field, w, self.rational)
+            for n, a, row in self.reduce([(0, f, ell)]):
+                slot = entries.setdefault((row, top), {})
+                slot[n] = slot[n] + a if n in slot else a
         return {
             rc: {n: a for n, a in slot.items() if not a.is_zero()}
             for rc, slot in entries.items()

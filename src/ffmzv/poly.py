@@ -22,7 +22,6 @@ class TwistError(ValueError):
 
 
 _KRONECKER_THRESHOLD = 2500  # len(a)*len(b) above which packed mul is used
-_PACK_BYTES = 4
 
 
 def scalar_str(field: FieldSpec, v: int) -> str:
@@ -278,8 +277,12 @@ class Poly:
 
 
 def _packed_mul(a, b, p):
-    """Kronecker-substitution product of two F_p coefficient tuples."""
-    nb = _PACK_BYTES
+    """Kronecker-substitution product of two F_p coefficient tuples.
+
+    Each slot is wide enough for the largest coefficient of the integer
+    product, (p-1)^2 * min(len(a), len(b)), so no slot carries into the
+    next."""
+    nb = (((p - 1) ** 2 * min(len(a), len(b))).bit_length() + 7) // 8
     abuf = b"".join(c.to_bytes(nb, "little") for c in a)
     bbuf = b"".join(c.to_bytes(nb, "little") for c in b)
     prod = int.from_bytes(abuf, "little") * int.from_bytes(bbuf, "little")

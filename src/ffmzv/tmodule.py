@@ -19,9 +19,11 @@ first with an early exit as soon as the point dies.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
+from . import fpx
 from .carlitz import cache_for, theta_major
-from .fields import FieldSpec, is_prime
+from .fields import FieldSpec
 from .poly import Poly, RatFrac
 
 
@@ -60,104 +62,22 @@ class ExactDomain:
         return [self.convert(x) for x in vec]
 
 
-def _fp_mul_mod(a, b, red, p, deg):
-    """Product of two degree-<deg F_p[x] tuples, reduced by the table
-    red[j] = x^{deg+j} mod m."""
-    n = len(a) + len(b) - 1
-    prod = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-    for j in range(n - 1, deg - 1, -1):
-        c = prod[j]
-        if c:
-            row = red[j - deg]
-            for k in range(deg):
-                prod[k] = (prod[k] + c * row[k]) % p
-        prod[j] = 0
-    return tuple(prod[:deg])
-
-
 def _find_irreducible(p: int, deg: int, rng) -> tuple:
-    """Random monic irreducible of degree `deg` over F_p, certified by
-    x^{p^deg} = x and gcd(x^{p^{deg/r}} - x, m) = 1 for primes r | deg."""
-
-    def mulmod(a, b, m):
-        n = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        n[i + j] = (n[i + j] + ai * bj) % p
-        return _polymod(n, m)
-
-    def _polymod(a, m):
-        a = list(a)
-        dm = len(m) - 1
-        for i in range(len(a) - 1, dm - 1, -1):
-            c = a[i]
-            if c:
-                for j in range(dm + 1):
-                    a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-        return a[:dm]
-
-    def xpow_pk(k, m):
-        # x^(p^k) mod m by repeated p-th powering
-        cur = ([0, 1] + [0] * (len(m) - 3))[: len(m) - 1]
-        for _ in range(k):
-            acc = [1]
-            base = cur
-            e = p
-            while e:
-                if e & 1:
-                    acc = mulmod(acc, base, m)
-                base = mulmod(base, base, m)
-                e >>= 1
-            cur = acc + [0] * (len(m) - 1 - len(acc))
-        return cur
-
-    def polygcd(a, b):
-        a, b = list(a), list(b)
-        strip = lambda v: v[: max((i + 1 for i, c in enumerate(v) if c), default=0)]
-        a, b = strip(a), strip(b)
-        while b:
-            # a mod b
-            dm = len(b) - 1
-            inv = pow(b[-1], p - 2, p)
-            a = list(a)
-            for i in range(len(a) - 1, dm - 1, -1):
-                c = (a[i] * inv) % p
-                if c:
-                    for j in range(dm + 1):
-                        a[i - dm + j] = (a[i - dm + j] - c * b[j]) % p
-            a = strip(a)
-            a, b = b, a
-        return a
-
-    prime_divs = [r for r in range(2, deg + 1) if deg % r == 0 and is_prime(r)]
+    """Random monic irreducible of degree `deg` over F_p: the first draw
+    from `rng` with a nonzero constant term that passes Rabin's test."""
     while True:
         m = [rng.randrange(p) for _ in range(deg)] + [1]
-        if m[0] == 0:
-            continue
-        xq = xpow_pk(deg, m)
-        # x^(p^deg) - x must vanish mod m
-        diff = list(xq)
-        diff[1] = (diff[1] - 1) % p
-        if any(diff):
-            continue
-        ok = True
-        for r in prime_divs:
-            xk = xpow_pk(deg // r, m)
-            d2 = list(xk)
-            d2[1] = (d2[1] - 1) % p
-            g = polygcd(d2, m)
-            if len(g) != 1:
-                ok = False
-                break
-        if ok:
+        if m[0] and fpx.is_irreducible(m, p):
             return tuple(m)
+
+
+@lru_cache(maxsize=None)
+def _probe_tables(p: int, deg: int, seed: int):
+    """(modulus, reduction table) of the probe field F_{p^deg} for a
+    seed.  Every ProbeDomain with the same key shares them; they are
+    found on first use, never at import."""
+    modulus = _find_irreducible(p, deg, random.Random(seed))
+    return modulus, fpx.reduction_table(modulus, p)
 
 
 class ProbeDomain:
@@ -170,24 +90,8 @@ class ProbeDomain:
         self.field = field
         self.p = field.p
         self.deg = deg
-        rng = random.Random(seed)
-        self.modulus = _find_irreducible(self.p, deg, rng)
-        # reduction table: x^(deg+j) mod m for j = 0..deg-2
-        red = []
-        cur = tuple((-c) % self.p for c in self.modulus[:-1])  # x^deg
-        red.append(cur)
-        for _ in range(deg - 2):
-            shifted = (0,) + cur[:-1]
-            over = cur[-1]
-            nxt = list(shifted)
-            if over:
-                for k in range(deg):
-                    nxt[k] = (nxt[k] + over * red[0][k]) % self.p
-            cur = tuple(nxt)
-            red.append(cur)
-        self._red = red
+        self.modulus, self._red = _probe_tables(self.p, deg, seed)
         self._zero = (0,) * deg
-        self._frob_cache = {}
 
     def zero(self):
         return self._zero
@@ -200,7 +104,7 @@ class ProbeDomain:
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def mul(self, a, b):
-        return _fp_mul_mod(a, b, self._red, self.p, self.deg)
+        return fpx.mul_reduce(a, b, self._red, self.p, self.deg)
 
     def pow_int(self, a, e):
         acc = (1,) + (0,) * (self.deg - 1)

@@ -1,0 +1,46 @@
+import pytest
+
+from ffmzv import fpx
+
+
+def _monic(code, n, p):
+    out = []
+    for _ in range(n):
+        out.append(code % p)
+        code //= p
+    return out + [1]
+
+
+@pytest.mark.parametrize("p,counts", [
+    (2, [2, 1, 2, 3, 6, 9]),
+    (3, [3, 3, 8, 18]),
+])
+def test_irreducible_counts(p, counts):
+    """Monic irreducibles of degree n number (1/n) Σ_{d|n} μ(d) p^{n/d}."""
+    for n, want in enumerate(counts, start=1):
+        got = sum(fpx.is_irreducible(_monic(c, n, p), p) for c in range(p ** n))
+        assert got == want, n
+
+
+def test_gcd_is_monic_common_factor():
+    p = 3
+    f = [1, 1]  # x + 1
+    a = fpx.mul(f, [2, 0, 1], p)
+    b = fpx.mul([2, 2], [1, 2, 2], p)  # 2(x + 1)(2x² + 2x + 1)
+    assert fpx.gcd(a, b, p) == f
+    assert fpx.gcd([0, 1], [1, 1], p) == [1]
+
+
+def test_xpow_pk_matches_repeated_multiplication():
+    p, m = 3, [1, 2, 0, 1]  # x³ + 2x + 1, irreducible
+    acc = [1]
+    for _ in range(p ** 2):
+        acc = fpx.mod(fpx.mul(acc, [0, 1], p), m, p)
+    assert fpx.xpow_pk(2, m, p) == acc
+
+
+def test_mul_reduce_matches_mul_then_mod():
+    p, m = 2, [1, 1, 0, 0, 1, 0, 1]
+    red = fpx.reduction_table(m, p)
+    a, b = (1, 0, 1, 1, 0, 1), (0, 1, 1, 0, 1, 1)
+    assert list(fpx.mul_reduce(a, b, red, p, 6)) == fpx.mod(fpx.mul(a, b, p), m, p)

@@ -3,9 +3,10 @@
 plus structural properties of the reduction."""
 import pytest
 
+from ffmzv.cli import enumerate_tuples
 from ffmzv.fields import field_for_q
 from ffmzv.motive import Motive, build_phi, sigma_basis
-from ffmzv.poly import Poly
+from ffmzv.poly import BiPoly, Poly, RatFrac
 from ffmzv.tmodule import (
     TModule,
     carlitz_tensor_module,
@@ -145,6 +146,50 @@ def test_rho_t_compatible_with_module_t_action(q, s):
         [(n, f.coeff_mul_t(t), ell) for n, f, ell in seeds]
     )
     assert tm.apply_t(motive.special_point_v()) == direct
+
+
+def _rho_t_by_worklist(motive):
+    """Reference ρ_t: every column (ℓ, j) is the worklist reduction of
+    t·(t-θ)^j m_ℓ."""
+    t = BiPoly(
+        motive.field, (motive._czero(), motive._cone()), motive.rational
+    )
+    tmt = BiPoly.t_minus_theta(motive.field, motive.rational)
+    entries = {}
+    for ell in range(1, motive.r + 1):
+        for j in range(motive.weights[ell - 1]):
+            col = motive.row(ell, j)
+            for n, a, row in motive.reduce([(0, t * tmt ** j, ell)]):
+                slot = entries.setdefault((row, col), {})
+                slot[n] = slot[n] + a if n in slot else a
+    return {
+        rc: {n: a for n, a in slot.items() if not a.is_zero()}
+        for rc, slot in entries.items()
+    }
+
+
+@pytest.mark.parametrize("q,wmax", [(3, 14), (2, 8)])
+def test_rho_t_closed_form_matches_worklist(q, wmax):
+    F = field_for_q(q)
+    for s in enumerate_tuples(q, wmax, 3, False):
+        motive = Motive(F, s)
+        assert motive.rho_t_entries() == _rho_t_by_worklist(motive), s
+
+
+@pytest.mark.parametrize("q,s,us", [
+    (3, (2, 4), [([1], [0, 1]), ([0, 1], [1, 1])]),
+    (2, (1, 2, 1), [([1], [1, 1]), ([0, 1], [1]), ([1, 1], [0, 0, 1])]),
+])
+def test_rho_t_closed_form_matches_worklist_rational(q, s, us):
+    """Polylog motives with non-integral attached constants, as built by
+    is_cmpl_eulerian."""
+    F = field_for_q(q)
+    qs = [
+        BiPoly(F, [RatFrac(Poly(F, num), Poly(F, den))], rational=True)
+        for num, den in us
+    ]
+    motive = Motive(F, s, Q=qs, rational=True)
+    assert motive.rho_t_entries() == _rho_t_by_worklist(motive)
 
 
 @pytest.mark.parametrize("q,s", [(3, (2, 4)), (2, (1, 2))])

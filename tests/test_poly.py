@@ -98,6 +98,14 @@ def test_getitem_past_degree_is_zero():
     assert p[0] == 1 and p[1] == 2 and p[5] == 0
 
 
+def test_packed_mul_slots_do_not_overflow():
+    """Coefficient 69999 of the square sums 70000 products 250*250,
+    which exceeds 2^32 before reduction mod 251."""
+    F = field_for_q(251)
+    a = Poly(F, [250] * 70000)
+    assert (a * a)[69999] == 222
+
+
 # -- rational functions ------------------------------------------------------
 
 def test_ratfrac_reduction_and_monic_denominator():

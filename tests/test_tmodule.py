@@ -144,6 +144,25 @@ def test_probe_detects_nontorsion():
     assert not tm.is_zero_point(out, dom)
 
 
+def test_probe_tables_built_once_per_key():
+    F = field_for_q(3)
+    a, b = ProbeDomain(F, 21, 0), ProbeDomain(F, 21, 0)
+    assert a.modulus is b.modulus
+    assert a._red is b._red
+
+
+@pytest.mark.parametrize("p,seed,modulus", [
+    (2, 0, (1, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1)),
+    (2, 1, (1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1)),
+    (3, 0, (2, 0, 0, 1, 0, 1, 2, 0, 1, 2, 1, 2, 2, 0, 0, 1, 1, 1, 1, 0, 1, 1)),
+    (3, 1, (2, 0, 1, 0, 2, 0, 1, 1, 0, 1, 2, 2, 0, 0, 2, 2, 1, 0, 2, 1, 2, 1)),
+])
+def test_probe_modulus_is_pinned(p, seed, modulus):
+    """The seeded search draws the same modulus as before the tables
+    were memoized, so a probe seed names the same field."""
+    assert ProbeDomain(field_for_q(p), 21, seed).modulus == modulus
+
+
 def test_carlitz_module_shape():
     F = field_for_q(3)
     tm = carlitz_tensor_module(F, 3)
