@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from .fields import FieldSpec, field_for_q
@@ -170,17 +171,21 @@ class CarlitzCache:
         self._load_disk_cache()
         if n in self._h:
             return self._h[n]
-        if n < self.q:
-            h = BiPoly.one(self.field)
-        else:
-            num, den = self._h_fraction(n)
-            scaled = num.coeff_mul_t(self.gamma(n + 1).with_var("t"))
-            h = _exact_div_t(scaled, den)
-            assert h.theta_degree() * (self.q - 1) <= n * self.q, (
-                "H_n degree bound violated"
-            )
+        h = self._derive_h(n)
         self._h[n] = h
         self._save_disk_cache()
+        return h
+
+    def _derive_h(self, n: int) -> BiPoly:
+        """H_n from the generating function, bypassing both caches of H."""
+        if n < self.q:
+            return BiPoly.one(self.field)
+        num, den = self._h_fraction(n)
+        scaled = num.coeff_mul_t(self.gamma(n + 1).with_var("t"))
+        h = _exact_div_t(scaled, den)
+        assert h.theta_degree() * (self.q - 1) <= n * self.q, (
+            "H_n degree bound violated"
+        )
         return h
 
     # -- optional on-disk cache for the H_n family -------------------------
@@ -211,19 +216,11 @@ class CarlitzCache:
                 if h.theta_degree() * (self.q - 1) > n * self.q:
                     raise ValueError("degree bound violated")
                 loaded[n] = h
-            # corruption spot check: re-derive one nontrivial entry
+            # corruption spot check: re-derive one nontrivial entry, without
+            # touching the file (a save here would drop the other entries)
             probe = min((n for n in loaded if n >= self.q), default=None)
-            if probe is not None:
-                saved_h, saved_frac = self._h, self._h_frac
-                self._h = {}
-                self._h_frac = {
-                    0: (BiPoly.one(self.field), Poly.one(self.field, var="t"))
-                }
-                try:
-                    if self.anderson_thakur(probe) != loaded[probe]:
-                        raise ValueError("cache disagrees with re-derivation")
-                finally:
-                    self._h, self._h_frac = saved_h, saved_frac
+            if probe is not None and self._derive_h(probe) != loaded[probe]:
+                raise ValueError("cache disagrees with re-derivation")
             self._h.update(loaded)
         except (ValueError, KeyError, TypeError, json.JSONDecodeError):
             try:
@@ -241,9 +238,18 @@ class CarlitzCache:
                 str(n): [list(c.coeffs) for c in theta_major(h)]
                 for n, h in self._h.items()
             }
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(payload))
-            tmp.replace(path)
+            # a private temp file per writer, so parallel workers never
+            # interleave their writes; the rename is atomic
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=path.stem, suffix=".tmp"
+            )
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(json.dumps(payload))
+                os.replace(tmp, path)
+            except OSError:
+                os.unlink(tmp)
+                raise
         except OSError:
             pass
 

@@ -17,10 +17,15 @@ the factor for w_0 = s_r and drops the depth-one factor.
 When the total weight is NOT divisible by q-1 the question becomes
 whether some nonzero pair (a, b) satisfies ρ_a(v) + ρ_b(u) = 0; that is
 a semi-decision, searched by F_q-linear algebra up to a degree bound.
+The torsion-witness search (ρ_a(v) = 0 alone) is the same search with
+one point; both go through `_witness_kernel`.
 
-Non-torsion verdicts may be certified through a fast modular image of A
-(a ring homomorphism cannot send a nonzero residual to nonzero by
-accident); torsion verdicts are always confirmed in exact arithmetic.
+For prime q every procedure here runs "probe, then confirm exactly":
+the work is done first in a fast modular image of A, a ring
+homomorphism, which cannot turn a zero into a nonzero.  So a nonzero
+residual certifies non-torsion and an empty probe kernel rules out every
+witness, while torsion verdicts and witnesses are always confirmed in
+exact arithmetic.  Extension fields use exact arithmetic only.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .carlitz import cache_for
-from .fields import FieldSpec
+from .fields import FieldSpec, field_for_q
 from .linalg import nullspace
 from .motive import Motive
 from .poly import BiPoly, Poly, RatFrac
@@ -58,7 +63,7 @@ def decompose_weight(q: int, w: int) -> WeightDecomp:
         raise ValueError("weight must be positive")
     if w % (q - 1) != 0:
         raise ValueError(f"(q-1) = {q - 1} does not divide weight {w}")
-    p = _char(q)
+    p = field_for_q(q).p
     ell = 0
     m = w
     while m % p == 0:
@@ -75,13 +80,6 @@ def decompose_weight(q: int, w: int) -> WeightDecomp:
     return WeightDecomp(w, h, ell, n)
 
 
-def _char(q: int) -> int:
-    p = 2
-    while q % p != 0:
-        p += 1
-    return p
-
-
 @dataclass(frozen=True)
 class AnnihilatorData:
     """A factored annihilator candidate: Frobenius-difference factors
@@ -93,7 +91,7 @@ class AnnihilatorData:
 
     @property
     def degree(self) -> int:
-        p = _char(self.q)
+        p = field_for_q(self.q).p
         out = 0
         for fac in self.factors:
             if fac[0] == "frobdiff":
@@ -182,7 +180,6 @@ class Verdict:
     eulerian: bool
     precheck: Optional[str]
     annihilator_degree: int
-    residual_zero: bool
     elapsed_ms: int
     modulus: Optional[tuple] = None
     conditional: Optional[bool] = None
@@ -257,8 +254,6 @@ def is_eulerian(
     precheck: bool = True,
     primitive_reduction: bool = True,
     use_probe: bool = True,
-    probe_degree: int = PROBE_DEGREE,
-    probe_seed: int = 0,
 ) -> Verdict:
     """Decide whether the multizeta value of s is Eulerian.
 
@@ -272,7 +267,7 @@ def is_eulerian(
     weight = sum(s)
     depth = len(s)
 
-    def done(reduced, eulerian, why, ann_deg, residual_zero):
+    def done(reduced, eulerian, why, ann_deg):
         return Verdict(
             q=q,
             s=s,
@@ -282,7 +277,6 @@ def is_eulerian(
             eulerian=eulerian,
             precheck=why,
             annihilator_degree=ann_deg,
-            residual_zero=residual_zero,
             elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
             modulus=_modulus_of(field),
         )
@@ -295,7 +289,6 @@ def is_eulerian(
                 False,
                 f"entry {bad[0]} not divisible by q-1 = {q - 1}",
                 0,
-                False,
             )
 
     reduced = s
@@ -310,14 +303,14 @@ def is_eulerian(
 
     eulerian = None
     if use_probe and field.e == 1:
-        dom = ProbeDomain(field, probe_degree, probe_seed)
+        dom = ProbeDomain(field, PROBE_DEGREE, 0)
         out = tm.apply_annihilator(v, ann.factors, dom)
         if not tm.is_zero_point(out, dom):
             eulerian = False
     if eulerian is None:
         out = tm.apply_annihilator(v, ann.factors)
         eulerian = tm.is_zero_point(out)
-    return done(reduced, eulerian, None, ann.degree, eulerian)
+    return done(reduced, eulerian, None, ann.degree)
 
 
 def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
@@ -366,7 +359,6 @@ def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
         eulerian=eulerian,
         precheck=None,
         annihilator_degree=ann.degree,
-        residual_zero=eulerian,
         elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
         modulus=_modulus_of(field),
         conditional=conditional,
@@ -396,89 +388,100 @@ def _point_iterates(motive: Motive, seeds, count: int):
     return out
 
 
-def _flatten_rows(field: FieldSpec, groups):
-    """One F_q-linear equation per (coordinate, θ-power) pair; column k
-    is the k-th vector across all groups (concatenated)."""
-    vectors = [v for g in groups for v in g]
-    d = len(vectors[0])
-    max_deg = max(
-        (c.degree for v in vectors for c in v), default=-1
-    )
+def _flatten_rows(vectors, width: int):
+    """One F_q-linear equation per (coordinate, component) pair that is
+    not identically zero; column k is vectors[k].  A coordinate has
+    `width` components: its θ-coefficients, or its probe-field digits."""
     rows = []
-    for i in range(d):
-        for j in range(max_deg + 1):
+    for i in range(len(vectors[0])):
+        for j in range(width):
             row = [v[i][j] for v in vectors]
-            if any(row):
-                rows.append(row)
-    return rows, len(vectors)
-
-
-def rho_a_point(motive: Motive, seeds, a: Poly):
-    """ρ_a of the point with the given seeds, computed in the module."""
-    scaled = [(n, f.coeff_mul_t(a.with_var("t")), ell) for n, f, ell in seeds]
-    return motive.reduce_point(scaled)
-
-
-def _probe_witness_rows(tm: TModule, dom: ProbeDomain, vec, bound: int):
-    """F_q-linear system (one row per coordinate component) whose right
-    kernel contains every a of degree <= bound with ρ_a(v) = 0, built
-    from the iterate images ρ_{t^i}(v) in the probe domain."""
-    rows_t = tm.converted_rows(dom)
-    iters = []
-    cur = vec
-    for i in range(bound + 1):
-        iters.append(cur)
-        if i < bound:
-            cur = tm.apply_t(cur, dom, rows_t)
-    rows = []
-    for i in range(tm.d):
-        for k in range(dom.deg):
-            row = [it[i][k] for it in iters]
             if any(row):
                 rows.append(row)
     return rows
 
 
-def torsion_witness(
-    field: FieldSpec, s, bound: int, probe_degree: int = PROBE_DEGREE
-):
-    """Smallest-support nonzero a with deg a <= bound and ρ_a(v) = 0,
-    found by linear algebra over F_q; None if no witness exists up to
-    the bound.  Independent of the factored annihilator path.
+def _witness_kernel(motive: Motive, seed_groups, bound: int):
+    """First kernel basis vector of (a_1, ..., a_k) ↦ Σ ρ_{a_i}(P_i) over
+    deg a_i <= bound, P_i the point with seeds seed_groups[i], returned
+    as the list [a_1, ..., a_k]; None if the kernel is zero.
 
-    For prime q the search runs first in the modular probe domain,
-    where iterates are single field elements instead of polynomials of
-    growing degree: the probe is a ring homomorphism, so an empty
-    kernel there rigorously rules out a witness, and any candidate it
-    produces is verified exactly before being returned."""
-    s = _validate(s)
-    motive = Motive(field, s)
-    seeds = motive.point_v_seeds()
+    The exact system has one row per (coordinate, θ-power) of the
+    iterates ρ_{t^j}(P_i).  For prime q the search first builds the
+    system from the iterate images in the modular probe, where each
+    coordinate is one field element instead of a polynomial of growing
+    degree."""
+    field = motive.field
+    n = bound + 1
+
+    def split(vec):
+        return [
+            Poly(field, vec[i * n:(i + 1) * n], var="t")
+            for i in range(len(seed_groups))
+        ]
+
+    def vanishes(polys):
+        # Σ ρ_{a_i}(P_i) in exact arithmetic, as one reduction of the
+        # a_i-multiples of the seeds (the reduction is linear)
+        scaled = [
+            (m, f.coeff_mul_t(a), ell)
+            for seeds, a in zip(seed_groups, polys)
+            for m, f, ell in seeds
+        ]
+        return all(c.is_zero() for c in motive.reduce_point(scaled))
+
     if field.e == 1:
         tm = TModule.from_motive(motive)
-        v = motive.special_point_v()
-        for seed in (0, 1):
-            dom = ProbeDomain(field, probe_degree, seed)
-            rows = _probe_witness_rows(tm, dom, dom.convert_point(v), bound)
-            sols = [
-                vec for vec in nullspace(field, rows, bound + 1) if any(vec)
-            ]
-            if not sols:
-                return None
-            for vec in sols:
-                a = Poly(field, vec, var="t")
-                if all(c.is_zero() for c in rho_a_point(motive, seeds, a)):
-                    return a
-        # probe candidates exist but none verified exactly (a kernel
-        # collision, astronomically unlikely twice): exact fallback
-    iters = _point_iterates(motive, seeds, bound)
-    rows, ncols = _flatten_rows(field, [iters])
-    for vec in nullspace(field, rows, ncols):
-        a = Poly(field, vec, var="t")
-        if not a.is_zero():
-            assert all(c.is_zero() for c in rho_a_point(motive, seeds, a))
-            return a
-    return None
+        dom = ProbeDomain(field, PROBE_DEGREE, 0)
+        rows_t = tm.converted_rows(dom)
+        iters = []
+        for seeds in seed_groups:
+            cur = dom.convert_point(motive.reduce_point(seeds))
+            for j in range(n):
+                iters.append(cur)
+                if j < bound:
+                    cur = tm.apply_t(cur, dom, rows_t)
+        rows = _flatten_rows(iters, dom.deg)
+        basis = nullspace(field, rows, len(iters))
+        # Each probe row is an F_p-combination of exact rows (θ ↦ ξ is
+        # F_p-linear), so the exact kernel lies inside the probe kernel:
+        # an empty probe kernel rules out every witness.
+        if not basis:
+            return None
+        # The exact row space contains the probe row space, so the exact
+        # pivot columns include the probe ones and the exact free columns
+        # are among the probe free columns.  A first probe basis vector
+        # (1 at the first probe free column, 0 at the others) that lies
+        # in the exact kernel is therefore the first exact basis vector:
+        # the answer is the exact path's, byte for byte.
+        polys = split(basis[0])
+        if vanishes(polys):
+            return polys
+        # a kernel collision in the probe: fall through to exact
+    iters = [
+        it
+        for seeds in seed_groups
+        for it in _point_iterates(motive, seeds, bound)
+    ]
+    width = max((c.degree for v in iters for c in v), default=-1) + 1
+    rows = _flatten_rows(iters, width)
+    basis = nullspace(field, rows, len(iters))
+    if not basis:
+        return None
+    polys = split(basis[0])
+    assert vanishes(polys)
+    return polys
+
+
+def torsion_witness(field: FieldSpec, s, bound: int):
+    """Smallest-support nonzero a with deg a <= bound and ρ_a(v) = 0,
+    found by linear algebra over F_q; None if no witness exists up to
+    the bound.  Independent of the factored annihilator path; for prime
+    q the search is probe first, and a witness is always verified
+    exactly."""
+    motive = Motive(field, _validate(s))
+    witness = _witness_kernel(motive, [motive.point_v_seeds()], bound)
+    return witness[0] if witness else None
 
 
 def is_zeta_like(field: FieldSpec, s, bound: Optional[int] = None) -> ZetaLikeVerdict:
@@ -517,22 +520,9 @@ def is_zeta_like(field: FieldSpec, s, bound: Optional[int] = None) -> ZetaLikeVe
         )
 
     motive = Motive(field, s)
-    v_seeds = motive.point_v_seeds()
-    u_seeds = motive.point_u_seeds()
-    v_iters = _point_iterates(motive, v_seeds, bound)
-    u_iters = _point_iterates(motive, u_seeds, bound)
-    rows, ncols = _flatten_rows(field, [v_iters, u_iters])
-    witness = None
-    for vec in nullspace(field, rows, ncols):
-        a = Poly(field, vec[: bound + 1], var="t")
-        b = Poly(field, vec[bound + 1:], var="t")
-        if a.is_zero() and b.is_zero():
-            continue
-        res_a = rho_a_point(motive, v_seeds, a)
-        res_b = rho_a_point(motive, u_seeds, b)
-        if all((x + y).is_zero() for x, y in zip(res_a, res_b)):
-            witness = (a, b)
-            break
+    witness = _witness_kernel(
+        motive, [motive.point_v_seeds(), motive.point_u_seeds()], bound
+    )
     return ZetaLikeVerdict(
         q=q,
         s=s,
@@ -542,7 +532,7 @@ def is_zeta_like(field: FieldSpec, s, bound: Optional[int] = None) -> ZetaLikeVe
         outcome="zeta-like" if witness else "none-up-to-bound",
         witness_a=witness[0] if witness else None,
         witness_b=witness[1] if witness else None,
-        dimension=ncols,
+        dimension=2 * (bound + 1),
         elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
         modulus=_modulus_of(field),
     )

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import field_for_q
+
 
 @dataclass(frozen=True)
 class FamilyTuple:
@@ -53,13 +55,6 @@ def extra_family(q: int, ell: int) -> tuple:
         raise ValueError("need ℓ >= 1")
     a = q ** ell * (q - 1)
     return (a, q ** (ell + 2) - 1 - a)
-
-
-def _char(q: int) -> int:
-    p = 2
-    while q % p != 0:
-        p += 1
-    return p
 
 
 def predicted_eulerian(q: int, wmax: int, rmax: int):
@@ -111,7 +106,7 @@ def predicted_eulerian(q: int, wmax: int, rmax: int):
 
 
 def is_primitive(q: int, s) -> bool:
-    p = _char(q)
+    p = field_for_q(q).p
     return any(x % p != 0 for x in s)
 
 

@@ -120,9 +120,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of 0 in F_q")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
-
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
@@ -134,12 +131,6 @@ class FieldSpec:
             base = self._mul[base][base]
             n >>= 1
         return out
-
-    def elements(self):
-        return range(self.q)
-
-    def generator_label(self) -> str:
-        return "g"
 
     # -- misc -------------------------------------------------------------
     def __eq__(self, other):

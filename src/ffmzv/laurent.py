@@ -66,10 +66,6 @@ class LaurentNumber:
         return cls(field, 0, (1,))
 
     @classmethod
-    def from_scalar(cls, field, c):
-        return cls(field, 0, (c % field.q,))
-
-    @classmethod
     def from_poly(cls, p: Poly):
         """Exact image of a polynomial in θ."""
         return cls(p.field, p.degree, tuple(reversed(p.coeffs)))

@@ -68,55 +68,3 @@ def nullspace(field: FieldSpec, rows, ncols=None):
         basis.append(v)
     return basis
 
-
-def rank(field: FieldSpec, rows) -> int:
-    return len(rref(field, rows)[1])
-
-
-def solve(field: FieldSpec, rows, rhs):
-    """One solution of A x = b, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = rref(field, aug)
-    if ncols in pivots:
-        return None  # pivot in the augmented column
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x
-
-
-def mat_mul(field: FieldSpec, a, b):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    mul = field._mul
-    add = field.add
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                row = mul[c]
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] = add(oi[j], row[bt[j]])
-    return out
-
-
-def mat_vec(field: FieldSpec, a, v):
-    mul = field._mul
-    add = field.add
-    out = []
-    for row in a:
-        acc = 0
-        for c, x in zip(row, v):
-            if c and x:
-                acc = add(acc, mul[c][x])
-        out.append(acc)
-    return out

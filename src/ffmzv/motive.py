@@ -213,9 +213,6 @@ class Motive:
     def special_point_v(self):
         return self.reduce_point(self.point_v_seeds())
 
-    def special_point_u(self):
-        return self.reduce_point(self.point_u_seeds())
-
     def _as_bipoly(self, qpoly) -> BiPoly:
         if isinstance(qpoly, BiPoly):
             if qpoly.rational == self.rational:

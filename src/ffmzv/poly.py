@@ -238,10 +238,6 @@ class Poly:
                 out[i * step] = c
         return Poly(self.field, out, self.var)
 
-    def frob_power(self, n: int) -> "Poly":
-        """self ** (q**n), identical to twist(n) since F_q is Frobenius-fixed."""
-        return self.twist(n)
-
     # -- evaluation / conversion ------------------------------------------
     def eval_scalar(self, x: int) -> int:
         F = self.field
@@ -390,11 +386,6 @@ class RatFrac:
     def twist(self, n: int) -> "RatFrac":
         return RatFrac(self.num.twist(n), self.den.twist(n), reduce=False)
 
-    def as_poly(self) -> Poly:
-        if not self.den.is_one():
-            raise ValueError("fraction is not integral")
-        return self.num
-
     def __str__(self):
         if self.den.is_one():
             return str(self.num)
@@ -527,9 +518,6 @@ class BiPoly:
 
     def scale(self, c: int) -> "BiPoly":
         return BiPoly(self.field, [x.scale(c) for x in self.coeffs], self.rational)
-
-    def coeff_mul(self, c) -> "BiPoly":
-        return BiPoly(self.field, [x * c for x in self.coeffs], self.rational)
 
     def coeff_mul_t(self, tp: Poly) -> "BiPoly":
         """Multiply by a polynomial in t with F_q coefficients."""

@@ -13,6 +13,10 @@ by Σ c_n · x^{q^n}.  Points live in a pluggable coefficient domain:
   rigorously certifies the exact result nonzero.  A zero probe proves
   nothing and must be confirmed exactly.
 
+Both domains offer the same element operations (zero, is_zero, add, neg,
+mul, scalar, frob, convert), so the operator code below never asks
+which domain it runs in.
+
 Annihilators are kept factored; factors are applied smallest degree
 first with an early exit as soon as the point dies.
 """
@@ -47,8 +51,15 @@ class ExactDomain:
     def add(self, a, b):
         return a + b
 
+    def neg(self, x):
+        return -x
+
     def mul(self, a, b):
         return a * b
+
+    def scalar(self, c):
+        """The constant c in F_q as a coordinate."""
+        return self.convert(Poly.const(self.field, c))
 
     def frob(self, x, n):
         return x.twist(n)
@@ -102,6 +113,14 @@ class ProbeDomain:
     def add(self, a, b):
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
+
+    def neg(self, x):
+        p = self.p
+        return tuple((-c) % p for c in x)
+
+    def scalar(self, c):
+        """The constant c in F_p as a probe element."""
+        return (c % self.p,) + self._zero[1:]
 
     def mul(self, a, b):
         return fpx.mul_reduce(a, b, self._red, self.p, self.deg)
@@ -297,7 +316,7 @@ class TModule:
                 return target
             if c == 1:
                 return [dom.add(t_, s) for t_, s in zip(target, src)]
-            cs = _scalar_in_dom(dom, c)
+            cs = dom.scalar(c)
             return [
                 dom.add(t_, dom.mul(cs, s)) for t_, s in zip(target, src)
             ]
@@ -323,7 +342,7 @@ class TModule:
             for _ in range(q ** h - 1):
                 wq = self.apply_t(wq, dom, rows)
             cur = [
-                dom.add(a, _dom_negate(dom, b)) for a, b in zip(wq, w1)
+                dom.add(a, dom.neg(b)) for a, b in zip(wq, w1)
             ]
         return cur
 
@@ -431,20 +450,6 @@ class TModule:
         return "\n".join(
             "  ".join(x.rjust(w) for x, w in zip(r, widths)) for r in cells
         )
-
-
-def _scalar_in_dom(dom, c):
-    if isinstance(dom, ExactDomain):
-        base = Poly.const(dom.field, c)
-        return dom.convert(base)
-    return tuple((c % dom.p if i == 0 else 0) for i in range(dom.deg))
-
-
-def _dom_negate(dom, x):
-    if isinstance(dom, ExactDomain):
-        return -x
-    p = dom.p
-    return tuple((-c) % p for c in x)
 
 
 def _poly_dot(row, col):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ffmzv.carlitz import (
@@ -186,3 +188,19 @@ def test_disk_cache_survives_corruption(tmp_path, monkeypatch):
     path.write_text('{"7": [[999]]}')
     b = CarlitzCache(F)
     assert b.anderson_thakur(7) == h
+
+
+def test_disk_cache_keeps_its_entries_when_loaded(tmp_path, monkeypatch):
+    """Loading re-derives one entry as a spot check; that must not
+    rewrite the file with only what the fresh cache holds so far."""
+    monkeypatch.setenv("CARLITZ_CACHE_DIR", str(tmp_path))
+    F = field_for_q(3)
+    a = CarlitzCache(F)
+    for n in range(12):
+        a.anderson_thakur(n)
+    path = next(tmp_path.iterdir())
+    assert len(json.loads(path.read_text())) == 12
+    b = CarlitzCache(F)
+    assert b.anderson_thakur(1) == a.anderson_thakur(1)
+    assert len(json.loads(path.read_text())) == 12
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

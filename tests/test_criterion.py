@@ -1,8 +1,13 @@
 import random
+import signal
+from functools import lru_cache
 
 import pytest
 
+from ffmzv import criterion
 from ffmzv.criterion import (
+    _flatten_rows,
+    _point_iterates,
     annihilator_cmpl,
     annihilator_mzv,
     check_suffix_consistency,
@@ -14,6 +19,8 @@ from ffmzv.criterion import (
     torsion_witness,
 )
 from ffmzv.fields import field_for_q
+from ffmzv.linalg import nullspace
+from ffmzv.motive import Motive
 from ffmzv.poly import Poly, RatFrac
 
 
@@ -215,6 +222,79 @@ def test_zetalike_search_finds_witness():
     v = is_zeta_like(F, (1, 2))
     assert v.outcome == "zeta-like"
     assert v.witness_a is not None and not v.witness_a.is_zero()
+    assert (str(v.witness_a), str(v.witness_b)) == ("t^3 + 2*t", "1")
+
+
+def test_zetalike_q5_finishes_at_default_bound():
+    """Exact only, the q = 5 search grew about 5x per +2 of bound (165 s
+    at bound 20, default 25); the probe kernel rules it out at once."""
+
+    def hang(signum, frame):
+        raise TimeoutError("is_zeta_like over F_5 exceeded 10 s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        v = is_zeta_like(field_for_q(5), (1, 2))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert v.bound == 25
+    assert v.outcome == "none-up-to-bound"
+
+
+# -- witness search against an exact-only reference --------------------------
+
+ZETALIKE_Q3 = [
+    (1, 2), (1, 4), (2, 1), (4, 1), (2, 3), (3, 2), (1, 1, 1), (1, 1, 3),
+    (1, 2, 2), (1, 3, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1),
+]
+WITNESS_CASES = [
+    (3, (2,), 12), (3, (2, 4), 24), (3, (4, 2), 12), (3, (2, 2), 12),
+    (3, (2, 4), 12), (2, (1, 1), 6), (2, (1, 2), 8), (2, (1, 2, 4), 24),
+    (3, (2, 2, 2), 15),
+]
+
+
+@lru_cache(maxsize=None)
+def _exact_first_kernel_vector(q, s, bound, with_u):
+    """The first nullspace basis vector of the exact system, split into
+    one polynomial per point: the witness the search must reproduce."""
+    F = field_for_q(q)
+    motive = Motive(F, s)
+    groups = [motive.point_v_seeds()]
+    if with_u:
+        groups.append(motive.point_u_seeds())
+    iters = [it for g in groups for it in _point_iterates(motive, g, bound)]
+    width = max((c.degree for v in iters for c in v), default=-1) + 1
+    basis = nullspace(F, _flatten_rows(iters, width), len(iters))
+    if not basis:
+        return None
+    n = bound + 1
+    return tuple(
+        str(Poly(F, basis[0][i:i + n], var="t"))
+        for i in range(0, len(iters), n)
+    )
+
+
+@pytest.mark.parametrize("probe_degree", [criterion.PROBE_DEGREE, 2])
+def test_witness_search_matches_exact_reference(monkeypatch, probe_degree):
+    """Probe first, then exact: the same witness as the exact system.  At
+    probe degree 2 the probe kernel is often too large and the search
+    falls back to the exact path."""
+    monkeypatch.setattr(criterion, "PROBE_DEGREE", probe_degree)
+    for q, s, bound in WITNESS_CASES:
+        w = torsion_witness(field_for_q(q), s, bound)
+        got = None if w is None else (str(w),)
+        assert got == _exact_first_kernel_vector(q, s, bound, False), (q, s)
+    for s in ZETALIKE_Q3:
+        v = is_zeta_like(field_for_q(3), s, 11)
+        got = (
+            (str(v.witness_a), str(v.witness_b))
+            if v.outcome == "zeta-like"
+            else None
+        )
+        assert got == _exact_first_kernel_vector(3, s, 11, True), s
 
 
 def test_zetalike_default_bound():
