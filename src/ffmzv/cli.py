@@ -91,6 +91,12 @@ def _require_tuple(args) -> tuple:
     return _parse_tuple(args.tuple)
 
 
+def _require_rmax(args) -> int:
+    if args.rmax < 1:
+        raise ConfigError("--rmax must be positive")
+    return args.rmax
+
+
 def _print_verdict(v, fmt: str):
     if fmt == "json":
         print(json.dumps(v.to_json()))
@@ -126,7 +132,7 @@ def enumerate_tuples(q: int, wmax: int, rmax: int, primitive_only: bool):
     """
     step = q - 1 if q >= 3 else 1
 
-    def parts(weight, depth, smallest_first):
+    def parts(weight, depth):
         # compositions of `weight` into `depth` multiples of `step`
         if depth == 1:
             if weight % step == 0 and weight >= step:
@@ -134,14 +140,14 @@ def enumerate_tuples(q: int, wmax: int, rmax: int, primitive_only: bool):
             return
         first = step
         while first <= weight - step * (depth - 1):
-            for rest in parts(weight - first, depth - 1, smallest_first):
+            for rest in parts(weight - first, depth - 1):
                 yield (first,) + rest
             first += step
 
     out = []
     for w in range(step, wmax + 1):
         for r in range(1, rmax + 1):
-            for s in sorted(parts(w, r, True)):
+            for s in sorted(parts(w, r)):
                 if primitive_only and not is_primitive(q, s):
                     continue
                 out.append(s)
@@ -207,12 +213,7 @@ def _write_store(path: str, manifest: dict, records):
 def cmd_check(args) -> int:
     field = _resolve_field(args)
     s = _require_tuple(args)
-    v = is_eulerian(
-        field, s,
-        precheck=not args.no_precheck,
-        primitive_reduction=not args.no_primitive_reduction,
-        use_probe=not args.no_probe,
-    )
+    v = is_eulerian(field, s)
     _print_verdict(v, args.format)
     return 10 if v.eulerian else 11
 
@@ -221,7 +222,7 @@ def cmd_sweep(args) -> int:
     field = _resolve_field(args)
     if args.wmax is None or args.wmax < 1:
         raise ConfigError("--wmax is required and must be positive")
-    rmax = args.rmax or 3
+    rmax = _require_rmax(args)
     tuples = enumerate_tuples(field.q, args.wmax, rmax, args.primitive_only)
     records = run_sweep(field, tuples, jobs=args.jobs)
 
@@ -335,7 +336,7 @@ def cmd_families(args) -> int:
     field = _resolve_field(args)
     if args.wmax is None:
         raise ConfigError("--wmax is required")
-    rmax = args.rmax or 3
+    rmax = _require_rmax(args)
     fams = sorted(
         predicted_eulerian(field.q, args.wmax, rmax),
         key=lambda f: (f.weight, f.depth, f.s),
@@ -393,10 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide one tuple (exit 10/11)")
     common(p)
     p.add_argument("--tuple", type=str)
-    p.add_argument("--no-precheck", action="store_true")
-    p.add_argument("--no-primitive-reduction", action="store_true")
-    p.add_argument("--no-probe", action="store_true",
-                   help="skip the modular probe; exact arithmetic only")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sweep", help="enumerate and decide a range")

@@ -20,12 +20,15 @@ a semi-decision, searched by F_q-linear algebra up to a degree bound.
 The torsion-witness search (ρ_a(v) = 0 alone) is the same search with
 one point; both go through `_witness_kernel`.
 
-For prime q every procedure here runs "probe, then confirm exactly":
-the work is done first in a fast modular image of A, a ring
-homomorphism, which cannot turn a zero into a nonzero.  So a nonzero
-residual certifies non-torsion and an empty probe kernel rules out every
-witness, while torsion verdicts and witnesses are always confirmed in
-exact arithmetic.  Extension fields use exact arithmetic only.
+Both criteria go through one torsion test, `_annihilates`.  It and the
+witness search run "probe, then confirm exactly" for prime q and an
+integral motive: the work is done first in a fast modular image of A, a
+ring homomorphism, which cannot turn a zero into a nonzero.  So a
+nonzero residual certifies non-torsion and an empty probe kernel rules
+out every witness, while torsion verdicts and witnesses are always
+confirmed in exact arithmetic.  Extension fields and the polylogarithm
+variant, whose motive has rational coordinates, use exact arithmetic
+only.
 """
 from __future__ import annotations
 
@@ -82,12 +85,11 @@ def decompose_weight(q: int, w: int) -> WeightDecomp:
 
 @dataclass(frozen=True)
 class AnnihilatorData:
-    """A factored annihilator candidate: Frobenius-difference factors
+    """A factored annihilator: Frobenius-difference factors
     (t^{q^h} - t)^{p^ℓ} plus an optional plain polynomial factor."""
 
     q: int
     factors: tuple  # entries ("frobdiff", h, ell) or ("poly", Poly)
-    skipped: tuple = ()  # suffix weights with no valid decomposition
 
     @property
     def degree(self) -> int:
@@ -118,56 +120,41 @@ class AnnihilatorData:
         return out
 
 
-def annihilator_mzv(field: FieldSpec, s, strict: bool = True) -> AnnihilatorData:
-    """Annihilator candidate for the multizeta point of s.
+def _suffix_factors(field: FieldSpec, s: tuple, first: int) -> list:
+    """One Frobenius-difference factor per suffix weight
+    w_i = s_{r-i} + ... + s_r, i = first..r-1 (w_0 = s_r)."""
+    q = field.q
+    bad = [x for x in s if x % (q - 1) != 0]
+    if bad:
+        raise ValueError(f"entries {bad} not divisible by q-1 = {q - 1}")
+    r = len(s)
+    factors = []
+    for i in range(first, r):
+        dec = decompose_weight(q, sum(s[r - 1 - i:]))
+        factors.append(("frobdiff", dec.h, dec.ell))
+    return factors
+
+
+def annihilator_mzv(field: FieldSpec, s) -> AnnihilatorData:
+    """Annihilator for the multizeta point of s.
 
     One Frobenius-difference factor per suffix weight
     w_i = s_{r-i} + ... + s_r (i = 1..r-1), times the depth-one factor
-    (Γ_{s_r+1}/Γ_{s_r})·denBC(s_r) with θ replaced by t.  With
-    strict=False, entries not divisible by q-1 are tolerated and suffix
-    weights with no valid decomposition are skipped (the product is
-    still a nonzero annihilator *candidate*; a zero result remains a
-    proof of torsion).
+    (Γ_{s_r+1}/Γ_{s_r})·denBC(s_r) with θ replaced by t.  Every entry
+    must be divisible by q-1.
     """
     s = tuple(s)
-    q = field.q
-    bad = [x for x in s if x % (q - 1) != 0]
-    if bad and strict:
-        raise ValueError(f"entries {bad} not divisible by q-1 = {q - 1}")
-    factors = []
-    skipped = []
-    r = len(s)
-    for i in range(1, r):
-        w_i = sum(s[r - 1 - i:])
-        try:
-            dec = decompose_weight(q, w_i)
-        except ValueError:
-            if strict:
-                raise
-            skipped.append(w_i)
-            continue
-        factors.append(("frobdiff", dec.h, dec.ell))
+    factors = _suffix_factors(field, s, 1)
     cache = cache_for(field)
     depth_one = cache.gamma_ratio(s[-1]) * cache.bc_denominator(s[-1])
     factors.append(("poly", depth_one.with_var("t")))
-    return AnnihilatorData(q, tuple(factors), tuple(skipped))
+    return AnnihilatorData(field.q, tuple(factors))
 
 
 def annihilator_cmpl(field: FieldSpec, s) -> AnnihilatorData:
     """Annihilator for the polylogarithm point: factors for
     w_0 = s_r through w_{r-1}, no depth-one polynomial factor."""
-    s = tuple(s)
-    q = field.q
-    bad = [x for x in s if x % (q - 1) != 0]
-    if bad:
-        raise ValueError(f"entries {bad} not divisible by q-1 = {q - 1}")
-    factors = []
-    r = len(s)
-    for i in range(r):
-        w_i = sum(s[r - 1 - i:]) if i else s[-1]
-        dec = decompose_weight(q, w_i)
-        factors.append(("frobdiff", dec.h, dec.ell))
-    return AnnihilatorData(q, tuple(factors))
+    return AnnihilatorData(field.q, tuple(_suffix_factors(field, tuple(s), 0)))
 
 
 @dataclass
@@ -247,32 +234,40 @@ def _modulus_of(field: FieldSpec):
     return field.modulus if field.e > 1 else None
 
 
-def is_eulerian(
-    field: FieldSpec,
-    s,
-    *,
-    precheck: bool = True,
-    primitive_reduction: bool = True,
-    use_probe: bool = True,
-) -> Verdict:
+def _annihilates(motive: Motive, factors) -> bool:
+    """Whether ρ_a(v) = 0 for the factored annihilator a and the point
+    v of the motive.
+
+    For prime q and an integral motive the residual is first computed
+    in the modular probe, whose nonzero image certifies non-torsion; a
+    zero there, and every other case, is decided in exact arithmetic.
+    """
+    tm = TModule.from_motive(motive)
+    v = motive.special_point_v()
+    if motive.field.e == 1 and not motive.rational:
+        dom = ProbeDomain(motive.field, PROBE_DEGREE, 0)
+        if not tm.is_zero_point(tm.apply_annihilator(v, factors, dom), dom):
+            return False
+    return tm.is_zero_point(tm.apply_annihilator(v, factors))
+
+
+def is_eulerian(field: FieldSpec, s) -> Verdict:
     """Decide whether the multizeta value of s is Eulerian.
 
-    Non-torsion results may come from a modular probe (a ring
-    homomorphism image of a nonzero vector that is nonzero certifies
-    non-torsion); a torsion result is always recomputed exactly.
+    An entry not divisible by q-1 decides "non-Eulerian" at once (the
+    precheck).  Otherwise s is divided by p while every entry allows it,
+    and the verdict is ρ_a(v) = 0 for the annihilator a of the result.
     """
     t0 = time.perf_counter()
     s = _validate(s)
     q = field.q
-    weight = sum(s)
-    depth = len(s)
 
     def done(reduced, eulerian, why, ann_deg):
         return Verdict(
             q=q,
             s=s,
-            weight=weight,
-            depth=depth,
+            weight=sum(s),
+            depth=len(s),
             reduced=reduced,
             eulerian=eulerian,
             precheck=why,
@@ -281,35 +276,18 @@ def is_eulerian(
             modulus=_modulus_of(field),
         )
 
-    if precheck and q > 2:
-        bad = [x for x in s if x % (q - 1) != 0]
-        if bad:
-            return done(
-                s,
-                False,
-                f"entry {bad[0]} not divisible by q-1 = {q - 1}",
-                0,
-            )
+    bad = [x for x in s if x % (q - 1) != 0]
+    if bad:
+        return done(
+            s, False, f"entry {bad[0]} not divisible by q-1 = {q - 1}", 0
+        )
 
     reduced = s
-    if primitive_reduction:
-        while all(x % field.p == 0 for x in reduced):
-            reduced = tuple(x // field.p for x in reduced)
+    while all(x % field.p == 0 for x in reduced):
+        reduced = tuple(x // field.p for x in reduced)
 
-    ann = annihilator_mzv(field, reduced, strict=precheck)
-    motive = Motive(field, reduced)
-    tm = TModule.from_motive(motive)
-    v = motive.special_point_v()
-
-    eulerian = None
-    if use_probe and field.e == 1:
-        dom = ProbeDomain(field, PROBE_DEGREE, 0)
-        out = tm.apply_annihilator(v, ann.factors, dom)
-        if not tm.is_zero_point(out, dom):
-            eulerian = False
-    if eulerian is None:
-        out = tm.apply_annihilator(v, ann.factors)
-        eulerian = tm.is_zero_point(out)
+    ann = annihilator_mzv(field, reduced)
+    eulerian = _annihilates(Motive(field, reduced), ann.factors)
     return done(reduced, eulerian, None, ann.degree)
 
 
@@ -346,10 +324,7 @@ def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
     ann = annihilator_cmpl(field, s)
     qs = [BiPoly(field, [f], rational=True) for f in us]
     motive = Motive(field, s, Q=qs, rational=True)
-    tm = TModule.from_motive(motive)
-    v = motive.special_point_v()
-    out = tm.apply_annihilator(v, ann.factors)
-    eulerian = tm.is_zero_point(out)
+    eulerian = _annihilates(motive, ann.factors)
     return Verdict(
         q=q,
         s=s,

@@ -8,10 +8,10 @@ by Σ c_n · x^{q^n}.  Points live in a pluggable coefficient domain:
   both ways, but repeated τ's raise degrees q-fold, so a non-torsion
   point blows up quickly under a large annihilator.
 * `ProbeDomain` — the image of A under θ ↦ ξ for ξ a root of an
-  irreducible of chosen degree over F_p (prime q only).  The map is a
-  ring homomorphism commuting with x ↦ x^q, so a NONZERO probe result
-  rigorously certifies the exact result nonzero.  A zero probe proves
-  nothing and must be confirmed exactly.
+  irreducible of chosen degree over F_p (prime q and `Poly` coordinates
+  only).  The map is a ring homomorphism commuting with x ↦ x^q, so a
+  NONZERO probe result rigorously certifies the exact result nonzero.
+  A zero probe proves nothing and must be confirmed exactly.
 
 Both domains offer the same element operations (zero, is_zero, add, neg,
 mul, scalar, frob, convert), so the operator code below never asks
@@ -92,8 +92,8 @@ def _probe_tables(p: int, deg: int, seed: int):
 
 
 class ProbeDomain:
-    """A → F_{p^deg} via θ ↦ ξ (prime q only).  Elements are coefficient
-    tuples of length deg."""
+    """A → F_{p^deg} via θ ↦ ξ (prime q, `Poly` coordinates only).
+    Elements are coefficient tuples of length deg."""
 
     def __init__(self, field: FieldSpec, deg: int = 21, seed: int = 0):
         if field.e != 1:
@@ -125,33 +125,23 @@ class ProbeDomain:
     def mul(self, a, b):
         return fpx.mul_reduce(a, b, self._red, self.p, self.deg)
 
-    def pow_int(self, a, e):
-        acc = (1,) + (0,) * (self.deg - 1)
-        base = a
+    def frob(self, x, n):
+        """x^(p^n), by square and multiply."""
+        if not n:
+            return x
+        e = self.p ** n
+        acc = (1,) + self._zero[1:]
         while e:
             if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
+                acc = self.mul(acc, x)
+            x = self.mul(x, x)
             e >>= 1
         return acc
 
-    def frob(self, x, n):
-        return self.pow_int(x, self.p ** n) if n else x
-
     def convert(self, c):
-        """Image of a Poly (or integral RatFrac) in θ."""
-        if isinstance(c, RatFrac):
-            num = self.convert(c.num)
-            den = self.convert(c.den)
-            return self.mul(num, self.pow_int(den, self.p ** self.deg - 2))
-        xi = ((0, 1) + (0,) * (self.deg - 2))[: self.deg]
-        acc = self._zero
-        one = (1,) + (0,) * (self.deg - 1)
-        for coeff in reversed(c.coeffs):
-            acc = self.mul(acc, xi)
-            if coeff:
-                acc = self.add(acc, tuple((coeff if i == 0 else 0) for i in range(self.deg)))
-        return acc
+        """Image of a Poly in θ: its coefficients reduced mod the
+        probe modulus."""
+        return tuple(fpx.mod(c.coeffs, self.modulus, self.p))
 
     def convert_point(self, vec):
         return [self.convert(x) for x in vec]
@@ -242,10 +232,6 @@ class TwistedPoly:
         return f"TwistedPoly({self!s})"
 
 
-def ore_mul(f: TwistedPoly, g: TwistedPoly) -> TwistedPoly:
-    return f * g
-
-
 # ---------------------------------------------------------------------------
 # the operator itself
 
@@ -273,18 +259,11 @@ class TModule:
         return ExactDomain(self.field, self.rational)
 
     def converted_rows(self, dom):
-        cache = getattr(self, "_rows_cache", None)
-        if cache is None:
-            cache = self._rows_cache = {}
-        hit = cache.get(id(dom))
-        if hit is not None:
-            return hit[1]
-        rows = [
+        """The entries of ρ_t with their coefficients in dom."""
+        return [
             [(j, [(n, dom.convert(c)) for n, c in terms]) for j, terms in row]
             for row in self.rows
         ]
-        cache[id(dom)] = (dom, rows)  # keep dom alive so its id stays unique
-        return rows
 
     def apply_t(self, vec, dom=None, rows=None):
         """One application of ρ_t."""
@@ -304,11 +283,12 @@ class TModule:
             out.append(acc)
         return out
 
-    def apply_poly(self, vec, a: Poly, dom=None):
+    def apply_poly(self, vec, a: Poly, dom=None, rows=None):
         """ρ_a(vec) for a in F_q[t], by Horner in ρ_t."""
         if dom is None:
             dom = self.exact_domain()
-        rows = self.converted_rows(dom)
+        if rows is None:
+            rows = self.converted_rows(dom)
         acc = [dom.zero()] * self.d
 
         def add_scaled(target, src, c):
@@ -326,12 +306,13 @@ class TModule:
             acc = add_scaled(acc, vec, c)
         return acc
 
-    def apply_frobdiff_factor(self, vec, h: int, ell: int, dom=None):
+    def apply_frobdiff_factor(self, vec, h: int, ell: int, dom=None, rows=None):
         """(t^{q^h} - t)^{p^ℓ} applied as p^ℓ rounds of ρ_t^{q^h} - ρ_t,
         with an early exit once the point vanishes."""
         if dom is None:
             dom = self.exact_domain()
-        rows = self.converted_rows(dom)
+        if rows is None:
+            rows = self.converted_rows(dom)
         q = self.field.q
         cur = vec
         for _ in range(self.field.p ** ell):
@@ -360,14 +341,15 @@ class TModule:
                 return self.field.q ** fac[1] * (self.field.p ** fac[2])
             return max(fac[1].degree, 0)
 
+        rows = self.converted_rows(dom)
         cur = dom.convert_point(vec)
         for fac in sorted(factors, key=cost):
             if all(dom.is_zero(x) for x in cur):
                 break
             if fac[0] == "frobdiff":
-                cur = self.apply_frobdiff_factor(cur, fac[1], fac[2], dom)
+                cur = self.apply_frobdiff_factor(cur, fac[1], fac[2], dom, rows)
             else:
-                cur = self.apply_poly(cur, fac[1], dom)
+                cur = self.apply_poly(cur, fac[1], dom, rows)
         return cur
 
     def is_zero_point(self, vec, dom=None):
@@ -422,30 +404,10 @@ class TModule:
 
     def render(self):
         """Text layout of ρ_t with aligned columns (θ/τ notation)."""
-        cells = []
-        for i in range(self.d):
-            row_entries = dict(self.rows[i])
-            row = []
-            for j in range(self.d):
-                terms = row_entries.get(j)
-                if not terms:
-                    row.append("0")
-                    continue
-                parts = []
-                for n, c in terms:
-                    cs = str(c)
-                    if n == 0:
-                        parts.append(cs)
-                        continue
-                    tau = "τ" if n == 1 else f"τ^{n}"
-                    if cs == "1":
-                        parts.append(tau)
-                    elif "+" in cs or "/" in cs:
-                        parts.append(f"({cs}){tau}")
-                    else:
-                        parts.append(f"{cs}{tau}")
-                row.append(" + ".join(parts))
-            cells.append(row)
+        cells = [
+            [str(self.entry(i, j)) for j in range(self.d)]
+            for i in range(self.d)
+        ]
         widths = [max(len(r[j]) for r in cells) for j in range(self.d)]
         return "\n".join(
             "  ".join(x.rjust(w) for x, w in zip(r, widths)) for r in cells

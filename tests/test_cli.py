@@ -48,6 +48,9 @@ def test_check_json_format(capsys):
     ("check", "--q", "3", "--char-p", "3", "--tuple", "2"),
     ("sweep", "--q", "3"),
     ("families", "--q", "3"),
+    ("sweep", "--q", "3", "--wmax", "6", "--rmax", "0"),
+    ("sweep", "--q", "3", "--wmax", "6", "--rmax", "-1"),
+    ("families", "--q", "3", "--wmax", "6", "--rmax", "0"),
 ])
 def test_bad_config_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)

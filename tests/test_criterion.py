@@ -22,6 +22,7 @@ from ffmzv.fields import field_for_q
 from ffmzv.linalg import nullspace
 from ffmzv.motive import Motive
 from ffmzv.poly import Poly, RatFrac
+from ffmzv.tmodule import TModule
 
 
 # -- weight decomposition ----------------------------------------------------
@@ -95,8 +96,6 @@ def test_annihilator_strict_rejects_odd_entries():
     F = field_for_q(3)
     with pytest.raises(ValueError):
         annihilator_mzv(F, (3, 4))
-    ann = annihilator_mzv(F, (3, 4), strict=False)
-    assert 7 in ann.skipped  # suffix weight 3+4 has no decomposition
 
 
 # -- the main decision procedure ---------------------------------------------
@@ -123,11 +122,11 @@ def test_precheck_shortcut_and_soundness():
     quick = is_eulerian(F, (3, 4))
     assert not quick.eulerian
     assert quick.precheck is not None
-    # the full pipeline, precheck disabled, must agree
+    # independently of the annihilator: no torsion witness of degree
+    # <= 27 exists for tuples the precheck rejects
     for s in [(3, 4), (1, 2), (2, 3, 2), (5, 2)]:
-        full = is_eulerian(F, s, precheck=False)
-        assert not full.eulerian, s
-        assert full.precheck is None
+        assert is_eulerian(F, s).precheck is not None, s
+        assert torsion_witness(F, s, 27) is None, s
 
 
 def test_primitive_reduction_agreement():
@@ -150,9 +149,12 @@ def test_primitive_reduction_agreement():
 def test_probe_and_exact_agree():
     F = field_for_q(3)
     for s in [(2, 4), (4, 2), (2, 2), (2, 6)]:
-        with_probe = is_eulerian(F, s)
-        exact = is_eulerian(F, s, use_probe=False)
-        assert with_probe.eulerian == exact.eulerian, s
+        motive = Motive(F, s)
+        tm = TModule.from_motive(motive)
+        exact = tm.apply_annihilator(
+            motive.special_point_v(), annihilator_mzv(F, s).factors
+        )
+        assert is_eulerian(F, s).eulerian == tm.is_zero_point(exact), s
 
 
 # -- torsion witnesses vs the factored annihilator ---------------------------
