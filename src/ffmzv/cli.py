@@ -334,8 +334,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_families(args) -> int:
     field = _resolve_field(args)
-    if args.wmax is None:
-        raise ConfigError("--wmax is required")
+    if args.wmax is None or args.wmax < 1:
+        raise ConfigError("--wmax is required and must be positive")
     rmax = _require_rmax(args)
     fams = sorted(
         predicted_eulerian(field.q, args.wmax, rmax),

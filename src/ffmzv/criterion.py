@@ -21,12 +21,13 @@ The torsion-witness search (ρ_a(v) = 0 alone) is the same search with
 one point; both go through `_witness_kernel`.
 
 Both criteria go through one torsion test, `_annihilates`.  It and the
-witness search run "probe, then confirm exactly" for prime q and an
-integral motive: the work is done first in a fast modular image of A, a
-ring homomorphism, which cannot turn a zero into a nonzero.  So a
+witness search run "probe, then confirm exactly" for prime q < 256 and
+an integral motive: the work is done first in a fast modular image of
+A, a ring homomorphism, which cannot turn a zero into a nonzero.  So a
 nonzero residual certifies non-torsion and an empty probe kernel rules
 out every witness, while torsion verdicts and witnesses are always
-confirmed in exact arithmetic.  Extension fields and the polylogarithm
+confirmed in exact arithmetic.  Extension fields, primes above 255
+(whose digits do not fit the probe's bytes) and the polylogarithm
 variant, whose motive has rational coordinates, use exact arithmetic
 only.
 """
@@ -41,7 +42,7 @@ from .fields import FieldSpec, field_for_q
 from .linalg import nullspace
 from .motive import Motive
 from .poly import BiPoly, Poly, RatFrac
-from .tmodule import ProbeDomain, TModule
+from .tmodule import ProbeDomain, TModule, probe_supported
 
 PROBE_DEGREE = 21
 
@@ -230,6 +231,11 @@ def _validate(s):
     return s
 
 
+def _check_bound(bound: int):
+    if bound < 0:
+        raise ValueError(f"the degree bound must be >= 0, got {bound}")
+
+
 def _modulus_of(field: FieldSpec):
     return field.modulus if field.e > 1 else None
 
@@ -238,13 +244,14 @@ def _annihilates(motive: Motive, factors) -> bool:
     """Whether ρ_a(v) = 0 for the factored annihilator a and the point
     v of the motive.
 
-    For prime q and an integral motive the residual is first computed
-    in the modular probe, whose nonzero image certifies non-torsion; a
-    zero there, and every other case, is decided in exact arithmetic.
+    For prime q < 256 and an integral motive the residual is first
+    computed in the modular probe, whose nonzero image certifies
+    non-torsion; a zero there, and every other case, is decided in
+    exact arithmetic.
     """
     tm = TModule.from_motive(motive)
     v = motive.special_point_v()
-    if motive.field.e == 1 and not motive.rational:
+    if probe_supported(motive.field) and not motive.rational:
         dom = ProbeDomain(motive.field, PROBE_DEGREE, 0)
         if not tm.is_zero_point(tm.apply_annihilator(v, factors, dom), dom):
             return False
@@ -382,7 +389,7 @@ def _witness_kernel(motive: Motive, seed_groups, bound: int):
     as the list [a_1, ..., a_k]; None if the kernel is zero.
 
     The exact system has one row per (coordinate, θ-power) of the
-    iterates ρ_{t^j}(P_i).  For prime q the search first builds the
+    iterates ρ_{t^j}(P_i).  For prime q < 256 the search first builds the
     system from the iterate images in the modular probe, where each
     coordinate is one field element instead of a polynomial of growing
     degree."""
@@ -405,7 +412,7 @@ def _witness_kernel(motive: Motive, seed_groups, bound: int):
         ]
         return all(c.is_zero() for c in motive.reduce_point(scaled))
 
-    if field.e == 1:
+    if probe_supported(field):
         tm = TModule.from_motive(motive)
         dom = ProbeDomain(field, PROBE_DEGREE, 0)
         rows_t = tm.converted_rows(dom)
@@ -452,8 +459,9 @@ def torsion_witness(field: FieldSpec, s, bound: int):
     """Smallest-support nonzero a with deg a <= bound and ρ_a(v) = 0,
     found by linear algebra over F_q; None if no witness exists up to
     the bound.  Independent of the factored annihilator path; for prime
-    q the search is probe first, and a witness is always verified
+    q < 256 the search is probe first, and a witness is always verified
     exactly."""
+    _check_bound(bound)
     motive = Motive(field, _validate(s))
     witness = _witness_kernel(motive, [motive.point_v_seeds()], bound)
     return witness[0] if witness else None
@@ -476,6 +484,7 @@ def is_zeta_like(field: FieldSpec, s, bound: Optional[int] = None) -> ZetaLikeVe
     depth = len(s)
     if bound is None:
         bound = default_zetalike_bound(q, weight)
+    _check_bound(bound)
 
     if weight % (q - 1) == 0:
         sub = is_eulerian(field, s)

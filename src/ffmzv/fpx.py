@@ -2,9 +2,13 @@
 extension-field tables (`fields`) and the modular probe (`tmodule`).
 
 A polynomial is a list or tuple of ints in range(p), constant term
-first.  Moduli are monic.
+first.  Moduli are monic.  `PackedQuotient` is the probe's quotient
+ring F_p[x]/(m) on byte digits: a product is one big-int product, and
+the Frobenius a precomputed F_p-linear map.
 """
 from __future__ import annotations
+
+import operator
 
 
 def _strip(a):
@@ -86,30 +90,89 @@ def is_irreducible(m, p) -> bool:
     )
 
 
-def reduction_table(m, p):
-    """red[j] = x^(deg+j) mod m for j = 0..deg-2, the table `mul_reduce`
-    folds high product coefficients with."""
-    deg = len(m) - 1
-    return tuple(
-        tuple(mod([0] * (deg + j) + [1], m, p)) for j in range(deg - 1)
-    )
+class PackedQuotient:
+    """F_p[x]/(m) on packed digits: the modular probe's arithmetic.
 
+    An element is a `bytes` of length deg = deg(m), digit j the
+    coefficient of x^j, so p < 256.  Arithmetic runs on the integers
+    those digits spell in base 256^slot (Kronecker substitution): one
+    big-int product is the polynomial product, as long as no slot
+    exceeds 256^slot - 1.  The widest sum ever packed is a reduced
+    low half plus deg - 1 folded high digits, at most
+    deg·(p-1)^2 + (p-1), which sets `slot`: one byte for p <= 3 at
+    degree 21.  Digits are brought back to range(p) per slot, by one
+    `bytes.translate` when a slot is one byte.
+    """
 
-def mul_reduce(a, b, red, p, deg):
-    """Product of two degree-<deg tuples, reduced by `reduction_table`.
-    The modular probe's hot path: one fused pass, no generic `mod`."""
-    n = len(a) + len(b) - 1
-    prod = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-    for j in range(n - 1, deg - 1, -1):
-        c = prod[j]
-        if c:
-            row = red[j - deg]
-            for k in range(deg):
-                prod[k] = (prod[k] + c * row[k]) % p
-        prod[j] = 0
-    return tuple(prod[:deg])
+    def __init__(self, m, p):
+        if p > 255:
+            raise ValueError("packed digits need p < 256")
+        self.modulus = tuple(m)
+        self.p = p
+        self.deg = deg = len(m) - 1
+        top = deg * (p - 1) ** 2 + (p - 1)
+        self.slot = (top.bit_length() + 7) // 8
+        self.zero = bytes(deg)
+        self._mod_p = bytes(i % p for i in range(256))
+        self._neg = bytes(-i % p for i in range(256))
+        # x^(deg+j) mod m, j = 0..deg-2: the weights of the high digits
+        # of a product
+        self._red = tuple(
+            self.pack(self.element([0] * (deg + j) + [1]))
+            for j in range(deg - 1)
+        )
+        self._frob = {}
+
+    def element(self, coeffs):
+        """The residue of a coefficient list (constant term first)."""
+        return bytes(mod(coeffs, self.modulus, self.p))
+
+    def pack(self, x) -> int:
+        """The integer the digits of x spell in base 256^slot."""
+        if self.slot == 1:
+            return int.from_bytes(x, "little")
+        buf = bytearray(self.slot * len(x))
+        buf[::self.slot] = x
+        return int.from_bytes(buf, "little")
+
+    def digits(self, n: int, k: int) -> bytes:
+        """The k slots of a packed n, each reduced mod p."""
+        raw = n.to_bytes(k * self.slot, "little")
+        if self.slot == 1:
+            return raw.translate(self._mod_p)
+        w = self.slot
+        return bytes(
+            int.from_bytes(raw[i:i + w], "little") % self.p
+            for i in range(0, len(raw), w)
+        )
+
+    def add(self, a, b):
+        return self.digits(self.pack(a) + self.pack(b), self.deg)
+
+    def neg(self, x):
+        return x.translate(self._neg)
+
+    def mul(self, a, b):
+        """One big-int product, then the high digits folded back with
+        the packed x^(deg+j) mod m."""
+        deg = self.deg
+        d = self.digits(self.pack(a) * self.pack(b), 2 * deg - 1)
+        folded = sum(map(operator.mul, d[deg:], self._red), self.pack(d[:deg]))
+        return self.digits(folded, deg)
+
+    def frob(self, x, n: int):
+        """x^(p^n).  The map is F_p-linear, so with ξ the class of the
+        variable it is Σ x_i·ξ^(i·p^n): one packed sum, once the images
+        ξ^(i·p^n) are known.  They are found on the first call for each
+        n, ξ^(p^n) by square and multiply (von zur Gathen–Shoup,
+        "Computing Frobenius maps and factoring polynomials", 1992)."""
+        if not n:
+            return x
+        images = self._frob.get(n)
+        if images is None:
+            y = self.element(xpow_pk(n, self.modulus, self.p))
+            powers = [self.element([1])]
+            for _ in range(self.deg - 1):
+                powers.append(self.mul(powers[-1], y))
+            images = self._frob[n] = tuple(map(self.pack, powers))
+        return self.digits(sum(map(operator.mul, x, images)), self.deg)

@@ -8,10 +8,13 @@ by Σ c_n · x^{q^n}.  Points live in a pluggable coefficient domain:
   both ways, but repeated τ's raise degrees q-fold, so a non-torsion
   point blows up quickly under a large annihilator.
 * `ProbeDomain` — the image of A under θ ↦ ξ for ξ a root of an
-  irreducible of chosen degree over F_p (prime q and `Poly` coordinates
-  only).  The map is a ring homomorphism commuting with x ↦ x^q, so a
-  NONZERO probe result rigorously certifies the exact result nonzero.
-  A zero probe proves nothing and must be confirmed exactly.
+  irreducible of chosen degree over F_p (prime q < 256 and `Poly`
+  coordinates only).  The map is a ring homomorphism commuting with
+  x ↦ x^q, so a NONZERO probe result rigorously certifies the exact
+  result nonzero.  A zero probe proves nothing and must be confirmed
+  exactly.  A probe element is a `bytes` of F_p digits; a product is
+  one big-int product of the packed digits, and x ↦ x^{q^n} a
+  precomputed F_p-linear map (`fpx.PackedQuotient`).
 
 Both domains offer the same element operations (zero, is_zero, add, neg,
 mul, scalar, frob, convert), so the operator code below never asks
@@ -82,66 +85,60 @@ def _find_irreducible(p: int, deg: int, rng) -> tuple:
             return tuple(m)
 
 
+def probe_supported(field: FieldSpec) -> bool:
+    """Whether the modular probe applies: prime q, and digits that fit
+    a byte.  Every other field is decided in exact arithmetic only."""
+    return field.e == 1 and field.p < 256
+
+
 @lru_cache(maxsize=None)
 def _probe_tables(p: int, deg: int, seed: int):
-    """(modulus, reduction table) of the probe field F_{p^deg} for a
-    seed.  Every ProbeDomain with the same key shares them; they are
-    found on first use, never at import."""
+    """The probe field F_{p^deg} for a seed, as a packed quotient ring
+    that holds the modulus, the reduction weights and the Frobenius
+    images.  Every ProbeDomain with the same key shares it; it is found
+    on first use, never at import, and fills its Frobenius images per
+    power on first use too."""
     modulus = _find_irreducible(p, deg, random.Random(seed))
-    return modulus, fpx.reduction_table(modulus, p)
+    return fpx.PackedQuotient(modulus, p)
 
 
 class ProbeDomain:
-    """A → F_{p^deg} via θ ↦ ξ (prime q, `Poly` coordinates only).
-    Elements are coefficient tuples of length deg."""
+    """A → F_{p^deg} via θ ↦ ξ (prime p < 256, `Poly` coordinates only).
+
+    An element is a `bytes` of length deg, digit j the coefficient of
+    ξ^j.  The arithmetic is `fpx.PackedQuotient`'s: a product is one
+    big-int product of the packed digits, and x ↦ x^(p^n) a precomputed
+    F_p-linear map."""
 
     def __init__(self, field: FieldSpec, deg: int = 21, seed: int = 0):
-        if field.e != 1:
-            raise ValueError("modular probe supports prime q only")
+        if not probe_supported(field):
+            raise ValueError("modular probe supports prime q < 256 only")
         self.field = field
         self.p = field.p
         self.deg = deg
-        self.modulus, self._red = _probe_tables(self.p, deg, seed)
-        self._zero = (0,) * deg
+        self.ring = ring = _probe_tables(self.p, deg, seed)
+        self.modulus = ring.modulus
+        self._zero = ring.zero
+        # the element operations are the ring's own
+        self.add = ring.add
+        self.neg = ring.neg
+        self.mul = ring.mul
+        self.frob = ring.frob
 
     def zero(self):
         return self._zero
 
     def is_zero(self, x):
-        return not any(x)
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def neg(self, x):
-        p = self.p
-        return tuple((-c) % p for c in x)
+        return x == self._zero
 
     def scalar(self, c):
         """The constant c in F_p as a probe element."""
-        return (c % self.p,) + self._zero[1:]
-
-    def mul(self, a, b):
-        return fpx.mul_reduce(a, b, self._red, self.p, self.deg)
-
-    def frob(self, x, n):
-        """x^(p^n), by square and multiply."""
-        if not n:
-            return x
-        e = self.p ** n
-        acc = (1,) + self._zero[1:]
-        while e:
-            if e & 1:
-                acc = self.mul(acc, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return acc
+        return self.ring.element([c % self.p])
 
     def convert(self, c):
         """Image of a Poly in θ: its coefficients reduced mod the
         probe modulus."""
-        return tuple(fpx.mod(c.coeffs, self.modulus, self.p))
+        return self.ring.element(c.coeffs)
 
     def convert_point(self, vec):
         return [self.convert(x) for x in vec]

@@ -51,6 +51,9 @@ def test_check_json_format(capsys):
     ("sweep", "--q", "3", "--wmax", "6", "--rmax", "0"),
     ("sweep", "--q", "3", "--wmax", "6", "--rmax", "-1"),
     ("families", "--q", "3", "--wmax", "6", "--rmax", "0"),
+    ("families", "--q", "3", "--wmax", "-1"),
+    ("families", "--q", "3", "--wmax", "0"),
+    ("zetalike", "--q", "3", "--tuple", "1,2", "--bound", "-3"),
 ])
 def test_bad_config_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)

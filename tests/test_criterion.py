@@ -227,6 +227,18 @@ def test_zetalike_search_finds_witness():
     assert (str(v.witness_a), str(v.witness_b)) == ("t^3 + 2*t", "1")
 
 
+def test_negative_bound_is_rejected():
+    """A negative degree bound used to reach the row build with no
+    iterates and fail there with an IndexError."""
+    F = field_for_q(3)
+    with pytest.raises(ValueError, match="bound"):
+        torsion_witness(F, (2, 4), -1)
+    with pytest.raises(ValueError, match="bound"):
+        is_zeta_like(F, (1, 2), bound=-1)
+    with pytest.raises(ValueError, match="bound"):
+        is_zeta_like(field_for_q(2), (1, 2), bound=-1)
+
+
 def test_zetalike_q5_finishes_at_default_bound():
     """Exact only, the q = 5 search grew about 5x per +2 of bound (165 s
     at bound 20, default 25); the probe kernel rules it out at once."""

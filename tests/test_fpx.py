@@ -37,10 +37,3 @@ def test_xpow_pk_matches_repeated_multiplication():
     for _ in range(p ** 2):
         acc = fpx.mod(fpx.mul(acc, [0, 1], p), m, p)
     assert fpx.xpow_pk(2, m, p) == acc
-
-
-def test_mul_reduce_matches_mul_then_mod():
-    p, m = 2, [1, 1, 0, 0, 1, 0, 1]
-    red = fpx.reduction_table(m, p)
-    a, b = (1, 0, 1, 1, 0, 1), (0, 1, 1, 0, 1, 1)
-    assert list(fpx.mul_reduce(a, b, red, p, 6)) == fpx.mod(fpx.mul(a, b, p), m, p)

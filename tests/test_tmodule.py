@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffmzv import fpx
 from ffmzv.fields import field_for_q
 from ffmzv.motive import Motive
 from ffmzv.poly import Poly
@@ -103,6 +106,12 @@ def test_probe_requires_prime_field():
         ProbeDomain(field_for_q(4))
 
 
+def test_probe_requires_byte_digits():
+    """A digit of F_257 does not fit a byte: no probe, exact path only."""
+    with pytest.raises(ValueError):
+        ProbeDomain(field_for_q(257))
+
+
 def test_probe_is_ring_homomorphism():
     F = field_for_q(3)
     dom = ProbeDomain(F, deg=7, seed=1)
@@ -147,7 +156,49 @@ def test_probe_tables_built_once_per_key():
     F = field_for_q(3)
     a, b = ProbeDomain(F, 21, 0), ProbeDomain(F, 21, 0)
     assert a.modulus is b.modulus
-    assert a._red is b._red
+    assert a.ring is b.ring
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("deg", [1, 2, 7, 21])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_probe_arithmetic_matches_schoolbook(p, deg, seed):
+    """Every probe operation against schoolbook F_p[x] arithmetic mod
+    the probe modulus, on random elements and on the all-(p-1) element,
+    whose products fill the packed slots the most."""
+    F = field_for_q(p)
+    dom = ProbeDomain(F, deg, seed)
+    m = list(dom.modulus)
+
+    def ref_mul(a, b):
+        return fpx.mod(fpx.mul(a, b, p), m, p)
+
+    rng = random.Random(1000 * p + deg)
+    elements = [[p - 1] * deg]
+    elements += [[rng.randrange(p) for _ in range(deg)] for _ in range(3)]
+    for a in elements:
+        x = bytes(a)
+        assert list(dom.neg(x)) == [(-c) % p for c in a]
+        for b in elements:
+            y = bytes(b)
+            assert list(dom.mul(x, y)) == ref_mul(a, b)
+            assert list(dom.add(x, y)) == [(c + d) % p for c, d in zip(a, b)]
+        power = a
+        for n in range(4):
+            assert list(dom.frob(x, n)) == power, n
+            # the next p-th power, by repeated multiplication
+            acc = power
+            for _ in range(p - 1):
+                acc = ref_mul(acc, power)
+            power = acc
+    for c in range(p):
+        assert list(dom.scalar(c)) == [c] + [0] * (deg - 1)
+    coeffs = [rng.randrange(p) for _ in range(3 * deg + 2)] + [1]
+    horner = [0] * deg
+    for c in reversed(coeffs):
+        horner = ref_mul(horner, [0, 1])
+        horner = fpx.mod([(horner[0] + c) % p] + horner[1:], m, p)
+    assert list(dom.convert(Poly(F, coeffs))) == horner
 
 
 @pytest.mark.parametrize("p,seed,modulus", [
