@@ -223,6 +223,8 @@ def cmd_sweep(args) -> int:
     if args.wmax is None or args.wmax < 1:
         raise ConfigError("--wmax is required and must be positive")
     rmax = _require_rmax(args)
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be positive")
     tuples = enumerate_tuples(field.q, args.wmax, rmax, args.primitive_only)
     records = run_sweep(field, tuples, jobs=args.jobs)
 
@@ -310,7 +312,10 @@ def cmd_zetalike(args) -> int:
 
 def cmd_oracle(args) -> int:
     field = _resolve_field(args)
-    ctx = SeriesContext(field, prec=args.prec)
+    try:
+        ctx = SeriesContext(field, prec=args.prec)
+    except ValueError as exc:
+        raise ConfigError(f"--prec: {exc}") from None
     if args.oracle_cmd == "zeta":
         s = _require_tuple(args)
         print(zeta_laurent(ctx, s))

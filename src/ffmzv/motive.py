@@ -23,6 +23,9 @@ trade the g-part for terms one σ-level up via
              + γ·m_ℓ,
 
 until every coefficient has t-degree < w_ℓ and drops into the σ-basis.
+The split and the final expansion in powers of (t-θ) are Taylor shifts
+f(t) ↦ f(u±θ), closed-form in characteristic p
+(`BiPoly.divrem_tm_theta`, `BiPoly.expand_tm_theta`).
 A term finishing at σ-level n with (t-θ)-expansion coefficient a_j
 contributes a_j·τ^n at its row when collecting the operator, and plainly
 a_j when collecting a point (the σ-level cancels against the q^n-th

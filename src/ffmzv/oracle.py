@@ -39,6 +39,8 @@ class SeriesContext:
     degree_budget: int = DEFAULT_DEGREE_BUDGET
 
     def __post_init__(self):
+        if self.prec < 1:
+            raise ValueError("precision must be at least 1")
         self._power_sums = {}
 
     def power_sum(self, s: int, d: int) -> LaurentNumber:

@@ -2,6 +2,12 @@
 and the bivariate ring A[t] together with the (t-θ)-adic operations and
 Frobenius twisting that the reduction engine relies on.
 
+Over a prime field a large product in F_q[θ], and every product in
+A[t], is one big-integer product (Kronecker substitution,
+`_kronecker_mul`).  The (t-θ)-adic expansion is the Taylor shift
+f(t) ↦ f(u+θ), done in closed form with (u+θ)^{p^k} = u^{p^k} + θ^{p^k}:
+θ-shifts and additions only (`_taylor_shift`).
+
 A `Poly` is a dense univariate polynomial with coefficients in a
 `FieldSpec` (ints in range(q)).  The zero polynomial has an empty
 coefficient tuple and reports degree -1; that value is a sentinel, not a
@@ -13,6 +19,9 @@ Since F_q is fixed by x -> x^q this amounts to the substitution
 twists are rejected: the whole engine is arranged so they never occur.
 """
 from __future__ import annotations
+
+import sys
+from array import array
 
 from .fields import FieldSpec
 
@@ -156,7 +165,9 @@ class Poly:
         if len(b) == 1:
             return self.scale(b[0])
         if F.e == 1 and len(a) * len(b) > _KRONECKER_THRESHOLD:
-            return Poly(F, _packed_mul(a, b, F.p), self.var)
+            return Poly(
+                F, _kronecker_mul(a, b, F.p, min(len(a), len(b))), self.var
+            )
         mul = F._mul
         add = F._add
         out = [0] * (len(a) + len(b) - 1)
@@ -272,22 +283,52 @@ class Poly:
         return " + ".join(parts)
 
 
-def _packed_mul(a, b, p):
-    """Kronecker-substitution product of two F_p coefficient tuples.
+# the array type code of each word width in bytes
+_WORD = {array(code).itemsize: code for code in "BHILQ"}
 
-    Each slot is wide enough for the largest coefficient of the integer
-    product, (p-1)^2 * min(len(a), len(b)), so no slot carries into the
-    next."""
-    nb = (((p - 1) ** 2 * min(len(a), len(b))).bit_length() + 7) // 8
-    abuf = b"".join(c.to_bytes(nb, "little") for c in a)
-    bbuf = b"".join(c.to_bytes(nb, "little") for c in b)
-    prod = int.from_bytes(abuf, "little") * int.from_bytes(bbuf, "little")
-    n_out = len(a) + len(b) - 1
-    pbuf = prod.to_bytes(n_out * nb + nb, "little")
-    return [
-        int.from_bytes(pbuf[i * nb:(i + 1) * nb], "little") % p
-        for i in range(n_out)
-    ]
+
+def _kronecker_mul(a, b, p, terms):
+    """The product of two sequences of F_p coefficients (constant term
+    first) by Kronecker substitution: each is packed into one integer,
+    a coefficient to a slot of nb bytes, and one big-int product is
+    unpacked.  At most `terms` products add up in one coefficient, so a
+    slot holds at most (p-1)^2·terms; nb is the least byte count for
+    that, and no slot carries into the next."""
+    nb = (((p - 1) ** 2 * terms).bit_length() + 7) // 8
+    prod = _pack(a, nb) * _pack(b, nb)
+    return _unpack(prod, len(a) + len(b) - 1, nb, p)
+
+
+def _pack(coeffs, nb) -> int:
+    """The integer whose little-endian nb-byte slots are `coeffs`."""
+    w = 1 << (nb - 1).bit_length()
+    words = array(_WORD[w], coeffs)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = words.tobytes()
+    if w != nb:
+        # keep the low nb bytes of each w-byte word
+        buf = bytearray(nb * len(coeffs))
+        for k in range(nb):
+            buf[k::nb] = raw[k::w]
+        raw = buf
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(n, count, nb, p):
+    """The first `count` nb-byte slots of n, each reduced mod p: the
+    slots are widened to array words, then read in one pass."""
+    raw = n.to_bytes(count * nb, "little")
+    w = 1 << (nb - 1).bit_length()
+    if w != nb:
+        buf = bytearray(w * count)
+        for k in range(nb):
+            buf[k::w] = raw[k::nb]
+        raw = buf
+    words = array(_WORD[w], raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return [x % p for x in words]
 
 
 class RatFrac:
@@ -399,9 +440,12 @@ class BiPoly:
     """Polynomial in t with coefficients in A = F_q[θ] (or in k for the
     polylog mode).  Stored as a tuple of coefficients, ascending in t.
 
-    Supports the two (t-θ)-adic primitives the reduction engine needs:
-    division with remainder by (t-θ)^e and the full expansion in powers
-    of (t-θ), both exact over the coefficient ring.
+    Over a prime field with integral coefficients a product packs
+    θ^j·t^i at slot i·W + j, W the sum of the factors' θ-degrees plus
+    one, and is one big-int product.  The (t-θ)-adic expansion is the
+    Taylor shift f(u+θ), and the rebuild from (t-θ)-basis coefficients
+    the shift by -θ; division with remainder by (t-θ)^e is one of each.
+    All of it is exact over the coefficient ring.
     """
 
     __slots__ = ("field", "coeffs", "rational")
@@ -508,6 +552,8 @@ class BiPoly:
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if self.is_zero() or other.is_zero():
             return BiPoly.zero(self.field, self.rational)
+        if self.field.e == 1 and not self.rational:
+            return self._packed_mul(other)
         out = [self._czero() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
             if a:
@@ -515,6 +561,30 @@ class BiPoly:
                     if b:
                         out[i + j] = out[i + j] + a * b
         return BiPoly(self.field, out, self.rational)
+
+    def _packed_mul(self, other: "BiPoly") -> "BiPoly":
+        """The product as one Kronecker product, θ^j·t^i at slot i·W + j
+        with W = da + db + 1: θ-degrees of a product never reach W, so
+        the slots of two t-powers do not meet.  A product coefficient
+        sums at most min(t-lengths)·(min(da, db) + 1) products."""
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        da, db = self.theta_degree(), other.theta_degree()
+        width = da + db + 1
+
+        def flat(rows):
+            out = []
+            for c in rows:
+                out += c.coeffs
+                out += [0] * (width - len(c.coeffs))
+            return out
+
+        terms = min(len(a), len(b)) * (min(da, db) + 1)
+        prod = _kronecker_mul(flat(a), flat(b), F.p, terms)
+        return BiPoly(F, [
+            Poly(F, prod[i * width:(i + 1) * width])
+            for i in range(len(a) + len(b) - 1)
+        ])
 
     def scale(self, c: int) -> "BiPoly":
         return BiPoly(self.field, [x.scale(c) for x in self.coeffs], self.rational)
@@ -543,26 +613,6 @@ class BiPoly:
         return BiPoly(self.field, [c.twist(n) for c in self.coeffs], self.rational)
 
     # -- (t-θ)-adic primitives ---------------------------------------------
-    def _theta_coeff(self):
-        th = Poly.gen(self.field)
-        return RatFrac.from_poly(th) if self.rational else th
-
-    def divmod_t_minus_theta(self):
-        """Synthetic division by (t-θ): returns (quotient, remainder coeff)."""
-        th = self._theta_coeff()
-        q = []
-        acc = self._czero()
-        for c in reversed(self.coeffs):
-            if q or acc:
-                acc = acc * th
-            acc = acc + c
-            q.append(acc)
-        if not q:
-            return BiPoly.zero(self.field, self.rational), self._czero()
-        rem = q.pop()
-        q.reverse()
-        return BiPoly(self.field, q, self.rational), rem
-
     def divrem_tm_theta(self, e: int):
         """f = g*(t-θ)^e + γ with deg_t γ < e, all exact.  Returns (g, γ)."""
         if e < 1:
@@ -574,16 +624,12 @@ class BiPoly:
         return g, gamma
 
     def expand_tm_theta(self):
-        """Coefficients (a_0, a_1, ...) with f = Σ a_j (t-θ)^j.
+        """Coefficients (a_0, a_1, ...) with f = Σ a_j (t-θ)^j, that is
+        the coefficients of f(u+θ) in u.
 
         Length is deg_t + 1 (empty for the zero polynomial).
         """
-        out = []
-        cur = self
-        for _ in range(len(self.coeffs)):
-            cur, rem = cur.divmod_t_minus_theta()
-            out.append(rem)
-        return out
+        return _taylor_shift(self.field, self.coeffs, 1)
 
     # -- rendering ---------------------------------------------------------
     def __str__(self):
@@ -612,9 +658,46 @@ class BiPoly:
 
 
 def _from_tm_theta_basis(field, coeffs, rational):
-    """Rebuild a BiPoly from its (t-θ)-basis coefficients (Horner)."""
-    tmt = BiPoly.t_minus_theta(field, rational)
-    acc = BiPoly.zero(field, rational)
-    for c in reversed(coeffs):
-        acc = acc * tmt + BiPoly(field, (c,), rational)
+    """Rebuild Σ a_j (t-θ)^j from its (t-θ)-basis coefficients a_j: the
+    Taylor shift by -θ."""
+    return BiPoly(field, _taylor_shift(field, coeffs, field.neg(1)), rational)
+
+
+def _taylor_shift(field, coeffs, c):
+    """The coefficients of g(u) = f(u + c·θ), for f = Σ coeffs[i]·t^i over
+    A or k and c = ±1 in F_q; same length as `coeffs`.
+
+    In characteristic p, (u + cθ)^m = u^m + c^m·θ^m for m a power of p.
+    Cut f into blocks f_k of m coefficients, m the largest power of p
+    below its length, so f = Σ t^{km} f_k: then g is Horner's rule in
+    u^m + c^m·θ^m over the shifted blocks, and the only operations are
+    θ-shifts and additions (von zur Gathen–Gerhard, "Fast algorithms
+    for Taylor shifts and certain difference equations", ISSAC 1997).
+    """
+    n = len(coeffs)
+    if n < 2:
+        return list(coeffs)
+    m = 1
+    while m * field.p < n:
+        m *= field.p
+    cm = c if m % 2 else 1
+    blocks = [
+        _taylor_shift(field, coeffs[i:i + m], c) for i in range(0, n, m)
+    ]
+    acc = blocks.pop()
+    for low in reversed(blocks):
+        # acc <- low + (u^m + c^m·θ^m)·acc
+        out = low + acc
+        for i, a in enumerate(acc):
+            if not a.is_zero():
+                out[i] = out[i] + _theta_power_mul(a, m, cm)
+        acc = out
     return acc
+
+
+def _theta_power_mul(a, m, c):
+    """c·θ^m·a for a in A or k and c in F_q.  A fraction comes back
+    unreduced: the one caller adds it to another, and the sum reduces."""
+    if isinstance(a, RatFrac):
+        return RatFrac(a.num.shift(m).scale(c), a.den, reduce=False)
+    return a.shift(m).scale(c)

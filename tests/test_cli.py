@@ -54,6 +54,12 @@ def test_check_json_format(capsys):
     ("families", "--q", "3", "--wmax", "-1"),
     ("families", "--q", "3", "--wmax", "0"),
     ("zetalike", "--q", "3", "--tuple", "1,2", "--bound", "-3"),
+    ("oracle", "identities", "--q", "3", "--prec", "-2"),
+    ("oracle", "identities", "--q", "3", "--prec", "0"),
+    ("oracle", "verify", "--q", "3", "--tuple", "4,2", "--prec", "-5"),
+    ("oracle", "zeta", "--q", "3", "--tuple", "2,4", "--prec", "-3"),
+    ("sweep", "--q", "3", "--wmax", "6", "--jobs", "0"),
+    ("sweep", "--q", "3", "--wmax", "6", "--jobs", "-2"),
 ])
 def test_bad_config_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -1,6 +1,8 @@
 """Golden tests for the reduction engine: four hand-checked t-modules
 (two torsion, two non-torsion cases) with their distinguished points,
 plus structural properties of the reduction."""
+import hashlib
+
 import pytest
 
 from ffmzv.cli import enumerate_tuples
@@ -236,3 +238,26 @@ def test_invalid_composition_rejected():
         Motive(F, ())
     with pytest.raises(ValueError):
         Motive(F, (2, 0))
+
+
+def _reduction_digest(motive):
+    v = [a.coeffs for a in motive.special_point_v()]
+    u = [a.coeffs for a in motive.reduce_point(motive.point_u_seeds())]
+    rho = sorted(
+        (rc, sorted((n, a.coeffs) for n, a in slot.items()))
+        for rc, slot in motive.rho_t_entries().items()
+    )
+    return hashlib.sha256(repr((v, u, rho)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("s,digest", [
+    ((8, 10, 62),
+     "6bb3c1d3f66fae6ed5a41349071f4209b540f89f3a71b7b0c1d5c8bfe1cef982"),
+    ((18, 62),
+     "aefa1cc852a64dfa9be5820ebe813def8dd278f0234324ddd11bc350cbd11db0"),
+], ids=["8-10-62", "18-62"])
+def test_weight80_reduction_is_pinned(s, digest):
+    """The points v and u and ρ_t at q=3, weight 80, hashed: digests
+    recorded with the synthetic-division expansion and the schoolbook
+    A[t] product, so any drift in the point reduction fails here."""
+    assert _reduction_digest(Motive(field_for_q(3), s)) == digest

@@ -167,3 +167,9 @@ def test_verify_never_reports_inconsistent_on_certified_data():
     for s in [(2, 4), (4, 2), (2, 2), (2, 6), (6, 2)]:
         verdict = is_eulerian(F, s)
         assert verify_verdict(ctx, s, verdict) != "inconsistent", s
+
+
+@pytest.mark.parametrize("prec", [0, -3])
+def test_series_context_rejects_nonpositive_precision(prec):
+    with pytest.raises(ValueError):
+        SeriesContext(field_for_q(3), prec=prec)

@@ -185,3 +185,145 @@ def test_bipoly_twist_leaves_t_alone():
     g = f.twist(1)
     assert g.coeffs[0] == th * th
     assert g.coeffs[1].is_one()
+
+
+# -- the (t-θ)-adic Taylor shift against synthetic division -------------------
+
+def _coeff_ring(F, rational):
+    if rational:
+        return RatFrac.zero(F), RatFrac.from_poly(Poly.gen(F))
+    return Poly.zero(F), Poly.gen(F)
+
+
+def _expand_by_synthetic_division(f):
+    """Reference (t-θ)-adic expansion: deg_t + 1 synthetic divisions of
+    f by (t-θ), each remainder one coefficient."""
+    zero, th = _coeff_ring(f.field, f.rational)
+    out = []
+    cur = list(f.coeffs)
+    for _ in range(len(f.coeffs)):
+        quot = []
+        acc = zero
+        for c in reversed(cur):
+            if quot or acc:
+                acc = acc * th
+            acc = acc + c
+            quot.append(acc)
+        out.append(quot.pop())
+        quot.reverse()
+        cur = quot
+    return out
+
+
+def _rebuild_by_horner(F, coeffs, rational):
+    """Reference rebuild of Σ a_j (t-θ)^j: Horner's rule, each step
+    acc·(t-θ) as a shift in t minus θ·acc."""
+    zero, th = _coeff_ring(F, rational)
+    acc = []
+    for c in reversed(coeffs):
+        nxt = [zero] + acc
+        for i, a in enumerate(acc):
+            nxt[i] = nxt[i] - th * a
+        nxt[0] = nxt[0] + c
+        acc = nxt
+    return BiPoly(F, acc, rational)
+
+
+def _random_row(rng, F, rational):
+    def poly(deg):
+        return Poly(F, [rng.randrange(F.q) for _ in range(deg + 1)])
+
+    if rng.random() < 0.2:
+        return RatFrac.zero(F) if rational else Poly.zero(F)
+    if not rational:
+        return poly(rng.randrange(4))
+    # denominators with and without the factor θ
+    den = poly(rng.randrange(3)).shift(rng.randrange(2))
+    if den.is_zero():
+        den = Poly.one(F)
+    return RatFrac(poly(rng.randrange(3)), den)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_taylor_shift_matches_synthetic_division(q, rational):
+    """Lengths up to p^2 + p + 2, so the block split recurses at least
+    twice."""
+    import random
+
+    from ffmzv.poly import _from_tm_theta_basis
+
+    F = field_for_q(q)
+    p = F.p
+    rng = random.Random(1000 * q + rational)
+    top = p * p + p + 2
+    lengths = sorted({1, 2, p, p + 1, p * p, p * p + 1, top - 1, top}
+                     | {rng.randrange(1, top + 1) for _ in range(4)})
+    for n in lengths:
+        rows = [_random_row(rng, F, rational) for _ in range(n - 1)]
+        rows.append(RatFrac.one(F) if rational else Poly.one(F))
+        f = BiPoly(F, rows, rational)
+        expansion = f.expand_tm_theta()
+        assert expansion == _expand_by_synthetic_division(f), n
+        assert _from_tm_theta_basis(F, expansion, rational) == f, n
+        basis = [_random_row(rng, F, rational) for _ in range(n)]
+        assert (_from_tm_theta_basis(F, basis, rational)
+                == _rebuild_by_horner(F, basis, rational)), n
+        for e in {1, 2, p, n - 1, n, n + 1} - {0}:
+            g, gamma = f.divrem_tm_theta(e)
+            assert g == _rebuild_by_horner(F, expansion[e:], rational), (n, e)
+            assert gamma == _rebuild_by_horner(F, expansion[:e], rational), (
+                n, e)
+
+
+# -- the packed A[t] product against the schoolbook ---------------------------
+
+def _schoolbook_bimul(a, b):
+    """Reference A[t] product on plain ints, reduced mod p at the end."""
+    F = a.field
+    width = a.theta_degree() + b.theta_degree() + 1
+    out = [[0] * width for _ in range(len(a.coeffs) + len(b.coeffs) - 1)]
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            row = out[i + j]
+            for k, xc in enumerate(x.coeffs):
+                for l, yc in enumerate(y.coeffs):
+                    row[k + l] += xc * yc
+    return BiPoly(F, [Poly(F, [c % F.p for c in row]) for row in out])
+
+
+def _filled(F, len_t, deg, c):
+    return BiPoly(F, [Poly(F, [c] * (deg + 1)) for _ in range(len_t)])
+
+
+@pytest.mark.parametrize("p,worst", [
+    # (t-length, θ-degree) of the two all-(p-1) factors, sized so that
+    # a slot needs two bytes or more
+    (2, [(16, 15), (16, 15)]),
+    (3, [(8, 7), (9, 12)]),
+    (5, [(4, 3), (6, 5)]),
+    (7, [(3, 2), (5, 4)]),
+    (251, [(9, 8), (9, 9)]),
+])
+def test_packed_bipoly_mul_matches_schoolbook(p, worst):
+    import random
+
+    F = field_for_q(p)
+    rng = random.Random(p)
+    (la, da), (lb, db) = worst
+    a, b = _filled(F, la, da, p - 1), _filled(F, lb, db, p - 1)
+    assert a * b == _schoolbook_bimul(a, b)
+    assert a * a == _schoolbook_bimul(a, a)
+    for _ in range(25):
+        a, b = (
+            BiPoly(F, [
+                Poly(F, [rng.randrange(p) for _ in range(rng.randrange(12))])
+                for _ in range(rng.randrange(1, 10))
+            ] + [Poly.one(F)])
+            for _ in range(2)
+        )
+        assert a * b == _schoolbook_bimul(a, b)
+    # a univariate product above the packing threshold: one t-row each
+    a = _filled(F, 1, 80, p - 1)
+    b = BiPoly(F, [Poly(F, [rng.randrange(p) for _ in range(70)] + [1])])
+    assert (a.coeffs[0] * b.coeffs[0],) == _schoolbook_bimul(a, b).coeffs
