@@ -9,10 +9,13 @@ Everything downstream is built out of a handful of classical quantities:
   = Σ_n H_n/Γ_{n+1}(t) x^n,  with G_i(θ) = Π_{j=1..i} (t^{q^i} - θ^{q^j}),
 * the Bernoulli-style coefficients BC(n) from the series z/exp_C(z).
 
-All of it is cached per field in a `CarlitzCache`; the H_n recursion is
-the only part where intermediate fractions appear, and those are kept
-reduced by their F_q[t]-content so the integrality of H_n is checked by
-an exact division at the end rather than assumed.
+All of it is cached per field in a `CarlitzCache`.  H_n is filled
+ascending by the division-free recursion
+H_n = Σ_{q^i ≤ n} G_i(θ,t)·H_{n-q^i}·B_{n,i}(t), where the Carlitz
+binomial coefficient B_{n,i} = Γ_{n+1}/(D_i·Γ_{n+1-q^i}) is a polynomial
+(the Carlitz factorial is the Bhargava factorial of F_q[T]).  That
+integrality is checked by an exact division of B_{n,i}, not assumed,
+and no fraction in t is ever formed.
 """
 from __future__ import annotations
 
@@ -66,8 +69,8 @@ class CarlitzCache:
         self._bracket = {}
         self._big_d = {0: Poly.one(field)}
         self._big_l = {0: Poly.one(field)}
-        self._h = {}
-        self._h_frac = {0: (BiPoly.one(field), Poly.one(field, var="t"))}
+        self._g = {}
+        self._h = self._trivial_h()
         self._bc = {}
         self._disk_loaded = False
 
@@ -113,8 +116,21 @@ class CarlitzCache:
     def gamma_ratio(self, s: int) -> Poly:
         """Γ_{s+1}/Γ_s, which is always a polynomial (the negative D_i
         exponents from the base-q carry chain divide out exactly)."""
-        hi = self.gamma_exponents(s + 1)
-        lo = self.gamma_exponents(s)
+        return self._d_ratio(
+            self.gamma_exponents(s + 1), self.gamma_exponents(s)
+        )
+
+    def binomial(self, n: int, i: int) -> Poly:
+        """The Carlitz binomial coefficient B_{n,i} = Γ_{n+1}/(D_i·Γ_{n+1-q^i})
+        for q^i <= n: 1 when digit i of n is nonzero, otherwise
+        D_k/(D_i^q·Π_{i<j<k} D_j^{q-1}) for the next nonzero digit k."""
+        lo = self.gamma_exponents(n + 1 - self.q ** i)
+        lo[i] = lo.get(i, 0) + 1
+        return self._d_ratio(self.gamma_exponents(n + 1), lo)
+
+    def _d_ratio(self, hi, lo) -> Poly:
+        """Π D_i^{hi_i - lo_i} for exponent maps hi, lo, by an exact
+        division that raises on a nonzero remainder."""
         num = Poly.one(self.field)
         den = Poly.one(self.field)
         for i in set(hi) | set(lo):
@@ -128,65 +144,60 @@ class CarlitzCache:
     # -- the H_n family ----------------------------------------------------
     def g_poly(self, i: int) -> BiPoly:
         """G_i(θ) = Π_{j=1..i} (t^{q^i} - θ^{q^j}) in F_q[t,θ]."""
-        F = self.field
-        if i == 0:
-            return BiPoly.one(F)
-        qi = self.q ** i
-        out = BiPoly.one(F)
-        for j in range(1, i + 1):
-            factor = BiPoly(
-                F, [-Poly.gen(F).twist(j)] + [Poly.zero(F)] * (qi - 1) + [Poly.one(F)]
-            )
-            out = out * factor
-        return out
-
-    def _h_fraction(self, n: int):
-        """n-th coefficient of (1 - Σ G_i/D_i(t) x^{q^i})^{-1}, as a
-        reduced pair (numerator in F_q[t,θ], denominator in F_q[t])."""
-        if n in self._h_frac:
-            return self._h_frac[n]
-        F = self.field
-        num_acc = BiPoly.zero(F)
-        den_acc = Poly.one(F, var="t")
-        i = 0
-        while self.q ** i <= n:
+        if i not in self._g:
+            F = self.field
             qi = self.q ** i
-            pn, pd = self._h_fraction(n - qi)
-            term_num = self.g_poly(i) * pn
-            term_den = self.big_d(i).with_var("t") * pd
-            # num_acc/den_acc += term_num/term_den
-            num_acc = num_acc.coeff_mul_t(term_den) + term_num.coeff_mul_t(den_acc)
-            den_acc = den_acc * term_den
-            i += 1
-        num_acc, den_acc = _reduce_t_content(num_acc, den_acc)
-        self._h_frac[n] = (num_acc, den_acc)
-        return self._h_frac[n]
+            out = BiPoly.one(F)
+            for j in range(1, i + 1):
+                factor = BiPoly(
+                    F, [-Poly.gen(F).twist(j)] + [Poly.zero(F)] * (qi - 1) + [Poly.one(F)]
+                )
+                out = out * factor
+            self._g[i] = out
+        return self._g[i]
 
     def anderson_thakur(self, n: int) -> BiPoly:
-        """H_n in A[t].  H_n = 1 for 0 <= n <= q-1; in general the
-        generating-function coefficient times Γ_{n+1}(t), with the
-        intermediate denominator dividing out exactly."""
+        """H_n in A[t]: H_n = 1 for 0 <= n <= q-1, and in general the
+        coefficient of x^n in the generating identity times Γ_{n+1}(t).
+        One call fills and saves every missing H_m, m <= n."""
         if n < 0:
             raise ValueError("H_n needs n >= 0")
         self._load_disk_cache()
-        if n in self._h:
-            return self._h[n]
-        h = self._derive_h(n)
-        self._h[n] = h
-        self._save_disk_cache()
-        return h
+        if n not in self._h:
+            self._derive_h(self._h, n)
+            self._save_disk_cache()
+        return self._h[n]
 
-    def _derive_h(self, n: int) -> BiPoly:
-        """H_n from the generating function, bypassing both caches of H."""
-        if n < self.q:
-            return BiPoly.one(self.field)
-        num, den = self._h_fraction(n)
-        scaled = num.coeff_mul_t(self.gamma(n + 1).with_var("t"))
-        h = _exact_div_t(scaled, den)
-        assert h.theta_degree() * (self.q - 1) <= n * self.q, (
-            "H_n degree bound violated"
-        )
-        return h
+    def _trivial_h(self):
+        """H_0..H_{q-1} = 1, the start of every fill."""
+        one = BiPoly.one(self.field)
+        return {m: one for m in range(self.q)}
+
+    def _derive_h(self, h, n: int):
+        """Extend the memo h, which holds H_0..H_{q-1} = 1, to H_0..H_n.
+
+        Ascending in m, H_m = Σ_{q^i ≤ m} G_i(θ,t)·H_{m-q^i}·B_{m,i}(t):
+        the generating identity multiplied through by Γ_{m+1}(t).  Every
+        term is a polynomial product; `binomial` checks by an exact
+        division that B_{m,i} is a polynomial."""
+        F = self.field
+        q = self.q
+        for m in range(q, n + 1):
+            if m in h:
+                continue
+            acc = BiPoly.zero(F)
+            i = 0
+            while q ** i <= m:
+                term = self.g_poly(i) * h[m - q ** i]
+                b = self.binomial(m, i)
+                if not b.is_one():
+                    term = term.coeff_mul_t(b.with_var("t"))
+                acc = acc + term
+                i += 1
+            assert acc.theta_degree() * (q - 1) <= m * q, (
+                "H_n degree bound violated"
+            )
+            h[m] = acc
 
     # -- optional on-disk cache for the H_n family -------------------------
     def _cache_path(self):
@@ -215,12 +226,18 @@ class CarlitzCache:
                 )
                 if h.theta_degree() * (self.q - 1) > n * self.q:
                     raise ValueError("degree bound violated")
+                if n < self.q and h != self._h[n]:
+                    raise ValueError("H_n = 1 for n < q")
                 loaded[n] = h
-            # corruption spot check: re-derive one nontrivial entry, without
-            # touching the file (a save here would drop the other entries)
+            # corruption spot check: re-derive one nontrivial entry from
+            # H_0..H_{q-1} = 1 alone, without touching the file
             probe = min((n for n in loaded if n >= self.q), default=None)
-            if probe is not None and self._derive_h(probe) != loaded[probe]:
-                raise ValueError("cache disagrees with re-derivation")
+            if probe is not None:
+                derived = self._trivial_h()
+                self._derive_h(derived, probe)
+                if derived[probe] != loaded[probe]:
+                    raise ValueError("cache disagrees with re-derivation")
+                self._h.update(derived)
             self._h.update(loaded)
         except (ValueError, KeyError, TypeError, json.JSONDecodeError):
             try:
@@ -298,36 +315,6 @@ class CarlitzCache:
         if bc.is_zero():
             return Poly.one(self.field)
         return bc.den
-
-
-def _reduce_t_content(num: BiPoly, den: Poly):
-    """Cancel the gcd of den with the F_q[t]-content of num."""
-    if num.is_zero():
-        return num, Poly.one(num.field, var="t")
-    content = Poly.zero(num.field, var="t")
-    for c in theta_major(num):
-        content = content.gcd(c)
-        if content.is_one():
-            break
-    g = content.gcd(den)
-    if not g.is_one():
-        num = _exact_div_t(num, g)
-        den = den.exact_div(g)
-    lc = den.leading()
-    if lc != 1:
-        inv = num.field.inv(lc)
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return num, den
-
-
-def _exact_div_t(b: BiPoly, d: Poly) -> BiPoly:
-    """Divide every F_q[t]-coefficient of b by d, exactly."""
-    if d.is_one():
-        return b
-    return from_theta_major(
-        b.field, [c.exact_div(d) for c in theta_major(b)]
-    )
 
 
 _caches = {}

@@ -135,9 +135,10 @@ class Motive:
         g1 = g.twist(1)
         out = [(1, g1, ell)]
         prod = g1
+        minus_one = self.field.neg(1)
         for i in range(1, ell):
             prod = prod * self._as_bipoly(self.Q[ell - 1 - i])
-            out.append((1, prod.scale(-1) if i % 2 else prod, ell - i))
+            out.append((1, prod.scale(minus_one) if i % 2 else prod, ell - i))
         return out
 
     # -- collectors --------------------------------------------------------
@@ -196,9 +197,10 @@ class Motive:
         """
         seeds = [(1, self._as_bipoly(self.Q[-1]), self.r)]
         prod = self._as_bipoly(self.Q[-1])
+        minus_one = self.field.neg(1)
         for i in range(1, self.r):
             prod = prod * self._as_bipoly(self.Q[self.r - 1 - i])
-            seeds.append((1, prod.scale(-1) if i % 2 else prod, self.r - i))
+            seeds.append((1, prod.scale(minus_one) if i % 2 else prod, self.r - i))
         return seeds
 
     def point_u_seeds(self):

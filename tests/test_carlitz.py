@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -63,6 +65,51 @@ def test_h_degree_bound(q, nmax):
         assert h.theta_degree() * (q - 1) <= n * q
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_carlitz_binomial_is_polynomial(q):
+    """B_{n,i} = Γ_{n+1}/(D_i·Γ_{n+1−q^i}) is a polynomial (Bhargava's
+    integrality of factorials), and 1 when digit i of n is nonzero."""
+    c = CarlitzCache(field_for_q(q))
+    gamma = {}
+
+    def g(m):
+        if m not in gamma:
+            gamma[m] = c.gamma(m)
+        return gamma[m]
+
+    for n in range(1, 3 * q * q):
+        digits = base_q_digits(n, q)
+        i = 0
+        while q ** i <= n:
+            b = c.binomial(n, i)
+            assert b * c.big_d(i) * g(n + 1 - q ** i) == g(n + 1)
+            if digits[i]:
+                assert b.is_one()
+            i += 1
+
+
+def _h_digest(q, nmax):
+    c = CarlitzCache(field_for_q(q))
+    hs = [
+        [list(p.coeffs) for p in theta_major(c.anderson_thakur(n))]
+        for n in range(nmax + 1)
+    ]
+    return hashlib.sha256(json.dumps(hs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q,nmax,digest", [
+    (3, 61, "80237179bd2c7222129e40438ba75508d23afc62cc85fd6637a4ca86e90b8328"),
+    (2, 40, "df1516e2b45841e7fcbf61e431b423a1fa67355a7c1fbcefe6c473248e334de6"),
+    (4, 30, "4b3fa686ced69c6da3e7d811d8386fba0e394445ffeeefb41e7b3f8ad72130d3"),
+    (5, 40, "66019bd47d220286fce64a1e46c32ab1954e04b9d01184ef98f4e0be61fdc315"),
+])
+def test_h_n_is_pinned(q, nmax, digest):
+    """sha256 of the θ-major coefficient lists of H_0..H_nmax, recorded
+    with the fraction-carrying recursion (reduced by F_q[t]-gcds and
+    cleared by an exact division at the end)."""
+    assert _h_digest(q, nmax) == digest
+
+
 class _Frac:
     """num/den with num in F_q[t,θ] and den in F_q[t], for the
     generating-identity cross-check only."""
@@ -72,6 +119,8 @@ class _Frac:
         self.den = den
 
     def __add__(self, other):
+        if self.num.is_zero():
+            return other
         return _Frac(
             self.num.coeff_mul_t(other.den) + other.num.coeff_mul_t(self.den),
             self.den * other.den,
@@ -86,7 +135,9 @@ class _Frac:
         )
 
 
-@pytest.mark.parametrize("q,order", [(2, 8), (3, 9)])
+@pytest.mark.parametrize(
+    "q,order", [(2, 8), (3, 9), (3, 27), (4, 64), (5, 25), (9, 81)]
+)
 def test_generating_identity(q, order):
     """Σ H_n/Γ_{n+1}(t)·x^n times (1 − Σ G_i/D_i(t)·x^{q^i}) = 1 + O(x^{order+1})."""
     c = cache_for_q(q)
@@ -116,7 +167,8 @@ def test_generating_identity(q, order):
     prod = [zero] * (order + 1)
     for a in range(order + 1):
         for b in range(order + 1 - a):
-            prod[a + b] = prod[a + b] + lhs[a] * rhs[b]
+            if not rhs[b].num.is_zero():
+                prod[a + b] = prod[a + b] + lhs[a] * rhs[b]
     assert prod[0] == one
     for n in range(1, order + 1):
         assert prod[n] == zero
@@ -204,3 +256,38 @@ def test_disk_cache_keeps_its_entries_when_loaded(tmp_path, monkeypatch):
     assert b.anderson_thakur(1) == a.anderson_thakur(1)
     assert len(json.loads(path.read_text())) == 12
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_disk_cache_one_write_holds_every_entry(tmp_path, monkeypatch):
+    """One fresh call fills H_0..H_n and writes the file once, so a later
+    H_m, m < n, is read back instead of derived again."""
+    monkeypatch.setenv("CARLITZ_CACHE_DIR", str(tmp_path))
+    writes = []
+    replace = os.replace
+
+    def counting_replace(src, dst):
+        writes.append(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    F = field_for_q(3)
+    h = CarlitzCache(F).anderson_thakur(29)
+    assert len(writes) == 1
+    path = next(tmp_path.iterdir())
+    assert sorted(map(int, json.loads(path.read_text()))) == list(range(30))
+    b = CarlitzCache(F)
+    assert b.anderson_thakur(29) == h
+    b.anderson_thakur(28)
+    assert len(writes) == 1
+
+
+def test_disk_cache_rejects_a_wrong_trivial_entry(tmp_path, monkeypatch):
+    """H_n = 1 for n < q is known; a file that says otherwise is corrupt."""
+    monkeypatch.setenv("CARLITZ_CACHE_DIR", str(tmp_path))
+    F = field_for_q(3)
+    CarlitzCache(F).anderson_thakur(7)
+    path = next(tmp_path.iterdir())
+    raw = json.loads(path.read_text())
+    raw["1"] = [[0], [1]]  # θ
+    path.write_text(json.dumps(raw))
+    assert CarlitzCache(F).anderson_thakur(1) == BiPoly.one(F)

@@ -261,3 +261,22 @@ def test_weight80_reduction_is_pinned(s, digest):
     recorded with the synthetic-division expansion and the schoolbook
     A[t] product, so any drift in the point reduction fails here."""
     assert _reduction_digest(Motive(field_for_q(3), s)) == digest
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_telescope_sign_is_field_minus_one(q):
+    """(−1)^i in the telescoped seeds is the field's −1: the plain
+    product at q=4 (characteristic 2), the product scaled by
+    `field.neg(1)` at q=9, where the element q−1 is not −1."""
+    F = field_for_q(q)
+    m = Motive(F, (2, 3, q + 1))
+    Q = [m._as_bipoly(x) for x in m.Q]
+    minus_one = F.neg(1)
+    if q == 4:
+        assert minus_one == 1
+    want_v = [Q[2], (Q[2] * Q[1]).scale(minus_one), Q[2] * Q[1] * Q[0]]
+    assert [a for _n, a, _l in m.point_v_seeds()] == want_v
+    g = BiPoly(F, [Poly.gen(F), Poly.one(F)])
+    g1 = g.twist(1)
+    want_t = [g1, (g1 * Q[1]).scale(minus_one), g1 * Q[1] * Q[0]]
+    assert [a for _n, a, _l in m.telescope_expand(g, 3)] == want_t
