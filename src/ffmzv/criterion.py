@@ -415,14 +415,13 @@ def _witness_kernel(motive: Motive, seed_groups, bound: int):
     if probe_supported(field):
         tm = TModule.from_motive(motive)
         dom = ProbeDomain(field, PROBE_DEGREE, 0)
-        rows_t = tm.converted_rows(dom)
         iters = []
         for seeds in seed_groups:
             cur = dom.convert_point(motive.reduce_point(seeds))
             for j in range(n):
                 iters.append(cur)
                 if j < bound:
-                    cur = tm.apply_t(cur, dom, rows_t)
+                    cur = tm.apply_t(cur, dom)
         rows = _flatten_rows(iters, dom.deg)
         basis = nullspace(field, rows, len(iters))
         # Each probe row is an F_p-combination of exact rows (θ ↦ ξ is

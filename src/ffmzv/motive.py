@@ -173,7 +173,7 @@ class Motive:
                 if j + 1 < w:
                     entries[(self.row(ell, j + 1), col)] = {0: one}
             top = self.row(ell, w - 1)
-            f = _tm_theta_power(self.field, w, self.rational)
+            f = BiPoly.t_minus_theta(self.field, self.rational) ** w
             for n, a, row in self.reduce([(0, f, ell)]):
                 slot = entries.setdefault((row, top), {})
                 slot[n] = slot[n] + a if n in slot else a
@@ -230,55 +230,3 @@ class Motive:
                 )
             raise ValueError("rational attached polynomial in integral motive")
         raise TypeError("attached polynomial must be a BiPoly")
-
-
-def _tm_theta_power(field, j, rational):
-    return BiPoly.t_minus_theta(field, rational) ** j
-
-
-def sigma_basis(motive: Motive):
-    """The ordered index pairs (ℓ, j) of ν_{(ℓ,j)} = (t-θ)^j m_ℓ,
-    descending j within each block.  Position i in this list is row i."""
-    out = []
-    for ell in range(1, motive.r + 1):
-        for j in range(motive.weights[ell - 1] - 1, -1, -1):
-            out.append((ell, j))
-    return out
-
-
-def build_phi_prime(motive: Motive):
-    """Φ' as an r×r matrix over the coefficient ring, with the
-    subdiagonal stored UNTWISTED: entry (ℓ, ℓ-1) holds
-    Q_{ℓ-1}·(t-θ)^{w_{ℓ-1}} and the mathematical entry is its inverse
-    twist.  The engine never materializes the twist; this matrix exists
-    for inspection and tests."""
-    r = motive.r
-    out = [[BiPoly.zero(motive.field, motive.rational) for _ in range(r)]
-           for _ in range(r)]
-    for ell in range(1, r + 1):
-        out[ell - 1][ell - 1] = _tm_theta_power(
-            motive.field, motive.weights[ell - 1], motive.rational
-        )
-        if ell > 1:
-            out[ell - 1][ell - 2] = motive._as_bipoly(
-                motive.Q[ell - 2]
-            ) * _tm_theta_power(
-                motive.field, motive.weights[ell - 2], motive.rational
-            )
-    return out
-
-
-def build_phi(motive: Motive):
-    """The full (r+1)×(r+1) matrix: Φ' extended by the unit-object row
-    (…, Q_r·(t-θ)^{s_r}, 1), same untwisted storage convention."""
-    r = motive.r
-    phi_p = build_phi_prime(motive)
-    zero = BiPoly.zero(motive.field, motive.rational)
-    out = [row + [zero] for row in phi_p]
-    last = [zero] * (r + 1)
-    last[r - 1] = motive._as_bipoly(motive.Q[r - 1]) * _tm_theta_power(
-        motive.field, motive.weights[r - 1], motive.rational
-    )
-    last[r] = BiPoly.one(motive.field, motive.rational)
-    out.append(last)
-    return out

@@ -1,8 +1,12 @@
 """t-module operators: applying ρ_a to points, exactly or through a
 modular probe.
 
-An operator entry is a τ-polynomial Σ c_n τ^n acting on a coordinate x
-by Σ c_n · x^{q^n}.  Points live in a pluggable coefficient domain:
+ρ_t is kept in the shape the motive gives it (`TModule`): θ·I, plus the
+shift inside each block of coordinates, plus τ-terms c·τ^n (n >= 1) in
+the first column of each block, which act on a coordinate x by
+c·x^{q^n}.  One application of ρ_t is a product by θ per coordinate, an
+addition per shift and one product per τ-term.  Points live in a
+pluggable coefficient domain:
 
 * `ExactDomain` — coordinates in A = F_q[θ] (or F_q(θ)); fully rigorous
   both ways, but repeated τ's raise degrees q-fold, so a non-torsion
@@ -145,28 +149,19 @@ class ProbeDomain:
 
 
 # ---------------------------------------------------------------------------
-# the skew ring k[τ] with τ·α = α^q·τ
+# an entry of ρ_t
 
 
 class TwistedPoly:
-    """Sparse τ-polynomial Σ c_n τ^n with coefficients in A (or k)."""
+    """A τ-polynomial Σ c_n τ^n acting on a coordinate x by
+    Σ c_n · x^{q^n}: one entry of ρ_t, as `TModule.entry` returns it.
+    `terms` maps each level n to its nonzero coefficient c_n."""
 
     __slots__ = ("field", "terms")
 
-    def __init__(self, field: FieldSpec, terms=()):
-        if isinstance(terms, dict):
-            terms = terms.items()
-        clean = {}
-        for n, c in terms:
-            if c.is_zero():
-                continue
-            clean[n] = clean[n] + c if n in clean else c
+    def __init__(self, field: FieldSpec, terms):
         self.field = field
-        self.terms = {n: c for n, c in clean.items() if not c.is_zero()}
-
-    @classmethod
-    def from_coeff(cls, c, n=0):
-        return cls(c.field, [(n, c)])
+        self.terms = dict(terms)
 
     def is_zero(self):
         return not self.terms
@@ -177,35 +172,6 @@ class TwistedPoly:
             and self.field == other.field
             and self.terms == other.terms
         )
-
-    def __add__(self, other):
-        return TwistedPoly(
-            self.field, list(self.terms.items()) + list(other.terms.items())
-        )
-
-    def __neg__(self):
-        return TwistedPoly(self.field, [(n, -c) for n, c in self.terms.items()])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Ore product: (c·τⁿ)(c'·τᵐ) = c·c'^{qⁿ}·τ^{n+m}."""
-        out = []
-        for n, c in self.terms.items():
-            for m, cp in other.terms.items():
-                out.append((n + m, c * cp.twist(n)))
-        return TwistedPoly(self.field, out)
-
-    def apply(self, x):
-        """Action on a coordinate: Σ c_n · x^{qⁿ}."""
-        acc = None
-        for n, c in self.terms.items():
-            term = c * x.twist(n)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return Poly.zero(self.field)
-        return acc
 
     def __str__(self):
         if not self.terms:
@@ -225,67 +191,104 @@ class TwistedPoly:
                 parts.append(f"{cs}{tau}")
         return " + ".join(parts)
 
-    def __repr__(self):
-        return f"TwistedPoly({self!s})"
-
 
 # ---------------------------------------------------------------------------
 # the operator itself
 
 
 class TModule:
-    """ρ_t for a d-dimensional t-module, as sparse τ-polynomial entries."""
+    """ρ_t = θ·I + N + T for a d-dimensional t-module.
 
-    def __init__(self, field: FieldSpec, d: int, entries, rational=False):
+    The coordinates fall into blocks of sizes `weights`, block ℓ
+    starting at row `starts[ℓ]`.  N is the shift inside each block: it
+    adds coordinate i+1 to row i when both lie in one block.  T holds
+    every τ-term, all of them in the first column of a block: `top[ℓ]`
+    lists the (row, n, c) with n >= 1, each adding c·x^{q^n} to its row,
+    x the coordinate at starts[ℓ].
+    """
+
+    def __init__(self, field: FieldSpec, weights, theta, top, rational=False):
         self.field = field
-        self.d = d
+        self.weights = tuple(weights)
+        self.d = sum(self.weights)
+        self.starts = tuple(
+            sum(self.weights[:k]) for k in range(len(self.weights))
+        )
+        self.theta = theta
+        self.top = [sorted(terms, key=lambda t: (t[1], t[0])) for terms in top]
         self.rational = rational
-        # rows[i] = list of (col, [(n, coeff), ...])
-        rows = [[] for _ in range(d)]
-        for (i, j), slot in entries.items():
-            rows[i].append((j, sorted(slot.items())))
-        self.rows = [sorted(r) for r in rows]
+        self.exact = ExactDomain(field, rational)
+        self._converted = {}
 
     @classmethod
     def from_motive(cls, motive):
+        """ρ_t of a motive, read out of `Motive.rho_t_entries`; raises
+        ValueError on an entry outside the shape θ·I + N + T."""
+        d = motive.d
+        exact = ExactDomain(motive.field, motive.rational)
+        theta, one = exact.convert(Poly.gen(motive.field)), exact.scalar(1)
+        top = {
+            motive.row(ell, w - 1): []
+            for ell, w in enumerate(motive.weights, 1)
+        }
+        # every τ⁰ entry, each to be matched exactly once
+        tau0 = {(i, i): theta for i in range(d)}
+        tau0.update(((j - 1, j), one) for j in range(1, d) if j not in top)
+        for (i, j), slot in motive.rho_t_entries().items():
+            for n, c in slot.items():
+                if n == 0 and c == tau0.pop((i, j), None):
+                    continue
+                if n >= 1 and j in top and 0 <= i < d:
+                    top[j].append((i, n, c))
+                    continue
+                raise ValueError(
+                    f"ρ_t entry ({i}, {j}) has a τ^{n} term outside "
+                    "θ·I, the in-block shift and the top columns"
+                )
+        if tau0:
+            raise ValueError(f"ρ_t lacks its τ⁰ entry at {min(tau0)}")
         return cls(
-            motive.field, motive.d, motive.rho_t_entries(), motive.rational
+            motive.field, motive.weights, theta, list(top.values()),
+            motive.rational,
         )
 
-    def exact_domain(self):
-        return ExactDomain(self.field, self.rational)
+    def _coeffs(self, dom):
+        """θ and the blocks (start, size, top terms), with every
+        coefficient converted into dom once per domain."""
+        conv = self._converted.get(dom)
+        if conv is None:
+            conv = self._converted[dom] = (
+                dom.convert(self.theta),
+                [
+                    (start, w, [(row, n, dom.convert(c)) for row, n, c in terms])
+                    for start, w, terms in zip(self.starts, self.weights, self.top)
+                ],
+            )
+        return conv
 
-    def converted_rows(self, dom):
-        """The entries of ρ_t with their coefficients in dom."""
-        return [
-            [(j, [(n, dom.convert(c)) for n, c in terms]) for j, terms in row]
-            for row in self.rows
-        ]
-
-    def apply_t(self, vec, dom=None, rows=None):
-        """One application of ρ_t."""
-        if dom is None:
-            dom = self.exact_domain()
-        if rows is None:
-            rows = self.converted_rows(dom)
-        out = []
-        for row in rows:
-            acc = dom.zero()
-            for j, terms in row:
-                x = vec[j]
-                if dom.is_zero(x):
-                    continue
-                for n, c in terms:
-                    acc = dom.add(acc, dom.mul(c, dom.frob(x, n)))
-            out.append(acc)
+    def apply_t(self, vec, dom=None):
+        """One application of ρ_t: θ·x_i, plus x_{i+1} inside a block,
+        plus the τ-terms of the top columns (one Frobenius per level)."""
+        dom = dom or self.exact
+        theta, blocks = self._coeffs(dom)
+        is_zero = dom.is_zero
+        out = [x if is_zero(x) else dom.mul(theta, x) for x in vec]
+        for start, w, terms in blocks:
+            for i in range(start, start + w - 1):
+                out[i] = dom.add(out[i], vec[i + 1])
+            x = vec[start]
+            if is_zero(x):
+                continue
+            level = None
+            for row, n, c in terms:
+                if n != level:
+                    level, fx = n, dom.frob(x, n)
+                out[row] = dom.add(out[row], dom.mul(c, fx))
         return out
 
-    def apply_poly(self, vec, a: Poly, dom=None, rows=None):
+    def apply_poly(self, vec, a: Poly, dom=None):
         """ρ_a(vec) for a in F_q[t], by Horner in ρ_t."""
-        if dom is None:
-            dom = self.exact_domain()
-        if rows is None:
-            rows = self.converted_rows(dom)
+        dom = dom or self.exact
         acc = [dom.zero()] * self.d
 
         def add_scaled(target, src, c):
@@ -299,26 +302,23 @@ class TModule:
             ]
 
         for c in reversed(a.coeffs if a.coeffs else (0,)):
-            acc = self.apply_t(acc, dom, rows)
+            acc = self.apply_t(acc, dom)
             acc = add_scaled(acc, vec, c)
         return acc
 
-    def apply_frobdiff_factor(self, vec, h: int, ell: int, dom=None, rows=None):
+    def apply_frobdiff_factor(self, vec, h: int, ell: int, dom=None):
         """(t^{q^h} - t)^{p^ℓ} applied as p^ℓ rounds of ρ_t^{q^h} - ρ_t,
         with an early exit once the point vanishes."""
-        if dom is None:
-            dom = self.exact_domain()
-        if rows is None:
-            rows = self.converted_rows(dom)
+        dom = dom or self.exact
         q = self.field.q
         cur = vec
         for _ in range(self.field.p ** ell):
             if all(dom.is_zero(x) for x in cur):
                 return cur
-            w1 = self.apply_t(cur, dom, rows)
+            w1 = self.apply_t(cur, dom)
             wq = w1
             for _ in range(q ** h - 1):
-                wq = self.apply_t(wq, dom, rows)
+                wq = self.apply_t(wq, dom)
             cur = [
                 dom.add(a, dom.neg(b)) for a, b in zip(wq, w1)
             ]
@@ -330,47 +330,50 @@ class TModule:
         Each factor is ('frobdiff', h, pl) meaning (t^{q^h}-t)^{p^ℓ},
         or ('poly', f) with f in F_q[t].
         """
-        if dom is None:
-            dom = self.exact_domain()
+        dom = dom or self.exact
 
         def cost(fac):
             if fac[0] == "frobdiff":
                 return self.field.q ** fac[1] * (self.field.p ** fac[2])
             return max(fac[1].degree, 0)
 
-        rows = self.converted_rows(dom)
         cur = dom.convert_point(vec)
         for fac in sorted(factors, key=cost):
             if all(dom.is_zero(x) for x in cur):
                 break
             if fac[0] == "frobdiff":
-                cur = self.apply_frobdiff_factor(cur, fac[1], fac[2], dom, rows)
+                cur = self.apply_frobdiff_factor(cur, fac[1], fac[2], dom)
             else:
-                cur = self.apply_poly(cur, fac[1], dom, rows)
+                cur = self.apply_poly(cur, fac[1], dom)
         return cur
 
     def is_zero_point(self, vec, dom=None):
-        if dom is None:
-            dom = self.exact_domain()
+        dom = dom or self.exact
         return all(dom.is_zero(x) for x in vec)
 
     def entry(self, i: int, j: int) -> TwistedPoly:
-        for col, terms in self.rows[i]:
-            if col == j:
-                return TwistedPoly(self.field, terms)
-        return TwistedPoly(self.field, ())
+        """The (i, j) entry of ρ_t."""
+        terms = {}
+        if i == j:
+            terms[0] = self.theta
+        elif j == i + 1 and j not in self.starts:
+            terms[0] = self.exact.scalar(1)
+        if j in self.starts:
+            terms.update(
+                (n, c)
+                for row, n, c in self.top[self.starts.index(j)]
+                if row == i
+            )
+        return TwistedPoly(self.field, terms)
 
     # -- diagnostics -------------------------------------------------------
     def tau0_matrix(self):
         """The τ-free part of ρ_t as a dense matrix of coefficients."""
-        z = RatFrac.zero(self.field) if self.rational else Poly.zero(self.field)
-        m = [[z for _ in range(self.d)] for _ in range(self.d)]
-        for i, row in enumerate(self.rows):
-            for j, terms in row:
-                for n, c in terms:
-                    if n == 0:
-                        m[i][j] = c
-        return m
+        z = self.exact.zero()
+        return [
+            [self.entry(i, j).terms.get(0, z) for j in range(self.d)]
+            for i in range(self.d)
+        ]
 
     def nilpotent_check(self) -> bool:
         return self.nilpotency_index() is not None
@@ -424,20 +427,12 @@ def _poly_dot(row, col):
 
 
 def carlitz_tensor_module(field: FieldSpec, n: int) -> TModule:
-    """[t]_n = θ·I + N + E·τ with 1's on the superdiagonal and a single
-    τ in the bottom-left corner.  Assembled without the reduction
-    engine, so it can serve as an independent cross-check for depth one.
+    """[t]_n = θ·I + N + E·τ: one block of size n, the 1's of the shift
+    on the superdiagonal and a single τ in the bottom-left corner.
+    Assembled without the reduction engine, so it can serve as an
+    independent cross-check for depth one.
     """
-    th = Poly.gen(field)
-    one = Poly.one(field)
-    entries = {}
-    for i in range(n):
-        entries[(i, i)] = {0: th}
-        if i + 1 < n:
-            entries[(i, i + 1)] = {0: one}
-    slot = entries.setdefault((n - 1, 0), {})
-    slot[1] = slot.get(1, Poly.zero(field)) + one
-    return TModule(field, n, entries)
+    return TModule(field, (n,), Poly.gen(field), [[(n - 1, 1, Poly.one(field))]])
 
 
 def depth1_special_point(field: FieldSpec, n: int):
@@ -447,7 +442,7 @@ def depth1_special_point(field: FieldSpec, n: int):
     cache = cache_for(field)
     h = cache.anderson_thakur(n - 1)
     tm = carlitz_tensor_module(field, n)
-    dom = tm.exact_domain()
+    dom = tm.exact
     total = [dom.zero()] * n
     for i, hi in enumerate(theta_major(h)):
         if hi.is_zero():

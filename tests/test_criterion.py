@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 
 from ffmzv import criterion
+from ffmzv.cli import enumerate_tuples
 from ffmzv.criterion import (
     _flatten_rows,
     _point_iterates,
@@ -155,6 +156,22 @@ def test_probe_and_exact_agree():
             motive.special_point_v(), annihilator_mzv(F, s).factors
         )
         assert is_eulerian(F, s).eulerian == tm.is_zero_point(exact), s
+
+
+@pytest.mark.parametrize("q,wmax,count,eulerian", [
+    (4, 24, 92, [(3,), (6,), (9,), (12,), (3, 9), (15,), (3, 12), (18,),
+                 (21,), (24,), (6, 18)]),
+    (9, 32, 14, [(8,), (16,), (24,), (32,)]),
+    (5, 24, 41, [(4,), (8,), (12,), (16,), (20,), (4, 16), (24,), (4, 20)]),
+], ids=["q4-exact-only", "q9-exact-only", "q5-two-byte-slots"])
+def test_sweep_verdicts_are_pinned(q, wmax, count, eulerian):
+    """The Eulerian tuples of depth <= 3 on fields no benchmark workload
+    runs: q=4 and q=9, decided in exact arithmetic only, and q=5, whose
+    probe packs each digit in a two-byte slot."""
+    F = field_for_q(q)
+    tuples = enumerate_tuples(q, wmax, 3, False)
+    assert len(tuples) == count
+    assert [s for s in tuples if is_eulerian(F, s).eulerian] == eulerian
 
 
 # -- torsion witnesses vs the factored annihilator ---------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from ffmzv.cli import enumerate_tuples
 from ffmzv.fields import field_for_q
-from ffmzv.motive import Motive, build_phi, sigma_basis
+from ffmzv.motive import Motive
 from ffmzv.poly import BiPoly, Poly, RatFrac
 from ffmzv.tmodule import (
     TModule,
@@ -123,14 +123,15 @@ def test_golden_q3_2_2_2():
 # -- structural properties ---------------------------------------------------
 
 def test_sigma_basis_ordering():
+    """Row i of the σ-basis is ν_{(ℓ,j)} = (t-θ)^j m_ℓ, block by block,
+    the highest (t-θ)-power of each block first."""
     F = field_for_q(3)
     motive = Motive(F, (2, 4))
-    basis = sigma_basis(motive)
-    assert len(basis) == motive.d
-    assert basis[0] == (1, 5)  # highest (t-θ)-power of the first block
-    assert basis[5] == (1, 0)
-    assert basis[6] == (2, 3)
-    assert basis[-1] == (2, 0)
+    basis = [
+        (1, 5), (1, 4), (1, 3), (1, 2), (1, 1), (1, 0),
+        (2, 3), (2, 2), (2, 1), (2, 0),
+    ]
+    assert motive.d == len(basis)
     for i, (ell, j) in enumerate(basis):
         assert motive.row(ell, j) == i
 
@@ -219,17 +220,6 @@ def test_depth_one_matches_direct_construction(q, n):
         for j in range(n):
             assert tm.entry(i, j) == direct.entry(i, j)
     assert motive.special_point_v() == depth1_special_point(F, n)
-
-
-def test_phi_shape():
-    F = field_for_q(3)
-    motive = Motive(F, (2, 4))
-    phi = build_phi(motive)
-    assert len(phi) == 3 and all(len(row) == 3 for row in phi)
-    # diagonal of the inner block: (t-θ)^{w_ℓ}
-    assert phi[0][0].deg_t == 6
-    assert phi[1][1].deg_t == 4
-    assert phi[2][2].deg_t == 0
 
 
 def test_invalid_composition_rejected():

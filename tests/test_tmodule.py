@@ -1,57 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ffmzv import fpx
+from ffmzv.cli import enumerate_tuples
 from ffmzv.fields import field_for_q
 from ffmzv.motive import Motive
 from ffmzv.poly import Poly
 from ffmzv.tmodule import (
     ProbeDomain,
     TModule,
-    TwistedPoly,
     carlitz_tensor_module,
 )
-
-
-def tpolys(q, max_tau=2, max_deg=3):
-    F = field_for_q(q)
-    coeff = st.lists(st.integers(0, q - 1), min_size=0, max_size=max_deg + 1)
-    return st.lists(
-        st.tuples(st.integers(0, max_tau), coeff), min_size=0, max_size=3
-    ).map(
-        lambda terms: TwistedPoly(F, [(n, Poly(F, cs)) for n, cs in terms])
-    )
-
-
-@given(st.sampled_from([2, 3]), st.data())
-@settings(max_examples=50)
-def test_ore_multiplication_associative(q, data):
-    a = data.draw(tpolys(q))
-    b = data.draw(tpolys(q))
-    c = data.draw(tpolys(q))
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-
-
-def test_ore_twist_rule():
-    F = field_for_q(3)
-    th = Poly.gen(F)
-    tau = TwistedPoly(F, [(1, Poly.one(F))])
-    coeff = TwistedPoly(F, [(0, th)])
-    # τ·θ = θ³·τ
-    assert tau * coeff == TwistedPoly(F, [(1, th ** 3)])
-
-
-@given(st.sampled_from([2, 3]), st.data())
-@settings(max_examples=30)
-def test_twisted_apply_is_linear_over_fq(q, data):
-    F = field_for_q(q)
-    f = data.draw(tpolys(q))
-    x = Poly(F, data.draw(st.lists(st.integers(0, q - 1), max_size=4)))
-    y = Poly(F, data.draw(st.lists(st.integers(0, q - 1), max_size=4)))
-    assert f.apply(x + y) == f.apply(x) + f.apply(y)
 
 
 @pytest.mark.parametrize("q,s", [(3, (2, 4)), (2, (1, 2)), (3, (4, 2))])
@@ -230,3 +190,147 @@ def test_render_matches_golden_layout():
     lines = text.splitlines()
     assert len(lines) == 10
     assert lines[5].split() == ["τ", "0", "0", "0", "0", "θ", "2τ", "0", "0", "0"]
+
+
+# -- the stored shape of ρ_t -------------------------------------------------
+
+_SHAPE_FIELDS = [(3, 26), (2, 8), (4, 20), (9, 24)]
+
+
+@pytest.mark.parametrize("q,wmax", _SHAPE_FIELDS)
+def test_shape_round_trip(q, wmax):
+    """Every motive of the field reads into θ·I + shift + top columns,
+    and `entry` gives back `rho_t_entries` at every (i, j)."""
+    F = field_for_q(q)
+    for s in enumerate_tuples(q, wmax, 3, False):
+        motive = Motive(F, s)
+        entries = motive.rho_t_entries()
+        tm = TModule.from_motive(motive)
+        assert tm.d == motive.d, s
+        for i in range(tm.d):
+            for j in range(tm.d):
+                assert tm.entry(i, j).terms == entries.get((i, j), {}), (s, i, j)
+
+
+@pytest.mark.parametrize("case", [
+    "tau0-off-diagonal-and-shift", "shift-across-blocks",
+    "tau-outside-top-column", "shift-not-one", "diagonal-not-theta",
+    "diagonal-missing",
+])
+def test_entries_off_shape_are_rejected(case):
+    F = field_for_q(3)
+    one, th = Poly.one(F), Poly.gen(F)
+    # (2, 4): blocks of 6 and 4, top columns 0 and 6
+    edits = {
+        "tau0-off-diagonal-and-shift": lambda e: e.update({(0, 2): {0: one}}),
+        "shift-across-blocks": lambda e: e.update({(5, 6): {0: one}}),
+        "tau-outside-top-column": lambda e: e.update({(3, 2): {1: one}}),
+        "shift-not-one": lambda e: e.update({(0, 1): {0: th}}),
+        "diagonal-not-theta": lambda e: e.update({(4, 4): {0: one}}),
+        "diagonal-missing": lambda e: e.pop((4, 4)),
+    }
+    motive = Motive(F, (2, 4))
+    entries = motive.rho_t_entries()
+    edits[case](entries)
+    motive.rho_t_entries = lambda: entries
+    with pytest.raises(ValueError):
+        TModule.from_motive(motive)
+
+
+# -- the structured apply against the generic sparse-row operator ------------
+
+def _sparse_rows(entries, d, dom):
+    """ρ_t as generic sparse rows: row i lists (col, [(n, c), ...])."""
+    rows = [[] for _ in range(d)]
+    for (i, j), slot in sorted(entries.items(), key=lambda kv: kv[0]):
+        rows[i].append((j, [(n, dom.convert(c)) for n, c in sorted(slot.items())]))
+    return rows
+
+
+def _reference_apply_t(rows, vec, dom):
+    """Every entry of ρ_t as a τ-polynomial, every term a full product."""
+    out = []
+    for row in rows:
+        acc = dom.zero()
+        for j, terms in row:
+            x = vec[j]
+            if dom.is_zero(x):
+                continue
+            for n, c in terms:
+                acc = dom.add(acc, dom.mul(c, dom.frob(x, n)))
+        out.append(acc)
+    return out
+
+
+def _reference_apply_poly(rows, vec, a, dom):
+    acc = [dom.zero()] * len(vec)
+    for c in reversed(a.coeffs if a.coeffs else (0,)):
+        acc = _reference_apply_t(rows, acc, dom)
+        cs = dom.scalar(c)
+        acc = [dom.add(x, dom.mul(cs, y)) for x, y in zip(acc, vec)]
+    return acc
+
+
+def _carlitz_entries(F, n):
+    """[t]_n as an entry dict, built by hand."""
+    entries = {(i, i): {0: Poly.gen(F)} for i in range(n)}
+    entries.update(((i, i + 1), {0: Poly.one(F)}) for i in range(n - 1))
+    entries.setdefault((n - 1, 0), {})[1] = Poly.one(F)
+    return entries
+
+
+def _random_point(F, d, rng):
+    """Coordinates of θ-degree < 5, about a third of them zero."""
+    return [
+        Poly(F, [rng.randrange(F.q) for _ in range(rng.randrange(5))])
+        if rng.random() > 0.3 else Poly.zero(F)
+        for _ in range(d)
+    ]
+
+
+# (5, 1) at p=2 and (10, 1) at p=3 have a top column with τ-terms at two
+# σ-levels
+_MODULES = [
+    (p, s) for p in (2, 3, 5, 7) for s in ((3,), (2, 3), (1, 2, 2))
+] + [(2, (5, 1)), (3, (10, 1))] + [
+    (p, ("carlitz", n)) for p in (2, 3, 5, 7) for n in (1, 2, 4)
+]
+
+
+def _module(p, s):
+    F = field_for_q(p)
+    if s[0] == "carlitz":
+        return F, carlitz_tensor_module(F, s[1]), _carlitz_entries(F, s[1])
+    motive = Motive(F, s)
+    return F, TModule.from_motive(motive), motive.rho_t_entries()
+
+
+@pytest.mark.parametrize("p,s", _MODULES)
+def test_apply_matches_sparse_rows(p, s):
+    """apply_t and apply_poly equal the generic sparse-row operator
+    exactly, in exact arithmetic and in the probe."""
+    F, tm, entries = _module(p, s)
+    rng = random.Random(repr((p, s)))
+    for dom in (tm.exact, ProbeDomain(F, 21, 0)):
+        rows = _sparse_rows(entries, tm.d, dom)
+        for _ in range(5):
+            x = dom.convert_point(_random_point(F, tm.d, rng))
+            a = Poly(F, [rng.randrange(p) for _ in range(4)], var="t")
+            assert tm.apply_t(x, dom) == _reference_apply_t(rows, x, dom)
+            assert tm.apply_poly(x, a, dom) == _reference_apply_poly(
+                rows, x, a, dom
+            )
+
+
+@pytest.mark.parametrize("p,s", _MODULES)
+def test_probe_apply_is_image_of_exact_apply(p, s):
+    """θ ↦ ξ commutes with ρ_t: converting ρ_t(x) equals applying ρ_t
+    to the converted x in the probe."""
+    F, tm, _ = _module(p, s)
+    dom = ProbeDomain(F, 21, 0)
+    rng = random.Random(repr((p, s)))
+    for _ in range(5):
+        x = _random_point(F, tm.d, rng)
+        assert dom.convert_point(tm.apply_t(x)) == tm.apply_t(
+            dom.convert_point(x), dom
+        )
