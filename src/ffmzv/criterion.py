@@ -42,7 +42,7 @@ from .fields import FieldSpec, field_for_q
 from .linalg import nullspace
 from .motive import Motive
 from .poly import BiPoly, Poly, RatFrac
-from .tmodule import ProbeDomain, TModule, probe_supported
+from .tmodule import ProbeDomain, TModule, factor_degree, probe_supported
 
 PROBE_DEGREE = 21
 
@@ -94,14 +94,8 @@ class AnnihilatorData:
 
     @property
     def degree(self) -> int:
-        p = field_for_q(self.q).p
-        out = 0
-        for fac in self.factors:
-            if fac[0] == "frobdiff":
-                out += self.q ** fac[1] * p ** fac[2]
-            else:
-                out += max(fac[1].degree, 0)
-        return out
+        field = field_for_q(self.q)
+        return sum(factor_degree(field, fac) for fac in self.factors)
 
     def expanded(self, field: FieldSpec) -> Poly:
         """The product as a single polynomial in F_q[t]."""
@@ -302,7 +296,8 @@ def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
     """Decide whether the polylogarithm value at the rational point u
     is Eulerian.
 
-    Every s_i must be divisible by q-1 and every u_i nonzero.  When
+    Every s_i must be divisible by q-1 and every u_i nonzero.  A u_i is
+    a RatFrac, a Poly or an int element code in range(q).  When
     some u_i has degree >= s_i·q/(q-1) the convergence/non-vanishing
     hypotheses behind the criterion are unverified and the verdict is
     flagged conditional.
@@ -316,8 +311,13 @@ def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
             f = x
         elif isinstance(x, Poly):
             f = RatFrac.from_poly(x)
+        elif isinstance(x, int) and 0 <= x < q:
+            f = RatFrac.from_poly(Poly(field, [x]))
         else:
-            f = RatFrac.from_poly(Poly(field, [int(x) % q]))
+            raise ValueError(
+                f"coordinate {x!r} is not a RatFrac, a Poly or an element "
+                f"code in range({q})"
+            )
         if f.is_zero():
             raise ValueError("evaluation point has a zero coordinate")
         us.append(f)

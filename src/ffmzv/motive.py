@@ -13,8 +13,10 @@ rows numbered top-down inside each block (highest power of (t-θ) first).
 
 The t-action matrix ρ_t is θ·I plus the in-block shift
 ν_{(ℓ,j)} → ν_{(ℓ,j+1)}, read off from t = θ + (t-θ); only the r top
-columns j = w_ℓ-1 leave the σ-basis.  Those columns and the
-distinguished integral points come out of a worklist reduction:
+columns j = w_ℓ-1 leave the σ-basis.  `Motive.rho_t_entries` returns
+just the τ-terms of those columns, which `tmodule.TModule` takes as
+they are.  They and the distinguished integral points come out of a
+worklist reduction:
 repeatedly split a coefficient f of m_ℓ as f = g·(t-θ)^{w_ℓ} + γ and
 trade the g-part for terms one σ-level up via
 
@@ -33,7 +35,7 @@ power in the quotient map, so points never see it).
 """
 from __future__ import annotations
 
-from .carlitz import cache_for, theta_major
+from .carlitz import cache_for
 from .fields import FieldSpec
 from .poly import BiPoly, Poly, RatFrac
 
@@ -153,40 +155,25 @@ class Motive:
         return coords
 
     def rho_t_entries(self):
-        """The t-action as a dict (row, col) -> {σ-level: coefficient}.
+        """The τ-terms of ρ_t: per block ℓ, the list of (row, n, c) with
+        c·τ^n in its top column j = w_ℓ-1, summed per (row, n), zeros
+        dropped.
 
-        t·(t-θ)^j m_ℓ = θ·(t-θ)^j m_ℓ + (t-θ)^{j+1} m_ℓ, so ρ_t is θ·I
-        plus the in-block shift ν_{(ℓ,j)} → ν_{(ℓ,j+1)}, both at σ-level
-        0.  Only in the top column j = w_ℓ-1 does (t-θ)^{w_ℓ} leave the
-        σ-basis; it alone goes through the worklist.
+        t·(t-θ)^j m_ℓ = θ·(t-θ)^j m_ℓ + (t-θ)^{j+1} m_ℓ, so the rest of
+        ρ_t is θ·I plus the in-block shift ν_{(ℓ,j)} → ν_{(ℓ,j+1)}.
+        Only in the top column does (t-θ)^{w_ℓ} leave the σ-basis; its
+        first split telescopes it whole, so every n is >= 1.
         """
-        theta = Poly.gen(self.field)
-        if self.rational:
-            theta = RatFrac.from_poly(theta)
-        one = self._cone()
-        entries = {}
-        for ell in range(1, self.r + 1):
-            w = self.weights[ell - 1]
-            for j in range(w):
-                col = self.row(ell, j)
-                entries[(col, col)] = {0: theta}
-                if j + 1 < w:
-                    entries[(self.row(ell, j + 1), col)] = {0: one}
-            top = self.row(ell, w - 1)
+        blocks = []
+        for ell, w in enumerate(self.weights, 1):
             f = BiPoly.t_minus_theta(self.field, self.rational) ** w
+            slot = {}
             for n, a, row in self.reduce([(0, f, ell)]):
-                slot = entries.setdefault((row, top), {})
-                slot[n] = slot[n] + a if n in slot else a
-        return {
-            rc: {n: a for n, a in slot.items() if not a.is_zero()}
-            for rc, slot in entries.items()
-        }
-
-    def _czero(self):
-        return RatFrac.zero(self.field) if self.rational else Poly.zero(self.field)
-
-    def _cone(self):
-        return RatFrac.one(self.field) if self.rational else Poly.one(self.field)
+                slot[row, n] = slot[row, n] + a if (row, n) in slot else a
+            blocks.append(
+                [(row, n, a) for (row, n), a in slot.items() if not a.is_zero()]
+            )
+        return blocks
 
     # -- distinguished points ---------------------------------------------
     def point_v_seeds(self):

@@ -200,16 +200,17 @@ class Poly:
         d = other.degree
         lead_inv = F.inv(other.leading())
         q = [0] * max(0, len(r) - d)
-        mul = F._mul
-        sub = F.sub
+        mul, add, neg = F._mul, F._add, F._neg
+        terms = [(j, oc) for j, oc in enumerate(other.coeffs) if oc]
         for i in range(len(r) - 1, d - 1, -1):
             c = r[i]
             if c:
                 factor = mul[c][lead_inv]
                 q[i - d] = factor
-                row = mul[factor]
-                for j, oc in enumerate(other.coeffs):
-                    r[i - d + j] = sub(r[i - d + j], row[oc])
+                row = mul[neg[factor]]
+                for j, oc in terms:
+                    k = i - d + j
+                    r[k] = add[r[k]][row[oc]]
         return Poly(F, q, self.var), Poly(F, r[:d], self.var)
 
     def __floordiv__(self, other):
@@ -472,11 +473,6 @@ class BiPoly:
     def one(cls, field, rational=False):
         c = RatFrac.one(field) if rational else Poly.one(field)
         return cls(field, (c,), rational)
-
-    @classmethod
-    def from_coeff(cls, c):
-        rational = isinstance(c, RatFrac)
-        return cls(c.field, (c,), rational)
 
     @classmethod
     def t_minus_theta(cls, field, rational=False):

@@ -4,9 +4,12 @@ modular probe.
 ρ_t is kept in the shape the motive gives it (`TModule`): θ·I, plus the
 shift inside each block of coordinates, plus τ-terms c·τ^n (n >= 1) in
 the first column of each block, which act on a coordinate x by
-c·x^{q^n}.  One application of ρ_t is a product by θ per coordinate, an
-addition per shift and one product per τ-term.  Points live in a
-pluggable coefficient domain:
+c·x^{q^n}.  The motive hands over only those τ-terms
+(`Motive.rho_t_entries`); θ·I and the shift follow from the block
+sizes, and `TModule.entry` rebuilds any entry as a dict {n: c}.  One
+application of ρ_t is a product by θ per coordinate, an addition per
+shift and one product per τ-term.  Points live in a pluggable
+coefficient domain:
 
 * `ExactDomain` — coordinates in A = F_q[θ] (or F_q(θ)); fully rigorous
   both ways, but repeated τ's raise degrees q-fold, so a non-torsion
@@ -30,7 +33,7 @@ first with an early exit as soon as the point dies.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import fpx
 from .carlitz import cache_for, theta_major
@@ -149,51 +152,15 @@ class ProbeDomain:
 
 
 # ---------------------------------------------------------------------------
-# an entry of ρ_t
-
-
-class TwistedPoly:
-    """A τ-polynomial Σ c_n τ^n acting on a coordinate x by
-    Σ c_n · x^{q^n}: one entry of ρ_t, as `TModule.entry` returns it.
-    `terms` maps each level n to its nonzero coefficient c_n."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: FieldSpec, terms):
-        self.field = field
-        self.terms = dict(terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwistedPoly)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for n in sorted(self.terms):
-            cs = str(self.terms[n])
-            if n == 0:
-                parts.append(cs)
-                continue
-            tau = "τ" if n == 1 else f"τ^{n}"
-            if cs == "1":
-                parts.append(tau)
-            elif "+" in cs or "/" in cs:
-                parts.append(f"({cs}){tau}")
-            else:
-                parts.append(f"{cs}{tau}")
-        return " + ".join(parts)
-
-
-# ---------------------------------------------------------------------------
 # the operator itself
+
+
+def factor_degree(field: FieldSpec, fac) -> int:
+    """Degree in t of one annihilator factor: q^h·p^ℓ for
+    ('frobdiff', h, ℓ), the degree of f for ('poly', f)."""
+    if fac[0] == "frobdiff":
+        return field.q ** fac[1] * field.p ** fac[2]
+    return max(fac[1].degree, 0)
 
 
 class TModule:
@@ -222,33 +189,13 @@ class TModule:
 
     @classmethod
     def from_motive(cls, motive):
-        """ρ_t of a motive, read out of `Motive.rho_t_entries`; raises
-        ValueError on an entry outside the shape θ·I + N + T."""
-        d = motive.d
-        exact = ExactDomain(motive.field, motive.rational)
-        theta, one = exact.convert(Poly.gen(motive.field)), exact.scalar(1)
-        top = {
-            motive.row(ell, w - 1): []
-            for ell, w in enumerate(motive.weights, 1)
-        }
-        # every τ⁰ entry, each to be matched exactly once
-        tau0 = {(i, i): theta for i in range(d)}
-        tau0.update(((j - 1, j), one) for j in range(1, d) if j not in top)
-        for (i, j), slot in motive.rho_t_entries().items():
-            for n, c in slot.items():
-                if n == 0 and c == tau0.pop((i, j), None):
-                    continue
-                if n >= 1 and j in top and 0 <= i < d:
-                    top[j].append((i, n, c))
-                    continue
-                raise ValueError(
-                    f"ρ_t entry ({i}, {j}) has a τ^{n} term outside "
-                    "θ·I, the in-block shift and the top columns"
-                )
-        if tau0:
-            raise ValueError(f"ρ_t lacks its τ⁰ entry at {min(tau0)}")
+        """ρ_t of a motive: its block sizes, θ, and the top-column
+        τ-terms of `Motive.rho_t_entries`."""
+        theta = ExactDomain(motive.field, motive.rational).convert(
+            Poly.gen(motive.field)
+        )
         return cls(
-            motive.field, motive.weights, theta, list(top.values()),
+            motive.field, motive.weights, theta, motive.rho_t_entries(),
             motive.rational,
         )
 
@@ -331,14 +278,8 @@ class TModule:
         or ('poly', f) with f in F_q[t].
         """
         dom = dom or self.exact
-
-        def cost(fac):
-            if fac[0] == "frobdiff":
-                return self.field.q ** fac[1] * (self.field.p ** fac[2])
-            return max(fac[1].degree, 0)
-
         cur = dom.convert_point(vec)
-        for fac in sorted(factors, key=cost):
+        for fac in sorted(factors, key=partial(factor_degree, self.field)):
             if all(dom.is_zero(x) for x in cur):
                 break
             if fac[0] == "frobdiff":
@@ -351,8 +292,9 @@ class TModule:
         dom = dom or self.exact
         return all(dom.is_zero(x) for x in vec)
 
-    def entry(self, i: int, j: int) -> TwistedPoly:
-        """The (i, j) entry of ρ_t."""
+    def entry(self, i: int, j: int) -> dict:
+        """The (i, j) entry of ρ_t as {n: c}, each level n mapped to its
+        nonzero coefficient: it acts on a coordinate x by Σ c·x^{q^n}."""
         terms = {}
         if i == j:
             terms[0] = self.theta
@@ -364,14 +306,14 @@ class TModule:
                 for row, n, c in self.top[self.starts.index(j)]
                 if row == i
             )
-        return TwistedPoly(self.field, terms)
+        return terms
 
     # -- diagnostics -------------------------------------------------------
     def tau0_matrix(self):
         """The τ-free part of ρ_t as a dense matrix of coefficients."""
         z = self.exact.zero()
         return [
-            [self.entry(i, j).terms.get(0, z) for j in range(self.d)]
+            [self.entry(i, j).get(0, z) for j in range(self.d)]
             for i in range(self.d)
         ]
 
@@ -405,13 +347,33 @@ class TModule:
     def render(self):
         """Text layout of ρ_t with aligned columns (θ/τ notation)."""
         cells = [
-            [str(self.entry(i, j)) for j in range(self.d)]
+            [_format_entry(self.entry(i, j)) for j in range(self.d)]
             for i in range(self.d)
         ]
         widths = [max(len(r[j]) for r in cells) for j in range(self.d)]
         return "\n".join(
             "  ".join(x.rjust(w) for x, w in zip(r, widths)) for r in cells
         )
+
+
+def _format_entry(terms):
+    """An entry {n: c} of ρ_t in θ/τ notation, "0" when empty."""
+    if not terms:
+        return "0"
+    parts = []
+    for n in sorted(terms):
+        cs = str(terms[n])
+        if n == 0:
+            parts.append(cs)
+            continue
+        tau = "τ" if n == 1 else f"τ^{n}"
+        if cs == "1":
+            parts.append(tau)
+        elif "+" in cs or "/" in cs:
+            parts.append(f"({cs}){tau}")
+        else:
+            parts.append(f"{cs}{tau}")
+    return " + ".join(parts)
 
 
 def _poly_dot(row, col):

@@ -218,6 +218,16 @@ def test_cmpl_rejects_zero_coordinate():
         is_cmpl_eulerian(F, (2,), (0,))
 
 
+@pytest.mark.parametrize("u", [-1, 9])
+def test_cmpl_rejects_int_outside_element_codes(u):
+    """An int coordinate is an element code in range(q): at q=9 the
+    code 8 is 2+2y, not -1 (that is `field.neg(1)` = 2), so -1 and 9
+    are refused rather than read mod q."""
+    F = field_for_q(9)
+    with pytest.raises(ValueError, match="range"):
+        is_cmpl_eulerian(F, (8,), (u,))
+
+
 def test_cmpl_rational_point():
     F = field_for_q(3)
     th = Poly.gen(F)

@@ -20,15 +20,24 @@ def _theta_poly(field, coeffs):
     return Poly(field, coeffs)
 
 
+def _rho_t_dict(tm):
+    """ρ_t as {(i, j): {n: c}}, read entry by entry, empty entries left
+    out."""
+    return {
+        (i, j): entry
+        for i in range(tm.d)
+        for j in range(tm.d)
+        if (entry := tm.entry(i, j))
+    }
+
+
 def _assert_matches(tm, golden, field):
     """golden: {(i, j): [(tau_power, theta_coeffs)]}; everything else 0."""
-    th = Poly.gen(field)
-    for i in range(tm.d):
-        for j in range(tm.d):
-            entry = tm.entry(i, j)
-            wanted = golden.get((i, j), [])
-            expected = {n: Poly(field, cs) for n, cs in wanted}
-            assert entry.terms == expected, (i, j)
+    expected = {
+        ij: {n: Poly(field, cs) for n, cs in wanted}
+        for ij, wanted in golden.items()
+    }
+    assert _rho_t_dict(tm) == expected
 
 
 def _diag_blocks(golden, weights, field):
@@ -154,9 +163,12 @@ def test_rho_t_compatible_with_module_t_action(q, s):
 def _rho_t_by_worklist(motive):
     """Reference ρ_t: every column (ℓ, j) is the worklist reduction of
     t·(t-θ)^j m_ℓ."""
-    t = BiPoly(
-        motive.field, (motive._czero(), motive._cone()), motive.rational
+    zero, one = (
+        (RatFrac.zero(motive.field), RatFrac.one(motive.field))
+        if motive.rational
+        else (Poly.zero(motive.field), Poly.one(motive.field))
     )
+    t = BiPoly(motive.field, (zero, one), motive.rational)
     tmt = BiPoly.t_minus_theta(motive.field, motive.rational)
     entries = {}
     for ell in range(1, motive.r + 1):
@@ -171,12 +183,19 @@ def _rho_t_by_worklist(motive):
     }
 
 
-@pytest.mark.parametrize("q,wmax", [(3, 14), (2, 8)])
+_SHAPE_FIELDS = [(3, 26), (2, 8), (4, 20), (9, 24)]
+
+
+@pytest.mark.parametrize("q,wmax", _SHAPE_FIELDS)
 def test_rho_t_closed_form_matches_worklist(q, wmax):
+    """The whole ρ_t of every motive of the field, θ·I and the shift
+    from `TModule` and the top-column τ-terms from `rho_t_entries`,
+    equals the reduction of every column through the worklist."""
     F = field_for_q(q)
     for s in enumerate_tuples(q, wmax, 3, False):
         motive = Motive(F, s)
-        assert motive.rho_t_entries() == _rho_t_by_worklist(motive), s
+        tm = TModule.from_motive(motive)
+        assert _rho_t_dict(tm) == _rho_t_by_worklist(motive), s
 
 
 @pytest.mark.parametrize("q,s,us", [
@@ -192,7 +211,8 @@ def test_rho_t_closed_form_matches_worklist_rational(q, s, us):
         for num, den in us
     ]
     motive = Motive(F, s, Q=qs, rational=True)
-    assert motive.rho_t_entries() == _rho_t_by_worklist(motive)
+    tm = TModule.from_motive(motive)
+    assert _rho_t_dict(tm) == _rho_t_by_worklist(motive)
 
 
 @pytest.mark.parametrize("q,s", [(3, (2, 4)), (2, (1, 2))])
@@ -235,7 +255,7 @@ def _reduction_digest(motive):
     u = [a.coeffs for a in motive.reduce_point(motive.point_u_seeds())]
     rho = sorted(
         (rc, sorted((n, a.coeffs) for n, a in slot.items()))
-        for rc, slot in motive.rho_t_entries().items()
+        for rc, slot in _rho_t_dict(TModule.from_motive(motive)).items()
     )
     return hashlib.sha256(repr((v, u, rho)).encode()).hexdigest()
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from ffmzv import fpx
 from ffmzv.cli import enumerate_tuples
 from ffmzv.fields import field_for_q
 from ffmzv.motive import Motive
-from ffmzv.poly import Poly
+from ffmzv.poly import BiPoly, Poly, RatFrac
 from ffmzv.tmodule import (
     ProbeDomain,
     TModule,
@@ -177,10 +178,10 @@ def test_carlitz_module_shape():
     F = field_for_q(3)
     tm = carlitz_tensor_module(F, 3)
     th = Poly.gen(F)
-    assert tm.entry(0, 0).terms == {0: th}
-    assert tm.entry(0, 1).terms == {0: Poly.one(F)}
-    assert tm.entry(2, 0).terms == {1: Poly.one(F)}
-    assert tm.entry(2, 1).is_zero()
+    assert tm.entry(0, 0) == {0: th}
+    assert tm.entry(0, 1) == {0: Poly.one(F)}
+    assert tm.entry(2, 0) == {1: Poly.one(F)}
+    assert tm.entry(2, 1) == {}
 
 
 def test_render_matches_golden_layout():
@@ -192,58 +193,42 @@ def test_render_matches_golden_layout():
     assert lines[5].split() == ["τ", "0", "0", "0", "0", "θ", "2τ", "0", "0", "0"]
 
 
-# -- the stored shape of ρ_t -------------------------------------------------
-
-_SHAPE_FIELDS = [(3, 26), (2, 8), (4, 20), (9, 24)]
-
-
-@pytest.mark.parametrize("q,wmax", _SHAPE_FIELDS)
-def test_shape_round_trip(q, wmax):
-    """Every motive of the field reads into θ·I + shift + top columns,
-    and `entry` gives back `rho_t_entries` at every (i, j)."""
-    F = field_for_q(q)
-    for s in enumerate_tuples(q, wmax, 3, False):
-        motive = Motive(F, s)
-        entries = motive.rho_t_entries()
-        tm = TModule.from_motive(motive)
-        assert tm.d == motive.d, s
-        for i in range(tm.d):
-            for j in range(tm.d):
-                assert tm.entry(i, j).terms == entries.get((i, j), {}), (s, i, j)
-
-
-@pytest.mark.parametrize("case", [
-    "tau0-off-diagonal-and-shift", "shift-across-blocks",
-    "tau-outside-top-column", "shift-not-one", "diagonal-not-theta",
-    "diagonal-missing",
-])
-def test_entries_off_shape_are_rejected(case):
+def test_render_is_pinned():
+    """The `ffmzv tmodule` layout of every motive of q=3 w≤26, q=2 w≤8,
+    q=4 w≤20, q=9 w≤24 and q=5 w≤24 (depth ≤ 3), then of the q=3
+    polylog motive (2, 4) with Q = [1/θ, θ/(θ+1)], hashed in that
+    order."""
+    h = hashlib.sha256()
+    for q, wmax in [(3, 26), (2, 8), (4, 20), (9, 24), (5, 24)]:
+        F = field_for_q(q)
+        for s in enumerate_tuples(q, wmax, 3, False):
+            h.update(TModule.from_motive(Motive(F, s)).render().encode())
     F = field_for_q(3)
     one, th = Poly.one(F), Poly.gen(F)
-    # (2, 4): blocks of 6 and 4, top columns 0 and 6
-    edits = {
-        "tau0-off-diagonal-and-shift": lambda e: e.update({(0, 2): {0: one}}),
-        "shift-across-blocks": lambda e: e.update({(5, 6): {0: one}}),
-        "tau-outside-top-column": lambda e: e.update({(3, 2): {1: one}}),
-        "shift-not-one": lambda e: e.update({(0, 1): {0: th}}),
-        "diagonal-not-theta": lambda e: e.update({(4, 4): {0: one}}),
-        "diagonal-missing": lambda e: e.pop((4, 4)),
-    }
-    motive = Motive(F, (2, 4))
-    entries = motive.rho_t_entries()
-    edits[case](entries)
-    motive.rho_t_entries = lambda: entries
-    with pytest.raises(ValueError):
-        TModule.from_motive(motive)
+    Q = [
+        BiPoly(F, [RatFrac(one, th)], rational=True),
+        BiPoly(F, [RatFrac(th, th + one)], rational=True),
+    ]
+    polylog = Motive(F, (2, 4), Q=Q, rational=True)
+    h.update(TModule.from_motive(polylog).render().encode())
+    assert h.hexdigest() == (
+        "cb79097c9027bd6c3817ccc3f70f67691058b7953151a11a7ae3fb88eea771d0"
+    )
 
 
 # -- the structured apply against the generic sparse-row operator ------------
 
-def _sparse_rows(entries, d, dom):
-    """ρ_t as generic sparse rows: row i lists (col, [(n, c), ...])."""
+def _sparse_rows(entry, d, dom):
+    """ρ_t as generic sparse rows: row i lists (col, [(n, c), ...]) for
+    every nonzero entry(i, col) = {n: c}."""
     rows = [[] for _ in range(d)]
-    for (i, j), slot in sorted(entries.items(), key=lambda kv: kv[0]):
-        rows[i].append((j, [(n, dom.convert(c)) for n, c in sorted(slot.items())]))
+    for i in range(d):
+        for j in range(d):
+            slot = entry(i, j)
+            if slot:
+                rows[i].append(
+                    (j, [(n, dom.convert(c)) for n, c in sorted(slot.items())])
+                )
     return rows
 
 
@@ -300,19 +285,24 @@ _MODULES = [
 def _module(p, s):
     F = field_for_q(p)
     if s[0] == "carlitz":
-        return F, carlitz_tensor_module(F, s[1]), _carlitz_entries(F, s[1])
-    motive = Motive(F, s)
-    return F, TModule.from_motive(motive), motive.rho_t_entries()
+        entries = _carlitz_entries(F, s[1])
+        return (
+            F,
+            carlitz_tensor_module(F, s[1]),
+            lambda i, j: entries.get((i, j), {}),
+        )
+    tm = TModule.from_motive(Motive(F, s))
+    return F, tm, tm.entry
 
 
 @pytest.mark.parametrize("p,s", _MODULES)
 def test_apply_matches_sparse_rows(p, s):
     """apply_t and apply_poly equal the generic sparse-row operator
     exactly, in exact arithmetic and in the probe."""
-    F, tm, entries = _module(p, s)
+    F, tm, entry = _module(p, s)
     rng = random.Random(repr((p, s)))
     for dom in (tm.exact, ProbeDomain(F, 21, 0)):
-        rows = _sparse_rows(entries, tm.d, dom)
+        rows = _sparse_rows(entry, tm.d, dom)
         for _ in range(5):
             x = dom.convert_point(_random_point(F, tm.d, rng))
             a = Poly(F, [rng.randrange(p) for _ in range(4)], var="t")
