@@ -186,7 +186,9 @@ def _rho_t_by_worklist(motive):
 _SHAPE_FIELDS = [(3, 26), (2, 8), (4, 20), (9, 24)]
 
 
-@pytest.mark.parametrize("q,wmax", _SHAPE_FIELDS)
+# (3, 14) is the quick q=3 case; (3, 26) extends it to every motive of
+# test_tmodule's shape fields.
+@pytest.mark.parametrize("q,wmax", [(3, 14)] + _SHAPE_FIELDS)
 def test_rho_t_closed_form_matches_worklist(q, wmax):
     """The whole ρ_t of every motive of the field, θ·I and the shift
     from `TModule` and the top-column τ-terms from `rho_t_entries`,

@@ -193,6 +193,40 @@ def test_render_matches_golden_layout():
     assert lines[5].split() == ["τ", "0", "0", "0", "0", "θ", "2τ", "0", "0", "0"]
 
 
+# -- the stored shape of ρ_t -------------------------------------------------
+
+_SHAPE_FIELDS = [(3, 26), (2, 8), (4, 20), (9, 24)]
+
+
+@pytest.mark.parametrize("q,wmax", _SHAPE_FIELDS)
+def test_shape_round_trip(q, wmax):
+    """Every motive of the field reads into θ·I + shift + top columns:
+    `entry` gives θ on the diagonal, 1 on the in-block shift, the
+    τ-terms of `rho_t_entries` (all at n >= 1) in each block's top
+    column, and nothing else."""
+    F = field_for_q(q)
+    for s in enumerate_tuples(q, wmax, 3, False):
+        motive = Motive(F, s)
+        blocks = motive.rho_t_entries()
+        tm = TModule.from_motive(motive)
+        assert tm.d == motive.d and len(blocks) == motive.r, s
+        th, one = Poly.gen(F), Poly.one(F)
+        expected = {}
+        start = 0
+        for w, terms in zip(motive.weights, blocks):
+            for k in range(w):
+                expected[start + k, start + k] = {0: th}
+                if k:
+                    expected[start + k - 1, start + k] = {0: one}
+            for row, n, c in terms:
+                assert n >= 1 and not c.is_zero(), (s, row, n)
+                expected.setdefault((row, start), {})[n] = c
+            start += w
+        for i in range(tm.d):
+            for j in range(tm.d):
+                assert tm.entry(i, j) == expected.get((i, j), {}), (s, i, j)
+
+
 def test_render_is_pinned():
     """The `ffmzv tmodule` layout of every motive of q=3 w≤26, q=2 w≤8,
     q=4 w≤20, q=9 w≤24 and q=5 w≤24 (depth ≤ 3), then of the q=3
