@@ -100,8 +100,10 @@ class PackedQuotient:
     exceeds 256^slot - 1.  The widest sum ever packed is a reduced
     low half plus deg - 1 folded high digits, at most
     deg·(p-1)^2 + (p-1), which sets `slot`: one byte for p <= 3 at
-    degree 21.  Digits are brought back to range(p) per slot, by one
-    `bytes.translate` when a slot is one byte.
+    degree 21.  A product by x alone (`shift_add`) needs no big-int
+    product: it is a one-slot shift and one folded digit, at most
+    3(p-1) per slot.  Digits are brought back to range(p) per slot, by
+    one `bytes.translate` when a slot is one byte.
     """
 
     def __init__(self, m, p):
@@ -121,6 +123,12 @@ class PackedQuotient:
             self.pack(self.element([0] * (deg + j) + [1]))
             for j in range(deg - 1)
         )
+        # c·x^deg mod m for c in range(p): where `shift_add` folds the
+        # digit that a shift by x carries out of the top slot
+        self._shift_fold = tuple(
+            self.pack(self.element([0] * deg + [c])) for c in range(p)
+        )
+        self._slot_bits = 8 * self.slot
         self._frob = {}
 
     def element(self, coeffs):
@@ -151,6 +159,26 @@ class PackedQuotient:
 
     def neg(self, x):
         return x.translate(self._neg)
+
+    def shift_add(self, a, b):
+        """x·a + b: the digits of a moved up one slot, the digit carried
+        out of the top folded back as a precomputed multiple of
+        x^deg mod m, and b added, all in one packed sum and one `digits`
+        call.  Each slot then holds at most 3(p-1), which a slot wide
+        enough for a product always holds.  With one-byte slots, the
+        common case, `pack` and `digits` are written out in place."""
+        if self.slot == 1:
+            return (
+                (int.from_bytes(a[:-1], "little") << 8)
+                + self._shift_fold[a[-1]]
+                + int.from_bytes(b, "little")
+            ).to_bytes(self.deg, "little").translate(self._mod_p)
+        return self.digits(
+            (self.pack(a[:-1]) << self._slot_bits)
+            + self._shift_fold[a[-1]]
+            + self.pack(b),
+            self.deg,
+        )
 
     def mul(self, a, b):
         """One big-int product, then the high digits folded back with

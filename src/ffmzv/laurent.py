@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .fields import FieldSpec
 from .linalg import nullspace
-from .poly import Poly, RatFrac
+from .poly import Poly, RatFrac, not_a_code
 
 
 class PrecisionError(ValueError):
@@ -151,7 +151,8 @@ class LaurentNumber:
         return self + (-other)
 
     def scale(self, c: int) -> "LaurentNumber":
-        c %= self.field.q
+        if not 0 <= c < self.field.q:
+            raise not_a_code(self.field, c)
         if c == 0:
             return LaurentNumber.zero(self.field, self.unknown)
         row = self.field._mul[c]

@@ -33,6 +33,13 @@ class TwistError(ValueError):
 _KRONECKER_THRESHOLD = 2500  # len(a)*len(b) above which packed mul is used
 
 
+def not_a_code(field: FieldSpec, c) -> ValueError:
+    """The error for an int scalar outside range(q).  A scalar is an
+    element code and is never read mod q: at q = 9 the code 8 is 2+2y,
+    while -1 is `field.neg(1)` = 2."""
+    return ValueError(f"scalar {c!r} is not an element code in range({field.q})")
+
+
 def scalar_str(field: FieldSpec, v: int) -> str:
     """Canonical rendering of one F_q element."""
     if field.e == 1 or v < field.p:
@@ -76,7 +83,9 @@ class Poly:
 
     @classmethod
     def const(cls, field, c, var="θ"):
-        return cls(field, (c % field.q,) if c % field.q else (), var)
+        if not 0 <= c < field.q:
+            raise not_a_code(field, c)
+        return cls(field, (c,) if c else (), var)
 
     @classmethod
     def gen(cls, field, var="θ"):
@@ -141,7 +150,8 @@ class Poly:
         return self + (-other)
 
     def scale(self, c: int) -> "Poly":
-        c %= self.field.q
+        if not 0 <= c < self.field.q:
+            raise not_a_code(self.field, c)
         if c == 0:
             return Poly.zero(self.field, self.var)
         if c == 1:

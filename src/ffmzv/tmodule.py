@@ -7,9 +7,9 @@ the first column of each block, which act on a coordinate x by
 c·x^{q^n}.  The motive hands over only those τ-terms
 (`Motive.rho_t_entries`); θ·I and the shift follow from the block
 sizes, and `TModule.entry` rebuilds any entry as a dict {n: c}.  One
-application of ρ_t is a product by θ per coordinate, an addition per
-shift and one product per τ-term.  Points live in a pluggable
-coefficient domain:
+application of ρ_t is one θ-step θ·x + y per row (y the next coordinate
+of the block, or 0 at its end) and one product per τ-term.  Points live
+in a pluggable coefficient domain:
 
 * `ExactDomain` — coordinates in A = F_q[θ] (or F_q(θ)); fully rigorous
   both ways, but repeated τ's raise degrees q-fold, so a non-torsion
@@ -20,12 +20,13 @@ coefficient domain:
   x ↦ x^q, so a NONZERO probe result rigorously certifies the exact
   result nonzero.  A zero probe proves nothing and must be confirmed
   exactly.  A probe element is a `bytes` of F_p digits; a product is
-  one big-int product of the packed digits, and x ↦ x^{q^n} a
+  one big-int product of the packed digits, a θ-step a shift by one
+  digit with the carried-out digit folded back, and x ↦ x^{q^n} a
   precomputed F_p-linear map (`fpx.PackedQuotient`).
 
 Both domains offer the same element operations (zero, is_zero, add, neg,
-mul, scalar, frob, convert), so the operator code below never asks
-which domain it runs in.
+mul, theta_step, scalar, frob, convert), so the operator code below
+never asks which domain it runs in.
 
 Annihilators are kept factored; factors are applied smallest degree
 first with an early exit as soon as the point dies.
@@ -51,6 +52,7 @@ class ExactDomain:
     def __init__(self, field: FieldSpec, rational: bool = False):
         self.field = field
         self.rational = rational
+        self.theta = self.convert(Poly.gen(field))
 
     def zero(self):
         return RatFrac.zero(self.field) if self.rational else Poly.zero(self.field)
@@ -66,6 +68,13 @@ class ExactDomain:
 
     def mul(self, a, b):
         return a * b
+
+    def theta_step(self, x, y):
+        """θ·x + y: a shift of the coefficients of a polynomial, a
+        product by θ for a fraction."""
+        if self.rational:
+            return self.theta * x + y
+        return x.shift(1) + y
 
     def scalar(self, c):
         """The constant c in F_q as a coordinate."""
@@ -114,8 +123,9 @@ class ProbeDomain:
 
     An element is a `bytes` of length deg, digit j the coefficient of
     ξ^j.  The arithmetic is `fpx.PackedQuotient`'s: a product is one
-    big-int product of the packed digits, and x ↦ x^(p^n) a precomputed
-    F_p-linear map."""
+    big-int product of the packed digits, θ·x + y a shift by one digit
+    with the carried-out digit folded back, and x ↦ x^(p^n) a
+    precomputed F_p-linear map."""
 
     def __init__(self, field: FieldSpec, deg: int = 21, seed: int = 0):
         if not probe_supported(field):
@@ -130,6 +140,7 @@ class ProbeDomain:
         self.add = ring.add
         self.neg = ring.neg
         self.mul = ring.mul
+        self.theta_step = ring.shift_add
         self.frob = ring.frob
 
     def zero(self):
@@ -168,20 +179,21 @@ class TModule:
 
     The coordinates fall into blocks of sizes `weights`, block ℓ
     starting at row `starts[ℓ]`.  N is the shift inside each block: it
-    adds coordinate i+1 to row i when both lie in one block.  T holds
-    every τ-term, all of them in the first column of a block: `top[ℓ]`
-    lists the (row, n, c) with n >= 1, each adding c·x^{q^n} to its row,
-    x the coordinate at starts[ℓ].
+    adds coordinate i+1 to row i when both lie in one block.  So θ·I + N
+    is one θ-step of the coefficient domain per row: θ·x_i + x_{i+1}
+    inside a block, θ·x_i at its end.  T holds every τ-term, all of
+    them in the first column of a block: `top[ℓ]` lists the (row, n, c)
+    with n >= 1, each adding c·x^{q^n} to its row, x the coordinate at
+    starts[ℓ].
     """
 
-    def __init__(self, field: FieldSpec, weights, theta, top, rational=False):
+    def __init__(self, field: FieldSpec, weights, top, rational=False):
         self.field = field
         self.weights = tuple(weights)
         self.d = sum(self.weights)
         self.starts = tuple(
             sum(self.weights[:k]) for k in range(len(self.weights))
         )
-        self.theta = theta
         self.top = [sorted(terms, key=lambda t: (t[1], t[0])) for terms in top]
         self.rational = rational
         self.exact = ExactDomain(field, rational)
@@ -189,40 +201,36 @@ class TModule:
 
     @classmethod
     def from_motive(cls, motive):
-        """ρ_t of a motive: its block sizes, θ, and the top-column
-        τ-terms of `Motive.rho_t_entries`."""
-        theta = ExactDomain(motive.field, motive.rational).convert(
-            Poly.gen(motive.field)
-        )
+        """ρ_t of a motive: its block sizes and the top-column τ-terms
+        of `Motive.rho_t_entries`."""
         return cls(
-            motive.field, motive.weights, theta, motive.rho_t_entries(),
+            motive.field, motive.weights, motive.rho_t_entries(),
             motive.rational,
         )
 
     def _coeffs(self, dom):
-        """θ and the blocks (start, size, top terms), with every
-        coefficient converted into dom once per domain."""
+        """The blocks (start, end, top terms), with every coefficient
+        converted into dom once per domain."""
         conv = self._converted.get(dom)
         if conv is None:
-            conv = self._converted[dom] = (
-                dom.convert(self.theta),
-                [
-                    (start, w, [(row, n, dom.convert(c)) for row, n, c in terms])
-                    for start, w, terms in zip(self.starts, self.weights, self.top)
-                ],
-            )
+            conv = self._converted[dom] = [
+                (start, start + w, [(row, n, dom.convert(c)) for row, n, c in terms])
+                for start, w, terms in zip(self.starts, self.weights, self.top)
+            ]
         return conv
 
     def apply_t(self, vec, dom=None):
-        """One application of ρ_t: θ·x_i, plus x_{i+1} inside a block,
-        plus the τ-terms of the top columns (one Frobenius per level)."""
+        """One application of ρ_t: per row one θ-step of the domain,
+        θ·x_i + x_{i+1} inside a block and θ·x_i + 0 at its end, then
+        the τ-terms of the top columns (one Frobenius per level)."""
         dom = dom or self.exact
-        theta, blocks = self._coeffs(dom)
-        is_zero = dom.is_zero
-        out = [x if is_zero(x) else dom.mul(theta, x) for x in vec]
-        for start, w, terms in blocks:
-            for i in range(start, start + w - 1):
-                out[i] = dom.add(out[i], vec[i + 1])
+        blocks = self._coeffs(dom)
+        step, zero, is_zero = dom.theta_step, dom.zero(), dom.is_zero
+        out = []
+        for start, end, _ in blocks:
+            out += map(step, vec[start:end], vec[start + 1:end])
+            out.append(step(vec[end - 1], zero))
+        for start, _, terms in blocks:
             x = vec[start]
             if is_zero(x):
                 continue
@@ -297,7 +305,7 @@ class TModule:
         nonzero coefficient: it acts on a coordinate x by Σ c·x^{q^n}."""
         terms = {}
         if i == j:
-            terms[0] = self.theta
+            terms[0] = self.exact.theta
         elif j == i + 1 and j not in self.starts:
             terms[0] = self.exact.scalar(1)
         if j in self.starts:
@@ -323,9 +331,7 @@ class TModule:
     def nilpotency_index(self):
         """Smallest k >= 1 with (ρ_t|_{τ=0} - θI)^k = 0, or None if not
         nilpotent within d steps."""
-        th = Poly.gen(self.field)
-        if self.rational:
-            th = RatFrac.from_poly(th)
+        th = self.exact.theta
         m = self.tau0_matrix()
         n = [
             [m[i][j] - th if i == j else m[i][j] for j in range(self.d)]
@@ -394,7 +400,7 @@ def carlitz_tensor_module(field: FieldSpec, n: int) -> TModule:
     Assembled without the reduction engine, so it can serve as an
     independent cross-check for depth one.
     """
-    return TModule(field, (n,), Poly.gen(field), [[(n - 1, 1, Poly.one(field))]])
+    return TModule(field, (n,), [[(n - 1, 1, Poly.one(field))]])
 
 
 def depth1_special_point(field: FieldSpec, n: int):

@@ -22,6 +22,15 @@ def test_from_poly_and_valuation():
     assert x.coeff(3) == 1 and x.coeff(1) == 1 and x.coeff(2) == 0
 
 
+@pytest.mark.parametrize("c", [-1, 9])
+def test_scale_needs_an_element_code(c):
+    """At q=9 an int outside range(9) is refused, not read mod 9."""
+    F = field_for_q(9)
+    with pytest.raises(ValueError, match="range"):
+        LaurentNumber.one(F).scale(c)
+    assert LaurentNumber.one(F).scale(F.neg(1)) == -LaurentNumber.one(F)
+
+
 def test_inv_times_self_is_one():
     F = field_for_q(3)
     th = Poly.gen(F)

@@ -106,6 +106,24 @@ def test_packed_mul_slots_do_not_overflow():
     assert (a * a)[69999] == 222
 
 
+@pytest.mark.parametrize("make", [
+    lambda F: Poly.const(F, -1),
+    lambda F: Poly.one(F).scale(-1),
+    lambda F: Poly.one(F).scale(9),
+    lambda F: RatFrac.one(F).scale(-1),
+    lambda F: BiPoly.one(F).scale(-1),
+])
+def test_int_scalar_must_be_an_element_code(make):
+    """An int scalar is an element code in range(q), never read mod q:
+    at q=9, -1 mod 9 is the code 8 (2+2y), while -1 is `F.neg(1)` = 2."""
+    F = field_for_q(9)
+    with pytest.raises(ValueError, match="range"):
+        make(F)
+    minus_one = F.neg(1)
+    assert Poly.const(F, minus_one) == -Poly.one(F)
+    assert Poly.one(F).scale(minus_one) == -Poly.one(F)
+
+
 # -- rational functions ------------------------------------------------------
 
 def test_ratfrac_reduction_and_monic_denominator():

@@ -120,13 +120,15 @@ def test_probe_tables_built_once_per_key():
     assert a.ring is b.ring
 
 
+# at degree 21 a slot is one byte for p = 2, 3, two bytes for p = 5, 7,
+# 11, and three for p = 131, 251
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("deg", [1, 2, 7, 21])
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 131, 251])
 def test_probe_arithmetic_matches_schoolbook(p, deg, seed):
     """Every probe operation against schoolbook F_p[x] arithmetic mod
     the probe modulus, on random elements and on the all-(p-1) element,
-    whose products fill the packed slots the most."""
+    whose products and θ-steps fill the packed slots the most."""
     F = field_for_q(p)
     dom = ProbeDomain(F, deg, seed)
     m = list(dom.modulus)
@@ -134,24 +136,33 @@ def test_probe_arithmetic_matches_schoolbook(p, deg, seed):
     def ref_mul(a, b):
         return fpx.mod(fpx.mul(a, b, p), m, p)
 
+    def ref_pow(a, e):
+        acc, base = [1], a
+        while e:
+            if e & 1:
+                acc = ref_mul(acc, base)
+            base = ref_mul(base, base)
+            e >>= 1
+        return acc
+
     rng = random.Random(1000 * p + deg)
     elements = [[p - 1] * deg]
     elements += [[rng.randrange(p) for _ in range(deg)] for _ in range(3)]
     for a in elements:
         x = bytes(a)
         assert list(dom.neg(x)) == [(-c) % p for c in a]
+        theta_a = ref_mul(a, [0, 1])
         for b in elements:
             y = bytes(b)
             assert list(dom.mul(x, y)) == ref_mul(a, b)
             assert list(dom.add(x, y)) == [(c + d) % p for c, d in zip(a, b)]
+            assert list(dom.theta_step(x, y)) == [
+                (c + d) % p for c, d in zip(theta_a, b)
+            ]
         power = a
         for n in range(4):
             assert list(dom.frob(x, n)) == power, n
-            # the next p-th power, by repeated multiplication
-            acc = power
-            for _ in range(p - 1):
-                acc = ref_mul(acc, power)
-            power = acc
+            power = ref_pow(power, p)
     for c in range(p):
         assert list(dom.scalar(c)) == [c] + [0] * (deg - 1)
     coeffs = [rng.randrange(p) for _ in range(3 * deg + 2)] + [1]
