@@ -53,41 +53,45 @@ def gcd(a, b, p):
     return a
 
 
+def _pth_power(f, m, p):
+    """f^p mod m, by square and multiply."""
+    acc = mod([1], m, p)
+    e = p
+    while e:
+        if e & 1:
+            acc = mod(mul(acc, f, p), m, p)
+        f = mod(mul(f, f, p), m, p)
+        e >>= 1
+    return acc
+
+
 def xpow_pk(k, m, p):
     """x^(p^k) mod m, by k successive p-th powers."""
     cur = mod([0, 1], m, p)
     for _ in range(k):
-        acc = mod([1], m, p)
-        base = cur
-        e = p
-        while e:
-            if e & 1:
-                acc = mod(mul(acc, base, p), m, p)
-            base = mod(mul(base, base, p), m, p)
-            e >>= 1
-        cur = acc
+        cur = _pth_power(cur, m, p)
     return cur
 
 
 def is_irreducible(m, p) -> bool:
-    """Rabin's test for monic m of degree n: x^(p^n) = x mod m, and
-    gcd(x^(p^(n/r)) - x, m) = 1 for every r > 1 dividing n (the prime
-    r suffice; the others repeat a subfield already excluded)."""
+    """Ben-Or's test for monic m of degree n >= 1: gcd(x^(p^i) - x, m) = 1
+    for i = 1, ..., n // 2 (Ben-Or, "Probabilistic algorithms in finite
+    fields", FOCS 1981).  A reducible m has an irreducible factor of
+    some degree i <= n/2, and that factor divides x^(p^i) - x, so the
+    test is exact.  It stops at the first common factor, so a random
+    reducible candidate, which most likely has a small one, is rejected
+    after a few p-th powers (Gao–Panario, "Tests and constructions of
+    irreducible polynomials over finite fields", 1997)."""
     n = len(m) - 1
     if n < 1:
         return False
     x = mod([0, 1], m, p)
-
-    def minus_x(f):
-        return [(c - xc) % p for c, xc in zip(f, x)]
-
-    if any(minus_x(xpow_pk(n, m, p))):
-        return False
-    return all(
-        len(gcd(minus_x(xpow_pk(n // r, m, p)), m, p)) == 1
-        for r in range(2, n + 1)
-        if n % r == 0
-    )
+    h = x
+    for _ in range(n // 2):
+        h = _pth_power(h, m, p)
+        if len(gcd([(c - xc) % p for c, xc in zip(h, x)], m, p)) != 1:
+            return False
+    return True
 
 
 class PackedQuotient:

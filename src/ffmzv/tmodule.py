@@ -94,7 +94,9 @@ class ExactDomain:
 
 def _find_irreducible(p: int, deg: int, rng) -> tuple:
     """Random monic irreducible of degree `deg` over F_p: the first draw
-    from `rng` with a nonzero constant term that passes Rabin's test."""
+    from `rng` with a nonzero constant term that `fpx.is_irreducible`
+    accepts.  That test is exact, so a seed always names the same
+    modulus; most draws are rejected at a small factor."""
     while True:
         m = [rng.randrange(p) for _ in range(deg)] + [1]
         if m[0] and fpx.is_irreducible(m, p):

@@ -12,11 +12,15 @@ def _monic(code, n, p):
 
 
 @pytest.mark.parametrize("p,counts", [
-    (2, [2, 1, 2, 3, 6, 9]),
+    (2, [2, 1, 2, 3, 6, 9, 18, 30]),
     (3, [3, 3, 8, 18]),
+    (5, [5, 10, 40]),
+    (7, [7, 21, 112]),
 ])
 def test_irreducible_counts(p, counts):
-    """Monic irreducibles of degree n number (1/n) Σ_{d|n} μ(d) p^{n/d}."""
+    """Monic irreducibles of degree n number (1/n) Σ_{d|n} μ(d) p^{n/d}.
+    Odd and even n both occur, so the test's last gcd, at i = n // 2,
+    is checked on either side of n/2."""
     for n, want in enumerate(counts, start=1):
         got = sum(fpx.is_irreducible(_monic(c, n, p), p) for c in range(p ** n))
         assert got == want, n
