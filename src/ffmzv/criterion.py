@@ -26,9 +26,11 @@ an integral motive: the work is done first in a fast modular image of
 A, a ring homomorphism, which cannot turn a zero into a nonzero.  So a
 nonzero residual certifies non-torsion and an empty probe kernel rules
 out every witness, while torsion verdicts and witnesses are always
-confirmed in exact arithmetic.  Extension fields, primes above 255
-(whose digits do not fit the probe's bytes) and the polylogarithm
-variant, whose motive has rational coordinates, use exact arithmetic
+confirmed in exact arithmetic.  A torsion verdict is confirmed in
+A = F_p[θ] itself, on the same packed digits as the probe
+(`PackedExactDomain`).  Extension fields, primes above 255 (whose
+digits do not fit the probe's bytes) and the polylogarithm variant,
+whose motive has rational coordinates, use exact `Poly` arithmetic
 only.
 """
 from __future__ import annotations
@@ -42,7 +44,13 @@ from .fields import FieldSpec, field_for_q
 from .linalg import nullspace
 from .motive import Motive
 from .poly import BiPoly, Poly, RatFrac
-from .tmodule import ProbeDomain, TModule, factor_degree, probe_supported
+from .tmodule import (
+    PackedExactDomain,
+    ProbeDomain,
+    TModule,
+    factor_degree,
+    probe_supported,
+)
 
 PROBE_DEGREE = 21
 
@@ -240,16 +248,18 @@ def _annihilates(motive: Motive, factors) -> bool:
 
     For prime q < 256 and an integral motive the residual is first
     computed in the modular probe, whose nonzero image certifies
-    non-torsion; a zero there, and every other case, is decided in
-    exact arithmetic.
+    non-torsion; a zero there is confirmed in A = F_p[θ] on packed
+    digits.  Every other case is decided in `Poly` arithmetic.
     """
     tm = TModule.from_motive(motive)
     v = motive.special_point_v()
+    exact = tm.exact
     if probe_supported(motive.field) and not motive.rational:
         dom = ProbeDomain(motive.field, PROBE_DEGREE, 0)
         if not tm.is_zero_point(tm.apply_annihilator(v, factors, dom), dom):
             return False
-    return tm.is_zero_point(tm.apply_annihilator(v, factors))
+        exact = PackedExactDomain(motive.field)
+    return tm.is_zero_point(tm.apply_annihilator(v, factors, exact), exact)
 
 
 def is_eulerian(field: FieldSpec, s) -> Verdict:

@@ -1,10 +1,14 @@
 """Dense polynomials over a prime field F_p: the one kernel behind the
-extension-field tables (`fields`) and the modular probe (`tmodule`).
+extension-field tables (`fields`), the modular probe and its exact
+confirmation (`tmodule`).
 
 A polynomial is a list or tuple of ints in range(p), constant term
-first.  Moduli are monic.  `PackedQuotient` is the probe's quotient
-ring F_p[x]/(m) on byte digits: a product is one big-int product, and
-the Frobenius a precomputed F_p-linear map.
+first.  Moduli are monic.  Two rings keep their elements as byte digits
+(p < 256) and share the packing (`slot_width`, `pack`, `_PackedDigits`):
+`PackedQuotient` is the probe's quotient ring F_p[x]/(m), where a
+product is one big-int product and the Frobenius a precomputed
+F_p-linear map; `PackedPoly` is F_p[x] itself, where a sum is one
+packed sum and the Frobenius a strided copy.
 """
 from __future__ import annotations
 
@@ -94,7 +98,50 @@ def is_irreducible(m, p) -> bool:
     return True
 
 
-class PackedQuotient:
+def slot_width(top: int) -> int:
+    """Bytes per slot for packed values up to `top`: a sum that never
+    exceeds it never carries into the next slot."""
+    return (top.bit_length() + 7) // 8
+
+
+def pack(x, slot: int) -> int:
+    """The integer the digits of x (a `bytes`, or ints below 256) spell
+    in base 256^slot."""
+    if slot == 1:
+        return int.from_bytes(x, "little")
+    buf = bytearray(slot * len(x))
+    buf[::slot] = x
+    return int.from_bytes(buf, "little")
+
+
+class _PackedDigits:
+    """F_p digits (p < 256) kept in a `bytes`, one digit per slot of a
+    packed integer (Kronecker substitution).  Holds the translate
+    tables that bring a one-byte slot back to range(p) and negate a
+    digit string."""
+
+    def __init__(self, p):
+        if p > 255:
+            raise ValueError("packed digits need p < 256")
+        self.p = p
+        self._mod_p = bytes(i % p for i in range(256))
+        self._neg = bytes(-i % p for i in range(256))
+
+    def digits(self, n: int, k: int, slot: int) -> bytes:
+        """The k slots of a packed n, each reduced mod p."""
+        raw = n.to_bytes(k * slot, "little")
+        if slot == 1:
+            return raw.translate(self._mod_p)
+        return bytes(
+            int.from_bytes(raw[i:i + slot], "little") % self.p
+            for i in range(0, len(raw), slot)
+        )
+
+    def neg(self, x):
+        return x.translate(self._neg)
+
+
+class PackedQuotient(_PackedDigits):
     """F_p[x]/(m) on packed digits: the modular probe's arithmetic.
 
     An element is a `bytes` of length deg = deg(m), digit j the
@@ -111,58 +158,31 @@ class PackedQuotient:
     """
 
     def __init__(self, m, p):
-        if p > 255:
-            raise ValueError("packed digits need p < 256")
+        super().__init__(p)
         self.modulus = tuple(m)
-        self.p = p
         self.deg = deg = len(m) - 1
-        top = deg * (p - 1) ** 2 + (p - 1)
-        self.slot = (top.bit_length() + 7) // 8
+        self.slot = slot = slot_width(deg * (p - 1) ** 2 + (p - 1))
         self.zero = bytes(deg)
-        self._mod_p = bytes(i % p for i in range(256))
-        self._neg = bytes(-i % p for i in range(256))
         # x^(deg+j) mod m, j = 0..deg-2: the weights of the high digits
         # of a product
         self._red = tuple(
-            self.pack(self.element([0] * (deg + j) + [1]))
+            pack(self.element([0] * (deg + j) + [1]), slot)
             for j in range(deg - 1)
         )
         # c·x^deg mod m for c in range(p): where `shift_add` folds the
         # digit that a shift by x carries out of the top slot
         self._shift_fold = tuple(
-            self.pack(self.element([0] * deg + [c])) for c in range(p)
+            pack(self.element([0] * deg + [c]), slot) for c in range(p)
         )
-        self._slot_bits = 8 * self.slot
         self._frob = {}
 
     def element(self, coeffs):
         """The residue of a coefficient list (constant term first)."""
         return bytes(mod(coeffs, self.modulus, self.p))
 
-    def pack(self, x) -> int:
-        """The integer the digits of x spell in base 256^slot."""
-        if self.slot == 1:
-            return int.from_bytes(x, "little")
-        buf = bytearray(self.slot * len(x))
-        buf[::self.slot] = x
-        return int.from_bytes(buf, "little")
-
-    def digits(self, n: int, k: int) -> bytes:
-        """The k slots of a packed n, each reduced mod p."""
-        raw = n.to_bytes(k * self.slot, "little")
-        if self.slot == 1:
-            return raw.translate(self._mod_p)
-        w = self.slot
-        return bytes(
-            int.from_bytes(raw[i:i + w], "little") % self.p
-            for i in range(0, len(raw), w)
-        )
-
     def add(self, a, b):
-        return self.digits(self.pack(a) + self.pack(b), self.deg)
-
-    def neg(self, x):
-        return x.translate(self._neg)
+        slot = self.slot
+        return self.digits(pack(a, slot) + pack(b, slot), self.deg, slot)
 
     def shift_add(self, a, b):
         """x·a + b: the digits of a moved up one slot, the digit carried
@@ -171,26 +191,28 @@ class PackedQuotient:
         call.  Each slot then holds at most 3(p-1), which a slot wide
         enough for a product always holds.  With one-byte slots, the
         common case, `pack` and `digits` are written out in place."""
-        if self.slot == 1:
+        slot = self.slot
+        if slot == 1:
             return (
                 (int.from_bytes(a[:-1], "little") << 8)
                 + self._shift_fold[a[-1]]
                 + int.from_bytes(b, "little")
             ).to_bytes(self.deg, "little").translate(self._mod_p)
         return self.digits(
-            (self.pack(a[:-1]) << self._slot_bits)
+            (pack(a[:-1], slot) << 8 * slot)
             + self._shift_fold[a[-1]]
-            + self.pack(b),
+            + pack(b, slot),
             self.deg,
+            slot,
         )
 
     def mul(self, a, b):
         """One big-int product, then the high digits folded back with
         the packed x^(deg+j) mod m."""
-        deg = self.deg
-        d = self.digits(self.pack(a) * self.pack(b), 2 * deg - 1)
-        folded = sum(map(operator.mul, d[deg:], self._red), self.pack(d[:deg]))
-        return self.digits(folded, deg)
+        deg, slot = self.deg, self.slot
+        d = self.digits(pack(a, slot) * pack(b, slot), 2 * deg - 1, slot)
+        folded = sum(map(operator.mul, d[deg:], self._red), pack(d[:deg], slot))
+        return self.digits(folded, deg, slot)
 
     def frob(self, x, n: int):
         """x^(p^n).  The map is F_p-linear, so with ξ the class of the
@@ -200,11 +222,79 @@ class PackedQuotient:
         "Computing Frobenius maps and factoring polynomials", 1992)."""
         if not n:
             return x
+        slot = self.slot
         images = self._frob.get(n)
         if images is None:
             y = self.element(xpow_pk(n, self.modulus, self.p))
             powers = [self.element([1])]
             for _ in range(self.deg - 1):
                 powers.append(self.mul(powers[-1], y))
-            images = self._frob[n] = tuple(map(self.pack, powers))
-        return self.digits(sum(map(operator.mul, x, images)), self.deg)
+            images = self._frob[n] = tuple(pack(z, slot) for z in powers)
+        return self.digits(sum(map(operator.mul, x, images)), self.deg, slot)
+
+
+class PackedPoly(_PackedDigits):
+    """F_p[x] on packed digits: the exact ring the probe's quotient
+    has no modulus for.
+
+    An element is a `bytes`, digit j the coefficient of x^j, with no
+    trailing zero digit, so b"" is zero.  A sum, and the step x·a + b,
+    adds at most two digits per slot, 2(p-1), which sets `slot`: one
+    byte for p <= 128, two above.  A product is one big-int product
+    whose slots hold its largest coefficient sum, min(len a, len b)
+    products of two digits; a product by one digit is one
+    `bytes.translate`.  x ↦ x^(p^n) spreads the digits p^n apart, one
+    strided assignment.
+    """
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.slot = slot_width(2 * (p - 1))
+        self._times = {}
+
+    def add(self, a, b):
+        """One packed sum; with one-byte slots, the common case, `pack`
+        and `digits` are written out in place."""
+        slot, n = self.slot, max(len(a), len(b))
+        if slot == 1:
+            s = int.from_bytes(a, "little") + int.from_bytes(b, "little")
+            return s.to_bytes(n, "little").translate(self._mod_p).rstrip(b"\0")
+        return self.digits(pack(a, slot) + pack(b, slot), n, slot).rstrip(b"\0")
+
+    def theta_step(self, a, b):
+        """x·a + b: a one-slot shift of a, plus b."""
+        if not a:
+            return b
+        a = b"\0" + a
+        return self.add(a, b) if b else a
+
+    def mul(self, a, b):
+        if not a or not b:
+            return b""
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            return b.translate(self._scaled(a[0]))
+        # the leading digit is a product of two nonzero digits, so the
+        # product has no trailing zero
+        slot = slot_width(len(a) * (self.p - 1) ** 2)
+        return self.digits(
+            pack(a, slot) * pack(b, slot), len(a) + len(b) - 1, slot
+        )
+
+    def _scaled(self, c):
+        """The translate table of the product by the digit c."""
+        table = self._times.get(c)
+        if table is None:
+            p = self.p
+            table = self._times[c] = bytes(c * i % p for i in range(256))
+        return table
+
+    def frob(self, x, n: int):
+        """x^(p^n): digit i moves to i·p^n."""
+        if not n or not x:
+            return x
+        step = self.p ** n
+        out = bytearray((len(x) - 1) * step + 1)
+        out[::step] = x
+        return bytes(out)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 from array import array
 
+from . import fpx
 from .fields import FieldSpec
 
 
@@ -255,9 +256,7 @@ class Poly:
             return self
         step = self.field.q ** n
         out = [0] * (self.degree * step + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * step] = c
+        out[::step] = self.coeffs
         return Poly(self.field, out, self.var)
 
     # -- evaluation / conversion ------------------------------------------
@@ -312,6 +311,10 @@ def _kronecker_mul(a, b, p, terms):
 
 def _pack(coeffs, nb) -> int:
     """The integer whose little-endian nb-byte slots are `coeffs`."""
+    if isinstance(coeffs, (bytes, bytearray)):
+        # an array would read a bytes initializer as raw machine words;
+        # these are one-byte digits
+        return fpx.pack(coeffs, nb)
     w = 1 << (nb - 1).bit_length()
     words = array(_WORD[w], coeffs)
     if sys.byteorder == "big":

@@ -11,9 +11,16 @@ application of ρ_t is one θ-step θ·x + y per row (y the next coordinate
 of the block, or 0 at its end) and one product per τ-term.  Points live
 in a pluggable coefficient domain:
 
-* `ExactDomain` — coordinates in A = F_q[θ] (or F_q(θ)); fully rigorous
-  both ways, but repeated τ's raise degrees q-fold, so a non-torsion
-  point blows up quickly under a large annihilator.
+* `ExactDomain` — coordinates in A = F_q[θ] (or F_q(θ)) as `Poly` (or
+  `RatFrac`) objects; fully rigorous both ways, but repeated τ's raise
+  degrees q-fold, so a non-torsion point blows up quickly under a large
+  annihilator.  It serves every field and the polylogarithm points,
+  and the diagnostics (`TModule.entry`, `render`, `nilpotency_index`).
+* `PackedExactDomain` — the same ring A = F_p[θ] for prime p < 256 and
+  `Poly` coordinates, each a `bytes` of F_p digits
+  (`fpx.PackedPoly`): a sum is one packed sum, θ·x + y a one-digit
+  shift plus y, a product one big-int product and x ↦ x^{q^n} a
+  strided copy.  It confirms the probe's zeros exactly.
 * `ProbeDomain` — the image of A under θ ↦ ξ for ξ a root of an
   irreducible of chosen degree over F_p (prime q < 256 and `Poly`
   coordinates only).  The map is a ring homomorphism commuting with
@@ -24,9 +31,9 @@ in a pluggable coefficient domain:
   digit with the carried-out digit folded back, and x ↦ x^{q^n} a
   precomputed F_p-linear map (`fpx.PackedQuotient`).
 
-Both domains offer the same element operations (zero, is_zero, add, neg,
-mul, theta_step, scalar, frob, convert), so the operator code below
-never asks which domain it runs in.
+All three domains offer the same element operations (zero, is_zero,
+add, neg, mul, theta_step, scalar, frob, convert), so the operator code
+below never asks which domain it runs in.
 
 Annihilators are kept factored; factors are applied smallest degree
 first with an early exit as soon as the point dies.
@@ -39,7 +46,7 @@ from functools import lru_cache, partial
 from . import fpx
 from .carlitz import cache_for, theta_major
 from .fields import FieldSpec
-from .poly import Poly, RatFrac
+from .poly import Poly, RatFrac, not_a_code
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +111,9 @@ def _find_irreducible(p: int, deg: int, rng) -> tuple:
 
 
 def probe_supported(field: FieldSpec) -> bool:
-    """Whether the modular probe applies: prime q, and digits that fit
-    a byte.  Every other field is decided in exact arithmetic only."""
+    """Whether the modular probe, and the packed exact domain that
+    confirms its zeros, apply: prime q, and digits that fit a byte.
+    Every other field is decided in `Poly` arithmetic only."""
     return field.e == 1 and field.p < 256
 
 
@@ -152,13 +160,60 @@ class ProbeDomain:
         return x == self._zero
 
     def scalar(self, c):
-        """The constant c in F_p as a probe element."""
-        return self.ring.element([c % self.p])
+        """The constant with element code c in range(p) as a probe
+        element."""
+        if not 0 <= c < self.p:
+            raise not_a_code(self.field, c)
+        return self.ring.element([c])
 
     def convert(self, c):
         """Image of a Poly in θ: its coefficients reduced mod the
         probe modulus."""
         return self.ring.element(c.coeffs)
+
+    def convert_point(self, vec):
+        return [self.convert(x) for x in vec]
+
+
+class PackedExactDomain:
+    """A = F_p[θ] on packed digits (prime p < 256, `Poly` coordinates
+    only): the exact domain wherever the probe runs.
+
+    An element is a `bytes`, digit j the coefficient of θ^j, with no
+    trailing zero digit; b"" is zero.  It is `ExactDomain` on the same
+    coefficients (`convert` is `bytes(c.coeffs)`, and `Poly(field, x)`
+    converts back), with the arithmetic of `fpx.PackedPoly`: a sum is
+    one packed sum and one `bytes.translate`, θ·x + y a one-digit shift
+    plus y, a product one big-int product, and x ↦ x^(p^n) a strided
+    copy."""
+
+    def __init__(self, field: FieldSpec):
+        if not probe_supported(field):
+            raise ValueError("packed digits support prime q < 256 only")
+        self.field = field
+        self.p = field.p
+        ring = fpx.PackedPoly(self.p)
+        self.add = ring.add
+        self.neg = ring.neg
+        self.mul = ring.mul
+        self.theta_step = ring.theta_step
+        self.frob = ring.frob
+
+    def zero(self):
+        return b""
+
+    def is_zero(self, x):
+        return not x
+
+    def scalar(self, c):
+        """The constant with element code c in range(p)."""
+        if not 0 <= c < self.p:
+            raise not_a_code(self.field, c)
+        return bytes((c,)) if c else b""
+
+    def convert(self, c):
+        """The digits of a Poly in θ."""
+        return bytes(c.coeffs)
 
     def convert_point(self, vec):
         return [self.convert(x) for x in vec]

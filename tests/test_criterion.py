@@ -196,6 +196,34 @@ def test_witness_degree_within_annihilator_degree():
         assert w.degree <= ann.degree
 
 
+def test_torsion_is_confirmed_on_packed_digits_where_the_probe_runs(
+    monkeypatch,
+):
+    """A probe zero is confirmed in F_p[θ] on packed digits for prime
+    q < 256 and an integral point; an extension field and a
+    polylogarithm point are confirmed on `Poly` coordinates, with no
+    probe."""
+    seen = []
+    real = TModule.apply_annihilator
+
+    def spy(self, vec, factors, dom=None):
+        seen.append(type(dom).__name__)
+        return real(self, vec, factors, dom)
+
+    monkeypatch.setattr(TModule, "apply_annihilator", spy)
+    cases = [
+        (lambda: is_eulerian(field_for_q(3), (2, 4)),
+         ["ProbeDomain", "PackedExactDomain"]),
+        (lambda: is_eulerian(field_for_q(4), (3, 9)), ["ExactDomain"]),
+        (lambda: is_cmpl_eulerian(field_for_q(3), (2,), (1,)),
+         ["ExactDomain"]),
+    ]
+    for run, domains in cases:
+        seen.clear()
+        assert run().eulerian
+        assert seen == domains
+
+
 # -- polylogarithm variant ---------------------------------------------------
 
 def test_cmpl_depth_one_at_one_is_eulerian():

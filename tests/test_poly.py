@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffmzv.fields import field_for_q
-from ffmzv.poly import BiPoly, Poly, RatFrac, TwistError
+from ffmzv.poly import BiPoly, Poly, RatFrac, TwistError, _kronecker_mul
 
 
 def polys(q, max_deg=6):
@@ -69,6 +69,28 @@ def test_twist_is_ring_homomorphism(q, data):
     assert a.twist(n).twist(1) == a.twist(n + 1)
 
 
+def _loop_twist(a, n):
+    """f^(n) by the coefficient loop `Poly.twist` used to run: the
+    reference for its strided assignment."""
+    if n == 0 or a.is_zero():
+        return a
+    step = a.field.q ** n
+    out = [0] * (a.degree * step + 1)
+    for i, c in enumerate(a.coeffs):
+        if c:
+            out[i * step] = c
+    return Poly(a.field, out, a.var)
+
+
+@given(st.sampled_from([2, 3, 4, 9]), st.data())
+@settings(max_examples=80)
+def test_twist_matches_coefficient_loop(q, data):
+    a = data.draw(polys(q, 12))
+    n = data.draw(st.integers(0, 3))
+    assert a.twist(n) == _loop_twist(a, n)
+    assert a.twist(n).coeffs == _loop_twist(a, n).coeffs
+
+
 def test_twist_on_generator():
     F = field_for_q(3)
     th = Poly.gen(F)
@@ -104,6 +126,23 @@ def test_packed_mul_slots_do_not_overflow():
     F = field_for_q(251)
     a = Poly(F, [250] * 70000)
     assert (a * a)[69999] == 222
+
+
+def test_kronecker_mul_reads_bytes_as_digits():
+    """A `bytes` of F_p digits packs digit by digit also when a slot is
+    wider than one byte: 100 products of two digits at p=3 need 400,
+    two-byte slots.  An array reads a bytes initializer as raw machine
+    words, which once gave a wrong product here."""
+    import random
+
+    rng = random.Random(3)
+    a = [rng.randrange(3) for _ in range(100)]
+    b = [rng.randrange(3) for _ in range(100)]
+    want = _kronecker_mul(a, b, 3, 100)
+    assert _kronecker_mul(bytes(a), bytes(b), 3, 100) == want
+    assert _kronecker_mul(bytearray(a), b, 3, 100) == want
+    F = field_for_q(3)
+    assert Poly(F, want) == Poly(F, a) * Poly(F, b)
 
 
 @pytest.mark.parametrize("make", [

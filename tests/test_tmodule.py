@@ -5,10 +5,12 @@ import pytest
 
 from ffmzv import fpx
 from ffmzv.cli import enumerate_tuples
+from ffmzv.criterion import annihilator_mzv
 from ffmzv.fields import field_for_q
 from ffmzv.motive import Motive
 from ffmzv.poly import BiPoly, Poly, RatFrac
 from ffmzv.tmodule import (
+    PackedExactDomain,
     ProbeDomain,
     TModule,
     _probe_tables,
@@ -172,6 +174,87 @@ def test_probe_arithmetic_matches_schoolbook(p, deg, seed):
         horner = ref_mul(horner, [0, 1])
         horner = fpx.mod([(horner[0] + c) % p] + horner[1:], m, p)
     assert list(dom.convert(Poly(F, coeffs))) == horner
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda F: ProbeDomain(F, 7, 0), id="probe"),
+    pytest.param(PackedExactDomain, id="packed-exact"),
+])
+@pytest.mark.parametrize("c", [-1, 3, 5])
+def test_scalar_needs_an_element_code(make, c):
+    """A packed domain reads an int scalar as an element code in
+    range(p), never mod p: -1 and 5 are not the digit 2 at p=3."""
+    F = field_for_q(3)
+    dom = make(F)
+    with pytest.raises(ValueError, match="range"):
+        dom.scalar(c)
+    assert dom.scalar(2) == dom.convert(Poly.const(F, 2))
+
+
+# a product of two 300-digit elements sums up to 300 products of two
+# digits per slot: two bytes or more at every p below, and the sum of
+# two all-(p-1) elements needs two-byte slots from p = 131
+_LONG = 300
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 131, 251])
+def test_packed_exact_arithmetic_matches_poly(p):
+    """Every operation of the packed exact domain equals the `Poly`
+    operation (and a product the schoolbook one), on elements of
+    length 0 to 300 including the all-(p-1) ones, whose sums and
+    products fill the packed slots the most."""
+    assert fpx.slot_width(_LONG * (p - 1) ** 2) >= 2
+    F = field_for_q(p)
+    dom = PackedExactDomain(F)
+    rng = random.Random(p)
+    polys = [Poly.zero(F), Poly.one(F)]
+    polys += [Poly(F, [p - 1] * n) for n in (1, 7, _LONG)]
+    polys += [
+        Poly(F, [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)])
+        for n in (1, 5, 40, _LONG - 1)
+    ]
+    for a in polys:
+        x = dom.convert(a)
+        assert x == bytes(a.coeffs) and Poly(F, x) == a
+        assert dom.is_zero(x) == a.is_zero()
+        assert dom.neg(x) == dom.convert(-a)
+        assert dom.add(x, dom.neg(x)) == dom.zero()
+        # θ·a + b whose top digit cancels
+        assert dom.theta_step(x, dom.convert(-a.shift(1))) == dom.zero()
+        for n in range(3 if p < 10 else 2):
+            assert dom.frob(x, n) == dom.convert(a.twist(n)), n
+        for b in polys:
+            y = dom.convert(b)
+            assert dom.add(x, y) == dom.convert(a + b)
+            assert dom.theta_step(x, y) == dom.convert(a.shift(1) + b)
+            product = dom.mul(x, y)
+            assert product == dom.convert(a * b)
+            if a and b:
+                assert list(product) == fpx.mul(a.coeffs, b.coeffs, p)
+    for c in range(p):
+        assert dom.scalar(c) == dom.convert(Poly.const(F, c))
+
+
+@pytest.mark.parametrize("q,s", [
+    (2, (1, 1, 2)), (2, (2, 3, 4)), (2, (3, 5, 7)), (3, (2, 4, 6)),
+    (3, (6, 20)), (3, (10, 12)), (5, (4, 8, 12)), (7, (6, 12)),
+])
+def test_packed_residual_equals_poly_residual(q, s):
+    """The annihilator's residual on the multizeta point, computed on
+    packed digits, converts back to the `Poly` path's residual exactly:
+    zero on the torsion points (1,1,2) and (6,20), nonzero, up to 1251
+    digits, on the others."""
+    F = field_for_q(q)
+    motive = Motive(F, s)
+    tm = TModule.from_motive(motive)
+    v = motive.special_point_v()
+    factors = annihilator_mzv(F, s).factors
+    dom = PackedExactDomain(F)
+    packed = tm.apply_annihilator(v, factors, dom)
+    exact = tm.apply_annihilator(v, factors)
+    assert [Poly(F, x) for x in packed] == exact
+    assert packed == [bytes(c.coeffs) for c in exact]
+    assert tm.is_zero_point(packed, dom) == (s in ((1, 1, 2), (6, 20)))
 
 
 @pytest.mark.parametrize("p,seed,modulus", [
@@ -369,10 +452,11 @@ def _module(p, s):
 @pytest.mark.parametrize("p,s", _MODULES)
 def test_apply_matches_sparse_rows(p, s):
     """apply_t and apply_poly equal the generic sparse-row operator
-    exactly, in exact arithmetic and in the probe."""
+    exactly, in `Poly` arithmetic, in the probe and on packed exact
+    digits."""
     F, tm, entry = _module(p, s)
     rng = random.Random(repr((p, s)))
-    for dom in (tm.exact, ProbeDomain(F, 21, 0)):
+    for dom in (tm.exact, ProbeDomain(F, 21, 0), PackedExactDomain(F)):
         rows = _sparse_rows(entry, tm.d, dom)
         for _ in range(5):
             x = dom.convert_point(_random_point(F, tm.d, rng))
@@ -385,13 +469,14 @@ def test_apply_matches_sparse_rows(p, s):
 
 @pytest.mark.parametrize("p,s", _MODULES)
 def test_probe_apply_is_image_of_exact_apply(p, s):
-    """θ ↦ ξ commutes with ρ_t: converting ρ_t(x) equals applying ρ_t
-    to the converted x in the probe."""
+    """Converting into a packed domain commutes with ρ_t: converting
+    ρ_t(x) equals applying ρ_t to the converted x, in the probe (θ ↦ ξ,
+    a ring homomorphism) and on packed exact digits (the same ring)."""
     F, tm, _ = _module(p, s)
-    dom = ProbeDomain(F, 21, 0)
-    rng = random.Random(repr((p, s)))
-    for _ in range(5):
-        x = _random_point(F, tm.d, rng)
-        assert dom.convert_point(tm.apply_t(x)) == tm.apply_t(
-            dom.convert_point(x), dom
-        )
+    for dom in (ProbeDomain(F, 21, 0), PackedExactDomain(F)):
+        rng = random.Random(repr((p, s)))
+        for _ in range(5):
+            x = _random_point(F, tm.d, rng)
+            assert dom.convert_point(tm.apply_t(x)) == tm.apply_t(
+                dom.convert_point(x), dom
+            )
