@@ -8,7 +8,11 @@ first.  Moduli are monic.  Two rings keep their elements as byte digits
 `PackedQuotient` is the probe's quotient ring F_p[x]/(m), where a
 product is one big-int product and the Frobenius a precomputed
 F_p-linear map; `PackedPoly` is F_p[x] itself, where a sum is one
-packed sum and the Frobenius a strided copy.
+packed sum and the Frobenius a strided copy.  `PackedPoly.product` is
+also the A[t] product of `poly` and the product in u of the point
+reduction (`motive`).  A packed integer is read back to digits by a
+byte-sliced reduction (`_PackedDigits.digits`): one `bytes.translate`
+per byte of a slot and round, never a loop over the slots.
 """
 from __future__ import annotations
 
@@ -117,8 +121,16 @@ def pack(x, slot: int) -> int:
 class _PackedDigits:
     """F_p digits (p < 256) kept in a `bytes`, one digit per slot of a
     packed integer (Kronecker substitution).  Holds the translate
-    tables that bring a one-byte slot back to range(p) and negate a
-    digit string."""
+    tables that bring a slot back to range(p) and negate a digit
+    string.
+
+    A slot of w bytes is reduced byte-sliced: byte j of every slot is
+    one strided slice of the packed bytes, and one `translate` maps it
+    to b·256^j mod p.  The w results, each below p, are summed as one
+    integer, in one-byte slots when w·(p-1) fits a byte and in
+    two-byte slots otherwise, and a two-byte sum is sliced the same way
+    again, until a last `translate` takes one-byte slots to range(p).
+    The rounds follow from p and w alone (`_rounds`)."""
 
     def __init__(self, p):
         if p > 255:
@@ -126,15 +138,51 @@ class _PackedDigits:
         self.p = p
         self._mod_p = bytes(i % p for i in range(256))
         self._neg = bytes(-i % p for i in range(256))
+        self._plans = {}
+
+    def _rounds(self, slot):
+        """The rounds that take `slot`-byte slots to one-byte slots: a
+        list of (w, lanes, width), w the slot width read, lanes the
+        (j, table) of every byte j whose table b ↦ b·256^j mod p is not
+        all zero (only byte 0 counts at p = 2), and width the slot
+        width of their sum.  A round bounds that sum by the largest
+        table entries the bytes of the previous bound reach; rounds go
+        on while the bound exceeds a byte."""
+        plan = self._plans.get(slot)
+        if plan is None:
+            p = self.p
+            plan, w, top = [], slot, 256 ** slot - 1
+            while w > 1:
+                lanes = [
+                    (j, bytes(b * 256 ** j % p for b in range(256)))
+                    for j in range(w)
+                ]
+                lanes = [(j, t) for j, t in lanes if any(t)]
+                top = sum(max(t[:min(255, top >> 8 * j) + 1]) for j, t in lanes)
+                width = slot_width(top)
+                plan.append((w, lanes, width))
+                w = width
+            self._plans[slot] = plan
+        return plan
 
     def digits(self, n: int, k: int, slot: int) -> bytes:
         """The k slots of a packed n, each reduced mod p."""
         raw = n.to_bytes(k * slot, "little")
-        if slot == 1:
-            return raw.translate(self._mod_p)
-        return bytes(
-            int.from_bytes(raw[i:i + slot], "little") % self.p
-            for i in range(0, len(raw), slot)
+        for w, lanes, width in self._rounds(slot):
+            raw = sum(
+                pack(raw[j::w].translate(t), width) for j, t in lanes
+            ).to_bytes(k * width, "little")
+        return raw.translate(self._mod_p)
+
+    def product(self, a, b, terms: int) -> bytes:
+        """The digits of the product of two digit strings, by one
+        big-int product: at most `terms` products of two digits add up
+        in one coefficient, which sets the slot width.  All
+        len(a) + len(b) - 1 digits are returned, trailing zeros
+        included."""
+        slot = slot_width(terms * (self.p - 1) ** 2)
+        return self.digits(
+            pack(a, slot) * pack(b, slot), len(a) + len(b) - 1, slot
         )
 
     def neg(self, x):
@@ -153,8 +201,8 @@ class PackedQuotient(_PackedDigits):
     deg·(p-1)^2 + (p-1), which sets `slot`: one byte for p <= 3 at
     degree 21.  A product by x alone (`shift_add`) needs no big-int
     product: it is a one-slot shift and one folded digit, at most
-    3(p-1) per slot.  Digits are brought back to range(p) per slot, by
-    one `bytes.translate` when a slot is one byte.
+    3(p-1) per slot.  Digits are brought back to range(p) per slot by
+    the byte-sliced `digits`.
     """
 
     def __init__(self, m, p):
@@ -166,19 +214,31 @@ class PackedQuotient(_PackedDigits):
         # x^(deg+j) mod m, j = 0..deg-2: the weights of the high digits
         # of a product
         self._red = tuple(
-            pack(self.element([0] * (deg + j) + [1]), slot)
+            pack(bytes(mod([0] * (deg + j) + [1], m, p)), slot)
             for j in range(deg - 1)
         )
         # c·x^deg mod m for c in range(p): where `shift_add` folds the
         # digit that a shift by x carries out of the top slot
         self._shift_fold = tuple(
-            pack(self.element([0] * deg + [c]), slot) for c in range(p)
+            pack(bytes(mod([0] * deg + [c], m, p)), slot) for c in range(p)
         )
         self._frob = {}
 
     def element(self, coeffs):
-        """The residue of a coefficient list (constant term first)."""
-        return bytes(mod(coeffs, self.modulus, self.p))
+        """The residue of a coefficient list (constant term first,
+        digits in range(p)).  A list longer than deg is cut into
+        deg-digit chunks and folded from the top by Horner's rule in
+        x^deg mod m: each step is one big-int product of the packed
+        accumulator and x^deg mod m plus the next chunk, at most
+        deg·(p-1)^2 + (p-1) per slot, reduced like a product."""
+        deg, slot = self.deg, self.slot
+        x = bytes(coeffs)
+        top = max(len(x) - 1, 0) // deg * deg
+        acc = x[top:]
+        xdeg = self._shift_fold[1]
+        for i in range(top - deg, -1, -deg):
+            acc = self._fold(pack(acc, slot) * xdeg + pack(x[i:i + deg], slot))
+        return acc.ljust(deg, b"\0")
 
     def add(self, a, b):
         slot = self.slot
@@ -207,10 +267,15 @@ class PackedQuotient(_PackedDigits):
         )
 
     def mul(self, a, b):
-        """One big-int product, then the high digits folded back with
-        the packed x^(deg+j) mod m."""
+        """One big-int product, reduced by `_fold`."""
+        slot = self.slot
+        return self._fold(pack(a, slot) * pack(b, slot))
+
+    def _fold(self, n):
+        """The residue of a packed n of 2·deg - 1 slots: its digits, the
+        high ones folded back with the packed x^(deg+j) mod m."""
         deg, slot = self.deg, self.slot
-        d = self.digits(pack(a, slot) * pack(b, slot), 2 * deg - 1, slot)
+        d = self.digits(n, 2 * deg - 1, slot)
         folded = sum(map(operator.mul, d[deg:], self._red), pack(d[:deg], slot))
         return self.digits(folded, deg, slot)
 
@@ -277,10 +342,7 @@ class PackedPoly(_PackedDigits):
             return b.translate(self._scaled(a[0]))
         # the leading digit is a product of two nonzero digits, so the
         # product has no trailing zero
-        slot = slot_width(len(a) * (self.p - 1) ** 2)
-        return self.digits(
-            pack(a, slot) * pack(b, slot), len(a) + len(b) - 1, slot
-        )
+        return self.product(a, b, len(a))
 
     def _scaled(self, c):
         """The translate table of the product by the digit c."""

@@ -25,25 +25,254 @@ trade the g-part for terms one σ-level up via
              + γ·m_ℓ,
 
 until every coefficient has t-degree < w_ℓ and drops into the σ-basis.
-The split and the final expansion in powers of (t-θ) are Taylor shifts
-f(t) ↦ f(u±θ), closed-form in characteristic p
-(`BiPoly.divrem_tm_theta`, `BiPoly.expand_tm_theta`).
+Every term stays in the (t-θ)-adic basis u = t-θ from seed to finish,
+so the split is a slice and a finished coefficient of u^j is the
+coefficient of its row.  A seed given in t is expanded once (the Taylor
+shift f(t) ↦ f(u+θ), `BiPoly.expand_tm_theta`), each Q_ℓ once per
+motive, and the ρ_t seed (t-θ)^{w_ℓ} is u^{w_ℓ} as it stands.  The
+twist keeps t and raises θ to θ^q, so g^{(1)} is the twist of the
+coefficients of g followed by the Taylor shift by θ - θ^q; in
+characteristic p that shift is Horner's rule in u^m + θ^m - θ^{qm}
+for m a power of p (`poly.taylor_shift`).  Products are plain products
+in u.
 A term finishing at σ-level n with (t-θ)-expansion coefficient a_j
 contributes a_j·τ^n at its row when collecting the operator, and plainly
 a_j when collecting a point (the σ-level cancels against the q^n-th
 power in the quotient map, so points never see it).
+
+The worklist runs over one of two coefficient domains, like
+`tmodule.TModule.apply_t`: packed F_p digits (`_PackedTerms`) for prime
+q < 256 and integral coefficients, `BiPoly` terms in u with `Poly` or
+`RatFrac` coefficients (`_PolyTerms`) for every other field and for
+the polylogarithm motives.
 """
 from __future__ import annotations
 
+from . import fpx
 from .carlitz import cache_for
 from .fields import FieldSpec
-from .poly import BiPoly, Poly, RatFrac
+from .poly import BiPoly, Poly, RatFrac, packed_ring, taylor_shift
+from .tmodule import probe_supported
 
 _BUDGET = 10 ** 6
 
 
 class ReductionBudgetError(RuntimeError):
     """The worklist exceeded its step budget (should never happen)."""
+
+
+class _PolyTerms:
+    """A[u] (or k[u]), u = t-θ, as `BiPoly` terms whose variable is u:
+    the worklist's domain for extension fields, p >= 256 and rational
+    attached polynomials."""
+
+    def __init__(self, field: FieldSpec, rational: bool):
+        self.field = field
+        self.rational = rational
+        self._minus_one = field.neg(1)
+        self._twist_shift = ((1, 1), (self._minus_one, field.q))
+
+    def expand(self, f):
+        """The u-basis term of a `BiPoly` in t."""
+        return BiPoly(self.field, f.expand_tm_theta(), self.rational)
+
+    def u_power(self, w):
+        zero = RatFrac.zero(self.field) if self.rational else Poly.zero(self.field)
+        one = RatFrac.one(self.field) if self.rational else Poly.one(self.field)
+        return BiPoly(self.field, [zero] * w + [one], self.rational)
+
+    def rows(self, f):
+        return len(f.coeffs)
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, f):
+        return f.scale(self._minus_one)
+
+    def split(self, f, w):
+        """(γ, g) with f = γ + u^w·g and fewer than w rows in γ."""
+        return (
+            BiPoly(self.field, f.coeffs[:w], self.rational),
+            BiPoly(self.field, f.coeffs[w:], self.rational),
+        )
+
+    def twist(self, g):
+        """g^{(1)} in the u-basis: the twisted coefficients shifted by
+        θ - θ^q."""
+        return BiPoly(
+            self.field,
+            taylor_shift(
+                self.field, [c.twist(1) for c in g.coeffs], self._twist_shift
+            ),
+            self.rational,
+        )
+
+    def coeffs(self, f):
+        """(j, a) for every nonzero coefficient a of u^j."""
+        return [(j, a) for j, a in enumerate(f.coeffs) if a]
+
+    def add_coeff(self, a, b):
+        return a + b
+
+    def export(self, a):
+        return a
+
+
+class _PackedTerms:
+    """A[u], u = t-θ, on packed F_p digits (prime p < 256, integral
+    coefficients): the worklist's domain wherever the probe runs.
+
+    A term is a pair (x, W): x a `bytes` whose digit i·W + j is the
+    coefficient of θ^j·u^i, trailing zero digits dropped, and W a row
+    width above every θ-degree of the term, so x spells the term at
+    u = θ^W (Kronecker substitution).  A sum is one packed sum, a
+    product in u one Kronecker product (`fpx.PackedPoly.product`) at
+    the width of the two widths' sum, the twist a strided copy
+    (`fpx.PackedPoly.frob`) followed by a Taylor shift whose Horner
+    steps are packed sums (`_shift`).  A coefficient of the result is
+    a `bytes` of `fpx.PackedPoly`.
+    """
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.p = p = field.p
+        self.ring = ring = packed_ring(p)
+        self.add_coeff = ring.add
+        self._twist_shift = ((1, 1), (field.neg(1), p))
+
+    def expand(self, f):
+        """The u-basis term of a `BiPoly` in t."""
+        if not f.coeffs:
+            return b"", 1
+        # the shift by θ raises a θ-degree by at most deg_t f
+        width = f.theta_degree() + len(f.coeffs)
+        buf = bytearray(len(f.coeffs) * width)
+        for i, c in enumerate(f.coeffs):
+            buf[i * width:i * width + len(c.coeffs)] = c.coeffs
+        return self._shift(bytes(buf), width, ((1, 1),))
+
+    def u_power(self, w):
+        return bytes(w) + b"\1", 1
+
+    def rows(self, f):
+        x, width = f
+        return -(-len(x) // width)
+
+    def add(self, a, b):
+        (x, wa), (y, wb) = a, b
+        width = max(wa, wb)
+        return self.ring.add(
+            _relayout(x, wa, width), _relayout(y, wb, width)
+        ), width
+
+    def mul(self, a, b):
+        """One Kronecker product: the θ-degrees of a product stay below
+        wa + wb - 1, and a coefficient sums at most
+        min(rows)·min(wa, wb) products of two digits."""
+        (x, wa), (y, wb) = a, b
+        if not x or not y:
+            return b"", 1
+        width = wa + wb - 1
+        terms = min(self.rows(a), self.rows(b)) * min(wa, wb)
+        return _tighten(self.ring.product(
+            _relayout(x, wa, width), _relayout(y, wb, width), terms
+        ), width)
+
+    def neg(self, f):
+        return self.ring.neg(f[0]), f[1]
+
+    def split(self, f, w):
+        """(γ, g) with f = γ + u^w·g and fewer than w rows in γ."""
+        x, width = f
+        return (x[:w * width].rstrip(b"\0"), width), _tighten(x[w * width:], width)
+
+    def twist(self, g):
+        """g^{(1)} in the u-basis: θ^j ↦ θ^{pj} spreads the digits p
+        apart, in rows of width p·W, then the shift by θ - θ^p."""
+        x, width = g
+        p, rows = self.p, self.rows(g)
+        # the shift by θ - θ^p raises a θ-degree by at most p·(rows - 1)
+        wide = p * (width + rows - 2) + 1
+        y = _relayout(self.ring.frob(x, 1), p * width, wide)
+        return self._shift(y, wide, self._twist_shift)
+
+    def _shift(self, x, width, shift):
+        """f(u + c) for f the rows of x, c = Σ a·θ^e over the pairs
+        (a, e) in `shift` as in `poly.taylor_shift`: its Taylor shift,
+        each level m = 1, p, p^2, ... run at once on every group of p
+        blocks of m rows.  Returns the term, in rows of its largest
+        θ-degree plus one.
+
+        In place, the Horner step acc <- B_k + (u^m + c^m)·acc of a
+        group leaves acc where it lies, which is u^m·acc seen from block
+        k, and adds c^m·acc moved one block down: the blocks above k of
+        every group are masked out, moved down one block, shifted by
+        e·m digits and times a per monomial, and added to the whole:
+        one packed sum of at most (p-1)·(1 + Σ a) per slot and one
+        `digits` call per step.  `width` must exceed every θ-degree of
+        the result."""
+        p = self.p
+        slot = fpx.slot_width((p - 1) * (1 + sum(a for a, _ in shift)))
+        rows = -(-len(x) // width)
+        n = rows * width
+        unit = b"\xff" * slot
+        m = 1
+        while m < rows:
+            block = m * width
+            groups = -(-rows // (p * m))
+            down = 8 * slot * block
+            # blocks at and above rows / m are empty
+            for k in range(min(p, -(-rows // m)) - 2, -1, -1):
+                above = bytes(slot * (k + 1) * block) + unit * ((p - 1 - k) * block)
+                mask = int.from_bytes(above * groups, "little")
+                acc = fpx.pack(x, slot)
+                top = (acc & mask) >> down
+                for c, e in shift:
+                    acc += top * c << 8 * slot * e * m
+                x = self.ring.digits(acc, n, slot)
+            m *= p
+        return _tighten(x, width)
+
+    def coeffs(self, f):
+        """(j, a) for every nonzero coefficient a of u^j."""
+        x, width = f
+        out = []
+        for i in range(0, len(x), width):
+            a = x[i:i + width].rstrip(b"\0")
+            if a:
+                out.append((i // width, a))
+        return out
+
+    def export(self, a):
+        return Poly(self.field, a)
+
+
+def _tighten(x, width):
+    """The digits x, in rows of `width`, laid out again in rows of the
+    largest θ-degree plus one, trailing zeros dropped: big-int sizes
+    then follow the degrees found, which are often far below their
+    bounds."""
+    rows = [x[i:i + width].rstrip(b"\0") for i in range(0, len(x), width)]
+    tight = max(map(len, rows), default=1)
+    if tight == width:
+        return x.rstrip(b"\0"), width
+    return b"".join(r.ljust(tight, b"\0") for r in rows).rstrip(b"\0"), tight
+
+
+def _relayout(x, w, width):
+    """The digits x, in rows of w digits, laid out in rows of width."""
+    if w == width or not x:
+        return x
+    out = bytearray(-(-len(x) // w) * width)
+    for i in range(0, len(x), w):
+        row = x[i:i + w]
+        j = i // w * width
+        out[j:j + len(row)] = row
+    return bytes(out)
 
 
 class Motive:
@@ -76,6 +305,7 @@ class Motive:
         self.weights = [sum(s[i:]) for i in range(self.r)]
         self.d = sum(self.weights)
         self._offsets = [sum(self.weights[:i]) for i in range(self.r)]
+        self._dom = None
 
     # -- indexing ----------------------------------------------------------
     def row(self, ell: int, j: int) -> int:
@@ -86,73 +316,97 @@ class Motive:
         return self._offsets[ell - 1] + (w - 1 - j)
 
     # -- the reduction worklist -------------------------------------------
-    def reduce(self, seeds):
-        """Drive terms (n, f, ℓ) to the σ-basis.
+    def domain(self):
+        """The worklist's coefficient domain, built on first use together
+        with the u-basis Q_1, ..., Q_{r-1} that the telescoping
+        multiplies by."""
+        if self._dom is None:
+            if probe_supported(self.field) and not self.rational:
+                dom = _PackedTerms(self.field)
+            else:
+                dom = _PolyTerms(self.field, self.rational)
+            self._uq = [dom.expand(self._as_bipoly(q)) for q in self.Q[:-1]]
+            self._dom = dom
+        return self._dom
 
-        Returns finished contributions as a list of (n, coeff, row)
-        triples with coeff in the coefficient ring of the motive.
-        """
+    def _worklist(self, terms):
+        """Drive u-basis terms (n, f, ℓ) to the σ-basis, yielding the
+        finished contributions (n, a, row), a a coefficient of the
+        domain; one (n, row) may come more than once."""
+        dom = self.domain()
         pending = {}
 
         def push(n, f, ell):
             key = (n, ell)
-            if key in pending:
-                pending[key] = pending[key] + f
-            else:
-                pending[key] = f
+            pending[key] = dom.add(pending[key], f) if key in pending else f
 
-        for n, f, ell in seeds:
+        for n, f, ell in terms:
             push(n, f, ell)
 
-        finished = []
         budget = _BUDGET
         while pending:
             budget -= 1
             if budget < 0:
                 raise ReductionBudgetError("reduction exceeded step budget")
             # largest (ℓ, deg_t) first, so merged terms split only once
-            key = max(pending, key=lambda k: (k[1], pending[k].deg_t))
+            key = max(pending, key=lambda k: (k[1], dom.rows(pending[k])))
             n, ell = key
             f = pending.pop(key)
-            if f.is_zero():
-                continue
             w = self.weights[ell - 1]
-            if f.deg_t < w:
-                for j, a in enumerate(f.expand_tm_theta()):
-                    if not a.is_zero():
-                        finished.append((n, a, self.row(ell, j)))
-                continue
-            g, gamma = f.divrem_tm_theta(w)
-            if not gamma.is_zero():
-                push(n, gamma, ell)
-            for tn, tf, tl in self.telescope_expand(g, ell):
-                push(n + tn, tf, tl)
-        return finished
+            if dom.rows(f) > w:
+                f, g = dom.split(f, w)
+                for tn, tf, tl in self.telescope_expand(g, ell):
+                    push(n + tn, tf, tl)
+            for j, a in dom.coeffs(f):
+                yield n, a, self.row(ell, j)
 
     def telescope_expand(self, g, ell: int):
-        """One telescoping step: the terms replacing g·(t-θ)^{w_ℓ}·m_ℓ,
-        all at σ-level 1 relative to the input and with no inverse
-        twists: (1, g^{(1)}, ℓ) plus alternating-sign products of the
-        attached polynomials walking down to block 1."""
-        g1 = g.twist(1)
+        """One telescoping step on a u-basis term of the domain: the
+        terms replacing u^{w_ℓ}·g·m_ℓ, all at σ-level 1 relative to the
+        input and with no inverse twists: (1, g^{(1)}, ℓ) plus
+        alternating-sign products of the attached polynomials walking
+        down to block 1."""
+        dom = self.domain()
+        g1 = dom.twist(g)
         out = [(1, g1, ell)]
         prod = g1
-        minus_one = self.field.neg(1)
         for i in range(1, ell):
-            prod = prod * self._as_bipoly(self.Q[ell - 1 - i])
-            out.append((1, prod.scale(minus_one) if i % 2 else prod, ell - i))
+            prod = dom.mul(prod, self._uq[ell - 1 - i])
+            out.append((1, dom.neg(prod) if i % 2 else prod, ell - i))
         return out
+
+    def _collect(self, terms, key):
+        """The worklist's contributions summed per key(n, row) in the
+        domain, zeros dropped, converted to the motive's coefficients."""
+        dom = self.domain()
+        acc = {}
+        for n, a, row in self._worklist(terms):
+            k = key(n, row)
+            acc[k] = dom.add_coeff(acc[k], a) if k in acc else a
+        return {k: dom.export(a) for k, a in acc.items() if a}
+
+    def _expand_seeds(self, seeds):
+        dom = self.domain()
+        return [(n, dom.expand(f), ell) for n, f, ell in seeds]
+
+    def reduce(self, seeds):
+        """Drive seeds (n, f, ℓ), f a `BiPoly` in t, to the σ-basis.
+
+        Returns the finished contributions as (n, coeff, row) triples,
+        one per σ-level and row, coeff a nonzero element of the
+        coefficient ring of the motive.
+        """
+        got = self._collect(self._expand_seeds(seeds), lambda n, row: (n, row))
+        return [(n, a, row) for (n, row), a in got.items()]
 
     # -- collectors --------------------------------------------------------
     def reduce_point(self, seeds):
         """Coordinates in the σ-basis, σ-levels discarded."""
+        got = self._collect(self._expand_seeds(seeds), lambda n, row: row)
         zero = (
             RatFrac.zero(self.field) if self.rational else Poly.zero(self.field)
         )
-        coords = [zero] * self.d
-        for _n, a, row in self.reduce(seeds):
-            coords[row] = coords[row] + a
-        return coords
+        return [got.get(row, zero) for row in range(self.d)]
 
     def rho_t_entries(self):
         """The τ-terms of ρ_t: per block ℓ, the list of (row, n, c) with
@@ -161,18 +415,17 @@ class Motive:
 
         t·(t-θ)^j m_ℓ = θ·(t-θ)^j m_ℓ + (t-θ)^{j+1} m_ℓ, so the rest of
         ρ_t is θ·I plus the in-block shift ν_{(ℓ,j)} → ν_{(ℓ,j+1)}.
-        Only in the top column does (t-θ)^{w_ℓ} leave the σ-basis; its
-        first split telescopes it whole, so every n is >= 1.
+        Only in the top column does (t-θ)^{w_ℓ} = u^{w_ℓ} leave the
+        σ-basis; its first split telescopes it whole, so every n is
+        >= 1.
         """
+        dom = self.domain()
         blocks = []
         for ell, w in enumerate(self.weights, 1):
-            f = BiPoly.t_minus_theta(self.field, self.rational) ** w
-            slot = {}
-            for n, a, row in self.reduce([(0, f, ell)]):
-                slot[row, n] = slot[row, n] + a if (row, n) in slot else a
-            blocks.append(
-                [(row, n, a) for (row, n), a in slot.items() if not a.is_zero()]
+            got = self._collect(
+                [(0, dom.u_power(w), ell)], lambda n, row: (row, n)
             )
+            blocks.append([(row, n, a) for (row, n), a in got.items()])
         return blocks
 
     # -- distinguished points ---------------------------------------------

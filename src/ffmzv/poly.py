@@ -4,9 +4,13 @@ Frobenius twisting that the reduction engine relies on.
 
 Over a prime field a large product in F_q[θ], and every product in
 A[t], is one big-integer product (Kronecker substitution,
-`_kronecker_mul`).  The (t-θ)-adic expansion is the Taylor shift
-f(t) ↦ f(u+θ), done in closed form with (u+θ)^{p^k} = u^{p^k} + θ^{p^k}:
-θ-shifts and additions only (`_taylor_shift`).
+`_kronecker_mul`); for p < 256 the digits are packed by `fpx.pack` and
+read back by the byte-sliced `fpx` reduction, the same product the
+point reduction runs on its packed terms.  The (t-θ)-adic expansion is
+the Taylor shift f(t) ↦ f(u+θ), and the twist of a polynomial kept in
+the (t-θ)-adic basis the shift of its twisted coefficients by θ - θ^q,
+both in closed form with (u+c)^{p^k} = u^{p^k} + c^{p^k}: θ-shifts and
+additions only (`taylor_shift`).
 
 A `Poly` is a dense univariate polynomial with coefficients in a
 `FieldSpec` (ints in range(q)).  The zero polynomial has an empty
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from functools import lru_cache
 
 from . import fpx
 from .fields import FieldSpec
@@ -297,13 +302,22 @@ class Poly:
 _WORD = {array(code).itemsize: code for code in "BHILQ"}
 
 
+# the packed F_p[x] ring of each p < 256, built on first use and shared
+# by the A[t] product and the point reduction (`motive`)
+packed_ring = lru_cache(maxsize=None)(fpx.PackedPoly)
+
+
 def _kronecker_mul(a, b, p, terms):
     """The product of two sequences of F_p coefficients (constant term
     first) by Kronecker substitution: each is packed into one integer,
     a coefficient to a slot of nb bytes, and one big-int product is
     unpacked.  At most `terms` products add up in one coefficient, so a
     slot holds at most (p-1)^2·terms; nb is the least byte count for
-    that, and no slot carries into the next."""
+    that, and no slot carries into the next.  For p < 256 this is
+    `fpx.PackedPoly.product` (byte digits, the byte-sliced reduction),
+    which returns a `bytes`; the array words below serve p >= 256."""
+    if p < 256:
+        return packed_ring(p).product(a, b, terms)
     nb = (((p - 1) ** 2 * terms).bit_length() + 7) // 8
     prod = _pack(a, nb) * _pack(b, nb)
     return _unpack(prod, len(a) + len(b) - 1, nb, p)
@@ -311,10 +325,6 @@ def _kronecker_mul(a, b, p, terms):
 
 def _pack(coeffs, nb) -> int:
     """The integer whose little-endian nb-byte slots are `coeffs`."""
-    if isinstance(coeffs, (bytes, bytearray)):
-        # an array would read a bytes initializer as raw machine words;
-        # these are one-byte digits
-        return fpx.pack(coeffs, nb)
     w = 1 << (nb - 1).bit_length()
     words = array(_WORD[w], coeffs)
     if sys.byteorder == "big":
@@ -457,9 +467,7 @@ class BiPoly:
     Over a prime field with integral coefficients a product packs
     θ^j·t^i at slot i·W + j, W the sum of the factors' θ-degrees plus
     one, and is one big-int product.  The (t-θ)-adic expansion is the
-    Taylor shift f(u+θ), and the rebuild from (t-θ)-basis coefficients
-    the shift by -θ; division with remainder by (t-θ)^e is one of each.
-    All of it is exact over the coefficient ring.
+    Taylor shift f(u+θ), exact over the coefficient ring.
     """
 
     __slots__ = ("field", "coeffs", "rational")
@@ -621,24 +629,14 @@ class BiPoly:
             return self
         return BiPoly(self.field, [c.twist(n) for c in self.coeffs], self.rational)
 
-    # -- (t-θ)-adic primitives ---------------------------------------------
-    def divrem_tm_theta(self, e: int):
-        """f = g*(t-θ)^e + γ with deg_t γ < e, all exact.  Returns (g, γ)."""
-        if e < 1:
-            raise ValueError("exponent must be >= 1")
-        coeffs = self.expand_tm_theta()
-        low, high = coeffs[:e], coeffs[e:]
-        g = _from_tm_theta_basis(self.field, high, self.rational)
-        gamma = _from_tm_theta_basis(self.field, low, self.rational)
-        return g, gamma
-
+    # -- (t-θ)-adic expansion ----------------------------------------------
     def expand_tm_theta(self):
         """Coefficients (a_0, a_1, ...) with f = Σ a_j (t-θ)^j, that is
         the coefficients of f(u+θ) in u.
 
         Length is deg_t + 1 (empty for the zero polynomial).
         """
-        return _taylor_shift(self.field, self.coeffs, 1)
+        return taylor_shift(self.field, self.coeffs, ((1, 1),))
 
     # -- rendering ---------------------------------------------------------
     def __str__(self):
@@ -666,22 +664,22 @@ class BiPoly:
         return f"BiPoly({self!s})"
 
 
-def _from_tm_theta_basis(field, coeffs, rational):
-    """Rebuild Σ a_j (t-θ)^j from its (t-θ)-basis coefficients a_j: the
-    Taylor shift by -θ."""
-    return BiPoly(field, _taylor_shift(field, coeffs, field.neg(1)), rational)
+def taylor_shift(field, coeffs, shift):
+    """The coefficients of g(u) = f(u + c), for f = Σ coeffs[i]·u^i
+    over A or k and c = Σ a·θ^e over the pairs (a, e) in `shift`, every
+    a in the prime field F_p; same length as `coeffs`.  The (t-θ)-adic
+    expansion is the shift by θ, ((1, 1),); the twist of a
+    (t-θ)-basis polynomial is the shift by θ - θ^q,
+    ((1, 1), (field.neg(1), q)), of its twisted coefficients, since
+    t - θ^q = (t - θ) + θ - θ^q.
 
-
-def _taylor_shift(field, coeffs, c):
-    """The coefficients of g(u) = f(u + c·θ), for f = Σ coeffs[i]·t^i over
-    A or k and c = ±1 in F_q; same length as `coeffs`.
-
-    In characteristic p, (u + cθ)^m = u^m + c^m·θ^m for m a power of p.
-    Cut f into blocks f_k of m coefficients, m the largest power of p
-    below its length, so f = Σ t^{km} f_k: then g is Horner's rule in
-    u^m + c^m·θ^m over the shifted blocks, and the only operations are
-    θ-shifts and additions (von zur Gathen–Gerhard, "Fast algorithms
-    for Taylor shifts and certain difference equations", ISSAC 1997).
+    In characteristic p, (u + c)^m = u^m + c^m for m a power of p, and
+    c^m = Σ a·θ^{e·m}, as a^p = a.  Cut f into blocks f_k of m
+    coefficients, m the largest power of p below its length, so
+    f = Σ u^{km} f_k: then g is Horner's rule in u^m + c^m over the
+    shifted blocks, and the only operations are θ-shifts and additions
+    (von zur Gathen–Gerhard, "Fast algorithms for Taylor shifts and
+    certain difference equations", ISSAC 1997).
     """
     n = len(coeffs)
     if n < 2:
@@ -689,24 +687,28 @@ def _taylor_shift(field, coeffs, c):
     m = 1
     while m * field.p < n:
         m *= field.p
-    cm = c if m % 2 else 1
     blocks = [
-        _taylor_shift(field, coeffs[i:i + m], c) for i in range(0, n, m)
+        taylor_shift(field, coeffs[i:i + m], shift) for i in range(0, n, m)
     ]
     acc = blocks.pop()
     for low in reversed(blocks):
-        # acc <- low + (u^m + c^m·θ^m)·acc
+        # acc <- low + (u^m + c^m)·acc
         out = low + acc
         for i, a in enumerate(acc):
             if not a.is_zero():
-                out[i] = out[i] + _theta_power_mul(a, m, cm)
+                out[i] = out[i] + _shift_power_mul(a, m, shift)
         acc = out
     return acc
 
 
-def _theta_power_mul(a, m, c):
-    """c·θ^m·a for a in A or k and c in F_q.  A fraction comes back
-    unreduced: the one caller adds it to another, and the sum reduces."""
+def _shift_power_mul(a, m, shift):
+    """c^m·a = Σ a'·θ^{e·m}·a over the pairs (a', e) of `shift`, for a
+    in A or k.  A fraction comes back unreduced: the one caller adds it
+    to another, and the sum reduces."""
     if isinstance(a, RatFrac):
-        return RatFrac(a.num.shift(m).scale(c), a.den, reduce=False)
-    return a.shift(m).scale(c)
+        return RatFrac(_shift_power_mul(a.num, m, shift), a.den, reduce=False)
+    out = None
+    for c, e in shift:
+        term = a.shift(e * m).scale(c)
+        out = term if out is None else out + term
+    return out

@@ -168,7 +168,7 @@ class ProbeDomain:
 
     def convert(self, c):
         """Image of a Poly in θ: its coefficients reduced mod the
-        probe modulus."""
+        probe modulus, deg digits at a time (`PackedQuotient.element`)."""
         return self.ring.element(c.coeffs)
 
     def convert_point(self, vec):

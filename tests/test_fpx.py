@@ -41,3 +41,36 @@ def test_xpow_pk_matches_repeated_multiplication():
     for _ in range(p ** 2):
         acc = fpx.mod(fpx.mul(acc, [0, 1], p), m, p)
     assert fpx.xpow_pk(2, m, p) == acc
+
+
+@pytest.mark.parametrize("p,rounds", [
+    # rounds of the byte-sliced reduction for slots of 1..5 bytes: one
+    # while w·(p-1) fits a byte, then one or two more on two-byte sums
+    (2, [0, 1, 1, 1, 1]),
+    (3, [0, 1, 1, 1, 1]),
+    (5, [0, 1, 1, 1, 1]),
+    (7, [0, 1, 1, 1, 1]),
+    (131, [0, 2, 2, 2, 2]),
+    (251, [0, 2, 3, 3, 3]),
+])
+def test_sliced_digits_match_slot_values_mod_p(p, rounds):
+    """`digits` reads every slot mod p, for slots of 1 to 5 bytes: all
+    bytes 0xff (the largest slot, above any packed sum), slots of
+    (p-1)·256^j, and random slots."""
+    import random
+
+    ring = fpx._PackedDigits(p)
+    rng = random.Random(p)
+    for slot in range(1, 6):
+        assert len(ring._rounds(slot)) == rounds[slot - 1], slot
+        top = 256 ** slot - 1
+        for values in (
+            [top] * 70,
+            [(p - 1) << 8 * j for j in range(slot)] * 5,
+            [rng.randrange(top + 1) for _ in range(70)],
+            [],
+        ):
+            n = sum(v << 8 * slot * i for i, v in enumerate(values))
+            assert list(ring.digits(n, len(values), slot)) == [
+                v % p for v in values
+            ], slot

@@ -2,13 +2,14 @@
 (two torsion, two non-torsion cases) with their distinguished points,
 plus structural properties of the reduction."""
 import hashlib
+import random
 
 import pytest
 
 from ffmzv.cli import enumerate_tuples
 from ffmzv.fields import field_for_q
 from ffmzv.motive import Motive
-from ffmzv.poly import BiPoly, Poly, RatFrac
+from ffmzv.poly import BiPoly, Poly, RatFrac, taylor_shift
 from ffmzv.tmodule import (
     TModule,
     carlitz_tensor_module,
@@ -291,4 +292,109 @@ def test_telescope_sign_is_field_minus_one(q):
     g = BiPoly(F, [Poly.gen(F), Poly.one(F)])
     g1 = g.twist(1)
     want_t = [g1, (g1 * Q[1]).scale(minus_one), g1 * Q[1] * Q[0]]
-    assert [a for _n, a, _l in m.telescope_expand(g, 3)] == want_t
+    # the worklist telescopes u-basis terms, u = t-θ: compare the
+    # coefficients of u^j with the expansions of the t-basis products
+    dom = m.domain()
+    got = m.telescope_expand(dom.expand(g), 3)
+    assert [dom.coeffs(a) for _n, a, _l in got] == [
+        dom.coeffs(dom.expand(a)) for a in want_t
+    ]
+
+
+def _point_by_t_basis_worklist(motive, seeds):
+    """Reference point reduction: the split-and-rebuild worklist on
+    t-basis terms.  Each split expands f in t-θ, rebuilds both halves
+    by the shift by -θ and telescopes the high half in t, and a finished
+    term is expanded again."""
+    F, rational = motive.field, motive.rational
+    minus_one = F.neg(1)
+
+    def rebuild(coeffs):
+        return BiPoly(F, taylor_shift(F, coeffs, ((minus_one, 1),)), rational)
+
+    Q = [motive._as_bipoly(x) for x in motive.Q]
+    pending = {}
+
+    def push(n, f, ell):
+        key = (n, ell)
+        pending[key] = pending[key] + f if key in pending else f
+
+    for n, f, ell in seeds:
+        push(n, f, ell)
+    zero = RatFrac.zero(F) if rational else Poly.zero(F)
+    coords = [zero] * motive.d
+    while pending:
+        key = max(pending, key=lambda k: (k[1], pending[k].deg_t))
+        n, ell = key
+        f = pending.pop(key)
+        if f.is_zero():
+            continue
+        w = motive.weights[ell - 1]
+        coeffs = f.expand_tm_theta()
+        if f.deg_t < w:
+            for j, a in enumerate(coeffs):
+                coords[motive.row(ell, j)] = coords[motive.row(ell, j)] + a
+            continue
+        g, gamma = rebuild(coeffs[w:]), rebuild(coeffs[:w])
+        if not gamma.is_zero():
+            push(n, gamma, ell)
+        g1 = g.twist(1)
+        push(n + 1, g1, ell)
+        prod = g1
+        for i in range(1, ell):
+            prod = prod * Q[ell - 1 - i]
+            push(n + 1, prod.scale(minus_one) if i % 2 else prod, ell - i)
+    return coords
+
+
+def _random_q(F, rng, t_len, rational=False):
+    """An attached polynomial Σ_{i<t_len} c_i(θ)·t^i + t^t_len, each c_i
+    of θ-degree below 10 (over a random denominator of θ-degree below 3
+    when rational)."""
+    def poly(top):
+        return Poly(F, [rng.randrange(F.q) for _ in range(rng.randrange(1, top))])
+
+    if not rational:
+        return BiPoly(F, [poly(11) for _ in range(t_len)] + [Poly.one(F)])
+    coeffs = []
+    for _ in range(t_len):
+        den = poly(4)
+        coeffs.append(RatFrac(poly(11), den if den else Poly.one(F)))
+    return BiPoly(F, coeffs + [RatFrac.one(F)], rational=True)
+
+
+def _point_motives():
+    for q, wmax in _SHAPE_FIELDS + [(5, 24), (7, 30)]:
+        F = field_for_q(q)
+        for s in enumerate_tuples(q, wmax, 3, False):
+            yield Motive(F, s)
+    # attached polynomials of t-degree 1 to 3, so that the points split
+    # terms of several rows: in packed digits at p = 131 and 251 (two-
+    # byte Horner slots, three-byte products reduced in two or three
+    # rounds), and in `Poly` terms at q = 4, 9 and 257 and for rational
+    # coefficients
+    for q in (131, 251, 4, 9, 257):
+        F = field_for_q(q)
+        rng = random.Random(q)
+        for s in [(1, 2), (2, 1), (1, 1, 2)]:
+            yield Motive(F, s, Q=[_random_q(F, rng, rng.randrange(1, 4)) for _ in s])
+    F = field_for_q(3)
+    rng = random.Random(3)
+    for s in [(2, 4), (1, 2)]:
+        Q = [_random_q(F, rng, len(s) + 1 - i, rational=True)
+             for i in range(len(s))]
+        yield Motive(F, s, Q=Q, rational=True)
+
+
+def test_point_reduction_matches_t_basis_worklist():
+    """The points v and u of every `_SHAPE_FIELDS` motive, of q=5 w<=24
+    and q=7 w<=30, and of a few motives with attached polynomials in t
+    (p = 131 and 251, q = 4, 9 and 257, and rational ones) equal those
+    of the t-basis worklist."""
+    count = 0
+    for motive in _point_motives():
+        for seeds in (motive.point_v_seeds(), motive.point_u_seeds()):
+            assert motive.reduce_point(seeds) == _point_by_t_basis_worklist(
+                motive, seeds), motive.s
+        count += 1
+    assert count > 500

@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffmzv.fields import field_for_q
-from ffmzv.poly import BiPoly, Poly, RatFrac, TwistError, _kronecker_mul
+from ffmzv.poly import (
+    BiPoly,
+    Poly,
+    RatFrac,
+    TwistError,
+    _kronecker_mul,
+    taylor_shift,
+)
 
 
 def polys(q, max_deg=6):
@@ -208,6 +215,20 @@ def test_bipoly_mul_matches_expansion():
     assert prod.coeffs[2].is_one()
 
 
+def _from_u_basis(F, coeffs, rational=False):
+    """Σ a_j (t-θ)^j from its (t-θ)-basis coefficients a_j: the Taylor
+    shift by -θ."""
+    return BiPoly(F, taylor_shift(F, coeffs, ((F.neg(1), 1),)), rational)
+
+
+def _divrem_tm_theta(f, e):
+    """f = g·(t-θ)^e + γ with deg_t γ < e: the (t-θ)-basis coefficients
+    of f split at e, each part rebuilt by the shift by -θ."""
+    coeffs = f.expand_tm_theta()
+    return (_from_u_basis(f.field, coeffs[e:], f.rational),
+            _from_u_basis(f.field, coeffs[:e], f.rational))
+
+
 @given(st.sampled_from([2, 3]), st.data())
 @settings(max_examples=40)
 def test_bipoly_divrem_tm_theta(q, data):
@@ -217,7 +238,7 @@ def test_bipoly_divrem_tm_theta(q, data):
     )
     f = BiPoly(F, rows)
     w = data.draw(st.integers(1, 3))
-    g, gamma = f.divrem_tm_theta(w)
+    g, gamma = _divrem_tm_theta(f, w)
     assert gamma.deg_t < w
     back = g * BiPoly.t_minus_theta(F) ** w + gamma
     assert back == f
@@ -305,10 +326,9 @@ def _random_row(rng, F, rational):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_taylor_shift_matches_synthetic_division(q, rational):
     """Lengths up to p^2 + p + 2, so the block split recurses at least
-    twice."""
+    twice.  The shift by θ - θ^q of the twisted (t-θ)-basis
+    coefficients is the (t-θ)-adic expansion of the twist."""
     import random
-
-    from ffmzv.poly import _from_tm_theta_basis
 
     F = field_for_q(q)
     p = F.p
@@ -322,12 +342,15 @@ def test_taylor_shift_matches_synthetic_division(q, rational):
         f = BiPoly(F, rows, rational)
         expansion = f.expand_tm_theta()
         assert expansion == _expand_by_synthetic_division(f), n
-        assert _from_tm_theta_basis(F, expansion, rational) == f, n
+        assert _from_u_basis(F, expansion, rational) == f, n
         basis = [_random_row(rng, F, rational) for _ in range(n)]
-        assert (_from_tm_theta_basis(F, basis, rational)
+        assert (_from_u_basis(F, basis, rational)
                 == _rebuild_by_horner(F, basis, rational)), n
+        twisted = taylor_shift(
+            F, [a.twist(1) for a in expansion], ((1, 1), (F.neg(1), q)))
+        assert twisted == _expand_by_synthetic_division(f.twist(1)), n
         for e in {1, 2, p, n - 1, n, n + 1} - {0}:
-            g, gamma = f.divrem_tm_theta(e)
+            g, gamma = _divrem_tm_theta(f, e)
             assert g == _rebuild_by_horner(F, expansion[e:], rational), (n, e)
             assert gamma == _rebuild_by_horner(F, expansion[:e], rational), (
                 n, e)

@@ -124,7 +124,10 @@ def test_probe_tables_built_once_per_key():
 
 
 # at degree 21 a slot is one byte for p = 2, 3, two bytes for p = 5, 7,
-# 11, and three for p = 131, 251
+# 11 (one round of the byte-sliced reduction), and three for p = 131 (two
+# rounds) and 251 (three rounds); at degree 1 a slot of p = 131, 251 is
+# two bytes (two rounds), so the all-(p-1) element meets every slot
+# width and round count of the probe
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("deg", [1, 2, 7, 21])
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 131, 251])
@@ -168,12 +171,28 @@ def test_probe_arithmetic_matches_schoolbook(p, deg, seed):
             power = ref_pow(power, p)
     for c in range(p):
         assert list(dom.scalar(c)) == [c] + [0] * (deg - 1)
-    coeffs = [rng.randrange(p) for _ in range(3 * deg + 2)] + [1]
-    horner = [0] * deg
-    for c in reversed(coeffs):
-        horner = ref_mul(horner, [0, 1])
-        horner = fpx.mod([(horner[0] + c) % p] + horner[1:], m, p)
-    assert list(dom.convert(Poly(F, coeffs))) == horner
+    for coeffs in ([rng.randrange(p) for _ in range(3 * deg + 2)] + [1],
+                   [p - 1] * (3 * deg + 3)):
+        horner = [0] * deg
+        for c in reversed(coeffs):
+            horner = ref_mul(horner, [0, 1])
+            horner = fpx.mod([(horner[0] + c) % p] + horner[1:], m, p)
+        assert list(dom.convert(Poly(F, coeffs))) == horner
+
+
+@pytest.mark.parametrize("deg", [2, 21])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 131, 251])
+def test_probe_convert_matches_mod(p, deg):
+    """A coordinate of length 0 to 300, folded in deg-digit chunks,
+    equals `fpx.mod`, on all-(p-1) and random digits."""
+    F = field_for_q(p)
+    dom = ProbeDomain(F, deg, 0)
+    m = list(dom.modulus)
+    rng = random.Random(p + deg)
+    for n in range(301):
+        for coeffs in ([p - 1] * n, [rng.randrange(p) for _ in range(n)]):
+            want = fpx.mod(coeffs, m, p)
+            assert list(dom.convert(Poly(F, coeffs))) == want, n
 
 
 @pytest.mark.parametrize("make", [
@@ -233,6 +252,18 @@ def test_packed_exact_arithmetic_matches_poly(p):
                 assert list(product) == fpx.mul(a.coeffs, b.coeffs, p)
     for c in range(p):
         assert dom.scalar(c) == dom.convert(Poly.const(F, c))
+    # the square of the all-(p-1) element of n digits sums n products
+    # (p-1)^2 in its middle digit: at both sides of every length where
+    # the product slot widens, each slot width and round count of the
+    # byte-sliced reduction up to _LONG digits meets its worst case
+    edges = [
+        n for n in range(2, _LONG + 1)
+        if fpx.slot_width(n * (p - 1) ** 2)
+        > fpx.slot_width((n - 1) * (p - 1) ** 2)
+    ]
+    for n in {2, _LONG} | {e - 1 for e in edges} | set(edges):
+        x = bytes([p - 1] * n)
+        assert list(dom.mul(x, x)) == fpx.mul(x, x, p), n
 
 
 @pytest.mark.parametrize("q,s", [
