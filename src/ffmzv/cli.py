@@ -47,16 +47,18 @@ class ConfigError(ValueError):
 def _add_field_args(p):
     p.add_argument("--q", type=int, help="field size (prime power)")
     p.add_argument("--char-p", type=int, dest="char_p", help="characteristic")
-    p.add_argument("--ext-e", type=int, dest="ext_e", default=1,
-                   help="extension degree over the prime field")
+    p.add_argument("--ext-e", type=int, dest="ext_e", default=None,
+                   help="extension degree over the prime field (default 1)")
     p.add_argument("--modulus", type=str, default=None,
                    help="comma-separated modulus coefficients, ascending")
 
 
 def _resolve_field(args) -> FieldSpec:
     if args.q is not None:
-        if args.char_p is not None:
-            raise ConfigError("give either --q or --char-p/--ext-e, not both")
+        if (args.char_p, args.ext_e, args.modulus) != (None, None, None):
+            raise ConfigError(
+                "give either --q or --char-p/--ext-e/--modulus, not both"
+            )
         try:
             return field_for_q(args.q)
         except ValueError as exc:
@@ -70,7 +72,8 @@ def _resolve_field(args) -> FieldSpec:
         except ValueError as exc:
             raise ConfigError(f"bad --modulus: {args.modulus!r}") from exc
     try:
-        return FieldSpec(args.char_p, args.ext_e, modulus)
+        e = 1 if args.ext_e is None else args.ext_e
+        return FieldSpec(args.char_p, e, modulus)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

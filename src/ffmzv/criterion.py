@@ -21,17 +21,17 @@ The torsion-witness search (ρ_a(v) = 0 alone) is the same search with
 one point; both go through `_witness_kernel`.
 
 Both criteria go through one torsion test, `_annihilates`.  It and the
-witness search run "probe, then confirm exactly" for prime q < 256 and
-an integral motive: the work is done first in a fast modular image of
-A, a ring homomorphism, which cannot turn a zero into a nonzero.  So a
-nonzero residual certifies non-torsion and an empty probe kernel rules
-out every witness, while torsion verdicts and witnesses are always
-confirmed in exact arithmetic.  A torsion verdict is confirmed in
-A = F_p[θ] itself, on the same packed digits as the probe
-(`PackedExactDomain`).  Extension fields, primes above 255 (whose
-digits do not fit the probe's bytes) and the polylogarithm variant,
-whose motive has rational coordinates, use exact `Poly` arithmetic
-only.
+witness search run "probe, then confirm exactly" where the field is
+`packed` (prime q < 256) and the motive integral: the work is done
+first in a fast modular image of A, a ring homomorphism, which cannot
+turn a zero into a nonzero.  So a nonzero residual certifies
+non-torsion and an empty probe kernel rules out every witness, while
+torsion verdicts and witnesses are always confirmed in exact
+arithmetic.  A torsion verdict is confirmed in A = F_p[θ] itself, on
+the same packed digits as the probe, in the one packed ring per prime
+(`poly.packed_ring`).  Extension fields, primes above 255 (whose
+digits do not fit a byte) and the polylogarithm variant, whose motive
+has rational coordinates, use exact `Poly` arithmetic only.
 """
 from __future__ import annotations
 
@@ -43,14 +43,8 @@ from .carlitz import cache_for
 from .fields import FieldSpec, field_for_q
 from .linalg import nullspace
 from .motive import Motive
-from .poly import BiPoly, Poly, RatFrac
-from .tmodule import (
-    PackedExactDomain,
-    ProbeDomain,
-    TModule,
-    factor_degree,
-    probe_supported,
-)
+from .poly import BiPoly, Poly, RatFrac, packed_ring
+from .tmodule import ProbeDomain, TModule, factor_degree
 
 PROBE_DEGREE = 21
 
@@ -246,19 +240,20 @@ def _annihilates(motive: Motive, factors) -> bool:
     """Whether ρ_a(v) = 0 for the factored annihilator a and the point
     v of the motive.
 
-    For prime q < 256 and an integral motive the residual is first
-    computed in the modular probe, whose nonzero image certifies
+    On a `packed` field and for an integral motive the residual is
+    first computed in the modular probe, whose nonzero image certifies
     non-torsion; a zero there is confirmed in A = F_p[θ] on packed
-    digits.  Every other case is decided in `Poly` arithmetic.
+    digits (`packed_ring`).  Every other case is decided in `Poly`
+    arithmetic.
     """
     tm = TModule.from_motive(motive)
     v = motive.special_point_v()
     exact = tm.exact
-    if probe_supported(motive.field) and not motive.rational:
+    if motive.field.packed and not motive.rational:
         dom = ProbeDomain(motive.field, PROBE_DEGREE, 0)
         if not tm.is_zero_point(tm.apply_annihilator(v, factors, dom), dom):
             return False
-        exact = PackedExactDomain(motive.field)
+        exact = packed_ring(motive.field.p)
     return tm.is_zero_point(tm.apply_annihilator(v, factors, exact), exact)
 
 
@@ -399,7 +394,7 @@ def _witness_kernel(motive: Motive, seed_groups, bound: int):
     as the list [a_1, ..., a_k]; None if the kernel is zero.
 
     The exact system has one row per (coordinate, θ-power) of the
-    iterates ρ_{t^j}(P_i).  For prime q < 256 the search first builds the
+    iterates ρ_{t^j}(P_i).  On a `packed` field the search first builds the
     system from the iterate images in the modular probe, where each
     coordinate is one field element instead of a polynomial of growing
     degree."""
@@ -422,12 +417,12 @@ def _witness_kernel(motive: Motive, seed_groups, bound: int):
         ]
         return all(c.is_zero() for c in motive.reduce_point(scaled))
 
-    if probe_supported(field):
+    if field.packed:
         tm = TModule.from_motive(motive)
         dom = ProbeDomain(field, PROBE_DEGREE, 0)
         iters = []
         for seeds in seed_groups:
-            cur = dom.convert_point(motive.reduce_point(seeds))
+            cur = [dom.convert(x) for x in motive.reduce_point(seeds)]
             for j in range(n):
                 iters.append(cur)
                 if j < bound:

@@ -4,7 +4,9 @@ Elements of F_q are plain ints in range(q) encoding the base-p digit
 vector of a residue polynomial modulo the field's irreducible modulus.
 For e = 1 the encoding is the usual residue mod p.  All arithmetic is
 precomputed into tables at construction time, so q is assumed small
-(the library targets q <= a few hundred).
+(the library targets q <= a few hundred).  `FieldSpec.packed` says
+where polynomials over F_q run on the packed byte digits of `fpx`
+instead: prime q < 256.
 """
 from __future__ import annotations
 
@@ -70,6 +72,10 @@ class FieldSpec:
         self.e = e
         self.q = p ** e
         self.modulus = modulus
+        # whether F_q[θ] runs on the byte digits of `fpx` (prime q < 256):
+        # the A[t] product, the point reduction, the modular probe and
+        # its exact confirmation; every other field takes the tables
+        self.packed = e == 1 and p < 256
         self._build_tables()
 
     def _build_tables(self):

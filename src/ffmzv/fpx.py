@@ -8,11 +8,15 @@ first.  Moduli are monic.  Two rings keep their elements as byte digits
 `PackedQuotient` is the probe's quotient ring F_p[x]/(m), where a
 product is one big-int product and the Frobenius a precomputed
 F_p-linear map; `PackedPoly` is F_p[x] itself, where a sum is one
-packed sum and the Frobenius a strided copy.  `PackedPoly.product` is
-also the A[t] product of `poly` and the product in u of the point
+packed sum and the Frobenius a strided copy.  One `PackedPoly` per
+prime (`poly.packed_ring`) serves every packed consumer: it is the
+exact domain that confirms the probe's zeros (`criterion`), its
+`product` the A[t] product of `poly` and the product in u of the point
 reduction (`motive`).  A packed integer is read back to digits by a
 byte-sliced reduction (`_PackedDigits.digits`): one `bytes.translate`
-per byte of a slot and round, never a loop over the slots.
+per byte of a slot and round, never a loop over the slots.  Where
+these rings run is `fields.FieldSpec.packed`; p >= 256 and extension
+fields take the table-driven `Poly` arithmetic.
 """
 from __future__ import annotations
 
@@ -300,22 +304,40 @@ class PackedQuotient(_PackedDigits):
 
 class PackedPoly(_PackedDigits):
     """F_p[x] on packed digits: the exact ring the probe's quotient
-    has no modulus for.
+    has no modulus for, and a coefficient domain of `tmodule.TModule`
+    with x = θ.
 
     An element is a `bytes`, digit j the coefficient of x^j, with no
-    trailing zero digit, so b"" is zero.  A sum, and the step x·a + b,
-    adds at most two digits per slot, 2(p-1), which sets `slot`: one
-    byte for p <= 128, two above.  A product is one big-int product
-    whose slots hold its largest coefficient sum, min(len a, len b)
-    products of two digits; a product by one digit is one
-    `bytes.translate`.  x ↦ x^(p^n) spreads the digits p^n apart, one
-    strided assignment.
+    trailing zero digit, so b"" is zero; `convert` takes a `Poly` over
+    F_p to its digits, and `Poly(field, x)` takes them back.  A sum,
+    and the step x·a + b, adds at most two digits per slot, 2(p-1),
+    which sets `slot`: one byte for p <= 128, two above.  A product is
+    one big-int product whose slots hold its largest coefficient sum,
+    min(len a, len b) products of two digits; a product by one digit
+    is one `bytes.translate`.  x ↦ x^(p^n) spreads the digits p^n
+    apart, one strided assignment.
     """
 
     def __init__(self, p):
         super().__init__(p)
         self.slot = slot_width(2 * (p - 1))
         self._times = {}
+
+    def zero(self):
+        return b""
+
+    def is_zero(self, x):
+        return not x
+
+    def scalar(self, c):
+        """The constant c in range(p)."""
+        if not 0 <= c < self.p:
+            raise ValueError(f"scalar {c!r} is not a digit in range({self.p})")
+        return bytes((c,)) if c else b""
+
+    def convert(self, c):
+        """The digits of a polynomial over F_p (anything with `coeffs`)."""
+        return bytes(c.coeffs)
 
     def add(self, a, b):
         """One packed sum; with one-byte slots, the common case, `pack`

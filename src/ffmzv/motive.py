@@ -41,10 +41,11 @@ a_j when collecting a point (the σ-level cancels against the q^n-th
 power in the quotient map, so points never see it).
 
 The worklist runs over one of two coefficient domains, like
-`tmodule.TModule.apply_t`: packed F_p digits (`_PackedTerms`) for prime
-q < 256 and integral coefficients, `BiPoly` terms in u with `Poly` or
-`RatFrac` coefficients (`_PolyTerms`) for every other field and for
-the polylogarithm motives.
+`tmodule.TModule.apply_t`: packed F_p digits (`_PackedTerms`, on the
+shared `poly.packed_ring`) where the field is `packed` (prime q < 256)
+and the coefficients integral, `BiPoly` terms in u with `Poly` or
+`RatFrac` coefficients (`_PolyTerms`) for every other field, p >= 256
+included, and for the polylogarithm motives.
 """
 from __future__ import annotations
 
@@ -52,7 +53,6 @@ from . import fpx
 from .carlitz import cache_for
 from .fields import FieldSpec
 from .poly import BiPoly, Poly, RatFrac, packed_ring, taylor_shift
-from .tmodule import probe_supported
 
 _BUDGET = 10 ** 6
 
@@ -321,7 +321,7 @@ class Motive:
         with the u-basis Q_1, ..., Q_{r-1} that the telescoping
         multiplies by."""
         if self._dom is None:
-            if probe_supported(self.field) and not self.rational:
+            if self.field.packed and not self.rational:
                 dom = _PackedTerms(self.field)
             else:
                 dom = _PolyTerms(self.field, self.rational)

@@ -2,11 +2,12 @@
 and the bivariate ring A[t] together with the (t-θ)-adic operations and
 Frobenius twisting that the reduction engine relies on.
 
-Over a prime field a large product in F_q[θ], and every product in
-A[t], is one big-integer product (Kronecker substitution,
-`_kronecker_mul`); for p < 256 the digits are packed by `fpx.pack` and
-read back by the byte-sliced `fpx` reduction, the same product the
-point reduction runs on its packed terms.  The (t-θ)-adic expansion is
+Where the field is `packed` (prime q < 256) a large product in F_q[θ],
+and every integral product in A[t], is one big-integer product of byte
+digits (Kronecker substitution): `PackedPoly.product` of the one
+`fpx.PackedPoly` ring per prime (`packed_ring`), which the point
+reduction (`motive`) and the exact confirmation (`criterion`) share.
+Every other field multiplies by its tables.  The (t-θ)-adic expansion is
 the Taylor shift f(t) ↦ f(u+θ), and the twist of a polynomial kept in
 the (t-θ)-adic basis the shift of its twisted coefficients by θ - θ^q,
 both in closed form with (u+c)^{p^k} = u^{p^k} + c^{p^k}: θ-shifts and
@@ -24,8 +25,6 @@ twists are rejected: the whole engine is arranged so they never occur.
 """
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import lru_cache
 
 from . import fpx
@@ -37,6 +36,11 @@ class TwistError(ValueError):
 
 
 _KRONECKER_THRESHOLD = 2500  # len(a)*len(b) above which packed mul is used
+
+# the packed F_p[x] ring of each p < 256, built on first use and shared
+# by the products here, the point reduction (`motive`) and the exact
+# confirmation (`criterion`)
+packed_ring = lru_cache(maxsize=None)(fpx.PackedPoly)
 
 
 def not_a_code(field: FieldSpec, c) -> ValueError:
@@ -180,10 +184,9 @@ class Poly:
             return other.scale(a[0]).with_var(self.var)
         if len(b) == 1:
             return self.scale(b[0])
-        if F.e == 1 and len(a) * len(b) > _KRONECKER_THRESHOLD:
-            return Poly(
-                F, _kronecker_mul(a, b, F.p, min(len(a), len(b))), self.var
-            )
+        if F.packed and len(a) * len(b) > _KRONECKER_THRESHOLD:
+            prod = packed_ring(F.p).product(a, b, min(len(a), len(b)))
+            return Poly(F, prod, self.var)
         mul = F._mul
         add = F._add
         out = [0] * (len(a) + len(b) - 1)
@@ -298,63 +301,6 @@ class Poly:
         return " + ".join(parts)
 
 
-# the array type code of each word width in bytes
-_WORD = {array(code).itemsize: code for code in "BHILQ"}
-
-
-# the packed F_p[x] ring of each p < 256, built on first use and shared
-# by the A[t] product and the point reduction (`motive`)
-packed_ring = lru_cache(maxsize=None)(fpx.PackedPoly)
-
-
-def _kronecker_mul(a, b, p, terms):
-    """The product of two sequences of F_p coefficients (constant term
-    first) by Kronecker substitution: each is packed into one integer,
-    a coefficient to a slot of nb bytes, and one big-int product is
-    unpacked.  At most `terms` products add up in one coefficient, so a
-    slot holds at most (p-1)^2·terms; nb is the least byte count for
-    that, and no slot carries into the next.  For p < 256 this is
-    `fpx.PackedPoly.product` (byte digits, the byte-sliced reduction),
-    which returns a `bytes`; the array words below serve p >= 256."""
-    if p < 256:
-        return packed_ring(p).product(a, b, terms)
-    nb = (((p - 1) ** 2 * terms).bit_length() + 7) // 8
-    prod = _pack(a, nb) * _pack(b, nb)
-    return _unpack(prod, len(a) + len(b) - 1, nb, p)
-
-
-def _pack(coeffs, nb) -> int:
-    """The integer whose little-endian nb-byte slots are `coeffs`."""
-    w = 1 << (nb - 1).bit_length()
-    words = array(_WORD[w], coeffs)
-    if sys.byteorder == "big":
-        words.byteswap()
-    raw = words.tobytes()
-    if w != nb:
-        # keep the low nb bytes of each w-byte word
-        buf = bytearray(nb * len(coeffs))
-        for k in range(nb):
-            buf[k::nb] = raw[k::w]
-        raw = buf
-    return int.from_bytes(raw, "little")
-
-
-def _unpack(n, count, nb, p):
-    """The first `count` nb-byte slots of n, each reduced mod p: the
-    slots are widened to array words, then read in one pass."""
-    raw = n.to_bytes(count * nb, "little")
-    w = 1 << (nb - 1).bit_length()
-    if w != nb:
-        buf = bytearray(w * count)
-        for k in range(nb):
-            buf[k::w] = raw[k::nb]
-        raw = buf
-    words = array(_WORD[w], raw)
-    if sys.byteorder == "big":
-        words.byteswap()
-    return [x % p for x in words]
-
-
 class RatFrac:
     """Element of k = F_q(θ): num/den in lowest terms, den monic."""
 
@@ -464,8 +410,8 @@ class BiPoly:
     """Polynomial in t with coefficients in A = F_q[θ] (or in k for the
     polylog mode).  Stored as a tuple of coefficients, ascending in t.
 
-    Over a prime field with integral coefficients a product packs
-    θ^j·t^i at slot i·W + j, W the sum of the factors' θ-degrees plus
+    Over a `packed` field with integral coefficients a product packs
+    θ^j·t^i at digit i·W + j, W the sum of the factors' θ-degrees plus
     one, and is one big-int product.  The (t-θ)-adic expansion is the
     Taylor shift f(u+θ), exact over the coefficient ring.
     """
@@ -494,16 +440,6 @@ class BiPoly:
     def one(cls, field, rational=False):
         c = RatFrac.one(field) if rational else Poly.one(field)
         return cls(field, (c,), rational)
-
-    @classmethod
-    def t_minus_theta(cls, field, rational=False):
-        if rational:
-            return cls(
-                field,
-                (-RatFrac.from_poly(Poly.gen(field)), RatFrac.one(field)),
-                True,
-            )
-        return cls(field, (-Poly.gen(field), Poly.one(field)), False)
 
     @classmethod
     def from_tpoly(cls, tp: Poly, rational=False):
@@ -569,7 +505,7 @@ class BiPoly:
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if self.is_zero() or other.is_zero():
             return BiPoly.zero(self.field, self.rational)
-        if self.field.e == 1 and not self.rational:
+        if self.field.packed and not self.rational:
             return self._packed_mul(other)
         out = [self._czero() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
@@ -597,7 +533,7 @@ class BiPoly:
             return out
 
         terms = min(len(a), len(b)) * (min(da, db) + 1)
-        prod = _kronecker_mul(flat(a), flat(b), F.p, terms)
+        prod = packed_ring(F.p).product(flat(a), flat(b), terms)
         return BiPoly(F, [
             Poly(F, prod[i * width:(i + 1) * width])
             for i in range(len(a) + len(b) - 1)
@@ -609,16 +545,6 @@ class BiPoly:
     def coeff_mul_t(self, tp: Poly) -> "BiPoly":
         """Multiply by a polynomial in t with F_q coefficients."""
         return self * BiPoly.from_tpoly(tp, self.rational)
-
-    def __pow__(self, n: int) -> "BiPoly":
-        out = BiPoly.one(self.field, self.rational)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- Frobenius ---------------------------------------------------------
     def twist(self, n: int) -> "BiPoly":

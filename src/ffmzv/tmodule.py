@@ -9,20 +9,16 @@ c·x^{q^n}.  The motive hands over only those τ-terms
 sizes, and `TModule.entry` rebuilds any entry as a dict {n: c}.  One
 application of ρ_t is one θ-step θ·x + y per row (y the next coordinate
 of the block, or 0 at its end) and one product per τ-term.  Points live
-in a pluggable coefficient domain:
+in a pluggable coefficient domain, one of two classes here or the
+packed ring:
 
 * `ExactDomain` — coordinates in A = F_q[θ] (or F_q(θ)) as `Poly` (or
   `RatFrac`) objects; fully rigorous both ways, but repeated τ's raise
   degrees q-fold, so a non-torsion point blows up quickly under a large
   annihilator.  It serves every field and the polylogarithm points,
   and the diagnostics (`TModule.entry`, `render`, `nilpotency_index`).
-* `PackedExactDomain` — the same ring A = F_p[θ] for prime p < 256 and
-  `Poly` coordinates, each a `bytes` of F_p digits
-  (`fpx.PackedPoly`): a sum is one packed sum, θ·x + y a one-digit
-  shift plus y, a product one big-int product and x ↦ x^{q^n} a
-  strided copy.  It confirms the probe's zeros exactly.
 * `ProbeDomain` — the image of A under θ ↦ ξ for ξ a root of an
-  irreducible of chosen degree over F_p (prime q < 256 and `Poly`
+  irreducible of chosen degree over F_p (`packed` fields and `Poly`
   coordinates only).  The map is a ring homomorphism commuting with
   x ↦ x^q, so a NONZERO probe result rigorously certifies the exact
   result nonzero.  A zero probe proves nothing and must be confirmed
@@ -30,9 +26,14 @@ in a pluggable coefficient domain:
   one big-int product of the packed digits, a θ-step a shift by one
   digit with the carried-out digit folded back, and x ↦ x^{q^n} a
   precomputed F_p-linear map (`fpx.PackedQuotient`).
+* the packed ring `poly.packed_ring(p)` itself — the same ring
+  A = F_p[θ] as `ExactDomain` on a `packed` field, each coordinate a
+  `bytes` of F_p digits (`fpx.PackedPoly`): a sum is one packed sum,
+  θ·x + y a one-digit shift plus y, a product one big-int product and
+  x ↦ x^{q^n} a strided copy.  It confirms the probe's zeros exactly.
 
-All three domains offer the same element operations (zero, is_zero,
-add, neg, mul, theta_step, scalar, frob, convert), so the operator code
+Every domain offers the same element operations (zero, is_zero, add,
+neg, mul, theta_step, scalar, frob, convert), so the operator code
 below never asks which domain it runs in.
 
 Annihilators are kept factored; factors are applied smallest degree
@@ -95,9 +96,6 @@ class ExactDomain:
             return RatFrac.from_poly(c)
         return c
 
-    def convert_point(self, vec):
-        return [self.convert(x) for x in vec]
-
 
 def _find_irreducible(p: int, deg: int, rng) -> tuple:
     """Random monic irreducible of degree `deg` over F_p: the first draw
@@ -108,13 +106,6 @@ def _find_irreducible(p: int, deg: int, rng) -> tuple:
         m = [rng.randrange(p) for _ in range(deg)] + [1]
         if m[0] and fpx.is_irreducible(m, p):
             return tuple(m)
-
-
-def probe_supported(field: FieldSpec) -> bool:
-    """Whether the modular probe, and the packed exact domain that
-    confirms its zeros, apply: prime q, and digits that fit a byte.
-    Every other field is decided in `Poly` arithmetic only."""
-    return field.e == 1 and field.p < 256
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +120,7 @@ def _probe_tables(p: int, deg: int, seed: int):
 
 
 class ProbeDomain:
-    """A → F_{p^deg} via θ ↦ ξ (prime p < 256, `Poly` coordinates only).
+    """A → F_{p^deg} via θ ↦ ξ (`packed` fields, `Poly` coordinates only).
 
     An element is a `bytes` of length deg, digit j the coefficient of
     ξ^j.  The arithmetic is `fpx.PackedQuotient`'s: a product is one
@@ -138,7 +129,7 @@ class ProbeDomain:
     precomputed F_p-linear map."""
 
     def __init__(self, field: FieldSpec, deg: int = 21, seed: int = 0):
-        if not probe_supported(field):
+        if not field.packed:
             raise ValueError("modular probe supports prime q < 256 only")
         self.field = field
         self.p = field.p
@@ -170,53 +161,6 @@ class ProbeDomain:
         """Image of a Poly in θ: its coefficients reduced mod the
         probe modulus, deg digits at a time (`PackedQuotient.element`)."""
         return self.ring.element(c.coeffs)
-
-    def convert_point(self, vec):
-        return [self.convert(x) for x in vec]
-
-
-class PackedExactDomain:
-    """A = F_p[θ] on packed digits (prime p < 256, `Poly` coordinates
-    only): the exact domain wherever the probe runs.
-
-    An element is a `bytes`, digit j the coefficient of θ^j, with no
-    trailing zero digit; b"" is zero.  It is `ExactDomain` on the same
-    coefficients (`convert` is `bytes(c.coeffs)`, and `Poly(field, x)`
-    converts back), with the arithmetic of `fpx.PackedPoly`: a sum is
-    one packed sum and one `bytes.translate`, θ·x + y a one-digit shift
-    plus y, a product one big-int product, and x ↦ x^(p^n) a strided
-    copy."""
-
-    def __init__(self, field: FieldSpec):
-        if not probe_supported(field):
-            raise ValueError("packed digits support prime q < 256 only")
-        self.field = field
-        self.p = field.p
-        ring = fpx.PackedPoly(self.p)
-        self.add = ring.add
-        self.neg = ring.neg
-        self.mul = ring.mul
-        self.theta_step = ring.theta_step
-        self.frob = ring.frob
-
-    def zero(self):
-        return b""
-
-    def is_zero(self, x):
-        return not x
-
-    def scalar(self, c):
-        """The constant with element code c in range(p)."""
-        if not 0 <= c < self.p:
-            raise not_a_code(self.field, c)
-        return bytes((c,)) if c else b""
-
-    def convert(self, c):
-        """The digits of a Poly in θ."""
-        return bytes(c.coeffs)
-
-    def convert_point(self, vec):
-        return [self.convert(x) for x in vec]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +287,7 @@ class TModule:
         or ('poly', f) with f in F_q[t].
         """
         dom = dom or self.exact
-        cur = dom.convert_point(vec)
+        cur = [dom.convert(x) for x in vec]
         for fac in sorted(factors, key=partial(factor_degree, self.field)):
             if all(dom.is_zero(x) for x in cur):
                 break

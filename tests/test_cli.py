@@ -46,6 +46,10 @@ def test_check_json_format(capsys):
     ("check", "--q", "3", "--tuple", "2,x"),
     ("check", "--q", "3"),
     ("check", "--q", "3", "--char-p", "3", "--tuple", "2"),
+    # --q names the field alone: a modulus or an extension degree given
+    # with it was once silently dropped
+    ("check", "--q", "9", "--modulus", "2,1,1", "--tuple", "2,6"),
+    ("check", "--q", "9", "--ext-e", "2", "--tuple", "2,6"),
     ("sweep", "--q", "3"),
     ("families", "--q", "3"),
     ("sweep", "--q", "3", "--wmax", "6", "--rmax", "0"),

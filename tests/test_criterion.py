@@ -199,10 +199,11 @@ def test_witness_degree_within_annihilator_degree():
 def test_torsion_is_confirmed_on_packed_digits_where_the_probe_runs(
     monkeypatch,
 ):
-    """A probe zero is confirmed in F_p[θ] on packed digits for prime
-    q < 256 and an integral point; an extension field and a
-    polylogarithm point are confirmed on `Poly` coordinates, with no
-    probe."""
+    """A probe zero is confirmed in F_p[θ] on packed digits, in the
+    shared packed ring, for prime q < 256 and an integral point, also
+    at q=131, where a packed sum takes two-byte slots; an extension
+    field and a polylogarithm point are confirmed on `Poly`
+    coordinates, with no probe."""
     seen = []
     real = TModule.apply_annihilator
 
@@ -213,7 +214,9 @@ def test_torsion_is_confirmed_on_packed_digits_where_the_probe_runs(
     monkeypatch.setattr(TModule, "apply_annihilator", spy)
     cases = [
         (lambda: is_eulerian(field_for_q(3), (2, 4)),
-         ["ProbeDomain", "PackedExactDomain"]),
+         ["ProbeDomain", "PackedPoly"]),
+        (lambda: is_eulerian(field_for_q(131), (130,)),
+         ["ProbeDomain", "PackedPoly"]),
         (lambda: is_eulerian(field_for_q(4), (3, 9)), ["ExactDomain"]),
         (lambda: is_cmpl_eulerian(field_for_q(3), (2,), (1,)),
          ["ExactDomain"]),

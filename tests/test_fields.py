@@ -80,3 +80,10 @@ def test_frobenius_is_additive():
     for a in range(9):
         for b in range(9):
             assert F.pow(F.add(a, b), 3) == F.add(F.pow(a, 3), F.pow(b, 3))
+
+
+def test_packed_means_a_prime_below_a_byte():
+    """Byte digits serve prime q < 256 only: 251 is packed, the prime
+    257 and the extension fields 4 and 9 are not."""
+    assert [field_for_q(q).packed for q in (2, 3, 131, 251)] == [True] * 4
+    assert [field_for_q(q).packed for q in (4, 9, 257)] == [False] * 3

@@ -8,7 +8,7 @@ import pytest
 
 from ffmzv.cli import enumerate_tuples
 from ffmzv.fields import field_for_q
-from ffmzv.motive import Motive
+from ffmzv.motive import Motive, _PackedTerms
 from ffmzv.poly import BiPoly, Poly, RatFrac, taylor_shift
 from ffmzv.tmodule import (
     TModule,
@@ -164,20 +164,23 @@ def test_rho_t_compatible_with_module_t_action(q, s):
 def _rho_t_by_worklist(motive):
     """Reference ρ_t: every column (ℓ, j) is the worklist reduction of
     t·(t-θ)^j m_ℓ."""
-    zero, one = (
-        (RatFrac.zero(motive.field), RatFrac.one(motive.field))
+    F = motive.field
+    zero, one, th = (
+        (RatFrac.zero(F), RatFrac.one(F), RatFrac.from_poly(Poly.gen(F)))
         if motive.rational
-        else (Poly.zero(motive.field), Poly.one(motive.field))
+        else (Poly.zero(F), Poly.one(F), Poly.gen(F))
     )
-    t = BiPoly(motive.field, (zero, one), motive.rational)
-    tmt = BiPoly.t_minus_theta(motive.field, motive.rational)
+    t = BiPoly(F, (zero, one), motive.rational)
+    tmt = BiPoly(F, (-th, one), motive.rational)
     entries = {}
     for ell in range(1, motive.r + 1):
+        seed = t  # t·(t-θ)^j, one factor t - θ more per column
         for j in range(motive.weights[ell - 1]):
             col = motive.row(ell, j)
-            for n, a, row in motive.reduce([(0, t * tmt ** j, ell)]):
+            for n, a, row in motive.reduce([(0, seed, ell)]):
                 slot = entries.setdefault((row, col), {})
                 slot[n] = slot[n] + a if n in slot else a
+            seed = seed * tmt
     return {
         rc: {n: a for n, a in slot.items() if not a.is_zero()}
         for rc, slot in entries.items()
@@ -390,9 +393,13 @@ def test_point_reduction_matches_t_basis_worklist():
     """The points v and u of every `_SHAPE_FIELDS` motive, of q=5 w<=24
     and q=7 w<=30, and of a few motives with attached polynomials in t
     (p = 131 and 251, q = 4, 9 and 257, and rational ones) equal those
-    of the t-basis worklist."""
+    of the t-basis worklist.  The worklist runs on packed digits
+    exactly where the field is `packed` and the motive integral."""
     count = 0
     for motive in _point_motives():
+        packed = motive.field.packed and not motive.rational
+        assert isinstance(motive.domain(), _PackedTerms) == packed, (
+            motive.field, motive.s)
         for seeds in (motive.point_v_seeds(), motive.point_u_seeds()):
             assert motive.reduce_point(seeds) == _point_by_t_basis_worklist(
                 motive, seeds), motive.s

@@ -7,7 +7,7 @@ from ffmzv.poly import (
     Poly,
     RatFrac,
     TwistError,
-    _kronecker_mul,
+    packed_ring,
     taylor_shift,
 )
 
@@ -138,16 +138,17 @@ def test_packed_mul_slots_do_not_overflow():
 def test_kronecker_mul_reads_bytes_as_digits():
     """A `bytes` of F_p digits packs digit by digit also when a slot is
     wider than one byte: 100 products of two digits at p=3 need 400,
-    two-byte slots.  An array reads a bytes initializer as raw machine
-    words, which once gave a wrong product here."""
+    two-byte slots.  A packer on array machine words once read a bytes
+    initializer as raw words and gave a wrong product here."""
     import random
 
     rng = random.Random(3)
     a = [rng.randrange(3) for _ in range(100)]
     b = [rng.randrange(3) for _ in range(100)]
-    want = _kronecker_mul(a, b, 3, 100)
-    assert _kronecker_mul(bytes(a), bytes(b), 3, 100) == want
-    assert _kronecker_mul(bytearray(a), b, 3, 100) == want
+    product = packed_ring(3).product
+    want = product(a, b, 100)
+    assert product(bytes(a), bytes(b), 100) == want
+    assert product(bytearray(a), b, 100) == want
     F = field_for_q(3)
     assert Poly(F, want) == Poly(F, a) * Poly(F, b)
 
@@ -215,6 +216,15 @@ def test_bipoly_mul_matches_expansion():
     assert prod.coeffs[2].is_one()
 
 
+def _t_minus_theta_power(F, j):
+    """(t-θ)^j in A[t], by j products with t - θ."""
+    tmt = BiPoly(F, [-Poly.gen(F), Poly.one(F)])
+    out = BiPoly.one(F)
+    for _ in range(j):
+        out = out * tmt
+    return out
+
+
 def _from_u_basis(F, coeffs, rational=False):
     """Σ a_j (t-θ)^j from its (t-θ)-basis coefficients a_j: the Taylor
     shift by -θ."""
@@ -240,7 +250,7 @@ def test_bipoly_divrem_tm_theta(q, data):
     w = data.draw(st.integers(1, 3))
     g, gamma = _divrem_tm_theta(f, w)
     assert gamma.deg_t < w
-    back = g * BiPoly.t_minus_theta(F) ** w + gamma
+    back = g * _t_minus_theta_power(F, w) + gamma
     assert back == f
 
 
@@ -251,7 +261,7 @@ def test_bipoly_expand_tm_theta_roundtrip():
     coeffs = f.expand_tm_theta()
     acc = BiPoly.zero(F)
     for j, a in enumerate(coeffs):
-        term = BiPoly(F, [a]) * BiPoly.t_minus_theta(F) ** j
+        term = BiPoly(F, [a]) * _t_minus_theta_power(F, j)
         acc = acc + term
     assert acc == f
 
@@ -384,6 +394,8 @@ def _filled(F, len_t, deg, c):
     (5, [(4, 3), (6, 5)]),
     (7, [(3, 2), (5, 4)]),
     (251, [(9, 8), (9, 9)]),
+    # above a byte: the table-driven products, checked the same way
+    (257, [(9, 8), (9, 9)]),
 ])
 def test_packed_bipoly_mul_matches_schoolbook(p, worst):
     import random

@@ -8,9 +8,8 @@ from ffmzv.cli import enumerate_tuples
 from ffmzv.criterion import annihilator_mzv
 from ffmzv.fields import field_for_q
 from ffmzv.motive import Motive
-from ffmzv.poly import BiPoly, Poly, RatFrac
+from ffmzv.poly import BiPoly, Poly, RatFrac, packed_ring
 from ffmzv.tmodule import (
-    PackedExactDomain,
     ProbeDomain,
     TModule,
     _probe_tables,
@@ -197,7 +196,7 @@ def test_probe_convert_matches_mod(p, deg):
 
 @pytest.mark.parametrize("make", [
     pytest.param(lambda F: ProbeDomain(F, 7, 0), id="probe"),
-    pytest.param(PackedExactDomain, id="packed-exact"),
+    pytest.param(lambda F: packed_ring(F.p), id="packed-exact"),
 ])
 @pytest.mark.parametrize("c", [-1, 3, 5])
 def test_scalar_needs_an_element_code(make, c):
@@ -224,7 +223,7 @@ def test_packed_exact_arithmetic_matches_poly(p):
     products fill the packed slots the most."""
     assert fpx.slot_width(_LONG * (p - 1) ** 2) >= 2
     F = field_for_q(p)
-    dom = PackedExactDomain(F)
+    dom = packed_ring(F.p)
     rng = random.Random(p)
     polys = [Poly.zero(F), Poly.one(F)]
     polys += [Poly(F, [p - 1] * n) for n in (1, 7, _LONG)]
@@ -280,7 +279,7 @@ def test_packed_residual_equals_poly_residual(q, s):
     tm = TModule.from_motive(motive)
     v = motive.special_point_v()
     factors = annihilator_mzv(F, s).factors
-    dom = PackedExactDomain(F)
+    dom = packed_ring(F.p)
     packed = tm.apply_annihilator(v, factors, dom)
     exact = tm.apply_annihilator(v, factors)
     assert [Poly(F, x) for x in packed] == exact
@@ -487,10 +486,10 @@ def test_apply_matches_sparse_rows(p, s):
     digits."""
     F, tm, entry = _module(p, s)
     rng = random.Random(repr((p, s)))
-    for dom in (tm.exact, ProbeDomain(F, 21, 0), PackedExactDomain(F)):
+    for dom in (tm.exact, ProbeDomain(F, 21, 0), packed_ring(F.p)):
         rows = _sparse_rows(entry, tm.d, dom)
         for _ in range(5):
-            x = dom.convert_point(_random_point(F, tm.d, rng))
+            x = [dom.convert(c) for c in _random_point(F, tm.d, rng)]
             a = Poly(F, [rng.randrange(p) for _ in range(4)], var="t")
             assert tm.apply_t(x, dom) == _reference_apply_t(rows, x, dom)
             assert tm.apply_poly(x, a, dom) == _reference_apply_poly(
@@ -504,10 +503,10 @@ def test_probe_apply_is_image_of_exact_apply(p, s):
     ρ_t(x) equals applying ρ_t to the converted x, in the probe (θ ↦ ξ,
     a ring homomorphism) and on packed exact digits (the same ring)."""
     F, tm, _ = _module(p, s)
-    for dom in (ProbeDomain(F, 21, 0), PackedExactDomain(F)):
+    for dom in (ProbeDomain(F, 21, 0), packed_ring(F.p)):
         rng = random.Random(repr((p, s)))
         for _ in range(5):
             x = _random_point(F, tm.d, rng)
-            assert dom.convert_point(tm.apply_t(x)) == tm.apply_t(
-                dom.convert_point(x), dom
+            assert [dom.convert(c) for c in tm.apply_t(x)] == tm.apply_t(
+                [dom.convert(c) for c in x], dom
             )
