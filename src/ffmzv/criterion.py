@@ -10,7 +10,10 @@ annihilator candidate a(t) exists, built from the decompositions
 
 of the suffix weights w_i = s_{r-i} + ... + s_r together with a
 depth-one factor (Γ_{s_r+1}/Γ_{s_r})·denBC(s_r) with θ replaced by t,
-and the value is Eulerian if and only if ρ_a(v) = 0.  The polylogarithm
+and the value is Eulerian if and only if ρ_a(v) = 0.  Each w_i gives
+the factor (t^{q^h} - t)^{p^ℓ}, which in characteristic p is the
+two-term t^{q^h·p^ℓ} - t^{p^ℓ}; a is kept as the tuple of its factors,
+each a plain polynomial in t (`AnnihilatorData`).  The polylogarithm
 variant swaps the attached polynomials for the evaluation point, adds
 the factor for w_0 = s_r and drops the depth-one factor.
 
@@ -35,16 +38,17 @@ has rational coordinates, use exact `Poly` arithmetic only.
 """
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .carlitz import cache_for
-from .fields import FieldSpec, field_for_q
+from .fields import FieldSpec, composition, field_for_q
 from .linalg import nullspace
 from .motive import Motive
 from .poly import BiPoly, Poly, RatFrac, packed_ring
-from .tmodule import ProbeDomain, TModule, factor_degree
+from .tmodule import ProbeDomain, TModule
 
 PROBE_DEGREE = 21
 
@@ -88,38 +92,29 @@ def decompose_weight(q: int, w: int) -> WeightDecomp:
 
 @dataclass(frozen=True)
 class AnnihilatorData:
-    """A factored annihilator: Frobenius-difference factors
-    (t^{q^h} - t)^{p^ℓ} plus an optional plain polynomial factor."""
+    """A factored annihilator: a tuple of polynomials in F_q[t], the
+    Frobenius-difference factors (t^{q^h} - t)^{p^ℓ} in their closed
+    form t^{q^h·p^ℓ} - t^{p^ℓ}, plus an optional depth-one factor."""
 
-    q: int
-    factors: tuple  # entries ("frobdiff", h, ell) or ("poly", Poly)
+    factors: tuple  # of Poly in t
 
     @property
     def degree(self) -> int:
-        field = field_for_q(self.q)
-        return sum(factor_degree(field, fac) for fac in self.factors)
+        return sum(f.degree for f in self.factors)
 
     def expanded(self, field: FieldSpec) -> Poly:
         """The product as a single polynomial in F_q[t]."""
         out = Poly.one(field, var="t")
-        for fac in self.factors:
-            if fac[0] == "frobdiff":
-                _, h, ell = fac
-                qh = field.q ** h
-                base = Poly(
-                    field,
-                    [0, field.neg(1)] + [0] * (qh - 2) + [1],
-                    var="t",
-                )
-                out = out * base ** (field.p ** ell)
-            else:
-                out = out * fac[1]
+        for f in self.factors:
+            out = out * f
         return out
 
 
 def _suffix_factors(field: FieldSpec, s: tuple, first: int) -> list:
     """One Frobenius-difference factor per suffix weight
-    w_i = s_{r-i} + ... + s_r, i = first..r-1 (w_0 = s_r)."""
+    w_i = s_{r-i} + ... + s_r, i = first..r-1 (w_0 = s_r): for
+    w_i = p^ℓ·n·(q^h - 1), (t^{q^h} - t)^{p^ℓ} = t^{q^h·p^ℓ} - t^{p^ℓ}
+    in characteristic p."""
     q = field.q
     bad = [x for x in s if x % (q - 1) != 0]
     if bad:
@@ -128,7 +123,11 @@ def _suffix_factors(field: FieldSpec, s: tuple, first: int) -> list:
     factors = []
     for i in range(first, r):
         dec = decompose_weight(q, sum(s[r - 1 - i:]))
-        factors.append(("frobdiff", dec.h, dec.ell))
+        low = field.p ** dec.ell
+        factors.append(
+            Poly.monomial(field, 1, q ** dec.h * low, "t")
+            - Poly.monomial(field, 1, low, "t")
+        )
     return factors
 
 
@@ -144,14 +143,14 @@ def annihilator_mzv(field: FieldSpec, s) -> AnnihilatorData:
     factors = _suffix_factors(field, s, 1)
     cache = cache_for(field)
     depth_one = cache.gamma_ratio(s[-1]) * cache.bc_denominator(s[-1])
-    factors.append(("poly", depth_one.with_var("t")))
-    return AnnihilatorData(field.q, tuple(factors))
+    factors.append(depth_one.with_var("t"))
+    return AnnihilatorData(tuple(factors))
 
 
 def annihilator_cmpl(field: FieldSpec, s) -> AnnihilatorData:
     """Annihilator for the polylogarithm point: factors for
     w_0 = s_r through w_{r-1}, no depth-one polynomial factor."""
-    return AnnihilatorData(field.q, tuple(_suffix_factors(field, tuple(s), 0)))
+    return AnnihilatorData(tuple(_suffix_factors(field, tuple(s), 0)))
 
 
 @dataclass
@@ -220,14 +219,11 @@ class ZetaLikeVerdict:
         }
 
 
-def _validate(s):
-    s = tuple(int(x) for x in s)
-    if not s or any(x < 1 for x in s):
-        raise ValueError("composition entries must be positive integers")
-    return s
-
-
 def _check_bound(bound: int):
+    try:
+        operator.index(bound)
+    except TypeError:
+        raise ValueError(f"the degree bound must be an int, got {bound!r}") from None
     if bound < 0:
         raise ValueError(f"the degree bound must be >= 0, got {bound}")
 
@@ -265,7 +261,7 @@ def is_eulerian(field: FieldSpec, s) -> Verdict:
     and the verdict is ρ_a(v) = 0 for the annihilator a of the result.
     """
     t0 = time.perf_counter()
-    s = _validate(s)
+    s = composition(s)
     q = field.q
 
     def done(reduced, eulerian, why, ann_deg):
@@ -308,7 +304,7 @@ def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
     flagged conditional.
     """
     t0 = time.perf_counter()
-    s = _validate(s)
+    s = composition(s)
     q = field.q
     us = []
     for x in u:
@@ -466,7 +462,7 @@ def torsion_witness(field: FieldSpec, s, bound: int):
     q < 256 the search is probe first, and a witness is always verified
     exactly."""
     _check_bound(bound)
-    motive = Motive(field, _validate(s))
+    motive = Motive(field, s)
     witness = _witness_kernel(motive, [motive.point_v_seeds()], bound)
     return witness[0] if witness else None
 
@@ -480,7 +476,7 @@ def is_zeta_like(field: FieldSpec, s, bound: Optional[int] = None) -> ZetaLikeVe
     <= bound for a nonzero pair (a, b) with ρ_a(v) + ρ_b(u) = 0; not
     finding one is only "none-up-to-bound"."""
     t0 = time.perf_counter()
-    s = _validate(s)
+    s = composition(s)
     if len(s) < 2:
         raise ValueError("zeta-like search needs depth >= 2")
     q = field.q

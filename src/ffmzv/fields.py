@@ -6,10 +6,13 @@ For e = 1 the encoding is the usual residue mod p.  All arithmetic is
 precomputed into tables at construction time, so q is assumed small
 (the library targets q <= a few hundred).  `FieldSpec.packed` says
 where polynomials over F_q run on the packed byte digits of `fpx`
-instead: prime q < 256.
+instead: prime q < 256.  `composition` checks the entries of a
+composition, in one place that both the decision engine and the
+independent `oracle` import.
 """
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from . import fpx
@@ -28,6 +31,19 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def composition(s) -> tuple:
+    """s as a tuple of positive ints.  An entry must be an integer in
+    the sense of `operator.index`: 2.5, 2.0 or "2" is an error, never
+    read as 2."""
+    try:
+        s = tuple(map(operator.index, s))
+    except TypeError:
+        raise ValueError("composition entries must be positive integers") from None
+    if not s or any(x < 1 for x in s):
+        raise ValueError("composition entries must be positive integers")
+    return s
 
 
 def default_modulus(p: int, e: int):

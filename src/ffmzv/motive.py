@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from . import fpx
 from .carlitz import cache_for
-from .fields import FieldSpec
+from .fields import FieldSpec, composition
 from .poly import BiPoly, Poly, RatFrac, packed_ring, taylor_shift
 
 _BUDGET = 10 ** 6
@@ -284,11 +284,8 @@ class Motive:
     """
 
     def __init__(self, field: FieldSpec, s, Q=None, rational: bool = False):
-        s = tuple(int(x) for x in s)
-        if not s or any(x < 1 for x in s):
-            raise ValueError("composition entries must be positive integers")
         self.field = field
-        self.s = s
+        self.s = s = composition(s)
         self.r = len(s)
         self.rational = rational
         if Q is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .carlitz import cache_for
-from .fields import FieldSpec
+from .fields import FieldSpec, composition
 from .laurent import LaurentNumber, PrecisionError, rational_reconstruct
 from .poly import Poly, RatFrac
 from .families import eu_base, eu_canonical
@@ -74,9 +74,7 @@ class SeriesContext:
 def zeta_laurent(ctx: SeriesContext, s) -> LaurentNumber:
     """Truncated multizeta value, guaranteed to ctx.prec coefficients
     below the leading θ^0 term."""
-    s = tuple(int(x) for x in s)
-    if not s or any(x < 1 for x in s):
-        raise ValueError("composition entries must be positive integers")
+    s = composition(s)
     F = ctx.field
     N = ctx.prec
     r = len(s)

@@ -36,13 +36,18 @@ Every domain offers the same element operations (zero, is_zero, add,
 neg, mul, theta_step, scalar, frob, convert), so the operator code
 below never asks which domain it runs in.
 
-Annihilators are kept factored; factors are applied smallest degree
-first with an early exit as soon as the point dies.
+ρ_a for a in F_q[t] is Horner in ρ_t from the leading coefficient of a
+(`TModule.apply_poly`): deg a applications of ρ_t, with the point added
+back at each nonzero coefficient.  Annihilators are kept factored, a
+sequence of plain polynomials in t; a Frobenius-difference factor
+(t^{q^h} - t)^{p^ℓ} arrives already in closed form, the two-term
+t^{q^h·p^ℓ} - t^{p^ℓ}.  Factors are applied smallest degree first,
+and the rest are skipped once the point dies.
 """
 from __future__ import annotations
 
 import random
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import fpx
 from .carlitz import cache_for, theta_major
@@ -167,14 +172,6 @@ class ProbeDomain:
 # the operator itself
 
 
-def factor_degree(field: FieldSpec, fac) -> int:
-    """Degree in t of one annihilator factor: q^h·p^ℓ for
-    ('frobdiff', h, ℓ), the degree of f for ('poly', f)."""
-    if fac[0] == "frobdiff":
-        return field.q ** fac[1] * field.p ** fac[2]
-    return max(fac[1].degree, 0)
-
-
 class TModule:
     """ρ_t = θ·I + N + T for a d-dimensional t-module.
 
@@ -243,58 +240,37 @@ class TModule:
         return out
 
     def apply_poly(self, vec, a: Poly, dom=None):
-        """ρ_a(vec) for a in F_q[t], by Horner in ρ_t."""
+        """ρ_a(vec) for a in F_q[t], by Horner in ρ_t from the leading
+        coefficient: deg a applications of ρ_t.  A coefficient 1 adds
+        vec; any other nonzero one adds its scalar multiple."""
         dom = dom or self.exact
-        acc = [dom.zero()] * self.d
+        if not a.coeffs:
+            return [dom.zero()] * self.d
 
-        def add_scaled(target, src, c):
-            if c == 0:
-                return target
+        def times(c):
             if c == 1:
-                return [dom.add(t_, s) for t_, s in zip(target, src)]
+                return vec
             cs = dom.scalar(c)
-            return [
-                dom.add(t_, dom.mul(cs, s)) for t_, s in zip(target, src)
-            ]
+            return [dom.mul(cs, x) for x in vec]
 
-        for c in reversed(a.coeffs if a.coeffs else (0,)):
+        *rest, lead = a.coeffs
+        acc = list(times(lead))
+        for c in reversed(rest):
             acc = self.apply_t(acc, dom)
-            acc = add_scaled(acc, vec, c)
+            if c:
+                acc = list(map(dom.add, acc, times(c)))
         return acc
 
-    def apply_frobdiff_factor(self, vec, h: int, ell: int, dom=None):
-        """(t^{q^h} - t)^{p^ℓ} applied as p^ℓ rounds of ρ_t^{q^h} - ρ_t,
-        with an early exit once the point vanishes."""
-        dom = dom or self.exact
-        q = self.field.q
-        cur = vec
-        for _ in range(self.field.p ** ell):
-            if all(dom.is_zero(x) for x in cur):
-                return cur
-            w1 = self.apply_t(cur, dom)
-            wq = w1
-            for _ in range(q ** h - 1):
-                wq = self.apply_t(wq, dom)
-            cur = [
-                dom.add(a, dom.neg(b)) for a, b in zip(wq, w1)
-            ]
-        return cur
-
     def apply_annihilator(self, vec, factors, dom=None):
-        """Apply a factored annihilator, cheapest factors first.
-
-        Each factor is ('frobdiff', h, pl) meaning (t^{q^h}-t)^{p^ℓ},
-        or ('poly', f) with f in F_q[t].
-        """
+        """Apply a factored annihilator, a sequence of polynomials in
+        F_q[t], smallest degree first, by `apply_poly`; the remaining
+        factors are skipped once the point vanishes."""
         dom = dom or self.exact
         cur = [dom.convert(x) for x in vec]
-        for fac in sorted(factors, key=partial(factor_degree, self.field)):
+        for f in sorted(factors, key=lambda f: f.degree):
             if all(dom.is_zero(x) for x in cur):
                 break
-            if fac[0] == "frobdiff":
-                cur = self.apply_frobdiff_factor(cur, fac[1], fac[2], dom)
-            else:
-                cur = self.apply_poly(cur, fac[1], dom)
+            cur = self.apply_poly(cur, f, dom)
         return cur
 
     def is_zero_point(self, vec, dom=None):

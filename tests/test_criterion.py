@@ -22,6 +22,7 @@ from ffmzv.criterion import (
 from ffmzv.fields import field_for_q
 from ffmzv.linalg import nullspace
 from ffmzv.motive import Motive
+from ffmzv.oracle import SeriesContext, zeta_laurent
 from ffmzv.poly import Poly, RatFrac
 from ffmzv.tmodule import TModule
 
@@ -91,6 +92,26 @@ def test_annihilator_cmpl_examples():
     assert annihilator_cmpl(F2, (1, 2)).expanded(F2) == (
         (t2 * t2 - t2) ** 2 * (t2 ** 4 - t2)
     )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_suffix_factors_are_the_frobenius_differences(q):
+    """Every suffix weight w <= 80 with (q-1) | w, as the suffixes of
+    (q-1, ..., q-1): its factor, a polynomial in t, is (t^{q^h} - t)^{p^ℓ}
+    for w = p^ℓ·n·(q^h - 1), and the degree is Σ q^h·p^ℓ, read off
+    `decompose_weight`."""
+    F = field_for_q(q)
+    k = 80 // (q - 1)
+    ann = annihilator_cmpl(F, (q - 1,) * k)
+    t = Poly(F, [0, 1], var="t")
+    assert len(ann.factors) == k
+    degree = 0
+    for i, f in enumerate(ann.factors):
+        dec = decompose_weight(q, (i + 1) * (q - 1))
+        assert f.var == "t"
+        assert f == (t ** (q ** dec.h) - t) ** (F.p ** dec.ell)
+        degree += q ** dec.h * F.p ** dec.ell
+    assert ann.degree == degree
 
 
 def test_annihilator_strict_rejects_odd_entries():
@@ -295,6 +316,26 @@ def test_negative_bound_is_rejected():
         is_zeta_like(F, (1, 2), bound=-1)
     with pytest.raises(ValueError, match="bound"):
         is_zeta_like(field_for_q(2), (1, 2), bound=-1)
+    # a non-int bound used to fail with a TypeError inside range()
+    with pytest.raises(ValueError, match="bound"):
+        is_zeta_like(F, (1, 2), bound=2.5)
+    with pytest.raises(ValueError, match="bound"):
+        torsion_witness(F, (2, 4), 2.0)
+
+
+@pytest.mark.parametrize(
+    "s", [(2.5, 4.9), (2.0, 4), ("2", 4), (2, 4.0), (2.7,)]
+)
+def test_composition_entries_must_be_integers(s):
+    """Entries used to be read with int(), so (2.5, 4.9) was decided as
+    (2, 4) and (2.7,) built the motive of (2,)."""
+    F = field_for_q(3)
+    with pytest.raises(ValueError, match="integers"):
+        is_eulerian(F, s)
+    with pytest.raises(ValueError, match="integers"):
+        Motive(F, s)
+    with pytest.raises(ValueError, match="integers"):
+        zeta_laurent(SeriesContext(F, prec=4), s)
 
 
 def test_zetalike_q5_finishes_at_default_bound():

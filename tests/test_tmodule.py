@@ -40,15 +40,57 @@ def test_nilpotency(q, s):
     assert tm.nilpotency_index() == max(sum(s[i:]) for i in range(len(s)))
 
 
-def test_frobdiff_factor_matches_expanded_polynomial():
-    F = field_for_q(3)
-    motive = Motive(F, (2, 4))
-    tm = TModule.from_motive(motive)
-    v = motive.special_point_v()
-    # (t³ - t)¹ applied two ways
-    direct = tm.apply_frobdiff_factor(v, 1, 0)
-    poly = Poly(F, [0, 2, 0, 1], var="t")
-    assert direct == tm.apply_poly(v, poly)
+def _frobdiff_rounds(tm, vec, h, ell, dom):
+    """(t^{q^h} - t)^{p^ℓ} applied as p^ℓ rounds of ρ_t^{q^h} - ρ_t: the
+    reference for its closed form t^{q^h·p^ℓ} - t^{p^ℓ}."""
+    cur = vec
+    for _ in range(tm.field.p ** ell):
+        w1 = tm.apply_t(cur, dom)
+        wq = w1
+        for _ in range(tm.field.q ** h - 1):
+            wq = tm.apply_t(wq, dom)
+        cur = [dom.add(a, dom.neg(b)) for a, b in zip(wq, w1)]
+    return cur
+
+
+# (q, h, ℓ, domain) with q^h·p^ℓ <= 81 applications of ρ_t
+_FROBDIFF_CASES = [
+    (q, h, ell, dom)
+    for dom, qs in (
+        ("exact", (2, 3, 4, 9)), ("probe", (2, 3, 5)), ("packed", (2, 3, 5)),
+    )
+    for q in qs
+    for h in (1, 2)
+    for ell in (0, 1, 2)
+    if q ** h * field_for_q(q).p ** ell <= 81
+]
+
+
+@pytest.mark.parametrize("q,h,ell,dom_name", _FROBDIFF_CASES)
+def test_closed_form_factor_matches_frobenius_difference_rounds(
+    q, h, ell, dom_name
+):
+    """ρ of t^{q^h·p^ℓ} - t^{p^ℓ}, by Horner, equals p^ℓ rounds of
+    ρ_t^{q^h} - ρ_t on a random point of [t]_n, n the number of ρ_t
+    steps, so that θ-degrees grow q-fold about once.  At q = 9 the -1
+    is the code 2."""
+    F = field_for_q(q)
+    low = F.p ** ell
+    steps = q ** h * low
+    tm = carlitz_tensor_module(F, steps)
+    if dom_name == "exact":
+        dom = tm.exact
+    elif dom_name == "probe":
+        dom = ProbeDomain(F, 21, 0)
+    else:
+        dom = packed_ring(F.p)
+    rng = random.Random(repr((q, h, ell)))
+    v = [dom.convert(c) for c in _random_point(F, tm.d, rng)]
+    assert not tm.is_zero_point(v, dom)
+    t = Poly.gen(F, "t")
+    closed = t ** steps - t ** low
+    assert closed == (t ** (q ** h) - t) ** low
+    assert tm.apply_poly(v, closed, dom) == _frobdiff_rounds(tm, v, h, ell, dom)
 
 
 def test_apply_annihilator_early_exit_order_independent():
@@ -56,7 +98,11 @@ def test_apply_annihilator_early_exit_order_independent():
     motive = Motive(F, (2, 4))
     tm = TModule.from_motive(motive)
     v = motive.special_point_v()
-    factors = [("frobdiff", 1, 1), ("poly", Poly(F, [0, 2, 0, 1], var="t"))]
+    # (t³ - t)³ = t⁹ - t³, and t³ - t
+    factors = [
+        Poly(F, [0, 0, 0, 2, 0, 0, 0, 0, 0, 1], var="t"),
+        Poly(F, [0, 2, 0, 1], var="t"),
+    ]
     a = tm.apply_annihilator(v, factors)
     b = tm.apply_annihilator(v, list(reversed(factors)))
     assert tm.is_zero_point(a) == tm.is_zero_point(b)
@@ -98,7 +144,11 @@ def test_probe_agrees_with_exact_on_torsion():
     motive = Motive(F, (2, 4))
     tm = TModule.from_motive(motive)
     v = motive.special_point_v()
-    factors = [("frobdiff", 1, 1), ("poly", Poly(F, [0, 2, 0, 1], var="t"))]
+    # (t³ - t)³ = t⁹ - t³, and t³ - t
+    factors = [
+        Poly(F, [0, 0, 0, 2, 0, 0, 0, 0, 0, 1], var="t"),
+        Poly(F, [0, 2, 0, 1], var="t"),
+    ]
     dom = ProbeDomain(F, deg=11, seed=0)
     out = tm.apply_annihilator(v, factors, dom)
     assert tm.is_zero_point(out, dom)
@@ -109,7 +159,11 @@ def test_probe_detects_nontorsion():
     motive = Motive(F, (4, 2))
     tm = TModule.from_motive(motive)
     v = motive.special_point_v()
-    factors = [("frobdiff", 1, 1), ("poly", Poly(F, [0, 2, 0, 1], var="t"))]
+    # (t³ - t)³ = t⁹ - t³, and t³ - t
+    factors = [
+        Poly(F, [0, 0, 0, 2, 0, 0, 0, 0, 0, 1], var="t"),
+        Poly(F, [0, 2, 0, 1], var="t"),
+    ]
     dom = ProbeDomain(F, deg=21, seed=0)
     out = tm.apply_annihilator(v, factors, dom)
     assert not tm.is_zero_point(out, dom)
@@ -495,6 +549,20 @@ def test_apply_matches_sparse_rows(p, s):
             assert tm.apply_poly(x, a, dom) == _reference_apply_poly(
                 rows, x, a, dom
             )
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_apply_poly_matches_sparse_rows_on_extension_fields(q):
+    """Every element code as a coefficient of a, in `Poly` arithmetic:
+    the code of -1 is 1 at q = 4 and 2 at q = 9, not q - 1, and every
+    code other than 0 and 1 is a scalar product."""
+    F = field_for_q(q)
+    motive = Motive(F, (q - 1,))
+    tm = TModule.from_motive(motive)
+    rows = _sparse_rows(tm.entry, tm.d, tm.exact)
+    a = Poly(F, list(range(q)), var="t")
+    x = motive.special_point_v()
+    assert tm.apply_poly(x, a) == _reference_apply_poly(rows, x, a, tm.exact)
 
 
 @pytest.mark.parametrize("p,s", _MODULES)
