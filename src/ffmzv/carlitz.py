@@ -217,9 +217,13 @@ class CarlitzCache:
             return
         try:
             raw = json.loads(path.read_text())
+            if not isinstance(raw, dict):
+                raise ValueError("not a JSON object")
             loaded = {}
             for key, tmajor in raw.items():
                 n = int(key)
+                if any(c not in range(self.q) for col in tmajor for c in col):
+                    raise ValueError("coefficient code outside range(q)")
                 h = from_theta_major(
                     self.field,
                     [Poly(self.field, c, var="t") for c in tmajor],

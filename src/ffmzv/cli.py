@@ -25,7 +25,7 @@ from . import __version__
 from .carlitz import cache_for
 from .criterion import check_suffix_consistency, is_eulerian, is_zeta_like
 from .families import compare_sweep, is_primitive, predicted_eulerian
-from .fields import FieldSpec, field_for_q
+from .fields import FieldSpec, composition, field_for_q
 from .motive import Motive
 from .oracle import (
     SeriesContext,
@@ -80,12 +80,9 @@ def _resolve_field(args) -> FieldSpec:
 
 def _parse_tuple(text: str) -> tuple:
     try:
-        s = tuple(int(x) for x in text.split(","))
-    except (ValueError, AttributeError) as exc:
-        raise ConfigError(f"bad --tuple: {text!r}") from exc
-    if not s or any(x < 1 for x in s):
-        raise ConfigError("tuple entries must be positive integers")
-    return s
+        return composition(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad --tuple {text!r}: {exc}") from exc
 
 
 def _require_tuple(args) -> tuple:

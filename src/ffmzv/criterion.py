@@ -23,18 +23,21 @@ a semi-decision, searched by F_q-linear algebra up to a degree bound.
 The torsion-witness search (ρ_a(v) = 0 alone) is the same search with
 one point; both go through `_witness_kernel`.
 
-Both criteria go through one torsion test, `_annihilates`.  It and the
-witness search run "probe, then confirm exactly" where the field is
-`packed` (prime q < 256) and the motive integral: the work is done
-first in a fast modular image of A, a ring homomorphism, which cannot
-turn a zero into a nonzero.  So a nonzero residual certifies
-non-torsion and an empty probe kernel rules out every witness, while
-torsion verdicts and witnesses are always confirmed in exact
-arithmetic.  A torsion verdict is confirmed in A = F_p[θ] itself, on
-the same packed digits as the probe, in the one packed ring per prime
-(`poly.packed_ring`).  Extension fields, primes above 255 (whose
-digits do not fit a byte) and the polylogarithm variant, whose motive
-has rational coordinates, use exact `Poly` arithmetic only.
+The torsion test `_annihilates` and the witness search run "probe,
+then confirm exactly" over one list of coefficient domains
+(`_ladder`): on a `packed` field (prime q < 256) and for an integral
+motive, first a fast modular image of A, a ring homomorphism, which
+cannot turn a zero into a nonzero, then A = F_p[θ] itself, on packed
+digits in the one packed ring per prime (`poly.packed_ring`).
+Extension fields, primes above 255 (whose digits do not fit a byte)
+and the polylogarithm variant, whose motive has rational coordinates,
+walk the exact `Poly` domain alone.  In every domain the work is the
+same: `_annihilates` applies ρ_a to v, and the witness search builds
+its linear system from the iterates ρ_{t^j} of the points, both
+through `TModule`.  A nonzero residual certifies non-torsion and an
+empty kernel rules out every witness in any domain, while a zero
+residual counts only in the exact domain and a witness only once an
+independent reduction (`vanishes`) confirms it.
 """
 from __future__ import annotations
 
@@ -101,13 +104,6 @@ class AnnihilatorData:
     @property
     def degree(self) -> int:
         return sum(f.degree for f in self.factors)
-
-    def expanded(self, field: FieldSpec) -> Poly:
-        """The product as a single polynomial in F_q[t]."""
-        out = Poly.one(field, var="t")
-        for f in self.factors:
-            out = out * f
-        return out
 
 
 def _suffix_factors(field: FieldSpec, s: tuple, first: int) -> list:
@@ -232,25 +228,29 @@ def _modulus_of(field: FieldSpec):
     return field.modulus if field.e > 1 else None
 
 
+def _ladder(motive: Motive):
+    """The operator of the motive and the domains a torsion test walks,
+    in order: on a `packed` field and for an integral motive the modular
+    probe, then A = F_p[θ] on packed digits (`packed_ring`); otherwise
+    the exact `Poly` (or `RatFrac`) domain alone.  The last domain is
+    always exact."""
+    tm = TModule.from_motive(motive)
+    if motive.field.packed and not motive.rational:
+        probe = ProbeDomain(motive.field, PROBE_DEGREE, 0)
+        return tm, [probe, packed_ring(motive.field.p)]
+    return tm, [tm.exact]
+
+
 def _annihilates(motive: Motive, factors) -> bool:
     """Whether ρ_a(v) = 0 for the factored annihilator a and the point
-    v of the motive.
-
-    On a `packed` field and for an integral motive the residual is
-    first computed in the modular probe, whose nonzero image certifies
-    non-torsion; a zero there is confirmed in A = F_p[θ] on packed
-    digits (`packed_ring`).  Every other case is decided in `Poly`
-    arithmetic.
-    """
-    tm = TModule.from_motive(motive)
+    v of the motive: a nonzero residual in any domain of `_ladder`
+    certifies non-torsion, a zero counts only in the last, exact one."""
+    tm, doms = _ladder(motive)
     v = motive.special_point_v()
-    exact = tm.exact
-    if motive.field.packed and not motive.rational:
-        dom = ProbeDomain(motive.field, PROBE_DEGREE, 0)
-        if not tm.is_zero_point(tm.apply_annihilator(v, factors, dom), dom):
-            return False
-        exact = packed_ring(motive.field.p)
-    return tm.is_zero_point(tm.apply_annihilator(v, factors, exact), exact)
+    return all(
+        tm.is_zero_point(tm.apply_annihilator(v, factors, dom), dom)
+        for dom in doms
+    )
 
 
 def is_eulerian(field: FieldSpec, s) -> Verdict:
@@ -356,31 +356,17 @@ def default_zetalike_bound(q: int, weight: int) -> int:
     return q ** (e + 1)
 
 
-def _point_iterates(motive: Motive, seeds, count: int):
-    """[point, ρ_t(point), ..., ρ_{t^count}(point)], computed inside the
-    Frobenius module (t-multiples of the seeds), which keeps θ-degrees
-    polynomial instead of compounding Frobenius twists."""
-    field = motive.field
-    t = Poly(field, [0, 1], var="t")
-    tpow = Poly.one(field, var="t")
-    out = []
-    for _ in range(count + 1):
-        scaled = [(n, f.coeff_mul_t(tpow), ell) for n, f, ell in seeds]
-        out.append(motive.reduce_point(scaled))
-        tpow = tpow * t
-    return out
-
-
-def _flatten_rows(vectors, width: int):
-    """One F_q-linear equation per (coordinate, component) pair that is
-    not identically zero; column k is vectors[k].  A coordinate has
-    `width` components: its θ-coefficients, or its probe-field digits."""
+def _flatten_rows(vectors):
+    """One F_q-linear equation per (coordinate, digit) pair that is not
+    identically zero; column k is vectors[k].  A coordinate is a `Poly`
+    in θ, read by its coefficients, or a `bytes` of F_p digits (probe
+    field or packed ring), read as is; a digit beyond its end is 0."""
     rows = []
-    for i in range(len(vectors[0])):
-        for j in range(width):
-            row = [v[i][j] for v in vectors]
-            if any(row):
-                rows.append(row)
+    for coords in zip(*vectors):
+        digits = [tuple(getattr(c, "coeffs", c)) for c in coords]
+        width = max(map(len, digits))
+        padded = [d + (0,) * (width - len(d)) for d in digits]
+        rows += (list(r) for r in zip(*padded) if any(r))
     return rows
 
 
@@ -389,13 +375,17 @@ def _witness_kernel(motive: Motive, seed_groups, bound: int):
     deg a_i <= bound, P_i the point with seeds seed_groups[i], returned
     as the list [a_1, ..., a_k]; None if the kernel is zero.
 
-    The exact system has one row per (coordinate, θ-power) of the
-    iterates ρ_{t^j}(P_i).  On a `packed` field the search first builds the
-    system from the iterate images in the modular probe, where each
-    coordinate is one field element instead of a polynomial of growing
-    degree."""
+    Each domain of `_ladder` builds the system from the iterates
+    ρ_{t^j}(P_i), j <= bound, by `TModule.apply_t`: one row per
+    (coordinate, digit).  In the probe a coordinate is one element of
+    F_{p^deg}, deg digits, instead of a polynomial of growing degree.
+    An empty kernel in any domain rules out every witness; a kernel
+    vector counts once `vanishes`, a reduction independent of ρ_t,
+    accepts it, which in the exact domain it must."""
     field = motive.field
     n = bound + 1
+    tm, doms = _ladder(motive)
+    points = [motive.reduce_point(seeds) for seeds in seed_groups]
 
     def split(vec):
         return [
@@ -413,21 +403,18 @@ def _witness_kernel(motive: Motive, seed_groups, bound: int):
         ]
         return all(c.is_zero() for c in motive.reduce_point(scaled))
 
-    if field.packed:
-        tm = TModule.from_motive(motive)
-        dom = ProbeDomain(field, PROBE_DEGREE, 0)
+    for dom in doms:
         iters = []
-        for seeds in seed_groups:
-            cur = [dom.convert(x) for x in motive.reduce_point(seeds)]
+        for point in points:
+            cur = [dom.convert(x) for x in point]
             for j in range(n):
                 iters.append(cur)
                 if j < bound:
                     cur = tm.apply_t(cur, dom)
-        rows = _flatten_rows(iters, dom.deg)
-        basis = nullspace(field, rows, len(iters))
+        basis = nullspace(field, _flatten_rows(iters), len(iters))
         # Each probe row is an F_p-combination of exact rows (θ ↦ ξ is
         # F_p-linear), so the exact kernel lies inside the probe kernel:
-        # an empty probe kernel rules out every witness.
+        # an empty kernel in any domain rules out every witness.
         if not basis:
             return None
         # The exact row space contains the probe row space, so the exact
@@ -435,31 +422,19 @@ def _witness_kernel(motive: Motive, seed_groups, bound: int):
         # are among the probe free columns.  A first probe basis vector
         # (1 at the first probe free column, 0 at the others) that lies
         # in the exact kernel is therefore the first exact basis vector:
-        # the answer is the exact path's, byte for byte.
+        # the answer is the exact domain's, byte for byte.
         polys = split(basis[0])
         if vanishes(polys):
             return polys
-        # a kernel collision in the probe: fall through to exact
-    iters = [
-        it
-        for seeds in seed_groups
-        for it in _point_iterates(motive, seeds, bound)
-    ]
-    width = max((c.degree for v in iters for c in v), default=-1) + 1
-    rows = _flatten_rows(iters, width)
-    basis = nullspace(field, rows, len(iters))
-    if not basis:
-        return None
-    polys = split(basis[0])
-    assert vanishes(polys)
-    return polys
+        # a kernel collision in the probe: go on to the exact domain
+        assert dom is not doms[-1], "exact kernel vector fails the reduction"
 
 
 def torsion_witness(field: FieldSpec, s, bound: int):
     """Smallest-support nonzero a with deg a <= bound and ρ_a(v) = 0,
     found by linear algebra over F_q; None if no witness exists up to
-    the bound.  Independent of the factored annihilator path; for prime
-    q < 256 the search is probe first, and a witness is always verified
+    the bound.  Independent of the factored annihilator path; the search
+    walks the domains of `_ladder`, and a witness is always verified
     exactly."""
     _check_bound(bound)
     motive = Motive(field, s)

@@ -242,6 +242,42 @@ def test_disk_cache_survives_corruption(tmp_path, monkeypatch):
     assert b.anderson_thakur(7) == h
 
 
+@pytest.mark.parametrize("text", ["[]", "null", "5"])
+def test_disk_cache_discards_a_file_that_is_not_an_object(
+    tmp_path, monkeypatch, text
+):
+    """Valid JSON that is not an object is corruption: the file is
+    replaced by a fresh one, and every later call still works."""
+    monkeypatch.setenv("CARLITZ_CACHE_DIR", str(tmp_path))
+    F = field_for_q(3)
+    h = CarlitzCache(F).anderson_thakur(7)
+    path = next(tmp_path.iterdir())
+    path.write_text(text)
+    b = CarlitzCache(F)
+    assert b.anderson_thakur(7) == h
+    assert b.anderson_thakur(8) == CarlitzCache(F).anderson_thakur(8)
+    assert sorted(map(int, json.loads(path.read_text()))) == list(range(9))
+
+
+def test_disk_cache_discards_a_code_outside_the_field(tmp_path, monkeypatch):
+    """A coefficient code outside range(q) in an entry that the spot
+    check does not re-derive (H_12, not H_3) is corruption too."""
+    monkeypatch.setenv("CARLITZ_CACHE_DIR", str(tmp_path))
+    F = field_for_q(3)
+    h = CarlitzCache(F).anderson_thakur(12)
+    path = next(tmp_path.iterdir())
+    raw = json.loads(path.read_text())
+    col = next(c for c in raw["12"] if c)
+    col[0] = 7
+    path.write_text(json.dumps(raw))
+    assert CarlitzCache(F).anderson_thakur(12) == h
+    assert all(
+        0 <= c < 3
+        for col in json.loads(path.read_text())["12"]
+        for c in col
+    )
+
+
 def test_disk_cache_keeps_its_entries_when_loaded(tmp_path, monkeypatch):
     """Loading re-derives one entry as a spot check; that must not
     rewrite the file with only what the fresh cache holds so far."""

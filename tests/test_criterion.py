@@ -1,6 +1,7 @@
+import operator
 import random
 import signal
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 
@@ -8,7 +9,6 @@ from ffmzv import criterion
 from ffmzv.cli import enumerate_tuples
 from ffmzv.criterion import (
     _flatten_rows,
-    _point_iterates,
     annihilator_cmpl,
     annihilator_mzv,
     check_suffix_consistency,
@@ -66,13 +66,18 @@ def test_decompose_weight_rejects_bad_weight():
 
 # -- annihilator construction ------------------------------------------------
 
+def _product(ann):
+    """The factored annihilator as one polynomial in t."""
+    return reduce(operator.mul, ann.factors)
+
+
 def test_annihilator_q3_2_4():
     F = field_for_q(3)
     ann = annihilator_mzv(F, (2, 4))
     t = Poly(F, [0, 1], var="t")
     frob = t ** 3 - t
     depth_one = t ** 3 + t.scale(2)
-    assert ann.expanded(F) == frob ** 3 * depth_one
+    assert _product(ann) == frob ** 3 * depth_one
     assert ann.degree == 9 + 3
 
 
@@ -80,16 +85,16 @@ def test_annihilator_q2_1_1():
     F = field_for_q(2)
     ann = annihilator_mzv(F, (1, 1))
     t = Poly(F, [0, 1], var="t")
-    assert ann.expanded(F) == (t * t - t) ** 2 * (t * t + t)
+    assert _product(ann) == (t * t - t) ** 2 * (t * t + t)
 
 
 def test_annihilator_cmpl_examples():
     F3 = field_for_q(3)
     t3 = Poly(F3, [0, 1], var="t")
-    assert annihilator_cmpl(F3, (2, 4)).expanded(F3) == (t3 ** 3 - t3) ** 4
+    assert _product(annihilator_cmpl(F3, (2, 4))) == (t3 ** 3 - t3) ** 4
     F2 = field_for_q(2)
     t2 = Poly(F2, [0, 1], var="t")
-    assert annihilator_cmpl(F2, (1, 2)).expanded(F2) == (
+    assert _product(annihilator_cmpl(F2, (1, 2))) == (
         (t2 * t2 - t2) ** 2 * (t2 ** 4 - t2)
     )
 
@@ -366,21 +371,51 @@ WITNESS_CASES = [
     (3, (2,), 12), (3, (2, 4), 24), (3, (4, 2), 12), (3, (2, 2), 12),
     (3, (2, 4), 12), (2, (1, 1), 6), (2, (1, 2), 8), (2, (1, 2, 4), 24),
     (3, (2, 2, 2), 15),
+    # extension fields, exact domain only, and q = 5 (two-digit probe
+    # slots at degree 2)
+    (4, (3, 9), 24), (4, (3,), 8), (4, (3, 6), 12), (9, (8, 16), 10),
+    (9, (8,), 9), (5, (4,), 10), (5, (4, 8), 15),
 ]
+ZETALIKE_OTHER_Q = [(4, (1, 1), 8), (5, (1, 2), 10), (5, (2, 1), 6)]
+# the answers before the witness search iterated ρ_t in its exact stage
+PINNED_WITNESSES = {
+    (4, (3, 9), 24): "t^20 + t^17 + t^8 + t^5",
+    (4, (3,), 8): "t^4 + t",
+    (9, (8, 16), 10): None,
+    (9, (8,), 9): "t^9 + 2*t",
+    (5, (4,), 10): "t^5 + 4*t",
+}
+
+
+def _reduction_iterates(motive, seeds, count):
+    """[P, ρ_t(P), ..., ρ_{t^count}(P)] for the point P with the given
+    seeds, each one reduction of the t^j-multiples of the seeds: the
+    reduction is linear and commutes with t, so no ρ_t is applied."""
+    F = motive.field
+    t = Poly(F, [0, 1], var="t")
+    tpow = Poly.one(F, var="t")
+    out = []
+    for _ in range(count + 1):
+        scaled = [(n, f.coeff_mul_t(tpow), ell) for n, f, ell in seeds]
+        out.append(motive.reduce_point(scaled))
+        tpow = tpow * t
+    return out
 
 
 @lru_cache(maxsize=None)
 def _exact_first_kernel_vector(q, s, bound, with_u):
-    """The first nullspace basis vector of the exact system, split into
-    one polynomial per point: the witness the search must reproduce."""
+    """The first nullspace basis vector of the exact system, built from
+    the reduction iterates and split into one polynomial per point: the
+    witness the search must reproduce."""
     F = field_for_q(q)
     motive = Motive(F, s)
     groups = [motive.point_v_seeds()]
     if with_u:
         groups.append(motive.point_u_seeds())
-    iters = [it for g in groups for it in _point_iterates(motive, g, bound)]
-    width = max((c.degree for v in iters for c in v), default=-1) + 1
-    basis = nullspace(F, _flatten_rows(iters, width), len(iters))
+    iters = [
+        it for g in groups for it in _reduction_iterates(motive, g, bound)
+    ]
+    basis = nullspace(F, _flatten_rows(iters), len(iters))
     if not basis:
         return None
     n = bound + 1
@@ -394,20 +429,25 @@ def _exact_first_kernel_vector(q, s, bound, with_u):
 def test_witness_search_matches_exact_reference(monkeypatch, probe_degree):
     """Probe first, then exact: the same witness as the exact system.  At
     probe degree 2 the probe kernel is often too large and the search
-    falls back to the exact path."""
+    falls back to the exact domain; extension fields run it alone."""
     monkeypatch.setattr(criterion, "PROBE_DEGREE", probe_degree)
     for q, s, bound in WITNESS_CASES:
         w = torsion_witness(field_for_q(q), s, bound)
         got = None if w is None else (str(w),)
         assert got == _exact_first_kernel_vector(q, s, bound, False), (q, s)
-    for s in ZETALIKE_Q3:
-        v = is_zeta_like(field_for_q(3), s, 11)
+        if (q, s, bound) in PINNED_WITNESSES:
+            assert (w and str(w)) == PINNED_WITNESSES[q, s, bound], (q, s)
+    cases = [(3, s, 11) for s in ZETALIKE_Q3] + ZETALIKE_OTHER_Q
+    for q, s, bound in cases:
+        v = is_zeta_like(field_for_q(q), s, bound)
         got = (
             (str(v.witness_a), str(v.witness_b))
             if v.outcome == "zeta-like"
             else None
         )
-        assert got == _exact_first_kernel_vector(3, s, 11, True), s
+        assert got == _exact_first_kernel_vector(q, s, bound, True), (q, s)
+    v = is_zeta_like(field_for_q(4), (1, 1), 8)
+    assert v.outcome == "none-up-to-bound"
 
 
 def test_zetalike_default_bound():
