@@ -44,6 +44,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass, field as dc_field
+from itertools import compress
 from typing import Optional
 
 from .carlitz import cache_for
@@ -358,15 +359,34 @@ def default_zetalike_bound(q: int, weight: int) -> int:
 
 def _flatten_rows(vectors):
     """One F_q-linear equation per (coordinate, digit) pair that is not
-    identically zero; column k is vectors[k].  A coordinate is a `Poly`
-    in θ, read by its coefficients, or a `bytes` of F_p digits (probe
-    field or packed ring), read as is; a digit beyond its end is 0."""
+    identically zero, in coordinate then digit order; column k is
+    vectors[k].  A coordinate is a `Poly` in θ, read by its
+    coefficients, or a `bytes` of F_p digits (probe field or packed
+    ring), read as is; a digit beyond its end is 0.
+
+    A coordinate whose n = len(vectors) digit strings fill at least
+    half of the width·n cells of its rows, width the longest string,
+    is padded and transposed whole by `zip`.  Otherwise most cells
+    would be padding, as in the exact iterates ρ_{t^j}, whose θ-degrees
+    grow q-fold with j, and only the nonzero digits of each string are
+    read, found by `compress`."""
     rows = []
+    n = len(vectors)
     for coords in zip(*vectors):
-        digits = [tuple(getattr(c, "coeffs", c)) for c in coords]
+        digits = [getattr(c, "coeffs", c) for c in coords]
         width = max(map(len, digits))
-        padded = [d + (0,) * (width - len(d)) for d in digits]
-        rows += (list(r) for r in zip(*padded) if any(r))
+        if 2 * sum(map(len, digits)) >= width * n:
+            padded = [tuple(d) + (0,) * (width - len(d)) for d in digits]
+            rows += (list(r) for r in zip(*padded) if any(r))
+            continue
+        at = {}
+        for col, d in enumerate(digits):
+            for j in compress(range(len(d)), d):
+                row = at.get(j)
+                if row is None:
+                    row = at[j] = [0] * n
+                row[col] = d[j]
+        rows += (at[j] for j in sorted(at))
     return rows
 
 

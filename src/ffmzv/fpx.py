@@ -8,7 +8,10 @@ first.  Moduli are monic.  Two rings keep their elements as byte digits
 `PackedQuotient` is the probe's quotient ring F_p[x]/(m), where a
 product is one big-int product and the Frobenius a precomputed
 F_p-linear map; `PackedPoly` is F_p[x] itself, where a sum is one
-packed sum and the Frobenius a strided copy.  One `PackedPoly` per
+packed sum and the Frobenius a strided copy.  The probe keeps a whole
+point of d elements as one packed integer, at a slot width of its own,
+and applies ρ_t to it with the quotient's `xdeg`, `frob`, `mul` and
+`digits` (`tmodule.ProbeDomain`).  One `PackedPoly` per
 prime (`poly.packed_ring`) serves every packed consumer: it is the
 exact domain that confirms the probe's zeros (`criterion`), its
 `product` the A[t] product of `poly` and the product in u of the point
@@ -203,10 +206,11 @@ class PackedQuotient(_PackedDigits):
     exceeds 256^slot - 1.  The widest sum ever packed is a reduced
     low half plus deg - 1 folded high digits, at most
     deg·(p-1)^2 + (p-1), which sets `slot`: one byte for p <= 3 at
-    degree 21.  A product by x alone (`shift_add`) needs no big-int
-    product: it is a one-slot shift and one folded digit, at most
-    3(p-1) per slot.  Digits are brought back to range(p) per slot by
-    the byte-sliced `digits`.
+    degree 21.  Digits are brought back to range(p) per slot by the
+    byte-sliced `digits`.  `xdeg`, the digits of x^deg mod m, folds a
+    digit carried past the top: `element` folds deg-digit chunks with
+    it, and the probe's ρ_t every row's top digit at once
+    (`tmodule.ProbeDomain`).
     """
 
     def __init__(self, m, p):
@@ -221,11 +225,7 @@ class PackedQuotient(_PackedDigits):
             pack(bytes(mod([0] * (deg + j) + [1], m, p)), slot)
             for j in range(deg - 1)
         )
-        # c·x^deg mod m for c in range(p): where `shift_add` folds the
-        # digit that a shift by x carries out of the top slot
-        self._shift_fold = tuple(
-            pack(bytes(mod([0] * deg + [c], m, p)), slot) for c in range(p)
-        )
+        self.xdeg = bytes(mod([0] * deg + [1], m, p))
         self._frob = {}
 
     def element(self, coeffs):
@@ -239,7 +239,7 @@ class PackedQuotient(_PackedDigits):
         x = bytes(coeffs)
         top = max(len(x) - 1, 0) // deg * deg
         acc = x[top:]
-        xdeg = self._shift_fold[1]
+        xdeg = pack(self.xdeg, slot)
         for i in range(top - deg, -1, -deg):
             acc = self._fold(pack(acc, slot) * xdeg + pack(x[i:i + deg], slot))
         return acc.ljust(deg, b"\0")
@@ -247,28 +247,6 @@ class PackedQuotient(_PackedDigits):
     def add(self, a, b):
         slot = self.slot
         return self.digits(pack(a, slot) + pack(b, slot), self.deg, slot)
-
-    def shift_add(self, a, b):
-        """x·a + b: the digits of a moved up one slot, the digit carried
-        out of the top folded back as a precomputed multiple of
-        x^deg mod m, and b added, all in one packed sum and one `digits`
-        call.  Each slot then holds at most 3(p-1), which a slot wide
-        enough for a product always holds.  With one-byte slots, the
-        common case, `pack` and `digits` are written out in place."""
-        slot = self.slot
-        if slot == 1:
-            return (
-                (int.from_bytes(a[:-1], "little") << 8)
-                + self._shift_fold[a[-1]]
-                + int.from_bytes(b, "little")
-            ).to_bytes(self.deg, "little").translate(self._mod_p)
-        return self.digits(
-            (pack(a[:-1], slot) << 8 * slot)
-            + self._shift_fold[a[-1]]
-            + pack(b, slot),
-            self.deg,
-            slot,
-        )
 
     def mul(self, a, b):
         """One big-int product, reduced by `_fold`."""

@@ -22,19 +22,24 @@ packed ring:
   coordinates only).  The map is a ring homomorphism commuting with
   x ↦ x^q, so a NONZERO probe result rigorously certifies the exact
   result nonzero.  A zero probe proves nothing and must be confirmed
-  exactly.  A probe element is a `bytes` of F_p digits; a product is
-  one big-int product of the packed digits, a θ-step a shift by one
-  digit with the carried-out digit folded back, and x ↦ x^{q^n} a
-  precomputed F_p-linear map (`fpx.PackedQuotient`).
+  exactly.  A probe element is a `bytes` of F_p digits, with a product
+  one big-int product of the packed digits and x ↦ x^{q^n} a
+  precomputed F_p-linear map (`fpx.PackedQuotient`).  A probe point is
+  one packed integer, all its rows side by side, and one application
+  of ρ_t a few big-int operations on it with one reduction
+  (`ProbeDomain` holds the slot bound and its proof).
 * the packed ring `poly.packed_ring(p)` itself — the same ring
   A = F_p[θ] as `ExactDomain` on a `packed` field, each coordinate a
   `bytes` of F_p digits (`fpx.PackedPoly`): a sum is one packed sum,
   θ·x + y a one-digit shift plus y, a product one big-int product and
   x ↦ x^{q^n} a strided copy.  It confirms the probe's zeros exactly.
 
-Every domain offers the same element operations (zero, is_zero, add,
-neg, mul, theta_step, scalar, frob, convert), so the operator code
-below never asks which domain it runs in.
+The operator code below never asks which domain it runs in.  Each
+`TModule` builds one plan of ρ_t per domain, its coefficients converted
+once: the probe's own (`ProbeDomain.point_plan`), or else the row loop
+(`_RowLoop`) over the element operations every other domain offers
+(zero, is_zero, add, mul, theta_step, scalar, frob, convert).  A point
+enters the plan once per call and leaves it as a list of coordinates.
 
 ρ_a for a in F_q[t] is Horner in ρ_t from the leading coefficient of a
 (`TModule.apply_poly`): deg a applications of ρ_t, with the point added
@@ -128,10 +133,49 @@ class ProbeDomain:
     """A → F_{p^deg} via θ ↦ ξ (`packed` fields, `Poly` coordinates only).
 
     An element is a `bytes` of length deg, digit j the coefficient of
-    ξ^j.  The arithmetic is `fpx.PackedQuotient`'s: a product is one
-    big-int product of the packed digits, θ·x + y a shift by one digit
-    with the carried-out digit folded back, and x ↦ x^(p^n) a
-    precomputed F_p-linear map."""
+    ξ^j, with `fpx.PackedQuotient`'s arithmetic: a product is one
+    big-int product of the packed digits and x ↦ x^(p^n) a precomputed
+    F_p-linear map.
+
+    A point is not a list of elements but one `bytes` of d·deg digits,
+    row i at digits i·deg … i·deg+deg−1, and ρ_t acts on the integer
+    those digits spell in base 256^slot, all rows at once
+    (`point_plan`, `_PackedPoint`):
+
+    * θ·I + N: each row's top digit masked out and the rest shifted up
+      one slot; the top digits spread to slot 0 of their rows and
+      multiplied once by the packed x^deg mod m; the point shifted down
+      one row added, with the block-end rows masked out;
+    * per block and level n, the image x^(p^n) of the block's top
+      coordinate, once: a term with a constant coefficient c adds c
+      times its packed digits at the term's row, unreduced; any other
+      term adds its reduced `mul`;
+    * Horner's c·v, unreduced;
+    * one `digits` call, which reduces every slot mod p.
+
+    The slot width is derived from the rows' worst sums.  Before the
+    reduction a slot of row i holds at most
+
+        p−1       the digit below it in its row, shifted up;
+        (p−1)²    the row's top digit times one digit of x^deg mod m;
+        p−1       the same digit of row i+1, inside a block;
+        (p−1)²    Horner's c·v, c a digit;
+        c·(p−1)   per τ-term of row i with a constant coefficient c;
+        p−1       per τ-term of row i with any other coefficient;
+
+    so at most 2(p−1) + 2(p−1)² plus the row's τ-term share, and the
+    slot holds the largest of these bounds over the rows.  The parts
+    stay in their slots: every digit read is below p, because a point
+    enters as reduced elements and each application starts from the
+    previous `digits`; a row loses its top digit before the shift, so
+    nothing moves into the next row; a spread top digit is alone in
+    its row, and x^deg mod m has deg digits, so their product fills
+    that row only; a τ-image and a reduced product have deg digits and
+    start at their row.  So no slot reaches 256^slot, no carry crosses
+    a slot, and each slot is the exact coefficient sum that `digits`
+    reads mod p.  Over every motive of depth <= 3 up to weight 8, 26,
+    40 and 48 at q = 2, 3, 5 and 7 the slot is one byte; it is two up
+    to weight 260 at q = 131 and three up to weight 500 at q = 251."""
 
     def __init__(self, field: FieldSpec, deg: int = 21, seed: int = 0):
         if not field.packed:
@@ -146,7 +190,6 @@ class ProbeDomain:
         self.add = ring.add
         self.neg = ring.neg
         self.mul = ring.mul
-        self.theta_step = ring.shift_add
         self.frob = ring.frob
 
     def zero(self):
@@ -166,6 +209,169 @@ class ProbeDomain:
         """Image of a Poly in θ: its coefficients reduced mod the
         probe modulus, deg digits at a time (`PackedQuotient.element`)."""
         return self.ring.element(c.coeffs)
+
+    def point_plan(self, blocks):
+        """ρ_t on one packed point, for the blocks (start, end, τ-terms)
+        of a `TModule` with coefficients in this domain."""
+        return _PackedPoint(self.ring, blocks)
+
+
+class _PackedPoint:
+    """ρ_t on a probe point held as one `bytes` of d·deg digits (see
+    `ProbeDomain`): the masks, the packed x^deg mod m and, per block
+    and level, the packed constants and the other coefficients of its
+    τ-terms, at a slot width derived from their worst sums."""
+
+    def __init__(self, ring, blocks):
+        p, deg = ring.p, ring.deg
+        d = blocks[-1][1]
+        self.ring, self.deg, self.size = ring, deg, d * deg
+        self._zero = bytes(d * deg)
+        # per block with τ-terms, its levels n in order, each with the
+        # (row, digit) of its constant coefficients and the (row, c)
+        # of the others; and each row's τ-term share of the slot bound
+        share = [0] * d
+        taus = []
+        for start, _, terms in blocks:
+            levels = {}
+            for row, n, c in terms:
+                consts, others = levels.setdefault(n, ([], []))
+                if any(c[1:]):
+                    others.append((row, c))
+                    share[row] += p - 1
+                else:
+                    consts.append((row, c[0]))
+                    share[row] += c[0] * (p - 1)
+            if levels:
+                taus.append((start * deg, levels))
+        self.slot = slot = fpx.slot_width(
+            2 * (p - 1) + 2 * (p - 1) ** 2 + max(share)
+        )
+        self._bits = bits = 8 * slot
+        self._row = row = bits * deg
+        self._top_shift = bits * (deg - 1)
+        full, empty = b"\xff" * slot, bytes(slot)
+        self._low = int.from_bytes((full * (deg - 1) + empty) * d, "little")
+        self._first = int.from_bytes((full + empty * (deg - 1)) * d, "little")
+        self._inner = int.from_bytes(b"".join(
+            (full if i + 1 < end else empty) * deg
+            for start, end, _ in blocks
+            for i in range(start, end)
+        ), "little")
+        self._xdeg = fpx.pack(ring.xdeg, slot)
+        # the constants of a level as one packed integer, Σ c·256^(slot·deg·row)
+        self._taus = [
+            (lo, lo + deg, [
+                (
+                    n,
+                    sum(c << row * r for r, c in consts),
+                    [(row * r, c) for r, c in others],
+                )
+                for n, (consts, others) in levels.items()
+            ])
+            for lo, levels in taus
+        ]
+
+    def enter(self, vec):
+        return b"".join(vec)
+
+    def leave(self, point):
+        deg = self.deg
+        return [point[i:i + deg] for i in range(0, self.size, deg)]
+
+    def is_zero(self, point):
+        return point == self._zero
+
+    def times(self, x, c):
+        """c·x for a digit c."""
+        if c == 1:
+            return x
+        slot = self.slot
+        return self.ring.digits(c * fpx.pack(x, slot), self.size, slot)
+
+    def step(self, point, c, x):
+        """ρ_t(point) + c·x as one packed sum and one reduction."""
+        ring, slot, pack = self.ring, self.slot, fpx.pack
+        v = pack(point, slot)
+        acc = (
+            ((v & self._low) << self._bits)
+            + ((v >> self._top_shift) & self._first) * self._xdeg
+            + ((v >> self._row) & self._inner)
+        )
+        if c:
+            acc += c * pack(x, slot)
+        zero = ring.zero
+        for lo, hi, levels in self._taus:
+            top = point[lo:hi]
+            if top == zero:
+                continue
+            for n, consts, others in levels:
+                fx = ring.frob(top, n)
+                if consts:
+                    acc += pack(fx, slot) * consts
+                for shift, coeff in others:
+                    acc += pack(ring.mul(coeff, fx), slot) << shift
+        return ring.digits(acc, self.size, slot)
+
+
+class _RowLoop:
+    """ρ_t row by row over a domain's element operations: one θ-step
+    per row, then one product and one sum per τ-term.  The plan of
+    every domain that keeps a point as a list of coordinates."""
+
+    def __init__(self, dom, blocks):
+        self.dom, self.blocks = dom, blocks
+
+    def enter(self, vec):
+        return list(vec)
+
+    def leave(self, vec):
+        return vec
+
+    def is_zero(self, vec):
+        return all(map(self.dom.is_zero, vec))
+
+    def times(self, x, c):
+        """c·x for an element code c: x itself for 1."""
+        if c == 1:
+            return x
+        dom = self.dom
+        cs = dom.scalar(c)
+        return [dom.mul(cs, y) for y in x]
+
+    def step(self, vec, c, x):
+        """ρ_t(vec) + c·x: per row one θ-step, θ·x_i + x_{i+1} inside a
+        block and θ·x_i + 0 at its end, then the τ-terms of the top
+        columns (one Frobenius per level), then c·x."""
+        dom = self.dom
+        step, zero, is_zero = dom.theta_step, dom.zero(), dom.is_zero
+        out = []
+        for start, end, _ in self.blocks:
+            out += map(step, vec[start:end], vec[start + 1:end])
+            out.append(step(vec[end - 1], zero))
+        for start, _, terms in self.blocks:
+            x0 = vec[start]
+            if is_zero(x0):
+                continue
+            level = None
+            for row, n, coeff in terms:
+                if n != level:
+                    level, fx = n, dom.frob(x0, n)
+                out[row] = dom.add(out[row], dom.mul(coeff, fx))
+        if c:
+            out = list(map(dom.add, out, self.times(x, c)))
+        return out
+
+
+def _horner(plan, x, coeffs):
+    """ρ_a(x) in a plan's point type for a = Σ coeffs[i]·t^i, by Horner
+    in ρ_t from the leading coefficient: deg a steps, each adding back
+    its coefficient's multiple of x."""
+    *rest, lead = coeffs or (0,)
+    acc = plan.times(x, lead)
+    for c in reversed(rest):
+        acc = plan.step(acc, c, x)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +401,7 @@ class TModule:
         self.top = [sorted(terms, key=lambda t: (t[1], t[0])) for terms in top]
         self.rational = rational
         self.exact = ExactDomain(field, rational)
-        self._converted = {}
+        self._plans = {}
 
     @classmethod
     def from_motive(cls, motive):
@@ -206,72 +412,52 @@ class TModule:
             motive.rational,
         )
 
-    def _coeffs(self, dom):
-        """The blocks (start, end, top terms), with every coefficient
-        converted into dom once per domain."""
-        conv = self._converted.get(dom)
-        if conv is None:
-            conv = self._converted[dom] = [
+    def _plan(self, dom):
+        """ρ_t in dom, built once per domain with every coefficient
+        converted into it: the domain's own plan when it offers one
+        (`ProbeDomain.point_plan`, a whole point in one packed value),
+        else the row loop over its element operations."""
+        plan = self._plans.get(dom)
+        if plan is None:
+            blocks = [
                 (start, start + w, [(row, n, dom.convert(c)) for row, n, c in terms])
                 for start, w, terms in zip(self.starts, self.weights, self.top)
             ]
-        return conv
+            build = getattr(dom, "point_plan", None)
+            plan = self._plans[dom] = (
+                build(blocks) if build else _RowLoop(dom, blocks)
+            )
+        return plan
 
     def apply_t(self, vec, dom=None):
-        """One application of ρ_t: per row one θ-step of the domain,
-        θ·x_i + x_{i+1} inside a block and θ·x_i + 0 at its end, then
-        the τ-terms of the top columns (one Frobenius per level)."""
+        """One application of ρ_t: θ·x_i + x_{i+1} inside a block and
+        θ·x_i at its end, plus the τ-terms of the top columns."""
         dom = dom or self.exact
-        blocks = self._coeffs(dom)
-        step, zero, is_zero = dom.theta_step, dom.zero(), dom.is_zero
-        out = []
-        for start, end, _ in blocks:
-            out += map(step, vec[start:end], vec[start + 1:end])
-            out.append(step(vec[end - 1], zero))
-        for start, _, terms in blocks:
-            x = vec[start]
-            if is_zero(x):
-                continue
-            level = None
-            for row, n, c in terms:
-                if n != level:
-                    level, fx = n, dom.frob(x, n)
-                out[row] = dom.add(out[row], dom.mul(c, fx))
-        return out
+        plan = self._plan(dom)
+        return plan.leave(plan.step(plan.enter(vec), 0, None))
 
     def apply_poly(self, vec, a: Poly, dom=None):
         """ρ_a(vec) for a in F_q[t], by Horner in ρ_t from the leading
         coefficient: deg a applications of ρ_t.  A coefficient 1 adds
         vec; any other nonzero one adds its scalar multiple."""
         dom = dom or self.exact
-        if not a.coeffs:
-            return [dom.zero()] * self.d
-
-        def times(c):
-            if c == 1:
-                return vec
-            cs = dom.scalar(c)
-            return [dom.mul(cs, x) for x in vec]
-
-        *rest, lead = a.coeffs
-        acc = list(times(lead))
-        for c in reversed(rest):
-            acc = self.apply_t(acc, dom)
-            if c:
-                acc = list(map(dom.add, acc, times(c)))
-        return acc
+        plan = self._plan(dom)
+        return plan.leave(_horner(plan, plan.enter(vec), a.coeffs))
 
     def apply_annihilator(self, vec, factors, dom=None):
         """Apply a factored annihilator, a sequence of polynomials in
-        F_q[t], smallest degree first, by `apply_poly`; the remaining
-        factors are skipped once the point vanishes."""
+        F_q[t], smallest degree first, by Horner; the remaining factors
+        are skipped once the point vanishes.  The point enters the
+        domain's plan once and leaves it once, as a list of
+        coordinates."""
         dom = dom or self.exact
-        cur = [dom.convert(x) for x in vec]
+        plan = self._plan(dom)
+        cur = plan.enter([dom.convert(x) for x in vec])
         for f in sorted(factors, key=lambda f: f.degree):
-            if all(dom.is_zero(x) for x in cur):
+            if plan.is_zero(cur):
                 break
-            cur = self.apply_poly(cur, f, dom)
-        return cur
+            cur = _horner(plan, cur, f.coeffs)
+        return plan.leave(cur)
 
     def is_zero_point(self, vec, dom=None):
         dom = dom or self.exact

@@ -450,6 +450,53 @@ def test_witness_search_matches_exact_reference(monkeypatch, probe_degree):
     assert v.outcome == "none-up-to-bound"
 
 
+def _whole_scan(vectors):
+    """The row scan the witness search used before sparse coordinates
+    were read by their nonzero digits: every coordinate padded to the
+    longest and transposed whole.  The reference for `_flatten_rows`."""
+    rows = []
+    for coords in zip(*vectors):
+        digits = [tuple(getattr(c, "coeffs", c)) for c in coords]
+        width = max(map(len, digits))
+        padded = [d + (0,) * (width - len(d)) for d in digits]
+        rows += (list(r) for r in zip(*padded) if any(r))
+    return rows
+
+
+@pytest.mark.parametrize("q,s,bound", [
+    (4, (1, 1), 6), (2, (1, 2), 10), (3, (1, 2), 8), (5, (1, 3), 6),
+])
+def test_flatten_rows_matches_whole_scan(q, s, bound):
+    """The rows of a witness system equal the whole-coordinate scan, in
+    the same order, in every domain the search walks: the exact `Poly`
+    iterates and the packed ring's `bytes`, whose lengths grow q-fold
+    with j, so most cells are padding and only nonzero digits are
+    read, and the probe's `bytes`, all deg digits long and transposed
+    whole.  Both ways of reading occur at every prime q checked."""
+    F = field_for_q(q)
+    motive = Motive(F, s)
+    tm, doms = criterion._ladder(motive)
+    points = [
+        motive.reduce_point(motive.point_v_seeds()),
+        motive.reduce_point(motive.point_u_seeds()),
+    ]
+    padded_most = []
+    for dom in [tm.exact] + doms:
+        iters = []
+        for point in points:
+            cur = [dom.convert(x) for x in point]
+            for _ in range(bound + 1):
+                iters.append(cur)
+                cur = tm.apply_t(cur, dom)
+        assert _flatten_rows(iters) == _whole_scan(iters)
+        for coords in zip(*iters):
+            lengths = [len(getattr(c, "coeffs", c)) for c in coords]
+            padded_most.append(2 * sum(lengths) < max(lengths) * len(lengths))
+    assert any(padded_most)
+    # the probe's coordinates all have deg digits
+    assert not all(padded_most) or not F.packed
+
+
 def test_zetalike_default_bound():
     assert default_zetalike_bound(3, 26) == 81
     assert default_zetalike_bound(2, 3) == 8

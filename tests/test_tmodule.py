@@ -187,7 +187,9 @@ def test_probe_tables_built_once_per_key():
 def test_probe_arithmetic_matches_schoolbook(p, deg, seed):
     """Every probe operation against schoolbook F_p[x] arithmetic mod
     the probe modulus, on random elements and on the all-(p-1) element,
-    whose products and θ-steps fill the packed slots the most."""
+    whose products fill the packed slots the most.  The θ-step is no
+    element operation of the probe: it runs on a whole packed point
+    (`test_packed_point_matches_row_reference`)."""
     F = field_for_q(p)
     dom = ProbeDomain(F, deg, seed)
     m = list(dom.modulus)
@@ -210,14 +212,10 @@ def test_probe_arithmetic_matches_schoolbook(p, deg, seed):
     for a in elements:
         x = bytes(a)
         assert list(dom.neg(x)) == [(-c) % p for c in a]
-        theta_a = ref_mul(a, [0, 1])
         for b in elements:
             y = bytes(b)
             assert list(dom.mul(x, y)) == ref_mul(a, b)
             assert list(dom.add(x, y)) == [(c + d) % p for c, d in zip(a, b)]
-            assert list(dom.theta_step(x, y)) == [
-                (c + d) % p for c, d in zip(theta_a, b)
-            ]
         power = a
         for n in range(4):
             assert list(dom.frob(x, n)) == power, n
@@ -578,3 +576,60 @@ def test_probe_apply_is_image_of_exact_apply(p, s):
             assert [dom.convert(c) for c in tm.apply_t(x)] == tm.apply_t(
                 [dom.convert(c) for c in x], dom
             )
+
+
+# -- the probe's packed point at its worst case ------------------------------
+
+def _stacked_module(F, k):
+    """One block of 3 rows whose middle row takes k τ-terms with the
+    coefficient p-1, at the levels 21, 42, …: in F_{p^21} each is the
+    identity, so every term adds (p-1) times the top coordinate itself,
+    plus one term with a non-constant coefficient."""
+    p = F.p
+    top = [(1, 21 * j, Poly.const(F, p - 1)) for j in range(1, k + 1)]
+    top.append((2, 1, Poly(F, [1, p - 1, 1])))
+    return TModule(F, (3,), [top])
+
+
+# (q, s or the stacked module, slot width): one-byte slots at q = 2, 3,
+# 5, 7 (among them the d = 214 motive (8, 10, 62)), two bytes at q = 131
+# and three at q = 251, and a stacked row whose τ-term share alone
+# widens its slot from one byte to two
+_PACKED_POINT_CASES = [
+    (2, (1, 1, 2), 1), (2, (2, 3, 4), 1), (3, (2, 4, 6), 1),
+    (3, (8, 10, 62), 1), (3, (8, 18, 54), 1), (5, (4, 8, 12), 1),
+    (7, (6, 12), 1), (131, (130, 130), 2), (251, (250,), 3),
+    (7, ("stacked", 6), 2),
+]
+
+
+@pytest.mark.parametrize("q,s,slot", _PACKED_POINT_CASES)
+def test_packed_point_matches_row_reference(q, s, slot):
+    """The probe's packed ρ_t and Horner equal the generic sparse-row
+    operator on probe elements, digit for digit, over 30 applications,
+    from the all-(p-1) point: every top digit, every block-end row and
+    every τ-image of the stacked module at p-1, with Horner adding
+    (p-1)·v at each step.  The first application meets each part of
+    the slot bound (`ProbeDomain`) at its worst; the stacked module
+    carries past a one-byte slot there, so a bound without its τ-term
+    share fails."""
+    F = field_for_q(q)
+    p = F.p
+    if s[0] == "stacked":
+        tm = _stacked_module(F, s[1])
+    else:
+        tm = TModule.from_motive(Motive(F, s))
+    dom = ProbeDomain(F, 21, 0)
+    assert tm._plan(dom).slot == slot
+    rows = _sparse_rows(tm.entry, tm.d, dom)
+    x = [bytes([p - 1] * 21)] * tm.d
+    cur = want = x
+    for _ in range(30):
+        cur = tm.apply_t(cur, dom)
+        want = _reference_apply_t(rows, want, dom)
+        assert cur == want
+    a = Poly(F, [p - 1] * 30 + [1], var="t")
+    assert tm.apply_poly(x, a, dom) == _reference_apply_poly(rows, x, a, dom)
+    # the same point as `Poly` coordinates, which convert to x
+    poly_x = [Poly(F, [p - 1] * 21)] * tm.d
+    assert tm.apply_annihilator(poly_x, [a], dom) == tm.apply_poly(x, a, dom)
