@@ -390,11 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True):
+    def common(p, *formats):
         _add_field_args(p)
-        if fmt:
-            p.add_argument("--format", choices=["text", "json", "csv"],
-                           default="text")
+        p.add_argument("--format", choices=["text", "json", *formats],
+                       default="text")
 
     p = sub.add_parser("check", help="decide one tuple (exit 10/11)")
     common(p)
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sweep", help="enumerate and decide a range")
-    common(p)
+    common(p, "csv")
     p.add_argument("--wmax", type=int)
     p.add_argument("--rmax", type=int, default=3)
     p.add_argument("--primitive-only", action="store_true")
@@ -412,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tmodule", help="print ρ_t and the point v")
-    common(p, fmt=False)
+    _add_field_args(p)
     p.add_argument("--tuple", type=str)
     p.set_defaults(func=cmd_tmodule)
 
@@ -458,10 +457,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -191,7 +191,6 @@ class ZetaLikeVerdict:
     outcome: str  # "zeta-like" | "none-up-to-bound" | "reduced-to-eulerian"
     witness_a: Optional[Poly]
     witness_b: Optional[Poly]
-    dimension: int
     elapsed_ms: int
     modulus: Optional[tuple] = None
     delegate: Optional[Verdict] = dc_field(default=None, repr=False)
@@ -492,7 +491,6 @@ def is_zeta_like(field: FieldSpec, s, bound: Optional[int] = None) -> ZetaLikeVe
             outcome="reduced-to-eulerian",
             witness_a=None,
             witness_b=None,
-            dimension=0,
             elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
             modulus=_modulus_of(field),
             delegate=sub,
@@ -511,7 +509,6 @@ def is_zeta_like(field: FieldSpec, s, bound: Optional[int] = None) -> ZetaLikeVe
         outcome="zeta-like" if witness else "none-up-to-bound",
         witness_a=witness[0] if witness else None,
         witness_b=witness[1] if witness else None,
-        dimension=2 * (bound + 1),
         elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
         modulus=_modulus_of(field),
     )

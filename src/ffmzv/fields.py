@@ -82,6 +82,10 @@ class FieldSpec:
         modulus = tuple(x % p for x in modulus[:-1]) + (modulus[-1],)
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree e")
+        if e == 1 and modulus != (0, 1):
+            # F_p has one encoding, the residue mod p: another modulus
+            # would name the same field as a second, unequal FieldSpec
+            raise FieldError("the modulus of a prime field must be x, (0, 1)")
         if e > 1 and not fpx.is_irreducible(modulus, p):
             raise FieldError("modulus is reducible")
         self.p = p

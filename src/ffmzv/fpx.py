@@ -13,13 +13,17 @@ point of d elements as one packed integer, at a slot width of its own,
 and applies ρ_t to it with the quotient's `xdeg`, `frob`, `mul` and
 `digits` (`tmodule.ProbeDomain`).  One `PackedPoly` per
 prime (`poly.packed_ring`) serves every packed consumer: it is the
-exact domain that confirms the probe's zeros (`criterion`), its
-`product` the A[t] product of `poly` and the product in u of the point
-reduction (`motive`).  A packed integer is read back to digits by a
-byte-sliced reduction (`_PackedDigits.digits`): one `bytes.translate`
-per byte of a slot and round, never a loop over the slots.  Where
-these rings run is `fields.FieldSpec.packed`; p >= 256 and extension
-fields take the table-driven `Poly` arithmetic.
+exact domain that confirms the probe's zeros (`criterion`), its `mul`
+the large products in F_p[θ] of `poly.Poly`, and its `row_product` the
+product of polynomials whose coefficients are rows of θ-digits (laid
+out by `lay_rows`): the A[t] product of `poly.BiPoly` and the product
+in u of the point reduction (`motive`).  Only this module calls the
+Kronecker `product` and derives its slot bound.  A packed integer is
+read back to digits by a byte-sliced reduction
+(`_PackedDigits.digits`): one `bytes.translate` per byte of a slot and
+round, never a loop over the slots.  Where these rings run is
+`fields.FieldSpec.packed`; p >= 256 and extension fields take the
+table-driven `Poly` arithmetic.
 """
 from __future__ import annotations
 
@@ -293,7 +297,9 @@ class PackedPoly(_PackedDigits):
     one big-int product whose slots hold its largest coefficient sum,
     min(len a, len b) products of two digits; a product by one digit
     is one `bytes.translate`.  x ↦ x^(p^n) spreads the digits p^n
-    apart, one strided assignment.
+    apart, one strided assignment.  `row_product` multiplies
+    polynomials in a second variable whose coefficients are elements
+    laid out in rows, by the same one big-int product.
     """
 
     def __init__(self, p):
@@ -344,6 +350,31 @@ class PackedPoly(_PackedDigits):
         # product has no trailing zero
         return self.product(a, b, len(a))
 
+    def row_product(self, a, b):
+        """The product of two polynomials in a second variable u (t or
+        t-θ) over F_p[x], each a pair (x, w): x a run of rows of w
+        digits, digit i·w + j the coefficient of x^j·u^i.  Returns the
+        product as such a pair, re-laid at its largest found degree in
+        x plus one (`tighten`), trailing zeros dropped.
+
+        One Kronecker product at the width wa + wb - 1: the x-degrees
+        of a row product stay below it, so the slots of two u-powers
+        never meet, and a coefficient sums at most
+        min(rows)·min(wa, wb) products of two digits, which sets the
+        slot width.  For `poly.BiPoly` factors of θ-degrees da and db,
+        laid out at w = da + 1 and db + 1, the width is da + db + 1 and
+        the bound min(t-lengths)·(min(da, db) + 1): the slots, and so
+        the digits, of packing θ^j·t^i at digit i·(da + db + 1) + j
+        directly."""
+        (x, wa), (y, wb) = a, b
+        if not x or not y:
+            return b"", 1
+        width = wa + wb - 1
+        terms = min(-(-len(x) // wa), -(-len(y) // wb)) * min(wa, wb)
+        return tighten(self.product(
+            relayout(x, wa, width), relayout(y, wb, width), terms
+        ), width)
+
     def _scaled(self, c):
         """The translate table of the product by the digit c."""
         table = self._times.get(c)
@@ -360,3 +391,29 @@ class PackedPoly(_PackedDigits):
         out = bytearray((len(x) - 1) * step + 1)
         out[::step] = x
         return bytes(out)
+
+
+def lay_rows(rows, width):
+    """The digit strings `rows` (each a `bytes` of at most `width`
+    digits) end to end in rows of `width` digits, the short ones
+    padded with zeros."""
+    return b"".join(r.ljust(width, b"\0") for r in rows)
+
+
+def relayout(x, w, width):
+    """The digits x, in rows of w digits, laid out in rows of width."""
+    if w == width or not x:
+        return x
+    return lay_rows([x[i:i + w] for i in range(0, len(x), w)], width)
+
+
+def tighten(x, width):
+    """The digits x, in rows of `width`, laid out again in rows of the
+    largest degree plus one, trailing zeros dropped: big-int sizes
+    then follow the degrees found, which are often far below their
+    bounds."""
+    rows = [x[i:i + width].rstrip(b"\0") for i in range(0, len(x), width)]
+    tight = max(map(len, rows), default=1)
+    if tight == width:
+        return x.rstrip(b"\0"), width
+    return lay_rows(rows, tight).rstrip(b"\0"), tight

@@ -129,9 +129,10 @@ class _PackedTerms:
     A term is a pair (x, W): x a `bytes` whose digit i·W + j is the
     coefficient of θ^j·u^i, trailing zero digits dropped, and W a row
     width above every θ-degree of the term, so x spells the term at
-    u = θ^W (Kronecker substitution).  A sum is one packed sum, a
-    product in u one Kronecker product (`fpx.PackedPoly.product`) at
-    the width of the two widths' sum, the twist a strided copy
+    u = θ^W (Kronecker substitution): the pair `fpx.PackedPoly`'s
+    `row_product` takes.  A sum is one packed sum, a product in u one
+    Kronecker product (`fpx.PackedPoly.row_product`, the A[t] product
+    of `poly.BiPoly` too), the twist a strided copy
     (`fpx.PackedPoly.frob`) followed by a Taylor shift whose Horner
     steps are packed sums (`_shift`).  A coefficient of the result is
     a `bytes` of `fpx.PackedPoly`.
@@ -142,6 +143,7 @@ class _PackedTerms:
         self.p = p = field.p
         self.ring = ring = packed_ring(p)
         self.add_coeff = ring.add
+        self.mul = ring.row_product
         self._twist_shift = ((1, 1), (field.neg(1), p))
 
     def expand(self, f):
@@ -150,10 +152,8 @@ class _PackedTerms:
             return b"", 1
         # the shift by θ raises a θ-degree by at most deg_t f
         width = f.theta_degree() + len(f.coeffs)
-        buf = bytearray(len(f.coeffs) * width)
-        for i, c in enumerate(f.coeffs):
-            buf[i * width:i * width + len(c.coeffs)] = c.coeffs
-        return self._shift(bytes(buf), width, ((1, 1),))
+        x = fpx.lay_rows(map(self.ring.convert, f.coeffs), width)
+        return self._shift(x, width, ((1, 1),))
 
     def u_power(self, w):
         return bytes(w) + b"\1", 1
@@ -166,21 +166,8 @@ class _PackedTerms:
         (x, wa), (y, wb) = a, b
         width = max(wa, wb)
         return self.ring.add(
-            _relayout(x, wa, width), _relayout(y, wb, width)
+            fpx.relayout(x, wa, width), fpx.relayout(y, wb, width)
         ), width
-
-    def mul(self, a, b):
-        """One Kronecker product: the θ-degrees of a product stay below
-        wa + wb - 1, and a coefficient sums at most
-        min(rows)·min(wa, wb) products of two digits."""
-        (x, wa), (y, wb) = a, b
-        if not x or not y:
-            return b"", 1
-        width = wa + wb - 1
-        terms = min(self.rows(a), self.rows(b)) * min(wa, wb)
-        return _tighten(self.ring.product(
-            _relayout(x, wa, width), _relayout(y, wb, width), terms
-        ), width)
 
     def neg(self, f):
         return self.ring.neg(f[0]), f[1]
@@ -188,7 +175,7 @@ class _PackedTerms:
     def split(self, f, w):
         """(γ, g) with f = γ + u^w·g and fewer than w rows in γ."""
         x, width = f
-        return (x[:w * width].rstrip(b"\0"), width), _tighten(x[w * width:], width)
+        return (x[:w * width].rstrip(b"\0"), width), fpx.tighten(x[w * width:], width)
 
     def twist(self, g):
         """g^{(1)} in the u-basis: θ^j ↦ θ^{pj} spreads the digits p
@@ -197,7 +184,7 @@ class _PackedTerms:
         p, rows = self.p, self.rows(g)
         # the shift by θ - θ^p raises a θ-degree by at most p·(rows - 1)
         wide = p * (width + rows - 2) + 1
-        y = _relayout(self.ring.frob(x, 1), p * width, wide)
+        y = fpx.relayout(self.ring.frob(x, 1), p * width, wide)
         return self._shift(y, wide, self._twist_shift)
 
     def _shift(self, x, width, shift):
@@ -235,7 +222,7 @@ class _PackedTerms:
                     acc += top * c << 8 * slot * e * m
                 x = self.ring.digits(acc, n, slot)
             m *= p
-        return _tighten(x, width)
+        return fpx.tighten(x, width)
 
     def coeffs(self, f):
         """(j, a) for every nonzero coefficient a of u^j."""
@@ -249,30 +236,6 @@ class _PackedTerms:
 
     def export(self, a):
         return Poly(self.field, a)
-
-
-def _tighten(x, width):
-    """The digits x, in rows of `width`, laid out again in rows of the
-    largest θ-degree plus one, trailing zeros dropped: big-int sizes
-    then follow the degrees found, which are often far below their
-    bounds."""
-    rows = [x[i:i + width].rstrip(b"\0") for i in range(0, len(x), width)]
-    tight = max(map(len, rows), default=1)
-    if tight == width:
-        return x.rstrip(b"\0"), width
-    return b"".join(r.ljust(tight, b"\0") for r in rows).rstrip(b"\0"), tight
-
-
-def _relayout(x, w, width):
-    """The digits x, in rows of w digits, laid out in rows of width."""
-    if w == width or not x:
-        return x
-    out = bytearray(-(-len(x) // w) * width)
-    for i in range(0, len(x), w):
-        row = x[i:i + w]
-        j = i // w * width
-        out[j:j + len(row)] = row
-    return bytes(out)
 
 
 class Motive:

@@ -4,9 +4,11 @@ Frobenius twisting that the reduction engine relies on.
 
 Where the field is `packed` (prime q < 256) a large product in F_q[θ],
 and every integral product in A[t], is one big-integer product of byte
-digits (Kronecker substitution): `PackedPoly.product` of the one
-`fpx.PackedPoly` ring per prime (`packed_ring`), which the point
-reduction (`motive`) and the exact confirmation (`criterion`) share.
+digits (Kronecker substitution) in the one `fpx.PackedPoly` ring per
+prime (`packed_ring`), which the point reduction (`motive`) and the
+exact confirmation (`criterion`) share: `PackedPoly.mul` in F_q[θ], and
+in A[t] `PackedPoly.row_product`, the product in u of the point
+reduction too.
 Every other field multiplies by its tables.  The (t-θ)-adic expansion is
 the Taylor shift f(t) ↦ f(u+θ), and the twist of a polynomial kept in
 the (t-θ)-adic basis the shift of its twisted coefficients by θ - θ^q,
@@ -185,8 +187,7 @@ class Poly:
         if len(b) == 1:
             return self.scale(b[0])
         if F.packed and len(a) * len(b) > _KRONECKER_THRESHOLD:
-            prod = packed_ring(F.p).product(a, b, min(len(a), len(b)))
-            return Poly(F, prod, self.var)
+            return Poly(F, packed_ring(F.p).mul(bytes(a), bytes(b)), self.var)
         mul = F._mul
         add = F._add
         out = [0] * (len(a) + len(b) - 1)
@@ -410,9 +411,10 @@ class BiPoly:
     """Polynomial in t with coefficients in A = F_q[θ] (or in k for the
     polylog mode).  Stored as a tuple of coefficients, ascending in t.
 
-    Over a `packed` field with integral coefficients a product packs
-    θ^j·t^i at digit i·W + j, W the sum of the factors' θ-degrees plus
-    one, and is one big-int product.  The (t-θ)-adic expansion is the
+    Over a `packed` field with integral coefficients a product is one
+    big-int product, `fpx.PackedPoly.row_product` of the factors' rows
+    of θ-digits (`_packed_mul`); every other product is the schoolbook
+    one over the coefficient ring.  The (t-θ)-adic expansion is the
     Taylor shift f(u+θ), exact over the coefficient ring.
     """
 
@@ -516,27 +518,22 @@ class BiPoly:
         return BiPoly(self.field, out, self.rational)
 
     def _packed_mul(self, other: "BiPoly") -> "BiPoly":
-        """The product as one Kronecker product, θ^j·t^i at slot i·W + j
-        with W = da + db + 1: θ-degrees of a product never reach W, so
-        the slots of two t-powers do not meet.  A product coefficient
-        sums at most min(t-lengths)·(min(da, db) + 1) products."""
+        """The product as one Kronecker product of rows: each factor's
+        t-coefficients laid out as rows of its θ-degree plus one digits
+        (`fpx.lay_rows`), multiplied by `fpx.PackedPoly.row_product`,
+        and its rows split back into `Poly`s, each row's trailing zeros
+        dropped in one `bytes.rstrip`."""
         F = self.field
-        a, b = self.coeffs, other.coeffs
-        da, db = self.theta_degree(), other.theta_degree()
-        width = da + db + 1
+        ring = packed_ring(F.p)
 
-        def flat(rows):
-            out = []
-            for c in rows:
-                out += c.coeffs
-                out += [0] * (width - len(c.coeffs))
-            return out
+        def rows(f):
+            width = f.theta_degree() + 1
+            return fpx.lay_rows(map(ring.convert, f.coeffs), width), width
 
-        terms = min(len(a), len(b)) * (min(da, db) + 1)
-        prod = packed_ring(F.p).product(flat(a), flat(b), terms)
+        x, width = ring.row_product(rows(self), rows(other))
         return BiPoly(F, [
-            Poly(F, prod[i * width:(i + 1) * width])
-            for i in range(len(a) + len(b) - 1)
+            Poly(F, x[i:i + width].rstrip(b"\0"))
+            for i in range(0, len(x), width)
         ])
 
     def scale(self, c: int) -> "BiPoly":

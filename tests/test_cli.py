@@ -64,10 +64,31 @@ def test_check_json_format(capsys):
     ("oracle", "zeta", "--q", "3", "--tuple", "2,4", "--prec", "-3"),
     ("sweep", "--q", "3", "--wmax", "6", "--jobs", "0"),
     ("sweep", "--q", "3", "--wmax", "6", "--jobs", "-2"),
+    # a prime field has the one modulus x: 5,1 at p=3 once ran as a
+    # second field
+    ("check", "--char-p", "3", "--modulus", "5,1", "--tuple", "2,4"),
 ])
 def test_bad_config_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--tuple", "2,4"),
+    ("zetalike", "--tuple", "1,2"),
+    ("families", "--wmax", "6"),
+])
+def test_csv_format_is_sweep_only(capsys, argv):
+    """Only `sweep` writes CSV; the other commands once accepted
+    --format csv and printed text."""
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--q", "3", *argv[1:], "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    code, out, _ = run(
+        capsys, "sweep", "--q", "3", "--wmax", "4", "--format", "csv"
+    )
+    assert code == 0 and out.startswith("tuple,weight,depth,eulerian")
 
 
 def test_enumerate_order_and_filter():

@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ffmzv.fields import FieldSpec, default_modulus, field_for_q, is_prime
+from ffmzv.fields import (
+    FieldError,
+    FieldSpec,
+    default_modulus,
+    field_for_q,
+    is_prime,
+)
 
 
 def test_is_prime_small():
@@ -87,3 +93,16 @@ def test_packed_means_a_prime_below_a_byte():
     257 and the extension fields 4 and 9 are not."""
     assert [field_for_q(q).packed for q in (2, 3, 131, 251)] == [True] * 4
     assert [field_for_q(q).packed for q in (4, 9, 257)] == [False] * 3
+
+
+@pytest.mark.parametrize("p,modulus", [
+    (2, (1, 1)), (3, (2, 1)), (3, (1, 1)), (5, (4, 1)),
+])
+def test_prime_field_modulus_must_be_x(p, modulus):
+    """An element of F_p is its residue mod p whatever the modulus, so a
+    prime field has one modulus, x.  FieldSpec(3, 1, (2, 1)) was once
+    accepted as a field unequal to field_for_q(3), with a Carlitz cache
+    and a disk-cache file of its own."""
+    with pytest.raises(FieldError):
+        FieldSpec(p, 1, modulus)
+    assert FieldSpec(p, 1, (0, 1)) == FieldSpec(p, 1, (p, 1)) == field_for_q(p)

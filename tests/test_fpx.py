@@ -74,3 +74,79 @@ def test_sliced_digits_match_slot_values_mod_p(p, rounds):
             assert list(ring.digits(n, len(values), slot)) == [
                 v % p for v in values
             ], slot
+
+
+def _row_schoolbook(a, b, p):
+    """The product of two lists of rows (lists of ints, row i the
+    coefficient of u^i, digit j that of x^j) on plain ints, each row's
+    trailing zeros dropped."""
+    width = max(map(len, a)) + max(map(len, b))
+    out = [[0] * width for _ in range(len(a) + len(b) - 1)]
+    for i, ra in enumerate(a):
+        for k, rb in enumerate(b):
+            for j, c in enumerate(ra):
+                for l, d in enumerate(rb):
+                    out[i + k][j + l] = (out[i + k][j + l] + c * d) % p
+    return [bytes(r).rstrip(b"\0") for r in out]
+
+
+def _rows(x, width):
+    return [x[i:i + width].rstrip(b"\0") for i in range(0, len(x), width)]
+
+
+@pytest.mark.parametrize("p,rows,widths,slot", [
+    # all-(p-1) rows: the middle coefficient sums exactly
+    # min(rows)·min(widths) products of two digits (p-1)·(p-1), the
+    # bound the slot width follows; uneven row counts and widths
+    (2, (3, 4), (5, 2), 1),
+    (2, (20, 30), (16, 25), 2),
+    (3, (8, 11), (12, 9), 2),
+    (131, (3, 4), (5, 7), 3),
+    (251, (1, 3), (6, 4), 3),
+    (251, (17, 20), (16, 30), 4),
+])
+def test_row_product_at_its_worst_case(p, rows, widths, slot):
+    """`row_product` equals the schoolbook product of its rows where
+    every digit is p-1, so its slots hold the largest sums the bound
+    allows.  Past one byte, a bound that dropped the min(wa, wb)
+    digit products per row pair would pick a narrower slot, and the
+    sums would carry into the next one."""
+    ring = fpx.PackedPoly(p)
+    (ra, rb), (wa, wb) = rows, widths
+    top = (p - 1) ** 2
+    assert fpx.slot_width(min(ra, rb) * min(wa, wb) * top) == slot
+    assert slot == 1 or fpx.slot_width(min(ra, rb) * top) < slot
+    a, b = [[p - 1] * wa] * ra, [[p - 1] * wb] * rb
+    x, width = ring.row_product(
+        (bytes([p - 1]) * (ra * wa), wa), (bytes([p - 1]) * (rb * wb), wb)
+    )
+    want = _row_schoolbook(a, b, p)
+    assert width == max(map(len, want)) and not x.endswith(b"\0")
+    assert _rows(x, width) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 131, 251])
+def test_row_product_matches_schoolbook(p):
+    """Random rows, some short or zero, at uneven widths; a zero factor
+    gives zero."""
+    import random
+
+    ring = fpx.PackedPoly(p)
+    rng = random.Random(p)
+    assert ring.row_product((b"", 1), (b"\1", 1)) == (b"", 1)
+    for _ in range(30):
+        factors = []
+        for _ in range(2):
+            w = rng.randrange(1, 12)
+            rows = [
+                [rng.randrange(p) for _ in range(rng.randrange(w + 1))]
+                for _ in range(rng.randrange(1, 8))
+            ]
+            rows[-1] = rows[-1][:w - 1] + [rng.randrange(1, p)]
+            factors.append((rows, w))
+        (a, wa), (b, wb) = factors
+        x, width = ring.row_product(
+            (fpx.lay_rows(map(bytes, a), wa), wa),
+            (fpx.lay_rows(map(bytes, b), wb), wb),
+        )
+        assert _rows(x, width) == _row_schoolbook(a, b, p)
