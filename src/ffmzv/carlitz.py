@@ -16,22 +16,36 @@ binomial coefficient B_{n,i} = Γ_{n+1}/(D_i·Γ_{n+1-q^i}) is a polynomial
 (the Carlitz factorial is the Bhargava factorial of F_q[T]).  That
 integrality is checked by an exact division of B_{n,i}, not assumed,
 and no fraction in t is ever formed.
+
+The recursion is written once, over the store's terms.  On a `packed`
+field (prime q < 256) an H_n is kept as rows of θ-digits (`_RowTerms`):
+a term is `fpx.PackedPoly.row_product` calls and H_n one packed sum of
+the terms (`row_sum`).  Elsewhere the terms are `BiPoly`s
+(`_BiPolyTerms`).  `anderson_thakur` builds the `BiPoly` of an H_n from
+the store on request and keeps it.  The optional disk cache
+(`CARLITZ_CACHE_DIR`) holds one θ-major list of t-coefficient lists per
+n, and every entry it loads must satisfy H_n|_{t=θ} = Γ_{n+1}.
 """
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import os
 import tempfile
 from pathlib import Path
 
+from . import fpx
 from .fields import FieldSpec, field_for_q
-from .poly import BiPoly, Poly, RatFrac
+from .poly import BiPoly, Poly, RatFrac, packed_ring
 
 CACHE_DIR_ENV = "CARLITZ_CACHE_DIR"
 
 
 def base_q_digits(n: int, q: int):
-    """Digits of n in base q, least significant first (empty for 0)."""
+    """Digits of n >= 0 in base q, least significant first (empty for 0)."""
+    if n < 0:
+        raise ValueError("base-q digits need n >= 0")
     out = []
     while n:
         out.append(n % q)
@@ -60,6 +74,81 @@ def from_theta_major(field: FieldSpec, tcoeffs):
     return BiPoly(field, rows)
 
 
+class _BiPolyTerms:
+    """The H_n store as `BiPoly`s with `Poly` rows: extension fields
+    and p >= 256."""
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.one = BiPoly.one(field)
+
+    def lay(self, b: BiPoly):
+        return b
+
+    def t_poly(self, b: Poly):
+        return BiPoly.from_tpoly(b.with_var("t"))
+
+    def mul(self, a, b):
+        return a * b
+
+    def sum(self, terms):
+        return functools.reduce(operator.add, terms)
+
+    def theta_degree(self, h) -> int:
+        return h.theta_degree()
+
+    def bipoly(self, h) -> BiPoly:
+        return h
+
+    def theta_major(self, h):
+        return [list(c.coeffs) for c in theta_major(h)]
+
+    def from_theta_major(self, tmajor):
+        F = self.field
+        return from_theta_major(F, [Poly(F, c, var="t") for c in tmajor])
+
+
+class _RowTerms:
+    """The H_n store on a `packed` field: an element of F_p[θ][t] is
+    the pair (x, width) that `fpx.PackedPoly.row_product` takes, digit
+    i·width + j of x the coefficient of θ^j·t^i, trailing zeros dropped
+    and width the θ-degree plus one.  A product is one `row_product`, a
+    sum of terms one `row_sum`, and a θ-major column of the disk cache
+    a strided slice x[j::width]."""
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        ring = packed_ring(field.p)
+        self.one = b"\1", 1
+        self.mul = ring.row_product
+        self.sum = ring.row_sum
+
+    def lay(self, b: BiPoly):
+        return b.to_rows()
+
+    def t_poly(self, b: Poly):
+        """A polynomial in t over F_p: one digit per row."""
+        return bytes(b.coeffs), 1
+
+    def theta_degree(self, h) -> int:
+        x, width = h
+        return width - 1 if x else -1
+
+    def bipoly(self, h) -> BiPoly:
+        return BiPoly.from_rows(self.field, h)
+
+    def theta_major(self, h):
+        x, width = h
+        return [list(x[j::width].rstrip(b"\0")) for j in range(width)]
+
+    def from_theta_major(self, tmajor):
+        width = max(len(tmajor), 1)
+        x = bytearray(max(map(len, tmajor), default=0) * width)
+        for j, col in enumerate(tmajor):
+            x[j:len(col) * width:width] = bytes(col)
+        return fpx.tighten(bytes(x), width)
+
+
 class CarlitzCache:
     """Memoized Carlitz quantities for a fixed F_q."""
 
@@ -70,7 +159,10 @@ class CarlitzCache:
         self._big_d = {0: Poly.one(field)}
         self._big_l = {0: Poly.one(field)}
         self._g = {}
+        self._g_laid = {}
+        self._terms = (_RowTerms if field.packed else _BiPolyTerms)(field)
         self._h = self._trivial_h()
+        self._h_bipoly = {}
         self._bc = {}
         self._disk_loaded = False
 
@@ -108,14 +200,18 @@ class CarlitzCache:
         return out
 
     def gamma_exponents(self, n: int):
-        """Γ_n as a factored map {i: exponent of D_i}."""
+        """Γ_n (n >= 1) as a factored map {i: exponent of D_i}."""
+        if n < 1:
+            raise ValueError("Γ_n needs n >= 1")
         return {
             i: d for i, d in enumerate(base_q_digits(n - 1, self.q)) if d
         }
 
     def gamma_ratio(self, s: int) -> Poly:
         """Γ_{s+1}/Γ_s, which is always a polynomial (the negative D_i
-        exponents from the base-q carry chain divide out exactly)."""
+        exponents from the base-q carry chain divide out exactly); s >= 1."""
+        if s < 1:
+            raise ValueError("Γ_{s+1}/Γ_s needs s >= 1")
         return self._d_ratio(
             self.gamma_exponents(s + 1), self.gamma_exponents(s)
         )
@@ -124,6 +220,8 @@ class CarlitzCache:
         """The Carlitz binomial coefficient B_{n,i} = Γ_{n+1}/(D_i·Γ_{n+1-q^i})
         for q^i <= n: 1 when digit i of n is nonzero, otherwise
         D_k/(D_i^q·Π_{i<j<k} D_j^{q-1}) for the next nonzero digit k."""
+        if i < 0 or self.q ** i > n:
+            raise ValueError("B_{n,i} needs i >= 0 and q^i <= n")
         lo = self.gamma_exponents(n + 1 - self.q ** i)
         lo[i] = lo.get(i, 0) + 1
         return self._d_ratio(self.gamma_exponents(n + 1), lo)
@@ -159,45 +257,70 @@ class CarlitzCache:
     def anderson_thakur(self, n: int) -> BiPoly:
         """H_n in A[t]: H_n = 1 for 0 <= n <= q-1, and in general the
         coefficient of x^n in the generating identity times Γ_{n+1}(t).
-        One call fills and saves every missing H_m, m <= n."""
+        One call fills and saves every missing H_m, m <= n; the `BiPoly`
+        of H_n is built from the store on the first request for it."""
         if n < 0:
             raise ValueError("H_n needs n >= 0")
         self._load_disk_cache()
         if n not in self._h:
             self._derive_h(self._h, n)
             self._save_disk_cache()
-        return self._h[n]
+        h = self._h_bipoly.get(n)
+        if h is None:
+            h = self._h_bipoly[n] = self._terms.bipoly(self._h[n])
+        return h
 
     def _trivial_h(self):
         """H_0..H_{q-1} = 1, the start of every fill."""
-        one = BiPoly.one(self.field)
-        return {m: one for m in range(self.q)}
+        return {m: self._terms.one for m in range(self.q)}
 
     def _derive_h(self, h, n: int):
-        """Extend the memo h, which holds H_0..H_{q-1} = 1, to H_0..H_n.
+        """Extend the memo h, which holds H_0..H_{q-1} = 1, to H_0..H_n,
+        in the store's terms (`_RowTerms` or `_BiPolyTerms`).
 
         Ascending in m, H_m = Σ_{q^i ≤ m} G_i(θ,t)·H_{m-q^i}·B_{m,i}(t):
         the generating identity multiplied through by Γ_{m+1}(t).  Every
-        term is a polynomial product; `binomial` checks by an exact
-        division that B_{m,i} is a polynomial."""
-        F = self.field
+        term is a polynomial product, H_{m-q^i}·B_{m,i} first, the
+        narrower one, then times G_i, a factor 1 skipped; H_m is one sum
+        of the terms.  `binomial` checks by an exact division that
+        B_{m,i} is a polynomial."""
+        T = self._terms
         q = self.q
         for m in range(q, n + 1):
             if m in h:
                 continue
-            acc = BiPoly.zero(F)
+            terms = []
             i = 0
             while q ** i <= m:
-                term = self.g_poly(i) * h[m - q ** i]
+                term = h[m - q ** i]
                 b = self.binomial(m, i)
                 if not b.is_one():
-                    term = term.coeff_mul_t(b.with_var("t"))
-                acc = acc + term
+                    term = T.mul(term, T.t_poly(b))
+                g = self._g_terms(i)
+                if g != T.one:
+                    term = T.mul(g, term)
+                terms.append(term)
                 i += 1
-            assert acc.theta_degree() * (q - 1) <= m * q, (
+            acc = T.sum(terms)
+            assert T.theta_degree(acc) * (q - 1) <= m * q, (
                 "H_n degree bound violated"
             )
             h[m] = acc
+
+    def _g_terms(self, i: int):
+        """G_i in the store's terms, laid out once per i."""
+        if i not in self._g_laid:
+            self._g_laid[i] = self._terms.lay(self.g_poly(i))
+        return self._g_laid[i]
+
+    def _at_theta(self, cols) -> Poly:
+        """H(θ, θ) for H given by its θ-major columns C_j(t):
+        Σ_j θ^j·C_j(θ)."""
+        F = self.field
+        out = Poly.zero(F)
+        for j, col in enumerate(cols):
+            out = out + Poly(F, col).shift(j)
+        return out
 
     # -- optional on-disk cache for the H_n family -------------------------
     def _cache_path(self):
@@ -209,12 +332,18 @@ class CarlitzCache:
         return Path(root) / f"at_h_p{F.p}_e{F.e}_m{tag}.json"
 
     def _load_disk_cache(self):
+        """Read the file, one θ-major list of columns per n, into the
+        store.  Every entry must keep H_n's degree bound and
+        H_n|_{t=θ} = Γ_{n+1} (the Anderson–Thakur identity at d = 0),
+        and the smallest n >= q is re-derived from H_0..H_{q-1} = 1 as
+        a spot check; a file that fails any check is discarded."""
         if self._disk_loaded:
             return
         self._disk_loaded = True
         path = self._cache_path()
         if path is None or not path.exists():
             return
+        T = self._terms
         try:
             raw = json.loads(path.read_text())
             if not isinstance(raw, dict):
@@ -224,14 +353,13 @@ class CarlitzCache:
                 n = int(key)
                 if any(c not in range(self.q) for col in tmajor for c in col):
                     raise ValueError("coefficient code outside range(q)")
-                h = from_theta_major(
-                    self.field,
-                    [Poly(self.field, c, var="t") for c in tmajor],
-                )
-                if h.theta_degree() * (self.q - 1) > n * self.q:
+                h = T.from_theta_major(tmajor)
+                if T.theta_degree(h) * (self.q - 1) > n * self.q:
                     raise ValueError("degree bound violated")
                 if n < self.q and h != self._h[n]:
                     raise ValueError("H_n = 1 for n < q")
+                if self._at_theta(tmajor) != self.gamma(n + 1):
+                    raise ValueError("H_n(θ, θ) is not Γ_{n+1}")
                 loaded[n] = h
             # corruption spot check: re-derive one nontrivial entry from
             # H_0..H_{q-1} = 1 alone, without touching the file
@@ -256,7 +384,7 @@ class CarlitzCache:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             payload = {
-                str(n): [list(c.coeffs) for c in theta_major(h)]
+                str(n): self._terms.theta_major(h)
                 for n, h in self._h.items()
             }
             # a private temp file per writer, so parallel workers never

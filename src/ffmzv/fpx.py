@@ -16,12 +16,13 @@ prime (`poly.packed_ring`) serves every packed consumer: it is the
 exact domain that confirms the probe's zeros (`criterion`), its `mul`
 the large products in F_p[θ] of `poly.Poly`, and its `row_product` the
 product of polynomials whose coefficients are rows of θ-digits (laid
-out by `lay_rows`): the A[t] product of `poly.BiPoly` and the product
-in u of the point reduction (`motive`).  Only this module calls the
-Kronecker `product` and derives its slot bound.  A packed integer is
-read back to digits by a byte-sliced reduction
-(`_PackedDigits.digits`): one `bytes.translate` per byte of a slot and
-round, never a loop over the slots.  Where these rings run is
+out by `lay_rows`): the A[t] product of `poly.BiPoly`, the product in
+u of the point reduction (`motive`) and the products of the H_n fill
+(`carlitz`), whose sums are one `row_sum` each.  Only this module calls
+the Kronecker `product` and derives the slot bounds of packed products
+and sums.  A packed integer is read back to digits by a byte-sliced
+reduction (`_PackedDigits.digits`): one `bytes.translate` per byte of a
+slot and round, never a loop over the slots.  Where these rings run is
 `fields.FieldSpec.packed`; p >= 256 and extension fields take the
 table-driven `Poly` arithmetic.
 """
@@ -299,7 +300,8 @@ class PackedPoly(_PackedDigits):
     is one `bytes.translate`.  x ↦ x^(p^n) spreads the digits p^n
     apart, one strided assignment.  `row_product` multiplies
     polynomials in a second variable whose coefficients are elements
-    laid out in rows, by the same one big-int product.
+    laid out in rows, by the same one big-int product, and `row_sum`
+    adds any number of them in one packed sum.
     """
 
     def __init__(self, p):
@@ -375,6 +377,16 @@ class PackedPoly(_PackedDigits):
             relayout(x, wa, width), relayout(y, wb, width), terms
         ), width)
 
+    def row_sum(self, terms):
+        """The sum of polynomials laid out as `row_product` takes them,
+        a list of pairs (x, w), as such a pair, tightened: one packed
+        sum at the widest w, whose slots hold at most len(terms)·(p-1)."""
+        width = max(w for _, w in terms)
+        slot = slot_width(len(terms) * (self.p - 1))
+        n = max(-(-len(x) // w) for x, w in terms) * width
+        total = sum(pack(relayout(x, w, width), slot) for x, w in terms)
+        return tighten(self.digits(total, n, slot), width)
+
     def _scaled(self, c):
         """The translate table of the product by the digit c."""
         table = self._times.get(c)
@@ -409,11 +421,11 @@ def relayout(x, w, width):
 
 def tighten(x, width):
     """The digits x, in rows of `width`, laid out again in rows of the
-    largest degree plus one, trailing zeros dropped: big-int sizes
-    then follow the degrees found, which are often far below their
-    bounds."""
+    largest degree plus one (width 1 for zero), trailing zeros
+    dropped: big-int sizes then follow the degrees found, which are
+    often far below their bounds."""
     rows = [x[i:i + width].rstrip(b"\0") for i in range(0, len(x), width)]
-    tight = max(map(len, rows), default=1)
+    tight = max(map(len, rows), default=1) or 1
     if tight == width:
         return x.rstrip(b"\0"), width
     return lay_rows(rows, tight).rstrip(b"\0"), tight

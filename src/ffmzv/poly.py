@@ -413,7 +413,8 @@ class BiPoly:
 
     Over a `packed` field with integral coefficients a product is one
     big-int product, `fpx.PackedPoly.row_product` of the factors' rows
-    of θ-digits (`_packed_mul`); every other product is the schoolbook
+    of θ-digits (`to_rows`, `from_rows`, the layout the H_n fill of
+    `carlitz` keeps too); every other product is the schoolbook
     one over the coefficient ring.  The (t-θ)-adic expansion is the
     Taylor shift f(u+θ), exact over the coefficient ring.
     """
@@ -518,21 +519,29 @@ class BiPoly:
         return BiPoly(self.field, out, self.rational)
 
     def _packed_mul(self, other: "BiPoly") -> "BiPoly":
-        """The product as one Kronecker product of rows: each factor's
-        t-coefficients laid out as rows of its θ-degree plus one digits
-        (`fpx.lay_rows`), multiplied by `fpx.PackedPoly.row_product`,
-        and its rows split back into `Poly`s, each row's trailing zeros
-        dropped in one `bytes.rstrip`."""
-        F = self.field
-        ring = packed_ring(F.p)
+        """The product as one Kronecker product of rows
+        (`fpx.PackedPoly.row_product` of the factors' `to_rows`)."""
+        ring = packed_ring(self.field.p)
+        return BiPoly.from_rows(
+            self.field, ring.row_product(self.to_rows(), other.to_rows())
+        )
 
-        def rows(f):
-            width = f.theta_degree() + 1
-            return fpx.lay_rows(map(ring.convert, f.coeffs), width), width
+    def to_rows(self):
+        """On a `packed` field, with integral coefficients: the pair
+        (x, width) of `fpx.PackedPoly.row_product`, the t-coefficients
+        laid out as rows of width the θ-degree plus one, so digit
+        i·width + j is the coefficient of θ^j·t^i."""
+        width = max(self.theta_degree() + 1, 1)
+        ring = packed_ring(self.field.p)
+        return fpx.lay_rows(map(ring.convert, self.coeffs), width), width
 
-        x, width = ring.row_product(rows(self), rows(other))
-        return BiPoly(F, [
-            Poly(F, x[i:i + width].rstrip(b"\0"))
+    @classmethod
+    def from_rows(cls, field, rows):
+        """The inverse of `to_rows`: row i, its trailing zeros dropped in
+        one `bytes.rstrip`, is the coefficient of t^i."""
+        x, width = rows
+        return cls(field, [
+            Poly(field, x[i:i + width].rstrip(b"\0"))
             for i in range(0, len(x), width)
         ])
 

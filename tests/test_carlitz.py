@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import json
 import os
+import signal
 
 import pytest
 
@@ -19,6 +21,40 @@ def test_base_q_digits():
     assert base_q_digits(0, 3) == []
     assert base_q_digits(7, 2) == [1, 1, 1]
     assert base_q_digits(10, 3) == [1, 0, 1]
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the guarded block after `seconds`, so a
+    call that never returns fails the test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the call did not return")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: base_q_digits(-1, 3),
+    lambda c: c.gamma_exponents(0),
+    lambda c: c.gamma_ratio(0),
+    lambda c: c.binomial(2, 1),
+    lambda c: c.binomial(5, -1),
+], ids=["digits(-1)", "gamma_exponents(0)", "gamma_ratio(0)",
+        "binomial(2,1)", "binomial(5,-1)"])
+def test_out_of_range_indices_raise(call):
+    """A negative n has no base-q digits (-1 % q = q-1 and -1 // q = -1,
+    so the digit loop never ends), and Γ_0, Γ_1/Γ_0 and B_{n,i} with
+    q^i > n are undefined: each raises at q = 3."""
+    c = cache_for_q(3)
+    with _deadline(1.0), pytest.raises(ValueError):
+        call(c)
 
 
 def test_brackets_and_products():
@@ -327,3 +363,86 @@ def test_disk_cache_rejects_a_wrong_trivial_entry(tmp_path, monkeypatch):
     raw["1"] = [[0], [1]]  # θ
     path.write_text(json.dumps(raw))
     assert CarlitzCache(F).anderson_thakur(1) == BiPoly.one(F)
+
+
+def _reference_fill(c, n):
+    """H_0..H_n by the recursion on `BiPoly`s: each term a `BiPoly`
+    product, each H_m a `BiPoly` sum of `Poly` rows.  The reference for
+    the fill on packed rows."""
+    F, q = c.field, c.q
+    h = [BiPoly.one(F)] * q
+    for m in range(q, n + 1):
+        acc = BiPoly.zero(F)
+        i = 0
+        while q ** i <= m:
+            term = c.g_poly(i) * h[m - q ** i]
+            b = c.binomial(m, i)
+            if not b.is_one():
+                term = term.coeff_mul_t(b.with_var("t"))
+            acc = acc + term
+            i += 1
+        h.append(acc)
+    return h
+
+
+@pytest.mark.parametrize("q,nmax", [(7, 96), (131, 300)])
+def test_fill_matches_the_bipoly_recursion(q, nmax):
+    """The fill on packed rows equals the `BiPoly` recursion.  At
+    q = 131 a sum adds 2 terms of digits up to 130, which needs
+    two-byte slots."""
+    ref = _reference_fill(CarlitzCache(field_for_q(q)), nmax)
+    c = CarlitzCache(field_for_q(q))
+    for n in range(nmax, -1, -1):
+        assert c.anderson_thakur(n) == ref[n], n
+
+
+@pytest.mark.parametrize("q,nmax", [
+    (2, 40), (3, 160), (4, 20), (5, 30), (7, 30), (9, 12), (131, 300),
+])
+def test_h_at_t_theta_is_gamma(q, nmax):
+    """H_n|_{t=θ} = Γ_{n+1}: the Anderson–Thakur identity at d = 0."""
+    c = cache_for_q(q)
+    th = Poly.gen(c.field)
+    for n in range(nmax + 1):
+        at_theta = Poly.zero(c.field)
+        for coeff in reversed(c.anderson_thakur(n).coeffs):
+            at_theta = at_theta * th + coeff
+        assert at_theta == c.gamma(n + 1), n
+
+
+def test_h_bipolys_are_built_on_request(monkeypatch):
+    """One fill of H_0..H_61 builds the `BiPoly` of H_61 only, once
+    (G_0..G_3, `BiPoly` products, are built before counting)."""
+    c = CarlitzCache(field_for_q(3))
+    for i in range(4):
+        c.g_poly(i)
+    built = []
+    from_rows = BiPoly.from_rows.__func__
+
+    def counting(cls, field, rows):
+        built.append(rows)
+        return from_rows(cls, field, rows)
+
+    monkeypatch.setattr(BiPoly, "from_rows", classmethod(counting))
+    h = c.anderson_thakur(61)
+    assert c.anderson_thakur(61) is h
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("corrupt", ["empty", "copy_of_11"])
+def test_disk_cache_checks_every_entry(tmp_path, monkeypatch, corrupt):
+    """An entry past the spot-checked one, H_12 emptied or replaced by
+    H_11's columns, fails H_n|_{t=θ} = Γ_{n+1}: the file is discarded,
+    and H_12 is derived and written again."""
+    monkeypatch.setenv("CARLITZ_CACHE_DIR", str(tmp_path))
+    F = field_for_q(3)
+    h = CarlitzCache(F).anderson_thakur(20)
+    path = next(tmp_path.iterdir())
+    raw = json.loads(path.read_text())
+    good = raw["12"]
+    raw["12"] = [] if corrupt == "empty" else raw["11"]
+    path.write_text(json.dumps(raw))
+    b = CarlitzCache(F)
+    assert b.anderson_thakur(12) == CarlitzCache(F).anderson_thakur(12)
+    assert json.loads(path.read_text())["12"] == good
+    assert b.anderson_thakur(20) == h

@@ -150,3 +150,30 @@ def test_row_product_matches_schoolbook(p):
             (fpx.lay_rows(map(bytes, b), wb), wb),
         )
         assert _rows(x, width) == _row_schoolbook(a, b, p)
+
+
+@pytest.mark.parametrize("p,widths,slot", [
+    # k all-(p-1) terms sum k·(p-1) per slot, the bound the slot width
+    # follows
+    (3, (4, 7, 2), 1),
+    (131, (5, 3), 2),
+    (251, (2, 6, 3, 1), 2),
+])
+def test_row_sum_at_its_worst_case(p, widths, slot):
+    """`row_sum` of terms whose every digit is p-1, at uneven widths
+    and row counts, equals the sum on plain ints; a sum that cancels
+    is zero at width 1."""
+    ring = fpx.PackedPoly(p)
+    assert fpx.slot_width(len(widths) * (p - 1)) == slot
+    terms = [(bytes([p - 1]) * (w * (k + 2)), w) for k, w in enumerate(widths)]
+    width = max(widths)
+    want = [[0] * width for _ in range(len(widths) + 1)]
+    for x, w in terms:
+        for i, row in enumerate(_rows(x, w)):
+            for j, c in enumerate(row):
+                want[i][j] = (want[i][j] + c) % p
+    x, got_width = ring.row_sum(terms)
+    assert not x.endswith(b"\0")
+    assert _rows(x, got_width) == [bytes(r).rstrip(b"\0") for r in want]
+    a = (bytes([1, 2, 0, 1]), 2)
+    assert ring.row_sum([a, (ring.neg(a[0]), 2)]) == (b"", 1)
