@@ -13,8 +13,13 @@ point of d elements as one packed integer, at a slot width of its own,
 and applies ρ_t to it with the quotient's `xdeg`, `frob`, `mul` and
 `digits` (`tmodule.ProbeDomain`).  One `PackedPoly` per
 prime (`poly.packed_ring`) serves every packed consumer: it is the
-exact domain that confirms the probe's zeros (`criterion`), its `mul`
-the large products in F_p[θ] of `poly.Poly`, and its `row_product` the
+exact domain that confirms the probe's zeros (`criterion`), where its
+`point_plan` keeps a point as one packed run of rows per block and
+applies ρ_t to each block with one packed sum, one Kronecker product
+per τ-level and target block and one `digits` call (`_PackedBlocks`,
+for p <= 13; larger p take the row loop over its element
+operations); its `mul` the large products in F_p[θ] of `poly.Poly`,
+and its `row_product` the
 product of polynomials whose coefficients are rows of θ-digits (laid
 out by `lay_rows`): the A[t] product of `poly.BiPoly`, the product in
 u of the point reduction (`motive`) and the products of the H_n fill
@@ -28,6 +33,7 @@ table-driven `Poly` arithmetic.
 """
 from __future__ import annotations
 
+import collections
 import operator
 
 
@@ -404,6 +410,194 @@ class PackedPoly(_PackedDigits):
         out[::step] = x
         return bytes(out)
 
+    def point_plan(self, blocks):
+        """ρ_t on one packed run of rows per block (`_PackedBlocks`), for
+        the blocks (start, end, τ-terms) of a `tmodule.TModule` with
+        coefficients in this ring; None where the point slot exceeds one
+        byte before any τ-term, 2(p-1) + (p-1)^2 > 255, that is p > 13.
+        There the packed blocks pay a multi-byte reduction per step on
+        rows padded to the block's longest, and the row loop over the
+        element operations is faster."""
+        if _point_slot(self.p, 0) > 1:
+            return None
+        return _PackedBlocks(self, blocks)
+
+
+class _PackedBlocks:
+    """ρ_t on an exact point of F_p[x]^d held as one packed run of rows
+    per block of a `tmodule.TModule`: block b a pair (x, w), x its rows
+    end to end in rows of w digits (trailing zeros dropped, so an
+    all-zero block is b""), each block at a width of its own.
+
+    One application ρ_t(v) + c·y, per block, is one packed sum and one
+    `digits` call at the point slot: the block shifted up one slot (θ·I)
+    plus the block shifted down one row (the in-block shift N; the last
+    row takes nothing), plus c times y's block, packed once per width,
+    plus one reduced τ-product per (source block, level) with a term in
+    the block.  Per source block and level, the block's top coordinate
+    x_0 is twisted once, x_0^(p^n) (`PackedPoly.frob`), and multiplied by
+    the level's coefficients into each target block, laid out as rows
+    of the target's width from its first to its last row with a term,
+    in one Kronecker product reduced at a slot of its own.
+
+    Widths.  Before a step every block must have room for what lands in
+    it: the θ-shift needs every row's digit w-1 to be zero (one strided
+    check of the top digits), c·y needs y's rows, and the τ-product of a
+    row needs (len x_0 - 1)·p^n + len c digits.  A block short of room
+    is re-laid, at an eighth more than it needs (`_room`).  After the
+    step, a block whose digit w//2 is zero in every row (one strided
+    check) and whose rows all end below half its width is re-laid
+    narrower, and an all-zero block drops to width 1.  Within a step no
+    row then reaches the next one, so every sum below is per row and
+    per slot.
+
+    Slot bounds.  A τ-product slot of target row i holds a coefficient of
+    x_0^(p^n)·c_i: the nonzero digits of x_0^(p^n) lie p^n apart, so it
+    sums at most ceil(len c_i / p^n) products of two digits, and
+    (p-1)^2·ceil(len c / p^n) over the level's coefficients into the
+    block bounds it.  Its rows stay apart because the width holds every
+    row's product.  A point slot of row i, before the reduction, holds
+    at most
+
+        p-1       the digit below it in its row, shifted up;
+        p-1       the same digit of row i+1, inside a block;
+        (p-1)^2   c·y, c and the digit of y below p;
+        p-1       per τ-term of row i, a reduced τ-product digit;
+
+    so 2(p-1) + (p-1)^2 plus p-1 per τ-term of the row, and the slot
+    holds the largest of these bounds over the rows (`_point_slot`).
+    Every digit read is below p, because a point enters as reduced
+    digits and each step starts from the previous `digits`.  So no slot
+    reaches 256^slot, no carry crosses a slot, and each slot is the
+    exact coefficient sum that `digits` reads mod p."""
+
+    def __init__(self, ring, blocks):
+        p = self.p = ring.p
+        self.ring = ring
+        self._rows = [end - start for start, end, _ in blocks]
+        self._starts = [start for start, _, _ in blocks]
+        block_of = {
+            row: (b, row - start)
+            for b, (start, end, _) in enumerate(blocks)
+            for row in range(start, end)
+        }
+        # per source block with τ-terms, its levels n in order, each with
+        # its targets (`_tau_target`); and each row's τ-term share of the
+        # point slot
+        share = [0] * len(block_of)
+        self._taus = []
+        for s, (_, _, terms) in enumerate(blocks):
+            levels = {}
+            for row, n, c in terms:
+                if c:
+                    b, i = block_of[row]
+                    cs = levels.setdefault(n, {}).setdefault(b, {})
+                    cs[i] = ring.add(cs[i], c) if i in cs else c
+                    share[row] += p - 1
+            if levels:
+                self._taus.append((s, [
+                    (n, p ** n, [
+                        _tau_target(p, n, b, cs)
+                        for b, cs in sorted(targets.items())
+                    ])
+                    for n, targets in sorted(levels.items())
+                ]))
+        self.slot = slot = _point_slot(p, max(share, default=0))
+        self._bits = 8 * slot
+        self._y = None
+
+    def enter(self, vec):
+        point = []
+        for start, r in zip(self._starts, self._rows):
+            rows = vec[start:start + r]
+            w = _room(max(map(len, rows)) + 1)
+            point.append((lay_rows(rows, w).rstrip(b"\0"), w))
+        return point
+
+    def leave(self, point):
+        return [
+            x[i:i + w].rstrip(b"\0")
+            for (x, w), r in zip(point, self._rows)
+            for i in range(0, r * w, w)
+        ]
+
+    def is_zero(self, point):
+        return not any(x for x, _ in point)
+
+    def times(self, point, c):
+        """c·point for a digit c."""
+        if c == 1:
+            return point
+        table = self.ring._scaled(c)
+        return [(x.translate(table).rstrip(b"\0"), w) for x, w in point]
+
+    def _horner_y(self, y):
+        """y's longest row per block and its blocks packed per width, at
+        the point slot: Horner adds the same y at every step."""
+        if self._y is None or self._y[0] is not y:
+            self._y = (y, [_row_len(x, w) for x, w in y], {})
+        return self._y
+
+    def step(self, point, c, y):
+        """ρ_t(point) + c·y: per block one packed sum and one reduction."""
+        ring, slot, bits = self.ring, self.slot, self._bits
+        # the width each block needs: room for the θ-shift, for y's rows
+        # and for each τ-product that lands in it
+        need = [w + 1 if any(x[w - 1::w]) else w for x, w in point]
+        if c:
+            _, ylens, ypacked = self._horner_y(y)
+            need = list(map(max, need, ylens))
+        tops = []
+        for s, levels in self._taus:
+            x, w = point[s]
+            top = x[:w].rstrip(b"\0")
+            if top:
+                tops.append((top, levels))
+                k = len(top) - 1
+                for _, stride, targets in levels:
+                    for b, _, _, clen, _, _ in targets:
+                        need[b] = max(need[b], k * stride + clen)
+        point = [
+            _relay(x, w, m) if m > w else (x, w)
+            for (x, w), m in zip(point, need)
+        ]
+        acc = [0] * len(point)
+        for top, levels in tops:
+            for n, _, targets in levels:
+                fx = ring.frob(top, n)
+                for b, lo, rows, _, tslot, laid in targets:
+                    w = point[b][1]
+                    cs = laid.get(w)
+                    if cs is None:
+                        cs = laid[w] = pack(lay_rows(rows, w), tslot)
+                    prod = ring.digits(
+                        pack(fx, tslot) * cs, len(rows) * w, tslot
+                    )
+                    acc[b] += pack(prod, slot) << lo * w * bits
+        out = []
+        for b, ((x, w), r, a) in enumerate(zip(point, self._rows, acc)):
+            if x:
+                v = pack(x, slot)
+                a += (v << bits) + (v >> w * bits)
+            if c:
+                yb = ypacked.get((b, w))
+                if yb is None:
+                    yx, yw = y[b]
+                    yb = ypacked[b, w] = pack(relayout(yx, yw, w), slot)
+                a += c * yb
+            if not a:
+                out.append((b"", 1))
+                continue
+            x = ring.digits(a, r * w, slot).rstrip(b"\0")
+            # a zero digit in the middle of every row hints that the rows
+            # fell well below the width: if so, shrink the block
+            if w > 8 and not any(x[w // 2::w]):
+                m = _row_len(x, w) + 1
+                if 2 * m < w:
+                    x, w = _relay(x, w, m)
+            out.append((x, w))
+        return out
+
 
 def lay_rows(rows, width):
     """The digit strings `rows` (each a `bytes` of at most `width`
@@ -413,10 +607,15 @@ def lay_rows(rows, width):
 
 
 def relayout(x, w, width):
-    """The digits x, in rows of w digits, laid out in rows of width."""
+    """The digits x, in rows of w digits, laid out in rows of width;
+    narrower rows must hold every row's digits up to its last nonzero
+    one."""
     if w == width or not x:
         return x
-    return lay_rows([x[i:i + w] for i in range(0, len(x), w)], width)
+    rows = [x[i:i + w] for i in range(0, len(x), w)]
+    if width < w:
+        rows = [r.rstrip(b"\0") for r in rows]
+    return lay_rows(rows, width)
 
 
 def tighten(x, width):
@@ -429,3 +628,48 @@ def tighten(x, width):
     if tight == width:
         return x.rstrip(b"\0"), width
     return lay_rows(rows, tight).rstrip(b"\0"), tight
+
+
+def _room(need):
+    """The width a block is laid out at when it needs `need` digits per
+    row: an eighth more, so that rows growing by one digit a step do
+    not re-lay it at every step."""
+    return need + need // 8
+
+
+def _relay(x, w, need):
+    """The block x, in rows of w digits, re-laid with room for `need`."""
+    width = _room(need)
+    return relayout(x, w, width).rstrip(b"\0"), width
+
+
+def _row_len(x, w):
+    """The length of the longest row of x, in rows of w digits."""
+    return max(
+        (len(x[i:i + w].rstrip(b"\0")) for i in range(0, len(x), w)),
+        default=0,
+    )
+
+
+def _point_slot(p, share):
+    """The point slot of `_PackedBlocks`: 2(p-1) + (p-1)^2 plus the
+    largest τ-term share of a row, p-1 per τ-term."""
+    return slot_width(2 * (p - 1) + (p - 1) ** 2 + share)
+
+
+_TauTarget = collections.namedtuple(
+    "_TauTarget", "block first rows clen slot laid"
+)
+
+
+def _tau_target(p, n, b, cs):
+    """One target block of a level n of `_PackedBlocks`, its τ-term
+    coefficients cs as {row in the block: digits}: (b, first row, the
+    coefficient rows from the first to the last, longest coefficient,
+    slot, packed coefficients per width).  A product slot sums at most
+    ceil(len c / p^n) products of two digits."""
+    lo, hi = min(cs), max(cs)
+    rows = [cs.get(i, b"") for i in range(lo, hi + 1)]
+    clen = max(1, *map(len, rows))
+    slot = slot_width(-(-clen // p ** n) * (p - 1) ** 2)
+    return _TauTarget(b, lo, rows, clen, slot, {})

@@ -30,16 +30,24 @@ packed ring:
   (`ProbeDomain` holds the slot bound and its proof).
 * the packed ring `poly.packed_ring(p)` itself — the same ring
   A = F_p[θ] as `ExactDomain` on a `packed` field, each coordinate a
-  `bytes` of F_p digits (`fpx.PackedPoly`): a sum is one packed sum,
-  θ·x + y a one-digit shift plus y, a product one big-int product and
-  x ↦ x^{q^n} a strided copy.  It confirms the probe's zeros exactly.
+  `bytes` of F_p digits (`fpx.PackedPoly`).  It confirms the probe's
+  zeros exactly.  A point is one packed run of rows per block, each
+  block at a row width of its own, and one application of ρ_t per
+  block one packed sum and one reduction: the θ-step a one-slot shift,
+  the next-row add one shifted add, Horner's c·x one scaled add, and
+  per (source block, level, target block) one Kronecker product of the
+  twisted top coordinate and the level's coefficients laid out as
+  rows (`fpx._PackedBlocks` holds both slot bounds and their proofs).
+  For p > 13 the ring offers no such plan and the row loop runs.
 
 The operator code below never asks which domain it runs in.  Each
 `TModule` builds one plan of ρ_t per domain, its coefficients converted
-once: the probe's own (`ProbeDomain.point_plan`), or else the row loop
-(`_RowLoop`) over the element operations every other domain offers
-(zero, is_zero, add, mul, theta_step, scalar, frob, convert).  A point
-enters the plan once per call and leaves it as a list of coordinates.
+once: the domain's own (`ProbeDomain.point_plan`,
+`fpx.PackedPoly.point_plan`), or else the row loop (`_RowLoop`) over
+the domain's element operations (zero, is_zero, add, mul, theta_step,
+scalar, frob, convert), which `ExactDomain` and the packed ring for
+p > 13 take.  A point enters the plan once per call and leaves it as a
+list of coordinates.
 
 ρ_a for a in F_q[t] is Horner in ρ_t from the leading coefficient of a
 (`TModule.apply_poly`): deg a applications of ρ_t, with the point added
@@ -317,7 +325,8 @@ class _PackedPoint:
 class _RowLoop:
     """ρ_t row by row over a domain's element operations: one θ-step
     per row, then one product and one sum per τ-term.  The plan of
-    every domain that keeps a point as a list of coordinates."""
+    `ExactDomain` and of the packed ring for p > 13, and the reference
+    the packed plans are tested against."""
 
     def __init__(self, dom, blocks):
         self.dom, self.blocks = dom, blocks
@@ -415,8 +424,10 @@ class TModule:
     def _plan(self, dom):
         """ρ_t in dom, built once per domain with every coefficient
         converted into it: the domain's own plan when it offers one
-        (`ProbeDomain.point_plan`, a whole point in one packed value),
-        else the row loop over its element operations."""
+        (`ProbeDomain.point_plan`, a whole point in one packed value;
+        `fpx.PackedPoly.point_plan`, one packed run of rows per block,
+        None for p > 13), else the row loop over its element
+        operations."""
         plan = self._plans.get(dom)
         if plan is None:
             blocks = [
@@ -424,9 +435,8 @@ class TModule:
                 for start, w, terms in zip(self.starts, self.weights, self.top)
             ]
             build = getattr(dom, "point_plan", None)
-            plan = self._plans[dom] = (
-                build(blocks) if build else _RowLoop(dom, blocks)
-            )
+            plan = build(blocks) if build else None
+            plan = self._plans[dom] = plan or _RowLoop(dom, blocks)
         return plan
 
     def apply_t(self, vec, dom=None):

@@ -633,3 +633,127 @@ def test_packed_point_matches_row_reference(q, s, slot):
     # the same point as `Poly` coordinates, which convert to x
     poly_x = [Poly(F, [p - 1] * 21)] * tm.d
     assert tm.apply_annihilator(poly_x, [a], dom) == tm.apply_poly(x, a, dom)
+
+
+# -- the exact packed blocks at their worst case -----------------------------
+
+def _fan_in_module(F, k, clen, digit):
+    """Block 0 of 2 rows takes a level-1 τ-term in row 0 from each of k
+    one-row blocks, the coefficient clen digits `digit` mod p; returns
+    the module and its entries of ρ_t written out by hand.  The one-row
+    blocks take no τ-term, so their θ-degrees grow by one a step and 30
+    applications stay small in F_p[θ].  (`_stacked_module` stacks its
+    τ-terms at the levels 21, 42, …, which are the identity only in
+    F_{p^21}: in F_p[θ] they raise a θ-degree p^21-fold.)"""
+    c = Poly(F, [digit % F.p] * clen)
+    top = [[]] + [[(0, 1, c)]] * k
+    entries = {(i, i): {0: Poly.gen(F)} for i in range(k + 2)}
+    entries[0, 1] = {0: Poly.one(F)}
+    entries.update(((0, j), {1: c}) for j in range(2, k + 2))
+    tm = TModule(F, (2,) + (1,) * k, top)
+    return tm, lambda i, j: entries.get((i, j), {})
+
+
+# (q, s or the fan-in (k, clen, digit), point slot, τ-product slots,
+# length of the all-(p-1) coordinates): one-byte slots on real motives
+# at q = 2 and 3; a fan-in of 254 (q = 2) or 126 (q = 3) τ-terms with
+# the coefficient 1 into one row, each adding a reduced digit p-1,
+# whose share alone widens the point slot to two bytes; an all-(p-1)
+# coefficient of 511 (q = 2) or 192 (q = 3) digits, which widens its
+# τ-product slot to two bytes against a source of 300 digits; and no
+# plan (the row loop) at q = 131 and 251, where the point slot exceeds
+# a byte before any τ-term.  A three-byte slot would take 32 765
+# τ-terms on one row or a coefficient of 49 152 digits at q = 3.
+_PACKED_BLOCK_CASES = [
+    (2, (1, 1, 2), 1, {1}, 21), (2, (2, 3, 4), 1, {1}, 21),
+    (3, (2, 4, 6), 1, {1}, 21), (3, (8, 18, 54), 1, {1}, 21),
+    (2, ("fan-in", 254, 1, 1), 2, {1}, 21),
+    (3, ("fan-in", 126, 1, 1), 2, {1}, 21),
+    (2, ("fan-in", 1, 511, -1), 1, {2}, 300),
+    (3, ("fan-in", 1, 192, -1), 1, {2}, 300),
+    (131, (130,), None, None, 21), (251, (250,), None, None, 21),
+]
+
+
+@pytest.mark.parametrize("q,s,slot,tau_slots,n", _PACKED_BLOCK_CASES)
+def test_packed_blocks_match_row_reference(q, s, slot, tau_slots, n):
+    """ρ_t and Horner on packed exact digits equal the generic
+    sparse-row operator, digit for digit, over 30 applications, from
+    the all-(p-1) point, with Horner adding (p-1)·v at each step.  On
+    the first application every θ-shift and in-block add reads p-1,
+    the fan-ins' τ-term share of the point slot and the long
+    coefficients' τ-product slot (`fpx._PackedBlocks`) meet their worst
+    case, and every τ-target is re-laid, a τ-image being p-fold longer
+    than its source.  The fan-ins carry past a one-byte point slot, so
+    a bound without its τ-term share fails, and their one-row blocks
+    outgrow their width every few steps, so a missed θ-shift re-lay
+    fails.  Horner's y, packed at a narrower width than its own, is
+    checked on the zero point."""
+    F = field_for_q(q)
+    p = F.p
+    if s[0] == "fan-in":
+        tm, entry = _fan_in_module(F, *s[1:])
+    else:
+        tm = TModule.from_motive(Motive(F, s))
+        entry = tm.entry
+    dom = packed_ring(p)
+    plan = tm._plan(dom)
+    if slot is None:
+        assert dom.point_plan([(0, tm.d, [])]) is None
+    else:
+        assert plan.slot == slot
+        assert {
+            t.slot for _, levels in plan._taus for _, _, targets in levels
+            for t in targets
+        } == tau_slots
+    rows = _sparse_rows(entry, tm.d, dom)
+    x = [bytes([p - 1] * n)] * tm.d
+    cur = want = x
+    for _ in range(30):
+        cur = tm.apply_t(cur, dom)
+        want = _reference_apply_t(rows, want, dom)
+        assert cur == want
+    a = Poly(F, [p - 1] * 30 + [1], var="t")
+    assert tm.apply_poly(x, a, dom) == _reference_apply_poly(rows, x, a, dom)
+    zero = plan.enter([b""] * tm.d)
+    cs = dom.scalar(p - 1)
+    assert plan.leave(plan.step(zero, p - 1, plan.enter(x))) == [
+        dom.mul(cs, y) for y in x
+    ]
+
+
+def test_stacked_module_on_packed_blocks():
+    """The stacked module's τ-terms at the levels 21, 42, …, 126 in
+    F_p[θ], on one application from a point whose top coordinate is the
+    constant p-1, which every level leaves as it is."""
+    F = field_for_q(3)
+    tm = _stacked_module(F, 6)
+    dom = packed_ring(3)
+    rows = _sparse_rows(tm.entry, tm.d, dom)
+    x = [b"\2", bytes([2] * 21), bytes([2] * 21)]
+    assert tm.apply_t(x, dom) == _reference_apply_t(rows, x, dom)
+    a = Poly(F, [2, 1], var="t")
+    assert tm.apply_poly(x, a, dom) == _reference_apply_poly(rows, x, a, dom)
+
+
+def test_packed_exact_confirm_makes_no_element_sums(monkeypatch):
+    """Confirming q=3 (8,18,54) exactly on packed digits runs on whole
+    blocks: no `PackedPoly.add`, where the row loop made one per
+    θ-step and τ-term."""
+    F = field_for_q(3)
+    s = (8, 18, 54)
+    motive = Motive(F, s)
+    tm = TModule.from_motive(motive)
+    v = motive.special_point_v()
+    factors = annihilator_mzv(F, s).factors
+    calls = []
+    add = fpx.PackedPoly.add
+
+    def counted(self, a, b):
+        calls.append(1)
+        return add(self, a, b)
+
+    monkeypatch.setattr(fpx.PackedPoly, "add", counted)
+    dom = packed_ring(3)
+    assert tm.is_zero_point(tm.apply_annihilator(v, factors, dom), dom)
+    assert not calls
