@@ -23,9 +23,11 @@ and its `row_product` the
 product of polynomials whose coefficients are rows of θ-digits (laid
 out by `lay_rows`): the A[t] product of `poly.BiPoly`, the product in
 u of the point reduction (`motive`) and the products of the H_n fill
-(`carlitz`), whose sums are one `row_sum` each.  Only this module calls
-the Kronecker `product` and derives the slot bounds of packed products
-and sums.  A packed integer is read back to digits by a byte-sliced
+(`carlitz`), whose sums are one `row_sum` each.  The kernel of a
+matrix over F_p (`_PackedDigits.nullspace`, behind `linalg.nullspace`)
+keeps each column as one packed integer with its F_p-combination in
+the high slots.  Only this module calls the Kronecker `product` and
+derives the slot bounds of packed products, sums and eliminations.  A packed integer is read back to digits by a byte-sliced
 reduction (`_PackedDigits.digits`): one `bytes.translate` per byte of a
 slot and round, never a loop over the slots.  Where these rings run is
 `fields.FieldSpec.packed`; p >= 256 and extension fields take the
@@ -157,6 +159,7 @@ class _PackedDigits:
         self._mod_p = bytes(i % p for i in range(256))
         self._neg = bytes(-i % p for i in range(256))
         self._plans = {}
+        self._times = {}
 
     def _rounds(self, slot):
         """The rounds that take `slot`-byte slots to one-byte slots: a
@@ -205,6 +208,71 @@ class _PackedDigits:
 
     def neg(self, x):
         return x.translate(self._neg)
+
+    def _scaled(self, c):
+        """The translate table of the product by the digit c."""
+        table = self._times.get(c)
+        if table is None:
+            p = self.p
+            table = self._times[c] = bytes(c * i % p for i in range(256))
+        return table
+
+    def nullspace(self, matrix: bytes, nrows: int, ncols: int):
+        """The right kernel of an nrows × ncols matrix over F_p, its
+        digits row after row in `matrix`, as the basis `linalg.rref`
+        reads off: one vector per free column c, in order, with 1 at c
+        and 0 at every other free column.
+
+        Each column, one strided slice of the matrix, is one packed
+        integer of nrows + ncols slots: its entries, then its
+        F_p-combination of the columns, which starts as a 1 at its own
+        column, so one big-int operation updates both.  The columns are
+        walked in order, and each is reduced against the pivots found
+        so far, in the order they were found: with f the pivot row's
+        slot mod p, one v += (p-f)·P, slots left unreduced, then one
+        `digits` call.  A column left nonzero is a pivot: its pivot row
+        is its lowest nonzero digit, where it is normalized to 1.  A
+        column left zero is free, and its combination is the basis
+        vector.
+
+        Why the basis is the RREF's.  Pivot k was reduced by every
+        earlier pivot, and each of those is zero at the pivot rows
+        before it, so by induction every pivot is zero mod p at the
+        pivot rows of the earlier pivots: a reduction never undoes an
+        earlier one, and a column reduces to zero exactly when it lies
+        in the span of the columns before it.  The pivot columns are
+        then the RREF's.  A pivot's combination involves only its own
+        column and earlier pivot columns, so a free column's has 1 at
+        that column and 0 at every other free column, and only one
+        kernel vector has that pattern.
+
+        Slot bound.  A column enters with digits below p.  Every pivot
+        is reduced and normalized, so its digits are below p, and a
+        reduction adds (p-f)·P with 1 <= p-f <= p-1 (none when f = 0):
+        at most (p-1)^2 per slot.  A column meets at most one reduction
+        per pivot found before it, fewer than ncols, so no slot
+        exceeds ncols·(p-1)^2 + (p-1) (`_kernel_slot`).  No slot
+        reaches 256^slot, no carry crosses a slot, and each f read and
+        each `digits` slot is the exact sum, read mod p."""
+        p = self.p
+        slot = _kernel_slot(p, ncols)
+        bits, k = 8 * slot, nrows + ncols
+        mask = (1 << bits) - 1
+        pivots, basis = [], []
+        for c in range(ncols):
+            v = pack(matrix[c::ncols], slot) | 1 << bits * (nrows + c)
+            for shift, pivot in pivots:
+                f = (v >> shift & mask) % p
+                if f:
+                    v += (p - f) * pivot
+            x = self.digits(v, k, slot)
+            low = k - len(x.lstrip(b"\0"))
+            if low >= nrows:
+                basis.append(list(x[nrows:]))
+            else:
+                x = x.translate(self._scaled(pow(x[low], -1, p)))
+                pivots.append((bits * low, pack(x, slot)))
+        return basis
 
 
 class PackedQuotient(_PackedDigits):
@@ -313,7 +381,6 @@ class PackedPoly(_PackedDigits):
     def __init__(self, p):
         super().__init__(p)
         self.slot = slot_width(2 * (p - 1))
-        self._times = {}
 
     def zero(self):
         return b""
@@ -392,14 +459,6 @@ class PackedPoly(_PackedDigits):
         n = max(-(-len(x) // w) for x, w in terms) * width
         total = sum(pack(relayout(x, w, width), slot) for x, w in terms)
         return tighten(self.digits(total, n, slot), width)
-
-    def _scaled(self, c):
-        """The translate table of the product by the digit c."""
-        table = self._times.get(c)
-        if table is None:
-            p = self.p
-            table = self._times[c] = bytes(c * i % p for i in range(256))
-        return table
 
     def frob(self, x, n: int):
         """x^(p^n): digit i moves to i·p^n."""
@@ -649,6 +708,11 @@ def _row_len(x, w):
         (len(x[i:i + w].rstrip(b"\0")) for i in range(0, len(x), w)),
         default=0,
     )
+
+
+def _kernel_slot(p, ncols):
+    """The slot of `_PackedDigits.nullspace`: ncols·(p-1)^2 + (p-1)."""
+    return slot_width(ncols * (p - 1) ** 2 + (p - 1))
 
 
 def _point_slot(p, share):

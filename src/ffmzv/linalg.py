@@ -1,12 +1,17 @@
 """Dense linear algebra over F_q.
 
-Matrices are lists of lists of field-element ints.  Everything here is
-plain Gaussian elimination; the matrices this library produces are small
-(a few hundred rows at most), so there is no attempt at anything fancier.
+Matrices are lists of lists of field-element ints.  `nullspace` returns
+the basis that the reduced row echelon form (`rref`) reads off.  On a
+`packed` field (prime q < 256) it runs on packed columns instead, one
+big integer per column with its F_p-combination in the high slots
+(`fpx._PackedDigits.nullspace`); extension fields and p >= 256 take the
+list-based `rref`, which is also the reference the packed path is
+tested against.
 """
 from __future__ import annotations
 
 from .fields import FieldSpec
+from .poly import packed_ring
 
 
 def rref(field: FieldSpec, rows):
@@ -47,13 +52,35 @@ def rref(field: FieldSpec, rows):
 
 
 def nullspace(field: FieldSpec, rows, ncols=None):
-    """Basis of the right kernel of the matrix, as coefficient vectors."""
+    """Basis of the right kernel of the matrix, as coefficient vectors:
+    one per free column c of the RREF, in order, with 1 at c and 0 at
+    every other free column.  Every row must hold ncols element codes
+    in range(q)."""
     if ncols is None:
         if not rows:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(rows[0])
     if not rows:
         return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
+    if set(map(len, rows)) != {ncols}:
+        raise ValueError(f"every row must have ncols = {ncols} entries")
+    if field.packed:
+        try:
+            matrix = b"".join(map(bytes, rows))
+        except ValueError:  # an entry outside range(256)
+            matrix = None
+        if matrix is not None and not matrix.translate(None, bytes(range(field.p))):
+            return packed_ring(field.p).nullspace(matrix, len(rows), ncols)
+    elif not ncols or (
+        0 <= min(map(min, rows)) and max(map(max, rows)) < field.q
+    ):
+        return rref_nullspace(field, rows, ncols)
+    raise ValueError(f"matrix entries must be element codes in range({field.q})")
+
+
+def rref_nullspace(field: FieldSpec, rows, ncols: int):
+    """`nullspace` read off the `rref`: the path of every field that is
+    not `packed`, and the packed path's test reference."""
     m, pivots = rref(field, rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -67,4 +94,3 @@ def nullspace(field: FieldSpec, rows, ncols=None):
                 v[pc] = field.neg(m[r][f])
         basis.append(v)
     return basis
-

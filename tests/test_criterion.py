@@ -20,7 +20,7 @@ from ffmzv.criterion import (
     torsion_witness,
 )
 from ffmzv.fields import field_for_q
-from ffmzv.linalg import nullspace
+from ffmzv.linalg import rref_nullspace
 from ffmzv.motive import Motive
 from ffmzv.oracle import SeriesContext, zeta_laurent
 from ffmzv.poly import Poly, RatFrac
@@ -405,8 +405,9 @@ def _reduction_iterates(motive, seeds, count):
 @lru_cache(maxsize=None)
 def _exact_first_kernel_vector(q, s, bound, with_u):
     """The first nullspace basis vector of the exact system, built from
-    the reduction iterates and split into one polynomial per point: the
-    witness the search must reproduce."""
+    the reduction iterates, read off the list-based `rref` on every
+    field (the search's packed kernel is not used) and split into one
+    polynomial per point: the witness the search must reproduce."""
     F = field_for_q(q)
     motive = Motive(F, s)
     groups = [motive.point_v_seeds()]
@@ -415,7 +416,7 @@ def _exact_first_kernel_vector(q, s, bound, with_u):
     iters = [
         it for g in groups for it in _reduction_iterates(motive, g, bound)
     ]
-    basis = nullspace(F, _flatten_rows(iters), len(iters))
+    basis = rref_nullspace(F, _flatten_rows(iters), len(iters))
     if not basis:
         return None
     n = bound + 1
@@ -500,6 +501,25 @@ def test_flatten_rows_matches_whole_scan(q, s, bound):
 def test_zetalike_default_bound():
     assert default_zetalike_bound(3, 26) == 81
     assert default_zetalike_bound(2, 3) == 8
+
+
+@pytest.mark.parametrize("s,want", [
+    ((3, 12), ("t^12 + 2*t^10 + 2*t^6 + t^4", "1")),
+    ((3, 14), ("t^12 + 2*t^10 + 2*t^6 + t^4", "1")),
+    ((5, 12), ("t^18 + t^12 + t^6", "t^6 + t^4 + t^2 + 1")),
+    ((2, 11), None),
+])
+def test_zetalike_at_the_default_bound(s, want):
+    """q = 3 searches at their default bound 81, where the witness
+    systems have 164 columns: the answers the list-based elimination
+    gave before the kernel ran on packed columns."""
+    v = is_zeta_like(field_for_q(3), s)
+    assert v.bound == 81
+    if want is None:
+        assert v.outcome == "none-up-to-bound"
+    else:
+        assert v.outcome == "zeta-like"
+        assert (str(v.witness_a), str(v.witness_b)) == want
 
 
 def test_zetalike_requires_depth_two():
