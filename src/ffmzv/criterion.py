@@ -425,7 +425,7 @@ def _witness_kernel(motive: Motive, seed_groups, bound: int):
     for dom in doms:
         iters = []
         for point in points:
-            cur = [dom.convert(x) for x in point]
+            cur = dom.convert_all(point)
             for j in range(n):
                 iters.append(cur)
                 if j < bound:

@@ -3,15 +3,22 @@ extension-field tables (`fields`), the modular probe and its exact
 confirmation (`tmodule`).
 
 A polynomial is a list or tuple of ints in range(p), constant term
-first.  Moduli are monic.  Two rings keep their elements as byte digits
-(p < 256) and share the packing (`slot_width`, `pack`, `_PackedDigits`):
+first.  Moduli are monic.  The list-based `mul`, `mod` and `gcd` build
+the extension-field tables; `is_irreducible` is Ben-Or's test, its
+first round a packed root test and, for p < 256, its later rounds in
+`PackedQuotient`.  Two rings keep their elements as byte digits
+(p < 256) and share the packing (`slot_width`, `pack`, `_PackedDigits`,
+whose translate tables are built once per p):
 `PackedQuotient` is the probe's quotient ring F_p[x]/(m), where a
-product is one big-int product and the Frobenius a precomputed
-F_p-linear map; `PackedPoly` is F_p[x] itself, where a sum is one
-packed sum and the Frobenius a strided copy.  The probe keeps a whole
-point of d elements as one packed integer, at a slot width of its own,
-and applies ρ_t to it with the quotient's `xdeg`, `frob`, `mul` and
-`digits` (`tmodule.ProbeDomain`).  One `PackedPoly` per
+product is one big-int product, k products by one element share one
+big-int product and one Barrett reduction (`mul_rows`), and the
+Frobenius is a precomputed F_p-linear map; `PackedPoly` is F_p[x]
+itself, where a sum is one packed sum and the Frobenius a strided
+copy.  The probe keeps a whole point of d elements as one packed
+integer, at a slot width of its own, and applies ρ_t to it with the
+quotient's `xdeg`, `frob`, `mul_rows` and `digits`
+(`tmodule.ProbeDomain`), after converting its coefficients and
+coordinates a list at a time (`elements`).  One `PackedPoly` per
 prime (`poly.packed_ring`) serves every packed consumer: it is the
 exact domain that confirms the probe's zeros (`criterion`), where its
 `point_plan` keeps a point as one packed run of rows per block and
@@ -27,15 +34,17 @@ u of the point reduction (`motive`) and the products of the H_n fill
 matrix over F_p (`_PackedDigits.nullspace`, behind `linalg.nullspace`)
 keeps each column as one packed integer with its F_p-combination in
 the high slots.  Only this module calls the Kronecker `product` and
-derives the slot bounds of packed products, sums and eliminations.  A packed integer is read back to digits by a byte-sliced
-reduction (`_PackedDigits.digits`): one `bytes.translate` per byte of a
-slot and round, never a loop over the slots.  Where these rings run is
-`fields.FieldSpec.packed`; p >= 256 and extension fields take the
-table-driven `Poly` arithmetic.
+derives the slot bounds of packed products, sums, reductions and
+eliminations.  A packed integer is read back to digits by a
+byte-sliced reduction (`_PackedDigits.digits`): one `bytes.translate`
+per byte of a slot and round, never a loop over the slots.  Where these
+rings run is `fields.FieldSpec.packed`; p >= 256 and extension fields
+take the table-driven `Poly` arithmetic.
 """
 from __future__ import annotations
 
 import collections
+import functools
 import operator
 
 
@@ -58,47 +67,42 @@ def mul(a, b, p):
 
 def mod(a, m, p):
     """a mod m for monic m, as a list of length deg(m)."""
-    a = list(a)
     dm = len(m) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    return (a + [0] * dm)[:dm]
+    return (_rem(a, m, p) + [0] * dm)[:dm]
 
 
 def gcd(a, b, p):
     """Monic gcd (the empty list when both are zero)."""
     a, b = _strip(a), _strip(b)
     while b:
-        inv = pow(b[-1], p - 2, p)
-        a = _strip(mod(a, [(c * inv) % p for c in b], p))
-        a, b = b, a
+        a, b = b, _strip(_rem(a, b, p))
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [(c * inv) % p for c in a]
     return a
 
 
+def _rem(a, b, p):
+    """a mod b for b with a nonzero top digit, as len(b) - 1 digits."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    a = list(a)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] * inv % p
+        if c:
+            a[i - db:i] = [(x - c * y) % p for x, y in zip(a[i - db:i], b)]
+    return a[:db]
+
+
 def _pth_power(f, m, p):
-    """f^p mod m, by square and multiply."""
-    acc = mod([1], m, p)
-    e = p
-    while e:
-        if e & 1:
+    """f^p mod m, by square and multiply from the top bit of p: no
+    squaring after the last bit."""
+    acc = f
+    for bit in bin(p)[3:]:
+        acc = mod(mul(acc, acc, p), m, p)
+        if bit == "1":
             acc = mod(mul(acc, f, p), m, p)
-        f = mod(mul(f, f, p), m, p)
-        e >>= 1
     return acc
-
-
-def xpow_pk(k, m, p):
-    """x^(p^k) mod m, by k successive p-th powers."""
-    cur = mod([0, 1], m, p)
-    for _ in range(k):
-        cur = _pth_power(cur, m, p)
-    return cur
 
 
 def is_irreducible(m, p) -> bool:
@@ -106,20 +110,72 @@ def is_irreducible(m, p) -> bool:
     for i = 1, ..., n // 2 (Ben-Or, "Probabilistic algorithms in finite
     fields", FOCS 1981).  A reducible m has an irreducible factor of
     some degree i <= n/2, and that factor divides x^(p^i) - x, so the
-    test is exact.  It stops at the first common factor, so a random
-    reducible candidate, which most likely has a small one, is rejected
-    after a few p-th powers (Gao–Panario, "Tests and constructions of
-    irreducible polynomials over finite fields", 1997)."""
+    test is exact.  It stops soon after the first common factor, so a
+    random reducible candidate, which most likely has a small one, is
+    rejected after a few p-th powers (Gao–Panario, "Tests and
+    constructions of irreducible polynomials over finite fields",
+    1997).
+
+    Round 1 is a root test: x^p - x is the product of x - a over
+    a in F_p, so gcd(x^p - x, m) != 1 exactly when m(a) = 0 for some a
+    (`_has_root`).  For p < 256 the later rounds run in
+    `PackedQuotient(m, p)`, whose translate tables are shared per p,
+    and take one gcd after round 3 and one after round n // 2, each on
+    the product of the x^(p^i) - x mod m since the last: an irreducible
+    factor of m divides that product exactly when it divides one of
+    its factors, so the product is coprime to m exactly when every
+    factor is.  A candidate with a factor of degree 2 or 3, the most
+    common after the root test, is rejected after round 3.  Fewer gcds
+    pay because at degree 21 and p <= 3 one gcd on lists costs about
+    as much as ten packed p-th powers."""
     n = len(m) - 1
     if n < 1:
         return False
-    x = mod([0, 1], m, p)
-    h = x
-    for _ in range(n // 2):
-        h = _pth_power(h, m, p)
-        if len(gcd([(c - xc) % p for c, xc in zip(h, x)], m, p)) != 1:
-            return False
+    if p > 255:
+        # no byte digits: every round on lists
+        x = mod([0, 1], m, p)
+        h = x
+        for _ in range(n // 2):
+            h = _pth_power(h, m, p)
+            if len(gcd([(c - xc) % p for c, xc in zip(h, x)], m, p)) != 1:
+                return False
+        return True
+    if n > 1 and _has_root(m, p):
+        return False
+    if n < 4:
+        return True
+    ring = PackedQuotient(m, p)
+    x = ring.element([0, 1])
+    minus_x = ring.neg(x)
+    h, acc = ring.power(x, p), None
+    for i in range(2, n // 2 + 1):
+        h = ring.power(h, p)
+        diff = ring.add(h, minus_x)
+        acc = diff if acc is None else ring.mul(acc, diff)
+        if i == 3 or i == n // 2:
+            if len(gcd(list(acc), m, p)) != 1:
+                return False
+            acc = None
     return True
+
+
+def _has_root(m, p) -> bool:
+    """Whether m has a root in F_p (p < 256): m evaluated at every a in
+    range(p) at once, as one packed sum Σ m_j·(a^j)_a whose slots hold
+    at most (deg m + 1)·(p-1)^2, read by one `digits` call."""
+    slot, powers = _root_table(p, len(m))
+    values = _PackedDigits(p).digits(sum(map(operator.mul, m, powers)), p, slot)
+    return 0 in values
+
+
+@functools.lru_cache(maxsize=None)
+def _root_table(p, n):
+    """The slot of `_has_root` for n coefficients and the packed
+    a^j for a in range(p), j < n."""
+    slot = slot_width(n * (p - 1) ** 2)
+    return slot, tuple(
+        pack(bytes(pow(a, j, p) for a in range(p)), slot) for j in range(n)
+    )
 
 
 def slot_width(top: int) -> int:
@@ -156,10 +212,7 @@ class _PackedDigits:
         if p > 255:
             raise ValueError("packed digits need p < 256")
         self.p = p
-        self._mod_p = bytes(i % p for i in range(256))
-        self._neg = bytes(-i % p for i in range(256))
-        self._plans = {}
-        self._times = {}
+        self._mod_p, self._neg, self._plans, self._times = _digit_tables(p)
 
     def _rounds(self, slot):
         """The rounds that take `slot`-byte slots to one-byte slots: a
@@ -275,21 +328,40 @@ class _PackedDigits:
         return basis
 
 
+@functools.lru_cache(maxsize=None)
+def _digit_tables(p):
+    """The tables of `_PackedDigits`, built once per p and shared: the
+    translate tables to range(p) and of the negation, and the caches
+    of reduction rounds per slot width and of scaling tables per
+    digit."""
+    mod_p = bytes(i % p for i in range(256))
+    return mod_p, bytes(-i % p for i in range(256)), {}, {}
+
+
 class PackedQuotient(_PackedDigits):
-    """F_p[x]/(m) on packed digits: the modular probe's arithmetic.
+    """F_p[x]/(m) on packed digits: the modular probe's arithmetic,
+    and the ring Ben-Or's later rounds run in (`is_irreducible`).
 
     An element is a `bytes` of length deg = deg(m), digit j the
     coefficient of x^j, so p < 256.  Arithmetic runs on the integers
     those digits spell in base 256^slot (Kronecker substitution): one
     big-int product is the polynomial product, as long as no slot
-    exceeds 256^slot - 1.  The widest sum ever packed is a reduced
-    low half plus deg - 1 folded high digits, at most
-    deg·(p-1)^2 + (p-1), which sets `slot`: one byte for p <= 3 at
-    degree 21.  Digits are brought back to range(p) per slot by the
-    byte-sliced `digits`.  `xdeg`, the digits of x^deg mod m, folds a
-    digit carried past the top: `element` folds deg-digit chunks with
-    it, and the probe's ρ_t every row's top digit at once
-    (`tmodule.ProbeDomain`).
+    exceeds 256^slot - 1.  Every product or sum packed at `slot` holds
+    at most deg·(p-1)^2 + (p-1) per slot (`_reduce_rows`, `_fold`),
+    which sets it: one byte for p <= 3 at degree 21.  Digits are
+    brought back to range(p) per slot by the byte-sliced `digits`.
+
+    Products are taken k at a time: `mul_rows` multiplies one element
+    by k elements laid out `stride` = 2·deg - 1 digits apart (`lay`),
+    which is one big-int product, and reduces all k rows at once by
+    Barrett's reduction (`_reduce_rows`): two more products by fixed
+    polynomials and three `digits` calls for any k.  One row in
+    multi-byte slots is reduced by `_fold` instead, which measured
+    faster there.  `xdeg`, the digits of x^deg mod m, folds a digit
+    carried past the top: `element` folds deg-digit chunks with it,
+    and the probe's ρ_t every row's top digit at once
+    (`tmodule.ProbeDomain`); `elements` converts many coefficient lists
+    by one reduction of their chunks' products with x^(j·deg) mod m.
     """
 
     def __init__(self, m, p):
@@ -297,15 +369,86 @@ class PackedQuotient(_PackedDigits):
         self.modulus = tuple(m)
         self.deg = deg = len(m) - 1
         self.slot = slot = slot_width(deg * (p - 1) ** 2 + (p - 1))
+        self.stride = 2 * deg - 1
         self.zero = bytes(deg)
-        # x^(deg+j) mod m, j = 0..deg-2: the weights of the high digits
-        # of a product
-        self._red = tuple(
-            pack(bytes(mod([0] * (deg + j) + [1], m, p)), slot)
-            for j in range(deg - 1)
-        )
-        self.xdeg = bytes(mod([0] * deg + [1], m, p))
+        self.xdeg = bytes(-c % p for c in m[:deg])
+        self._negm = negm = pack(bytes(-c % p for c in m), slot)
+        # μ = ⌊x^(2deg-2) / m⌋ by long division on one packed integer:
+        # read the top slot mod p, add that multiple of -m below it
+        bits = 8 * slot
+        mask, r, mu = (1 << bits) - 1, 1 << bits * (2 * deg - 2), 0
+        for i in range(deg - 2, -1, -1):
+            c = (r >> bits * (i + deg) & mask) % p
+            if c:
+                mu |= c << bits * i
+                r += c * negm << bits * i
+        self._mu = mu
+        self._masks = (0, 0, 0)
+        self._chunk_powers = [self.xdeg]
         self._frob = {}
+
+    def lay(self, elements):
+        """Elements end to end in rows of `stride` digits, packed: the
+        rows `mul_rows` multiplies."""
+        return pack(lay_rows(elements, self.stride), self.slot)
+
+    def mul_rows(self, x, rows, k):
+        """The products x·c_i mod m of x and the k elements c_i laid out
+        by `lay`: row i's residue is the deg digits from i·stride on
+        (one row in multi-byte slots, reduced by `_fold`, returns its
+        deg digits only)."""
+        slot = self.slot
+        a = pack(x, slot) * rows
+        if k == 1 and slot > 1:
+            return self._fold(a)
+        return self._reduce_rows(self.digits(a, k * self.stride, slot), k)
+
+    def _row_masks(self, k):
+        masks = self._masks
+        if masks[0] < k:
+            k = max(k, 2 * masks[0])
+            deg, slot = self.deg, self.slot
+            row = bytes(deg * slot) + b"\xff" * ((deg - 1) * slot)
+            high = int.from_bytes(row * k, "little")
+            masks = self._masks = (k, high, high >> 8 * slot * deg)
+        return masks
+
+    def _reduce_rows(self, a, k):
+        """The residues mod m of k polynomials of degree <= 2·deg - 2,
+        given as the digits a (each below p) of k rows of `stride`
+        digits: k rows whose first deg digits are the residues and whose
+        other digits are zero.
+
+        Barrett's reduction (Barrett, CRYPTO '86), which is exact for
+        polynomials.  Write a row a = a_hi·x^deg + a_lo, deg a_lo < deg,
+        deg a_hi <= deg - 2, and μ = ⌊x^(2deg-2) / m⌋, so that
+        x^(2deg-2) = μ·m + r with deg r < deg.  Then
+        a_hi·μ / x^(deg-2) = a_hi·x^deg / m - a_hi·r / (m·x^(deg-2)), and
+        a / m - a_hi·μ / x^(deg-2) = a_lo / m + a_hi·r / (m·x^(deg-2)),
+        whose two terms have degree < 0 (deg a_hi·r <= 2deg - 3).  So
+        the polynomial parts agree: q = ⌊a / m⌋ = ⌊a_hi·μ / x^(deg-2)⌋,
+        and a + q·(-m) is the residue, its digits deg .. 2deg-2 zero
+        mod p.  All rows at once, on packed integers: a_hi is masked
+        out of every row, its product with μ one big-int product whose
+        digits deg-2 .. 2deg-4 past a_hi's first are q, and q masked
+        out and shifted back to its row start times -m is the other.
+
+        Slot bound.  The digits of a, μ, q and -m are below p.  A slot
+        of a_hi·μ sums at most deg - 1 products of two digits (a_hi has
+        deg - 1 digits), and one of a + q·(-m) holds a digit of a plus at
+        most deg - 1 such products (q has deg - 1 digits): both below
+        deg·(p-1)^2 + (p-1), the slot.  The rows stay apart: a row's
+        a + q·(-m) has 2·deg - 1 digits, its stride, and its a_hi·μ
+        ends at digit 3·deg - 4 of the row, before the next row's a_hi
+        starts at stride + deg.  So no slot carries, and each `digits`
+        call reads the exact sums mod p."""
+        deg, slot = self.deg, self.slot
+        n = k * self.stride
+        _, high, low = self._row_masks(k)
+        a = pack(a, slot)
+        q = self.digits((a & high) * self._mu, n + deg, slot)
+        q = pack(q, slot) >> 8 * slot * (2 * deg - 2) & low
+        return self.digits(a + q * self._negm, n, slot)
 
     def element(self, coeffs):
         """The residue of a coefficient list (constant term first,
@@ -323,14 +466,66 @@ class PackedQuotient(_PackedDigits):
             acc = self._fold(pack(acc, slot) * xdeg + pack(x[i:i + deg], slot))
         return acc.ljust(deg, b"\0")
 
+    def elements(self, polys):
+        """The residues of coefficient lists (constant term first,
+        digits in range(p)), all in one pass.  A list of at most deg
+        digits is its own residue.  The others are cut into deg-digit
+        chunks: chunk j of every one is laid out by `lay` and multiplied
+        by x^(j·deg) mod m, and the sum of these products is reduced by
+        one `_reduce_rows`.  A slot of the sum holds a digit of chunk 0
+        and, per later chunk, at most deg products of two digits."""
+        deg, stride, p = self.deg, self.stride, self.p
+        xs = [bytes(c) for c in polys]
+        long = [x for x in xs if len(x) > deg]
+        if long:
+            k, chunks = len(long), -(-max(map(len, long)) // deg)
+            slot = slot_width((chunks - 1) * deg * (p - 1) ** 2 + (p - 1))
+            total = pack(lay_rows([x[:deg] for x in long], stride), slot)
+            for j in range(1, chunks):
+                laid = lay_rows([x[j * deg:(j + 1) * deg] for x in long], stride)
+                total += pack(laid, slot) * pack(self._chunk_power(j), slot)
+            rows = self._reduce_rows(self.digits(total, k * stride, slot), k)
+            residues = iter([rows[i:i + deg] for i in range(0, k * stride, stride)])
+        return [next(residues) if len(x) > deg else x.ljust(deg, b"\0") for x in xs]
+
+    def _chunk_power(self, j):
+        """x^(j·deg) mod m, j >= 1."""
+        powers = self._chunk_powers
+        while len(powers) < j:
+            powers.append(self.mul(powers[-1], self.xdeg))
+        return powers[j - 1]
+
     def add(self, a, b):
         slot = self.slot
         return self.digits(pack(a, slot) + pack(b, slot), self.deg, slot)
 
     def mul(self, a, b):
-        """One big-int product, reduced by `_fold`."""
-        slot = self.slot
-        return self._fold(pack(a, slot) * pack(b, slot))
+        """`mul_rows` on one row."""
+        return self.mul_rows(a, pack(b, self.slot), 1)[:self.deg]
+
+    def power(self, x, e: int):
+        """x^e for e >= 1, by square and multiply from the top bit of e:
+        no squaring after the last bit."""
+        acc = x
+        for bit in bin(e)[3:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, x)
+        return acc
+
+    @functools.cached_property
+    def _red(self):
+        """x^(deg+j) mod m, j = 0..deg-2, packed: the weights of the
+        high digits of a product, each x times the one before."""
+        m, p, deg = self.modulus, self.p, self.deg
+        red, r = [], list(self.xdeg)
+        for _ in range(deg - 1):
+            red.append(pack(bytes(r), self.slot))
+            top = r.pop()
+            r = [0] + r
+            if top:
+                r = [(c - top * y) % p for c, y in zip(r, m)]
+        return tuple(red)
 
     def _fold(self, n):
         """The residue of a packed n of 2·deg - 1 slots: its digits, the
@@ -351,7 +546,7 @@ class PackedQuotient(_PackedDigits):
         slot = self.slot
         images = self._frob.get(n)
         if images is None:
-            y = self.element(xpow_pk(n, self.modulus, self.p))
+            y = self.power(self.element([0, 1]), self.p ** n)
             powers = [self.element([1])]
             for _ in range(self.deg - 1):
                 powers.append(self.mul(powers[-1], y))
@@ -397,6 +592,9 @@ class PackedPoly(_PackedDigits):
     def convert(self, c):
         """The digits of a polynomial over F_p (anything with `coeffs`)."""
         return bytes(c.coeffs)
+
+    def convert_all(self, cs):
+        return [bytes(c.coeffs) for c in cs]
 
     def add(self, a, b):
         """One packed sum; with one-byte slots, the common case, `pack`

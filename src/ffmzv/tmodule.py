@@ -26,8 +26,10 @@ packed ring:
   one big-int product of the packed digits and x ↦ x^{q^n} a
   precomputed F_p-linear map (`fpx.PackedQuotient`).  A probe point is
   one packed integer, all its rows side by side, and one application
-  of ρ_t a few big-int operations on it with one reduction
-  (`ProbeDomain` holds the slot bound and its proof).
+  of ρ_t a few big-int operations on it with one reduction, plus one
+  product and one grouped Barrett reduction per τ-level with
+  non-constant coefficients (`ProbeDomain` holds the slot bound and
+  its proof).
 * the packed ring `poly.packed_ring(p)` itself — the same ring
   A = F_p[θ] as `ExactDomain` on a `packed` field, each coordinate a
   `bytes` of F_p digits (`fpx.PackedPoly`).  It confirms the probe's
@@ -46,7 +48,7 @@ once: the domain's own (`ProbeDomain.point_plan`,
 `fpx.PackedPoly.point_plan`), or else the row loop (`_RowLoop`) over
 the domain's element operations (zero, is_zero, add, mul, theta_step,
 scalar, frob, convert), which `ExactDomain` and the packed ring for
-p > 13 take.  A point enters the plan once per call and leaves it as a
+p > 13 take.  Every domain converts a list at a time (`convert_all`).  A point enters the plan once per call and leaves it as a
 list of coordinates.
 
 ρ_a for a in F_q[t] is Horner in ρ_t from the leading coefficient of a
@@ -114,12 +116,16 @@ class ExactDomain:
             return RatFrac.from_poly(c)
         return c
 
+    def convert_all(self, cs):
+        return [self.convert(c) for c in cs]
+
 
 def _find_irreducible(p: int, deg: int, rng) -> tuple:
     """Random monic irreducible of degree `deg` over F_p: the first draw
     from `rng` with a nonzero constant term that `fpx.is_irreducible`
     accepts.  That test is exact, so a seed always names the same
-    modulus; most draws are rejected at a small factor."""
+    modulus; most draws are rejected at a small factor, most of them by
+    its root test."""
     while True:
         m = [rng.randrange(p) for _ in range(deg)] + [1]
         if m[0] and fpx.is_irreducible(m, p):
@@ -145,6 +151,10 @@ class ProbeDomain:
     big-int product of the packed digits and x ↦ x^(p^n) a precomputed
     F_p-linear map.
 
+    Coefficients and coordinates are converted many at a time
+    (`convert_all`, `PackedQuotient.elements`): a plan's coefficients
+    in one pass, a point's coordinates in another.
+
     A point is not a list of elements but one `bytes` of d·deg digits,
     row i at digits i·deg … i·deg+deg−1, and ρ_t acts on the integer
     those digits spell in base 256^slot, all rows at once
@@ -156,8 +166,15 @@ class ProbeDomain:
       one row added, with the block-end rows masked out;
     * per block and level n, the image x^(p^n) of the block's top
       coordinate, once: a term with a constant coefficient c adds c
-      times its packed digits at the term's row, unreduced; any other
-      term adds its reduced `mul`;
+      times its packed digits at the term's row, unreduced; the level's
+      other coefficients, laid out once in the plan 2·deg−1 digits
+      apart (`PackedQuotient.lay`), are multiplied by the image in one
+      product and reduced together by one Barrett reduction
+      (`PackedQuotient.mul_rows`): with μ = ⌊x^(2deg−2)/m⌋, the
+      quotient of a row a = a_hi·x^deg + a_lo by m is exactly
+      ⌊a_hi·μ / x^(deg−2)⌋, so a + q·(−m) is its residue (fpx proves
+      this and the reduction's own slot bound); each reduced row is
+      added in at its row;
     * Horner's c·v, unreduced;
     * one `digits` call, which reduces every slot mod p.
 
@@ -169,7 +186,9 @@ class ProbeDomain:
         p−1       the same digit of row i+1, inside a block;
         (p−1)²    Horner's c·v, c a digit;
         c·(p−1)   per τ-term of row i with a constant coefficient c;
-        p−1       per τ-term of row i with any other coefficient;
+        p−1       per τ-term of row i with any other coefficient: a
+                  digit of its reduced row (two terms of one row and
+                  level are added in the plan and take one row);
 
     so at most 2(p−1) + 2(p−1)² plus the row's τ-term share, and the
     slot holds the largest of these bounds over the rows.  The parts
@@ -178,7 +197,7 @@ class ProbeDomain:
     previous `digits`; a row loses its top digit before the shift, so
     nothing moves into the next row; a spread top digit is alone in
     its row, and x^deg mod m has deg digits, so their product fills
-    that row only; a τ-image and a reduced product have deg digits and
+    that row only; a τ-image and a reduced row have deg digits and
     start at their row.  So no slot reaches 256^slot, no carry crosses
     a slot, and each slot is the exact coefficient sum that `digits`
     reads mod p.  Over every motive of depth <= 3 up to weight 8, 26,
@@ -218,6 +237,11 @@ class ProbeDomain:
         probe modulus, deg digits at a time (`PackedQuotient.element`)."""
         return self.ring.element(c.coeffs)
 
+    def convert_all(self, cs):
+        """The images of Polys in θ, all in one pass
+        (`PackedQuotient.elements`)."""
+        return self.ring.elements([c.coeffs for c in cs])
+
     def point_plan(self, blocks):
         """ρ_t on one packed point, for the blocks (start, end, τ-terms)
         of a `TModule` with coefficients in this domain."""
@@ -227,8 +251,9 @@ class ProbeDomain:
 class _PackedPoint:
     """ρ_t on a probe point held as one `bytes` of d·deg digits (see
     `ProbeDomain`): the masks, the packed x^deg mod m and, per block
-    and level, the packed constants and the other coefficients of its
-    τ-terms, at a slot width derived from their worst sums."""
+    and level, the packed constants of its τ-terms and its other
+    coefficients laid out for one `PackedQuotient.mul_rows`, at a slot
+    width derived from their worst sums."""
 
     def __init__(self, ring, blocks):
         p, deg = ring.p, ring.deg
@@ -236,16 +261,16 @@ class _PackedPoint:
         self.ring, self.deg, self.size = ring, deg, d * deg
         self._zero = bytes(d * deg)
         # per block with τ-terms, its levels n in order, each with the
-        # (row, digit) of its constant coefficients and the (row, c)
-        # of the others; and each row's τ-term share of the slot bound
+        # (row, digit) of its constant coefficients and {row: c} of the
+        # others; and each row's τ-term share of the slot bound
         share = [0] * d
         taus = []
         for start, _, terms in blocks:
             levels = {}
             for row, n, c in terms:
-                consts, others = levels.setdefault(n, ([], []))
+                consts, others = levels.setdefault(n, ([], {}))
                 if any(c[1:]):
-                    others.append((row, c))
+                    others[row] = ring.add(others[row], c) if row in others else c
                     share[row] += p - 1
                 else:
                     consts.append((row, c[0]))
@@ -267,14 +292,11 @@ class _PackedPoint:
             for i in range(start, end)
         ), "little")
         self._xdeg = fpx.pack(ring.xdeg, slot)
-        # the constants of a level as one packed integer, Σ c·256^(slot·deg·row)
+        # the constants of a level as one packed integer, Σ c·256^(slot·deg·row),
+        # and its other coefficients laid out for `PackedQuotient.mul_rows`
         self._taus = [
             (lo, lo + deg, [
-                (
-                    n,
-                    sum(c << row * r for r, c in consts),
-                    [(row * r, c) for r, c in others],
-                )
+                (n, sum(c << row * r for r, c in consts), _tau_rows(ring, others))
                 for n, (consts, others) in levels.items()
             ])
             for lo, levels in taus
@@ -299,7 +321,7 @@ class _PackedPoint:
 
     def step(self, point, c, x):
         """ρ_t(point) + c·x as one packed sum and one reduction."""
-        ring, slot, pack = self.ring, self.slot, fpx.pack
+        ring, slot, deg, pack = self.ring, self.slot, self.deg, fpx.pack
         v = pack(point, slot)
         acc = (
             ((v & self._low) << self._bits)
@@ -317,9 +339,32 @@ class _PackedPoint:
                 fx = ring.frob(top, n)
                 if consts:
                     acc += pack(fx, slot) * consts
-                for shift, coeff in others:
-                    acc += pack(ring.mul(coeff, fx), slot) << shift
+                if others:
+                    rows, k, first, places, span = others
+                    prods = ring.mul_rows(fx, rows, k)
+                    laid = bytearray(span)
+                    for src, dst in places:
+                        laid[dst:dst + deg] = prods[src:src + deg]
+                    acc += pack(laid, slot) << first * self._row
         return ring.digits(acc, self.size, slot)
+
+
+def _tau_rows(ring, others):
+    """A level's non-constant coefficients {row: c} as `mul_rows` takes
+    them: (their rows laid out, their count, the first row, the
+    (product digit, digit from the first row) of each, the digits from
+    the first row to the last); None when there are none."""
+    if not others:
+        return None
+    rows = sorted(others)
+    deg, first = ring.deg, rows[0]
+    return (
+        ring.lay([others[r] for r in rows]),
+        len(rows),
+        first,
+        [(i * ring.stride, (r - first) * deg) for i, r in enumerate(rows)],
+        (rows[-1] - first + 1) * deg,
+    )
 
 
 class _RowLoop:
@@ -430,8 +475,9 @@ class TModule:
         operations."""
         plan = self._plans.get(dom)
         if plan is None:
+            coeffs = iter(dom.convert_all([c for terms in self.top for *_, c in terms]))
             blocks = [
-                (start, start + w, [(row, n, dom.convert(c)) for row, n, c in terms])
+                (start, start + w, [(row, n, next(coeffs)) for row, n, _ in terms])
                 for start, w, terms in zip(self.starts, self.weights, self.top)
             ]
             build = getattr(dom, "point_plan", None)
@@ -462,7 +508,7 @@ class TModule:
         coordinates."""
         dom = dom or self.exact
         plan = self._plan(dom)
-        cur = plan.enter([dom.convert(x) for x in vec])
+        cur = plan.enter(dom.convert_all(vec))
         for f in sorted(factors, key=lambda f: f.degree):
             if plan.is_zero(cur):
                 break

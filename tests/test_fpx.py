@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ffmzv import fpx
@@ -26,6 +28,129 @@ def test_irreducible_counts(p, counts):
         assert got == want, n
 
 
+def _schoolbook_mod(a, m, p):
+    """a mod monic m, one digit at a time."""
+    a, n = list(a), len(m) - 1
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] % p
+        for j in range(n + 1):
+            a[i - n + j] = (a[i - n + j] - c * m[j]) % p
+    return (a + [0] * n)[:n]
+
+
+def _schoolbook_mulmod(a, b, m, p):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _schoolbook_mod(out, m, p)
+
+
+def _schoolbook_is_irreducible(m, p):
+    """Ben-Or's test on lists, one gcd per round, x^(p^i) by repeated
+    multiplication: the reference for `fpx.is_irreducible`."""
+    n = len(m) - 1
+    x = _schoolbook_mod([0, 1], m, p)
+    h = x
+    for _ in range(n // 2):
+        acc, base, e = [1], h, p
+        while e:
+            if e & 1:
+                acc = _schoolbook_mulmod(acc, base, m, p)
+            base = _schoolbook_mulmod(base, base, m, p)
+            e >>= 1
+        h = acc
+        a, b = list(m), [(c - d) % p for c, d in zip(h, x)]
+        while any(b):
+            while not b[-1]:
+                b.pop()
+            inv = pow(b[-1], -1, p)
+            while len(a) >= len(b):
+                c = a[-1] * inv % p
+                off = len(a) - len(b)
+                for j, y in enumerate(b):
+                    a[off + j] = (a[off + j] - c * y) % p
+                a.pop()
+            a, b = b, a
+        if len(a) > 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 131, 251])
+def test_is_irreducible_matches_schoolbook(p):
+    """On 300 random monic draws of degree 1 to 21 per p, the root test
+    and the packed rounds give Ben-Or's answer on lists."""
+    rng = random.Random(2300 + p)
+    found = 0
+    for _ in range(300):
+        n = rng.randrange(1, 22)
+        m = [rng.randrange(p) for _ in range(n)] + [1]
+        want = _schoolbook_is_irreducible(m, p)
+        assert fpx.is_irreducible(m, p) == want, m
+        found += want
+    assert found >= 10
+
+
+# the largest number of non-constant τ-coefficients at one level of a
+# probe plan over the q=3 w<=26 sweep
+_LEVEL_ROWS = 36
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 131, 251])
+def test_grouped_reduction_matches_schoolbook(p):
+    """`PackedQuotient.mul_rows` equals the schoolbook product mod m row
+    by row, for every row count k up to `_LEVEL_ROWS`, at degree 21,
+    where x and every row are the all-(p-1) element, so the product's
+    slots reach the bound deg·(p-1)^2, and on random rows.  The moduli
+    are all-ones below the top (-m all p-1, which fills the slots of
+    q·(-m) the most), all-(p-1) and random; Barrett's reduction needs
+    no irreducible m.  Degrees 1, 2 and 7 take a shorter check."""
+    rng = random.Random(p)
+    for deg, ks in ((21, range(1, _LEVEL_ROWS + 1)), (7, (1, 2, 5)),
+                    (2, (1, 3)), (1, (1, 2))):
+        for m in ([1] * deg + [1], [p - 1] * deg + [1],
+                  [rng.randrange(p) for _ in range(deg)] + [1]):
+            ring = fpx.PackedQuotient(m, p)
+            top = [p - 1] * deg
+            want = _schoolbook_mulmod(top, top, m, p)
+            for k in ks:
+                out = ring.mul_rows(bytes(top), ring.lay([bytes(top)] * k), k)
+                rows = [out[i:i + deg] for i in range(0, k * ring.stride, ring.stride)]
+                assert [list(r) for r in rows] == [want] * k, (deg, m, k)
+            for k in (1, 3, len(ks)):
+                x = [rng.randrange(p) for _ in range(deg)]
+                cs = [[rng.randrange(p) for _ in range(deg)] for _ in range(k)]
+                out = ring.mul_rows(bytes(x), ring.lay(map(bytes, cs)), k)
+                for i, c in enumerate(cs):
+                    got = out[i * ring.stride:i * ring.stride + deg]
+                    assert list(got) == _schoolbook_mulmod(x, c, m, p)
+                    assert ring.mul(bytes(x), bytes(c)) == got
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 131, 251])
+def test_batched_conversion_matches_element(p):
+    """`PackedQuotient.elements` equals `element`, one list at a time,
+    in one batch of every length from 0 to 5·21 + 1 digits (most of
+    them longer than 3·21, some chunks only partly filled) and in
+    batches of one, on all-(p-1) and random digits; at degree 2 the
+    chunks are short and many."""
+    rng = random.Random(p)
+    for deg in (21, 2):
+        m = [rng.randrange(p) for _ in range(deg)] + [1]
+        ring = fpx.PackedQuotient(m, p)
+        batch = []
+        for n in range(5 * 21 + 2):
+            batch += [[p - 1] * n, [rng.randrange(p) for _ in range(n)]]
+        want = [ring.element(c) for c in batch]
+        assert want[-1] == bytes(_schoolbook_mod(batch[-1], m, p))
+        assert ring.elements(batch) == want
+        assert ring.elements(batch[::-1]) == want[::-1]
+        for c, w in zip(batch[::17], want[::17]):
+            assert ring.elements([c]) == [w]
+        assert ring.elements([]) == []
+
+
 def test_gcd_is_monic_common_factor():
     p = 3
     f = [1, 1]  # x + 1
@@ -35,12 +160,20 @@ def test_gcd_is_monic_common_factor():
     assert fpx.gcd([0, 1], [1, 1], p) == [1]
 
 
-def test_xpow_pk_matches_repeated_multiplication():
+def test_power_matches_repeated_multiplication():
+    """x^(p^k) mod m by `PackedQuotient.power`, the Frobenius images'
+    start, equals k·p-fold multiplication by x, and so does the list
+    p-th power behind `is_irreducible` for p > 255."""
     p, m = 3, [1, 2, 0, 1]  # x³ + 2x + 1, irreducible
+    ring = fpx.PackedQuotient(m, p)
+    x = ring.element([0, 1])
     acc = [1]
-    for _ in range(p ** 2):
+    for e in range(1, p ** 3 + 1):
         acc = fpx.mod(fpx.mul(acc, [0, 1], p), m, p)
-    assert fpx.xpow_pk(2, m, p) == acc
+        assert list(ring.power(x, e)) == acc, e
+    assert fpx._pth_power(fpx._pth_power([0, 1, 0], m, p), m, p) == (
+        fpx.mod([0] * p ** 2 + [1], m, p)
+    )
 
 
 @pytest.mark.parametrize("p,rounds", [

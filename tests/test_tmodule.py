@@ -12,7 +12,9 @@ from ffmzv.poly import BiPoly, Poly, RatFrac, packed_ring
 from ffmzv.tmodule import (
     ProbeDomain,
     TModule,
+    _horner,
     _probe_tables,
+    _RowLoop,
     carlitz_tensor_module,
 )
 
@@ -358,22 +360,37 @@ def test_probe_modulus_is_pinned(p, seed, modulus):
 
 @pytest.mark.parametrize("p,bound", [(3, 150), (7, 1400)])
 def test_probe_setup_mul_count(monkeypatch, p, bound):
-    """Building the degree-21 probe tables for seed 0 costs at most
-    `bound` schoolbook products.  The irreducibility test stops at the
-    first small factor of a rejected draw: 116 products at p = 3 and
-    1086 at p = 7, against 1136 and 12918 when every draw paid for
-    x^(p^21) in full.  A count, not a time, so the guard is deterministic."""
-    calls = [0]
-    real_mul = fpx.mul
+    """Building the degree-21 probe tables for seed 0 makes no
+    schoolbook product and at most `bound` packed ones: each of the
+    draws with a nonzero constant term takes the packed root test
+    (round 1 of Ben-Or's test), and the survivors' later rounds run on
+    packed products, with one gcd after round 3 and one after round 10.
+    The counts are pinned: 13 root tests, 6 gcds and 55 packed products
+    at p = 3, and 102, 42 and 714 at p = 7.  Before the root test and
+    the packed rounds this took 116 schoolbook products at p = 3 and
+    1086 at p = 7, and one gcd per round.  Counts, not times, so the
+    guard is deterministic."""
+    calls = {"mul": 0, "_has_root": 0, "gcd": 0, "mul_rows": 0}
 
-    def counted(a, b, q):
-        calls[0] += 1
-        return real_mul(a, b, q)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(fpx, "mul", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("mul", "_has_root", "gcd"):
+        counted(fpx, name)
+    counted(fpx.PackedQuotient, "mul_rows")
     _probe_tables.cache_clear()
     _probe_tables(p, 21, 0)
-    assert 0 < calls[0] <= bound
+    roots, gcds, products = {3: (13, 6, 55), 7: (102, 42, 714)}[p]
+    assert calls == {
+        "mul": 0, "_has_root": roots, "gcd": gcds, "mul_rows": products,
+    }
+    assert products <= bound
 
 
 def test_carlitz_module_shape():
@@ -633,6 +650,78 @@ def test_packed_point_matches_row_reference(q, s, slot):
     # the same point as `Poly` coordinates, which convert to x
     poly_x = [Poly(F, [p - 1] * 21)] * tm.d
     assert tm.apply_annihilator(poly_x, [a], dom) == tm.apply_poly(x, a, dom)
+
+
+def _crowded_module(F, rng, digits):
+    """Two blocks of 5 and 3 rows whose top columns take several
+    non-constant τ-coefficients per level: block 0 at level 1 in every
+    row of both blocks, row 3 twice, and beside them a constant p-1 in
+    row 1; at level 2 in rows 0, 2, 4 and 7.  Block 1 takes level 1 in
+    rows 5 and 0.  Coefficients are 2 to 50 digits drawn by `digits`,
+    so many are longer than the probe degree."""
+    p = F.p
+
+    def coeff():
+        n = rng.randrange(2, 51)
+        return Poly(F, [digits() for _ in range(n - 1)] + [rng.randrange(1, p)])
+
+    top0 = [(r, 1, coeff()) for r in range(8)] + [
+        (3, 1, coeff()), (1, 1, Poly.const(F, p - 1)),
+    ] + [(r, 2, coeff()) for r in (0, 2, 4, 7)]
+    top1 = [(5, 1, coeff()), (0, 1, coeff())]
+    return TModule(F, (5, 3), [top0, top1])
+
+
+class _ProbeRows:
+    """The probe's element operations plus the θ-step θ·x + y by one
+    product, which the probe itself runs on whole points only: the row
+    loop's domain."""
+
+    def __init__(self, dom):
+        self.dom = dom
+        self.theta = dom.convert(Poly.gen(dom.field))
+
+    def __getattr__(self, name):
+        return getattr(self.dom, name)
+
+    def theta_step(self, x, y):
+        return self.dom.add(self.dom.mul(self.theta, x), y)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 131, 251])
+def test_grouped_tau_levels_match_row_loop(p):
+    """The probe's packed ρ_t, whose busiest level carries 9
+    non-constant coefficients into 8 rows (one product and one grouped
+    reduction per level; row 3's two terms are added in the plan),
+    equals the row loop on the same converted coefficients
+    over 30 applications, from the all-(p-1) point and from a random
+    one, and under Horner; with all-(p-1) and with random
+    coefficients."""
+    F = field_for_q(p)
+    dom = ProbeDomain(F, 21, 0)
+    rng = random.Random(p)
+    for digits in (lambda: p - 1, lambda: rng.randrange(p)):
+        tm = _crowded_module(F, rng, digits)
+        plan = tm._plan(dom)
+        assert max(
+            others[1] for _, _, levels in plan._taus
+            for _, _, others in levels if others
+        ) == 8
+        blocks = [
+            (start, start + w, [(row, n, dom.convert(c)) for row, n, c in terms])
+            for start, w, terms in zip(tm.starts, tm.weights, tm.top)
+        ]
+        loop = _RowLoop(_ProbeRows(dom), blocks)
+        for x in ([bytes([p - 1] * 21)] * tm.d,
+                  [bytes(rng.randrange(p) for _ in range(21)) for _ in range(tm.d)]):
+            cur, want = plan.enter(x), x
+            for _ in range(30):
+                cur = plan.step(cur, 0, None)
+                want = loop.step(want, 0, None)
+                assert plan.leave(cur) == want
+            coeffs = [rng.randrange(p) for _ in range(12)] + [1]
+            a = Poly(F, coeffs, var="t")
+            assert tm.apply_poly(x, a, dom) == _horner(loop, x, a.coeffs)
 
 
 # -- the exact packed blocks at their worst case -----------------------------
