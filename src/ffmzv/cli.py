@@ -171,9 +171,11 @@ def _sweep_one(task):
 
 
 def run_sweep(field: FieldSpec, tuples, jobs: int = 1):
-    """Verdict JSON records for every tuple, in input order."""
+    """Verdict JSON records for every tuple, in input order.  At most one
+    worker per tuple: the pool starts all its workers at once."""
     key = (field.p, field.e, tuple(field.modulus))
     tasks = [(key, s) for s in tuples]
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [_sweep_one(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -3,8 +3,11 @@
 Elements of F_q are plain ints in range(q) encoding the base-p digit
 vector of a residue polynomial modulo the field's irreducible modulus.
 For e = 1 the encoding is the usual residue mod p.  All arithmetic is
-precomputed into tables at construction time, so q is assumed small
-(the library targets q <= a few hundred).  `FieldSpec.packed` says
+precomputed into q × q tables at construction time, so q is capped at
+`MAX_Q` = 1024, at most 2^20 entries a table: a larger q raises
+`FieldError` before any modulus or prime search.  The tables of an
+extension field are products in `fpx.PackedQuotient`, each element
+times all q at once.  `FieldSpec.packed` says
 where polynomials over F_q run on the packed byte digits of `fpx`
 instead: prime q < 256.  `composition` checks the entries of a
 composition, in one place that both the decision engine and the
@@ -20,6 +23,15 @@ from . import fpx
 
 class FieldError(ValueError):
     pass
+
+
+# the largest q with arithmetic tables: q × q = 2^20 entries each
+MAX_Q = 1024
+
+
+def _check_size(q: int, name):
+    if q > MAX_Q:
+        raise FieldError(f"q = {name} exceeds MAX_Q = {MAX_Q}, the table limit")
 
 
 def is_prime(n: int) -> bool:
@@ -73,10 +85,13 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        if not is_prime(p):
-            raise FieldError(f"characteristic {p} is not prime")
         if e < 1:
             raise FieldError("extension degree must be >= 1")
+        # before the prime test and the modulus search; for p >= 2 the
+        # degree alone puts p^e above MAX_Q from e = bit_length(MAX_Q) on
+        _check_size(p ** min(e, MAX_Q.bit_length()), f"{p}^{e}")
+        if not is_prime(p):
+            raise FieldError(f"characteristic {p} is not prime")
         if modulus is None:
             modulus = default_modulus(p, e)
         modulus = tuple(x % p for x in modulus[:-1]) + (modulus[-1],)
@@ -103,30 +118,23 @@ class FieldSpec:
         if e == 1:
             self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
             self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._neg = [(-a) % p for a in range(p)]
         else:
-            digits = lambda n: [(n // p ** i) % p for i in range(e)]
-            undig = lambda ds: sum(d * p ** i for i, d in enumerate(ds))
-            m = list(self.modulus)
+            # element n as its e base-p digits, and back
+            elements = [bytes(n // p ** i % p for i in range(e)) for n in range(q)]
+            code = {x: n for n, x in enumerate(elements)}
             self._add = [
-                [undig([(x + y) % p for x, y in zip(digits(a), digits(b))])
-                 for b in range(q)]
-                for a in range(q)
+                [code[bytes((x + y) % p for x, y in zip(a, b))] for b in elements]
+                for a in elements
             ]
-            self._neg = [undig([(-x) % p for x in digits(a)]) for a in range(q)]
-            self._mul = []
-            for a in range(q):
-                row = []
-                for b in range(q):
-                    prod = fpx.mul(digits(a), digits(b), p)
-                    row.append(undig(fpx.mod(prod, m, p)))
-                self._mul.append(row)
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
+            # row a is a times every element: one `mul_rows` of q rows
+            ring = fpx.PackedQuotient(self.modulus, p)
+            laid, stride = ring.lay(elements), ring.stride
+            self._mul = [
+                [code[prod[i:i + e]] for i in range(0, q * stride, stride)]
+                for prod in (ring.mul_rows(a, laid, q) for a in elements)
+            ]
+        self._neg = [row.index(0) for row in self._add]
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     # -- element ops ------------------------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -179,6 +187,7 @@ class FieldSpec:
 @lru_cache(maxsize=None)
 def field_for_q(q: int) -> FieldSpec:
     """F_q with the built-in default modulus (searched lexicographically)."""
+    _check_size(q, q)
     for p in range(2, q + 1):
         if is_prime(p):
             e = 0

@@ -1,45 +1,45 @@
-"""Dense polynomials over a prime field F_p: the one kernel behind the
-extension-field tables (`fields`), the modular probe and its exact
-confirmation (`tmodule`).
+"""Dense polynomials over a prime field F_p, p < 256: the one kernel
+behind the extension-field tables (`fields`), the modular probe and its
+exact confirmation (`tmodule`), the point reduction (`motive`) and the
+H_n fill (`carlitz`).
 
-A polynomial is a list or tuple of ints in range(p), constant term
-first.  Moduli are monic.  The list-based `mul`, `mod` and `gcd` build
-the extension-field tables; `is_irreducible` is Ben-Or's test, its
-first round a packed root test and, for p < 256, its later rounds in
-`PackedQuotient`.  Two rings keep their elements as byte digits
-(p < 256) and share the packing (`slot_width`, `pack`, `_PackedDigits`,
-whose translate tables are built once per p):
-`PackedQuotient` is the probe's quotient ring F_p[x]/(m), where a
-product is one big-int product, k products by one element share one
-big-int product and one Barrett reduction (`mul_rows`), and the
-Frobenius is a precomputed F_p-linear map; `PackedPoly` is F_p[x]
-itself, where a sum is one packed sum and the Frobenius a strided
-copy.  The probe keeps a whole point of d elements as one packed
-integer, at a slot width of its own, and applies ρ_t to it with the
-quotient's `xdeg`, `frob`, `mul_rows` and `digits`
-(`tmodule.ProbeDomain`), after converting its coefficients and
-coordinates a list at a time (`elements`).  One `PackedPoly` per
-prime (`poly.packed_ring`) serves every packed consumer: it is the
-exact domain that confirms the probe's zeros (`criterion`), where its
+A polynomial outside the packed rings, as `gcd` and `is_irreducible`
+take it, is a list or tuple of ints in range(p), constant term first;
+moduli are monic.  Two rings keep their elements as byte digits and share the packing
+(`slot_width`, `pack`, `_PackedDigits`, whose translate tables are
+built once per p).  `PackedQuotient` is F_p[x]/(m): every product is
+one big-int product and one Barrett reduction, k products by one
+element sharing both (`mul_rows`); `elements` is its one conversion,
+many coefficient lists reduced at once; the Frobenius is a precomputed
+F_p-linear map.  It builds the extension-field tables, each element
+times all q at once, runs the later rounds of Ben-Or's irreducibility
+test (`is_irreducible`, whose first round is a packed root test and
+whose gcds take the list `gcd`), and is the probe's field, whose
+`point_plan` keeps a whole point of d elements as one packed integer
+and applies ρ_t to it with one `digits` call (`_PackedPoint`).
+`PackedPoly` is F_p[x] itself, where a sum is one packed sum and the
+Frobenius a strided copy.  One `PackedPoly` per prime
+(`poly.packed_ring`) serves every packed consumer: it is the exact
+domain that confirms the probe's zeros (`criterion`), where its
 `point_plan` keeps a point as one packed run of rows per block and
 applies ρ_t to each block with one packed sum, one Kronecker product
 per τ-level and target block and one `digits` call (`_PackedBlocks`,
 for p <= 13; larger p take the row loop over its element
-operations); its `mul` the large products in F_p[θ] of `poly.Poly`,
-and its `row_product` the
-product of polynomials whose coefficients are rows of θ-digits (laid
-out by `lay_rows`): the A[t] product of `poly.BiPoly`, the product in
-u of the point reduction (`motive`) and the products of the H_n fill
-(`carlitz`), whose sums are one `row_sum` each.  The kernel of a
-matrix over F_p (`_PackedDigits.nullspace`, behind `linalg.nullspace`)
-keeps each column as one packed integer with its F_p-combination in
-the high slots.  Only this module calls the Kronecker `product` and
-derives the slot bounds of packed products, sums, reductions and
-eliminations.  A packed integer is read back to digits by a
-byte-sliced reduction (`_PackedDigits.digits`): one `bytes.translate`
-per byte of a slot and round, never a loop over the slots.  Where these
-rings run is `fields.FieldSpec.packed`; p >= 256 and extension fields
-take the table-driven `Poly` arithmetic.
+operations); its `mul` the large products in F_p[θ] of `poly.Poly`;
+its `row_product` the product of polynomials whose coefficients are
+rows of θ-digits (laid out by `lay_rows`): the A[t] product of
+`poly.BiPoly`, the product in u of the point reduction (`motive`) and
+the products of the H_n fill (`carlitz`), whose sums are one `row_sum`
+each; and its `taylor_shift` the point reduction's shift in u.  The
+kernel of a matrix over F_p (`_PackedDigits.nullspace`, behind
+`linalg.nullspace`) keeps each column as one packed integer with its
+F_p-combination in the high slots.  Only this module packs, calls the
+Kronecker `product` and derives the slot bounds of packed products,
+sums, reductions and eliminations.  A packed integer is read back to
+digits by a byte-sliced reduction (`_PackedDigits.digits`): one
+`bytes.translate` per byte of a slot and round, never a loop over the
+slots.  Where the packed F_p[θ] runs is `fields.FieldSpec.packed`;
+p >= 256 and extension fields take the table-driven `Poly` arithmetic.
 """
 from __future__ import annotations
 
@@ -53,22 +53,6 @@ def _strip(a):
     while n and not a[n - 1]:
         n -= 1
     return list(a[:n])
-
-
-def mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def mod(a, m, p):
-    """a mod m for monic m, as a list of length deg(m)."""
-    dm = len(m) - 1
-    return (_rem(a, m, p) + [0] * dm)[:dm]
 
 
 def gcd(a, b, p):
@@ -94,58 +78,39 @@ def _rem(a, b, p):
     return a[:db]
 
 
-def _pth_power(f, m, p):
-    """f^p mod m, by square and multiply from the top bit of p: no
-    squaring after the last bit."""
-    acc = f
-    for bit in bin(p)[3:]:
-        acc = mod(mul(acc, acc, p), m, p)
-        if bit == "1":
-            acc = mod(mul(acc, f, p), m, p)
-    return acc
-
-
 def is_irreducible(m, p) -> bool:
-    """Ben-Or's test for monic m of degree n >= 1: gcd(x^(p^i) - x, m) = 1
-    for i = 1, ..., n // 2 (Ben-Or, "Probabilistic algorithms in finite
-    fields", FOCS 1981).  A reducible m has an irreducible factor of
-    some degree i <= n/2, and that factor divides x^(p^i) - x, so the
-    test is exact.  It stops soon after the first common factor, so a
-    random reducible candidate, which most likely has a small one, is
-    rejected after a few p-th powers (Gao–Panario, "Tests and
-    constructions of irreducible polynomials over finite fields",
-    1997).
+    """Ben-Or's test for monic m of degree n >= 1 over F_p, p < 256
+    (every field `fields` builds tables for, and every probe field):
+    gcd(x^(p^i) - x, m) = 1 for i = 1, ..., n // 2 (Ben-Or,
+    "Probabilistic algorithms in finite fields", FOCS 1981).  A
+    reducible m has an irreducible factor of some degree i <= n/2, and
+    that factor divides x^(p^i) - x, so the test is exact.  It stops
+    soon after the first common factor, so a random reducible
+    candidate, which most likely has a small one, is rejected after a
+    few p-th powers (Gao–Panario, "Tests and constructions of
+    irreducible polynomials over finite fields", 1997).
 
     Round 1 is a root test: x^p - x is the product of x - a over
     a in F_p, so gcd(x^p - x, m) != 1 exactly when m(a) = 0 for some a
-    (`_has_root`).  For p < 256 the later rounds run in
-    `PackedQuotient(m, p)`, whose translate tables are shared per p,
-    and take one gcd after round 3 and one after round n // 2, each on
-    the product of the x^(p^i) - x mod m since the last: an irreducible
-    factor of m divides that product exactly when it divides one of
-    its factors, so the product is coprime to m exactly when every
-    factor is.  A candidate with a factor of degree 2 or 3, the most
-    common after the root test, is rejected after round 3.  Fewer gcds
-    pay because at degree 21 and p <= 3 one gcd on lists costs about
-    as much as ten packed p-th powers."""
+    (`_has_root`).  The later rounds run in `PackedQuotient(m, p)`,
+    whose translate tables are shared per p, and take one gcd after
+    round 3 and one after round n // 2, each on the product of the
+    x^(p^i) - x mod m since the last: an irreducible factor of m
+    divides that product exactly when it divides one of its factors,
+    so the product is coprime to m exactly when every factor is.  A
+    candidate with a factor of degree 2 or 3, the most common after
+    the root test, is rejected after round 3.  Fewer gcds pay because
+    at degree 21 and p <= 3 one gcd on lists costs about as much as
+    ten packed p-th powers."""
     n = len(m) - 1
     if n < 1:
         return False
-    if p > 255:
-        # no byte digits: every round on lists
-        x = mod([0, 1], m, p)
-        h = x
-        for _ in range(n // 2):
-            h = _pth_power(h, m, p)
-            if len(gcd([(c - xc) % p for c, xc in zip(h, x)], m, p)) != 1:
-                return False
-        return True
     if n > 1 and _has_root(m, p):
         return False
     if n < 4:
         return True
     ring = PackedQuotient(m, p)
-    x = ring.element([0, 1])
+    x, = ring.elements([[0, 1]])
     minus_x = ring.neg(x)
     h, acc = ring.power(x, p), None
     for i in range(2, n // 2 + 1):
@@ -339,29 +304,29 @@ def _digit_tables(p):
 
 
 class PackedQuotient(_PackedDigits):
-    """F_p[x]/(m) on packed digits: the modular probe's arithmetic,
-    and the ring Ben-Or's later rounds run in (`is_irreducible`).
+    """F_p[x]/(m) on packed digits: the modular probe's arithmetic, the
+    ring Ben-Or's later rounds run in (`is_irreducible`) and the one
+    the extension-field tables are built on (`fields.FieldSpec`).
 
     An element is a `bytes` of length deg = deg(m), digit j the
     coefficient of x^j, so p < 256.  Arithmetic runs on the integers
     those digits spell in base 256^slot (Kronecker substitution): one
     big-int product is the polynomial product, as long as no slot
     exceeds 256^slot - 1.  Every product or sum packed at `slot` holds
-    at most deg·(p-1)^2 + (p-1) per slot (`_reduce_rows`, `_fold`),
-    which sets it: one byte for p <= 3 at degree 21.  Digits are
-    brought back to range(p) per slot by the byte-sliced `digits`.
+    at most deg·(p-1)^2 + (p-1) per slot (`_reduce_rows`), which sets
+    it: one byte for p <= 3 at degree 21.  Digits are brought back to
+    range(p) per slot by the byte-sliced `digits`.
 
     Products are taken k at a time: `mul_rows` multiplies one element
     by k elements laid out `stride` = 2·deg - 1 digits apart (`lay`),
     which is one big-int product, and reduces all k rows at once by
     Barrett's reduction (`_reduce_rows`): two more products by fixed
-    polynomials and three `digits` calls for any k.  One row in
-    multi-byte slots is reduced by `_fold` instead, which measured
-    faster there.  `xdeg`, the digits of x^deg mod m, folds a digit
-    carried past the top: `element` folds deg-digit chunks with it,
-    and the probe's ρ_t every row's top digit at once
-    (`tmodule.ProbeDomain`); `elements` converts many coefficient lists
-    by one reduction of their chunks' products with x^(j·deg) mod m.
+    polynomials and three `digits` calls for any k.  `mul` and `power`
+    are `mul_rows` on one row.  `elements` is the one conversion: it
+    takes many coefficient lists to their residues by one reduction of
+    their chunks' products with x^(j·deg) mod m.  `point_plan` is the
+    probe's ρ_t on a whole point (`_PackedPoint`), which folds every
+    row's top digit back with `xdeg`, the digits of x^deg mod m.
     """
 
     def __init__(self, m, p):
@@ -394,14 +359,10 @@ class PackedQuotient(_PackedDigits):
 
     def mul_rows(self, x, rows, k):
         """The products x·c_i mod m of x and the k elements c_i laid out
-        by `lay`: row i's residue is the deg digits from i·stride on
-        (one row in multi-byte slots, reduced by `_fold`, returns its
-        deg digits only)."""
+        by `lay`: row i's residue is the deg digits from i·stride on."""
         slot = self.slot
-        a = pack(x, slot) * rows
-        if k == 1 and slot > 1:
-            return self._fold(a)
-        return self._reduce_rows(self.digits(a, k * self.stride, slot), k)
+        a = self.digits(pack(x, slot) * rows, k * self.stride, slot)
+        return self._reduce_rows(a, k)
 
     def _row_masks(self, k):
         masks = self._masks
@@ -446,25 +407,10 @@ class PackedQuotient(_PackedDigits):
         n = k * self.stride
         _, high, low = self._row_masks(k)
         a = pack(a, slot)
-        q = self.digits((a & high) * self._mu, n + deg, slot)
-        q = pack(q, slot) >> 8 * slot * (2 * deg - 2) & low
+        # only the digits from 2deg-2 on are read: shift before `digits`
+        q = (a & high) * self._mu >> 8 * slot * (2 * deg - 2)
+        q = pack(self.digits(q, n - deg + 2, slot), slot) & low
         return self.digits(a + q * self._negm, n, slot)
-
-    def element(self, coeffs):
-        """The residue of a coefficient list (constant term first,
-        digits in range(p)).  A list longer than deg is cut into
-        deg-digit chunks and folded from the top by Horner's rule in
-        x^deg mod m: each step is one big-int product of the packed
-        accumulator and x^deg mod m plus the next chunk, at most
-        deg·(p-1)^2 + (p-1) per slot, reduced like a product."""
-        deg, slot = self.deg, self.slot
-        x = bytes(coeffs)
-        top = max(len(x) - 1, 0) // deg * deg
-        acc = x[top:]
-        xdeg = pack(self.xdeg, slot)
-        for i in range(top - deg, -1, -deg):
-            acc = self._fold(pack(acc, slot) * xdeg + pack(x[i:i + deg], slot))
-        return acc.ljust(deg, b"\0")
 
     def elements(self, polys):
         """The residues of coefficient lists (constant term first,
@@ -513,28 +459,6 @@ class PackedQuotient(_PackedDigits):
                 acc = self.mul(acc, x)
         return acc
 
-    @functools.cached_property
-    def _red(self):
-        """x^(deg+j) mod m, j = 0..deg-2, packed: the weights of the
-        high digits of a product, each x times the one before."""
-        m, p, deg = self.modulus, self.p, self.deg
-        red, r = [], list(self.xdeg)
-        for _ in range(deg - 1):
-            red.append(pack(bytes(r), self.slot))
-            top = r.pop()
-            r = [0] + r
-            if top:
-                r = [(c - top * y) % p for c, y in zip(r, m)]
-        return tuple(red)
-
-    def _fold(self, n):
-        """The residue of a packed n of 2·deg - 1 slots: its digits, the
-        high ones folded back with the packed x^(deg+j) mod m."""
-        deg, slot = self.deg, self.slot
-        d = self.digits(n, 2 * deg - 1, slot)
-        folded = sum(map(operator.mul, d[deg:], self._red), pack(d[:deg], slot))
-        return self.digits(folded, deg, slot)
-
     def frob(self, x, n: int):
         """x^(p^n).  The map is F_p-linear, so with ξ the class of the
         variable it is Σ x_i·ξ^(i·p^n): one packed sum, once the images
@@ -546,12 +470,179 @@ class PackedQuotient(_PackedDigits):
         slot = self.slot
         images = self._frob.get(n)
         if images is None:
-            y = self.power(self.element([0, 1]), self.p ** n)
-            powers = [self.element([1])]
+            xi, one = self.elements([[0, 1], [1]])
+            y = self.power(xi, self.p ** n)
+            powers = [one]
             for _ in range(self.deg - 1):
                 powers.append(self.mul(powers[-1], y))
             images = self._frob[n] = tuple(pack(z, slot) for z in powers)
         return self.digits(sum(map(operator.mul, x, images)), self.deg, slot)
+
+    def point_plan(self, blocks):
+        """ρ_t on one packed point (`_PackedPoint`), for the blocks
+        (start, end, τ-terms) of a `tmodule.TModule` with coefficients
+        in this ring: the probe's plan."""
+        return _PackedPoint(self, blocks)
+
+
+class _PackedPoint:
+    """ρ_t on a probe point of F_{p^deg}^d held as one `bytes` of d·deg
+    digits, row i at digits i·deg … i·deg+deg−1, acting on the integer
+    those digits spell in base 256^slot, all rows at once.  The plan
+    holds the masks, the packed x^deg mod m and, per block and level,
+    the packed constants of its τ-terms and its other coefficients laid
+    out for one `PackedQuotient.mul_rows`.  One application
+    ρ_t(v) + c·y is:
+
+    * θ·I + N: each row's top digit masked out and the rest shifted up
+      one slot; the top digits spread to slot 0 of their rows and
+      multiplied once by the packed x^deg mod m; the point shifted down
+      one row added, with the block-end rows masked out;
+    * per block and level n, the image x^(p^n) of the block's top
+      coordinate, once: a term with a constant coefficient c adds c
+      times its packed digits at the term's row, unreduced; the level's
+      other coefficients, laid out once in the plan 2·deg−1 digits
+      apart (`PackedQuotient.lay`), are multiplied by the image in one
+      product and reduced together by one Barrett reduction
+      (`PackedQuotient.mul_rows`, whose `_reduce_rows` proves it and
+      its own slot bound); each reduced row is added in at its row;
+    * Horner's c·y, unreduced;
+    * one `digits` call, which reduces every slot mod p.
+
+    The slot width is derived from the rows' worst sums.  Before the
+    reduction a slot of row i holds at most
+
+        p−1       the digit below it in its row, shifted up;
+        (p−1)²    the row's top digit times one digit of x^deg mod m;
+        p−1       the same digit of row i+1, inside a block;
+        (p−1)²    Horner's c·y, c a digit;
+        c·(p−1)   per τ-term of row i with a constant coefficient c;
+        p−1       per τ-term of row i with any other coefficient: a
+                  digit of its reduced row (two terms of one row and
+                  level are added in the plan and take one row);
+
+    so at most 2(p−1) + 2(p−1)² plus the row's τ-term share, and the
+    slot holds the largest of these bounds over the rows.  The parts
+    stay in their slots: every digit read is below p, because a point
+    enters as reduced elements and each application starts from the
+    previous `digits`; a row loses its top digit before the shift, so
+    nothing moves into the next row; a spread top digit is alone in
+    its row, and x^deg mod m has deg digits, so their product fills
+    that row only; a τ-image and a reduced row have deg digits and
+    start at their row.  So no slot reaches 256^slot, no carry crosses
+    a slot, and each slot is the exact coefficient sum that `digits`
+    reads mod p.  Over every motive of depth <= 3 up to weight 8, 26,
+    40 and 48 at q = 2, 3, 5 and 7 the slot is one byte; it is two up
+    to weight 260 at q = 131 and three up to weight 500 at q = 251."""
+
+    def __init__(self, ring, blocks):
+        p, deg = ring.p, ring.deg
+        d = blocks[-1][1]
+        self.ring, self.deg, self.size = ring, deg, d * deg
+        self._zero = bytes(d * deg)
+        # per block with τ-terms, its levels n in order, each with the
+        # (row, digit) of its constant coefficients and {row: c} of the
+        # others; and each row's τ-term share of the slot bound
+        share = [0] * d
+        taus = []
+        for start, _, terms in blocks:
+            levels = {}
+            for row, n, c in terms:
+                consts, others = levels.setdefault(n, ([], {}))
+                if any(c[1:]):
+                    others[row] = ring.add(others[row], c) if row in others else c
+                    share[row] += p - 1
+                else:
+                    consts.append((row, c[0]))
+                    share[row] += c[0] * (p - 1)
+            if levels:
+                taus.append((start * deg, levels))
+        self.slot = slot = slot_width(2 * (p - 1) + 2 * (p - 1) ** 2 + max(share))
+        self._bits = bits = 8 * slot
+        self._row = row = bits * deg
+        self._top_shift = bits * (deg - 1)
+        full, empty = b"\xff" * slot, bytes(slot)
+        self._low = int.from_bytes((full * (deg - 1) + empty) * d, "little")
+        self._first = int.from_bytes((full + empty * (deg - 1)) * d, "little")
+        self._inner = int.from_bytes(b"".join(
+            (full if i + 1 < end else empty) * deg
+            for start, end, _ in blocks
+            for i in range(start, end)
+        ), "little")
+        self._xdeg = pack(ring.xdeg, slot)
+        # the constants of a level as one packed integer, Σ c·256^(slot·deg·row),
+        # and its other coefficients laid out for `PackedQuotient.mul_rows`
+        self._taus = [
+            (lo, lo + deg, [
+                (n, sum(c << row * r for r, c in consts), _tau_rows(ring, others))
+                for n, (consts, others) in levels.items()
+            ])
+            for lo, levels in taus
+        ]
+
+    def enter(self, vec):
+        return b"".join(vec)
+
+    def leave(self, point):
+        deg = self.deg
+        return [point[i:i + deg] for i in range(0, self.size, deg)]
+
+    def is_zero(self, point):
+        return point == self._zero
+
+    def times(self, x, c):
+        """c·x for a digit c."""
+        if c == 1:
+            return x
+        slot = self.slot
+        return self.ring.digits(c * pack(x, slot), self.size, slot)
+
+    def step(self, point, c, x):
+        """ρ_t(point) + c·x as one packed sum and one reduction."""
+        ring, slot, deg = self.ring, self.slot, self.deg
+        v = pack(point, slot)
+        acc = (
+            ((v & self._low) << self._bits)
+            + ((v >> self._top_shift) & self._first) * self._xdeg
+            + ((v >> self._row) & self._inner)
+        )
+        if c:
+            acc += c * pack(x, slot)
+        zero = ring.zero
+        for lo, hi, levels in self._taus:
+            top = point[lo:hi]
+            if top == zero:
+                continue
+            for n, consts, others in levels:
+                fx = ring.frob(top, n)
+                if consts:
+                    acc += pack(fx, slot) * consts
+                if others:
+                    rows, k, first, places, span = others
+                    prods = ring.mul_rows(fx, rows, k)
+                    laid = bytearray(span)
+                    for src, dst in places:
+                        laid[dst:dst + deg] = prods[src:src + deg]
+                    acc += pack(laid, slot) << first * self._row
+        return ring.digits(acc, self.size, slot)
+
+
+def _tau_rows(ring, others):
+    """A level's non-constant coefficients {row: c} as `mul_rows` takes
+    them: (their rows laid out, their count, the first row, the
+    (product digit, digit from the first row) of each, the digits from
+    the first row to the last); None when there are none."""
+    if not others:
+        return None
+    rows = sorted(others)
+    deg, first = ring.deg, rows[0]
+    return (
+        ring.lay([others[r] for r in rows]),
+        len(rows),
+        first,
+        [(i * ring.stride, (r - first) * deg) for i, r in enumerate(rows)],
+        (rows[-1] - first + 1) * deg,
+    )
 
 
 class PackedPoly(_PackedDigits):
@@ -569,8 +660,9 @@ class PackedPoly(_PackedDigits):
     is one `bytes.translate`.  x ↦ x^(p^n) spreads the digits p^n
     apart, one strided assignment.  `row_product` multiplies
     polynomials in a second variable whose coefficients are elements
-    laid out in rows, by the same one big-int product, and `row_sum`
-    adds any number of them in one packed sum.
+    laid out in rows, by the same one big-int product, `row_sum` adds
+    any number of them in one packed sum, and `taylor_shift` shifts
+    that variable by a polynomial in x with packed sums.
     """
 
     def __init__(self, p):
@@ -657,6 +749,44 @@ class PackedPoly(_PackedDigits):
         n = max(-(-len(x) // w) for x, w in terms) * width
         total = sum(pack(relayout(x, w, width), slot) for x, w in terms)
         return tighten(self.digits(total, n, slot), width)
+
+    def taylor_shift(self, f, shift):
+        """f(u + c) for f a polynomial in u laid out as `row_product`
+        takes it, a pair (x, width), and c = Σ a·x^e over the pairs
+        (a, e) in `shift`, as in `poly.taylor_shift`: its Taylor shift,
+        each level m = 1, p, p^2, ... run at once on every group of p
+        blocks of m rows.  Returns the pair, tightened; `width` must
+        exceed every x-degree of the result.
+
+        In place, the Horner step acc <- B_k + (u^m + c^m)·acc of a
+        group leaves acc where it lies, which is u^m·acc seen from block
+        k, and adds c^m·acc moved one block down: the blocks above k of
+        every group are masked out, moved down one block, shifted by
+        e·m digits and times a per monomial, and added to the whole:
+        one packed sum of at most (p-1)·(1 + Σ a) per slot and one
+        `digits` call per step."""
+        x, width = f
+        p = self.p
+        slot = slot_width((p - 1) * (1 + sum(a for a, _ in shift)))
+        rows = -(-len(x) // width)
+        n = rows * width
+        unit = b"\xff" * slot
+        m = 1
+        while m < rows:
+            block = m * width
+            groups = -(-rows // (p * m))
+            down = 8 * slot * block
+            # blocks at and above rows / m are empty
+            for k in range(min(p, -(-rows // m)) - 2, -1, -1):
+                above = bytes(slot * (k + 1) * block) + unit * ((p - 1 - k) * block)
+                mask = int.from_bytes(above * groups, "little")
+                acc = pack(x, slot)
+                top = (acc & mask) >> down
+                for a, e in shift:
+                    acc += top * a << 8 * slot * e * m
+                x = self.digits(acc, n, slot)
+            m *= p
+        return tighten(x, width)
 
     def frob(self, x, n: int):
         """x^(p^n): digit i moves to i·p^n."""

@@ -42,8 +42,10 @@ power in the quotient map, so points never see it).
 
 The worklist runs over one of two coefficient domains, like
 `tmodule.TModule.apply_t`: packed F_p digits (`_PackedTerms`, on the
-shared `poly.packed_ring`) where the field is `packed` (prime q < 256)
-and the coefficients integral, `BiPoly` terms in u with `Poly` or
+shared `poly.packed_ring`, whose sums, products in u, Frobenius and
+Taylor shift are `fpx.PackedPoly`'s, so no slot bound is derived
+here) where the field is `packed` (prime q < 256) and the
+coefficients integral, `BiPoly` terms in u with `Poly` or
 `RatFrac` coefficients (`_PolyTerms`) for every other field, p >= 256
 included, and for the polylogarithm motives.
 """
@@ -134,8 +136,9 @@ class _PackedTerms:
     Kronecker product (`fpx.PackedPoly.row_product`, the A[t] product
     of `poly.BiPoly` too), the twist a strided copy
     (`fpx.PackedPoly.frob`) followed by a Taylor shift whose Horner
-    steps are packed sums (`_shift`).  A coefficient of the result is
-    a `bytes` of `fpx.PackedPoly`.
+    steps are packed sums (`fpx.PackedPoly.taylor_shift`), so every
+    slot bound is derived in `fpx`.  A coefficient of the result is a
+    `bytes` of `fpx.PackedPoly`.
     """
 
     def __init__(self, field: FieldSpec):
@@ -153,7 +156,7 @@ class _PackedTerms:
         # the shift by θ raises a θ-degree by at most deg_t f
         width = f.theta_degree() + len(f.coeffs)
         x = fpx.lay_rows(map(self.ring.convert, f.coeffs), width)
-        return self._shift(x, width, ((1, 1),))
+        return self.ring.taylor_shift((x, width), ((1, 1),))
 
     def u_power(self, w):
         return bytes(w) + b"\1", 1
@@ -185,44 +188,7 @@ class _PackedTerms:
         # the shift by θ - θ^p raises a θ-degree by at most p·(rows - 1)
         wide = p * (width + rows - 2) + 1
         y = fpx.relayout(self.ring.frob(x, 1), p * width, wide)
-        return self._shift(y, wide, self._twist_shift)
-
-    def _shift(self, x, width, shift):
-        """f(u + c) for f the rows of x, c = Σ a·θ^e over the pairs
-        (a, e) in `shift` as in `poly.taylor_shift`: its Taylor shift,
-        each level m = 1, p, p^2, ... run at once on every group of p
-        blocks of m rows.  Returns the term, in rows of its largest
-        θ-degree plus one.
-
-        In place, the Horner step acc <- B_k + (u^m + c^m)·acc of a
-        group leaves acc where it lies, which is u^m·acc seen from block
-        k, and adds c^m·acc moved one block down: the blocks above k of
-        every group are masked out, moved down one block, shifted by
-        e·m digits and times a per monomial, and added to the whole:
-        one packed sum of at most (p-1)·(1 + Σ a) per slot and one
-        `digits` call per step.  `width` must exceed every θ-degree of
-        the result."""
-        p = self.p
-        slot = fpx.slot_width((p - 1) * (1 + sum(a for a, _ in shift)))
-        rows = -(-len(x) // width)
-        n = rows * width
-        unit = b"\xff" * slot
-        m = 1
-        while m < rows:
-            block = m * width
-            groups = -(-rows // (p * m))
-            down = 8 * slot * block
-            # blocks at and above rows / m are empty
-            for k in range(min(p, -(-rows // m)) - 2, -1, -1):
-                above = bytes(slot * (k + 1) * block) + unit * ((p - 1 - k) * block)
-                mask = int.from_bytes(above * groups, "little")
-                acc = fpx.pack(x, slot)
-                top = (acc & mask) >> down
-                for c, e in shift:
-                    acc += top * c << 8 * slot * e * m
-                x = self.ring.digits(acc, n, slot)
-            m *= p
-        return fpx.tighten(x, width)
+        return self.ring.taylor_shift((y, wide), self._twist_shift)
 
     def coeffs(self, f):
         """(j, a) for every nonzero coefficient a of u^j."""

@@ -28,8 +28,8 @@ packed ring:
   one packed integer, all its rows side by side, and one application
   of ρ_t a few big-int operations on it with one reduction, plus one
   product and one grouped Barrett reduction per τ-level with
-  non-constant coefficients (`ProbeDomain` holds the slot bound and
-  its proof).
+  non-constant coefficients: the probe's plan and its slot proof live
+  in `fpx` (`fpx.PackedQuotient.point_plan`, `fpx._PackedPoint`).
 * the packed ring `poly.packed_ring(p)` itself — the same ring
   A = F_p[θ] as `ExactDomain` on a `packed` field, each coordinate a
   `bytes` of F_p digits (`fpx.PackedPoly`).  It confirms the probe's
@@ -44,12 +44,13 @@ packed ring:
 
 The operator code below never asks which domain it runs in.  Each
 `TModule` builds one plan of ρ_t per domain, its coefficients converted
-once: the domain's own (`ProbeDomain.point_plan`,
-`fpx.PackedPoly.point_plan`), or else the row loop (`_RowLoop`) over
-the domain's element operations (zero, is_zero, add, mul, theta_step,
-scalar, frob, convert), which `ExactDomain` and the packed ring for
-p > 13 take.  Every domain converts a list at a time (`convert_all`).  A point enters the plan once per call and leaves it as a
-list of coordinates.
+once: the domain's own (`fpx.PackedQuotient.point_plan` for the
+probe, `fpx.PackedPoly.point_plan`), or else the row loop (`_RowLoop`)
+over the domain's element operations (zero, is_zero, add, mul,
+theta_step, scalar, frob, convert), which `ExactDomain` and the packed
+ring for p > 13 take.  Every domain converts a list at a time
+(`convert_all`).  A point enters the plan once per call and leaves it
+as a list of coordinates.
 
 ρ_a for a in F_q[t] is Horner in ρ_t from the leading coefficient of a
 (`TModule.apply_poly`): deg a applications of ρ_t, with the point added
@@ -135,10 +136,10 @@ def _find_irreducible(p: int, deg: int, rng) -> tuple:
 @lru_cache(maxsize=None)
 def _probe_tables(p: int, deg: int, seed: int):
     """The probe field F_{p^deg} for a seed, as a packed quotient ring
-    that holds the modulus, the reduction weights and the Frobenius
-    images.  Every ProbeDomain with the same key shares it; it is found
-    on first use, never at import, and fills its Frobenius images per
-    power on first use too."""
+    that holds the modulus, Barrett's μ and the Frobenius images.
+    Every ProbeDomain with the same key shares it; it is found on first
+    use, never at import, and fills its Frobenius images per power on
+    first use too."""
     modulus = _find_irreducible(p, deg, random.Random(seed))
     return fpx.PackedQuotient(modulus, p)
 
@@ -147,62 +148,17 @@ class ProbeDomain:
     """A → F_{p^deg} via θ ↦ ξ (`packed` fields, `Poly` coordinates only).
 
     An element is a `bytes` of length deg, digit j the coefficient of
-    ξ^j, with `fpx.PackedQuotient`'s arithmetic: a product is one
-    big-int product of the packed digits and x ↦ x^(p^n) a precomputed
-    F_p-linear map.
-
-    Coefficients and coordinates are converted many at a time
+    ξ^j, and every operation is `fpx.PackedQuotient`'s: a product is
+    one big-int product of the packed digits and one Barrett
+    reduction, x ↦ x^(p^n) a precomputed F_p-linear map, and
+    coefficients and coordinates are converted many at a time
     (`convert_all`, `PackedQuotient.elements`): a plan's coefficients
     in one pass, a point's coordinates in another.
 
     A point is not a list of elements but one `bytes` of d·deg digits,
-    row i at digits i·deg … i·deg+deg−1, and ρ_t acts on the integer
-    those digits spell in base 256^slot, all rows at once
-    (`point_plan`, `_PackedPoint`):
-
-    * θ·I + N: each row's top digit masked out and the rest shifted up
-      one slot; the top digits spread to slot 0 of their rows and
-      multiplied once by the packed x^deg mod m; the point shifted down
-      one row added, with the block-end rows masked out;
-    * per block and level n, the image x^(p^n) of the block's top
-      coordinate, once: a term with a constant coefficient c adds c
-      times its packed digits at the term's row, unreduced; the level's
-      other coefficients, laid out once in the plan 2·deg−1 digits
-      apart (`PackedQuotient.lay`), are multiplied by the image in one
-      product and reduced together by one Barrett reduction
-      (`PackedQuotient.mul_rows`): with μ = ⌊x^(2deg−2)/m⌋, the
-      quotient of a row a = a_hi·x^deg + a_lo by m is exactly
-      ⌊a_hi·μ / x^(deg−2)⌋, so a + q·(−m) is its residue (fpx proves
-      this and the reduction's own slot bound); each reduced row is
-      added in at its row;
-    * Horner's c·v, unreduced;
-    * one `digits` call, which reduces every slot mod p.
-
-    The slot width is derived from the rows' worst sums.  Before the
-    reduction a slot of row i holds at most
-
-        p−1       the digit below it in its row, shifted up;
-        (p−1)²    the row's top digit times one digit of x^deg mod m;
-        p−1       the same digit of row i+1, inside a block;
-        (p−1)²    Horner's c·v, c a digit;
-        c·(p−1)   per τ-term of row i with a constant coefficient c;
-        p−1       per τ-term of row i with any other coefficient: a
-                  digit of its reduced row (two terms of one row and
-                  level are added in the plan and take one row);
-
-    so at most 2(p−1) + 2(p−1)² plus the row's τ-term share, and the
-    slot holds the largest of these bounds over the rows.  The parts
-    stay in their slots: every digit read is below p, because a point
-    enters as reduced elements and each application starts from the
-    previous `digits`; a row loses its top digit before the shift, so
-    nothing moves into the next row; a spread top digit is alone in
-    its row, and x^deg mod m has deg digits, so their product fills
-    that row only; a τ-image and a reduced row have deg digits and
-    start at their row.  So no slot reaches 256^slot, no carry crosses
-    a slot, and each slot is the exact coefficient sum that `digits`
-    reads mod p.  Over every motive of depth <= 3 up to weight 8, 26,
-    40 and 48 at q = 2, 3, 5 and 7 the slot is one byte; it is two up
-    to weight 260 at q = 131 and three up to weight 500 at q = 251."""
+    and ρ_t acts on all its rows at once (`point_plan`, that is
+    `fpx.PackedQuotient.point_plan`): the probe's plan and its slot
+    proof live in `fpx`."""
 
     def __init__(self, field: FieldSpec, deg: int = 21, seed: int = 0):
         if not field.packed:
@@ -213,11 +169,12 @@ class ProbeDomain:
         self.ring = ring = _probe_tables(self.p, deg, seed)
         self.modulus = ring.modulus
         self._zero = ring.zero
-        # the element operations are the ring's own
+        # the element operations and the plan of ρ_t are the ring's own
         self.add = ring.add
         self.neg = ring.neg
         self.mul = ring.mul
         self.frob = ring.frob
+        self.point_plan = ring.point_plan
 
     def zero(self):
         return self._zero
@@ -230,141 +187,17 @@ class ProbeDomain:
         element."""
         if not 0 <= c < self.p:
             raise not_a_code(self.field, c)
-        return self.ring.element([c])
+        return self.ring.elements([[c]])[0]
 
     def convert(self, c):
         """Image of a Poly in θ: its coefficients reduced mod the
-        probe modulus, deg digits at a time (`PackedQuotient.element`)."""
-        return self.ring.element(c.coeffs)
+        probe modulus (`convert_all` on one)."""
+        return self.convert_all([c])[0]
 
     def convert_all(self, cs):
         """The images of Polys in θ, all in one pass
         (`PackedQuotient.elements`)."""
         return self.ring.elements([c.coeffs for c in cs])
-
-    def point_plan(self, blocks):
-        """ρ_t on one packed point, for the blocks (start, end, τ-terms)
-        of a `TModule` with coefficients in this domain."""
-        return _PackedPoint(self.ring, blocks)
-
-
-class _PackedPoint:
-    """ρ_t on a probe point held as one `bytes` of d·deg digits (see
-    `ProbeDomain`): the masks, the packed x^deg mod m and, per block
-    and level, the packed constants of its τ-terms and its other
-    coefficients laid out for one `PackedQuotient.mul_rows`, at a slot
-    width derived from their worst sums."""
-
-    def __init__(self, ring, blocks):
-        p, deg = ring.p, ring.deg
-        d = blocks[-1][1]
-        self.ring, self.deg, self.size = ring, deg, d * deg
-        self._zero = bytes(d * deg)
-        # per block with τ-terms, its levels n in order, each with the
-        # (row, digit) of its constant coefficients and {row: c} of the
-        # others; and each row's τ-term share of the slot bound
-        share = [0] * d
-        taus = []
-        for start, _, terms in blocks:
-            levels = {}
-            for row, n, c in terms:
-                consts, others = levels.setdefault(n, ([], {}))
-                if any(c[1:]):
-                    others[row] = ring.add(others[row], c) if row in others else c
-                    share[row] += p - 1
-                else:
-                    consts.append((row, c[0]))
-                    share[row] += c[0] * (p - 1)
-            if levels:
-                taus.append((start * deg, levels))
-        self.slot = slot = fpx.slot_width(
-            2 * (p - 1) + 2 * (p - 1) ** 2 + max(share)
-        )
-        self._bits = bits = 8 * slot
-        self._row = row = bits * deg
-        self._top_shift = bits * (deg - 1)
-        full, empty = b"\xff" * slot, bytes(slot)
-        self._low = int.from_bytes((full * (deg - 1) + empty) * d, "little")
-        self._first = int.from_bytes((full + empty * (deg - 1)) * d, "little")
-        self._inner = int.from_bytes(b"".join(
-            (full if i + 1 < end else empty) * deg
-            for start, end, _ in blocks
-            for i in range(start, end)
-        ), "little")
-        self._xdeg = fpx.pack(ring.xdeg, slot)
-        # the constants of a level as one packed integer, Σ c·256^(slot·deg·row),
-        # and its other coefficients laid out for `PackedQuotient.mul_rows`
-        self._taus = [
-            (lo, lo + deg, [
-                (n, sum(c << row * r for r, c in consts), _tau_rows(ring, others))
-                for n, (consts, others) in levels.items()
-            ])
-            for lo, levels in taus
-        ]
-
-    def enter(self, vec):
-        return b"".join(vec)
-
-    def leave(self, point):
-        deg = self.deg
-        return [point[i:i + deg] for i in range(0, self.size, deg)]
-
-    def is_zero(self, point):
-        return point == self._zero
-
-    def times(self, x, c):
-        """c·x for a digit c."""
-        if c == 1:
-            return x
-        slot = self.slot
-        return self.ring.digits(c * fpx.pack(x, slot), self.size, slot)
-
-    def step(self, point, c, x):
-        """ρ_t(point) + c·x as one packed sum and one reduction."""
-        ring, slot, deg, pack = self.ring, self.slot, self.deg, fpx.pack
-        v = pack(point, slot)
-        acc = (
-            ((v & self._low) << self._bits)
-            + ((v >> self._top_shift) & self._first) * self._xdeg
-            + ((v >> self._row) & self._inner)
-        )
-        if c:
-            acc += c * pack(x, slot)
-        zero = ring.zero
-        for lo, hi, levels in self._taus:
-            top = point[lo:hi]
-            if top == zero:
-                continue
-            for n, consts, others in levels:
-                fx = ring.frob(top, n)
-                if consts:
-                    acc += pack(fx, slot) * consts
-                if others:
-                    rows, k, first, places, span = others
-                    prods = ring.mul_rows(fx, rows, k)
-                    laid = bytearray(span)
-                    for src, dst in places:
-                        laid[dst:dst + deg] = prods[src:src + deg]
-                    acc += pack(laid, slot) << first * self._row
-        return ring.digits(acc, self.size, slot)
-
-
-def _tau_rows(ring, others):
-    """A level's non-constant coefficients {row: c} as `mul_rows` takes
-    them: (their rows laid out, their count, the first row, the
-    (product digit, digit from the first row) of each, the digits from
-    the first row to the last); None when there are none."""
-    if not others:
-        return None
-    rows = sorted(others)
-    deg, first = ring.deg, rows[0]
-    return (
-        ring.lay([others[r] for r in rows]),
-        len(rows),
-        first,
-        [(i * ring.stride, (r - first) * deg) for i, r in enumerate(rows)],
-        (rows[-1] - first + 1) * deg,
-    )
 
 
 class _RowLoop:
@@ -469,7 +302,7 @@ class TModule:
     def _plan(self, dom):
         """ρ_t in dom, built once per domain with every coefficient
         converted into it: the domain's own plan when it offers one
-        (`ProbeDomain.point_plan`, a whole point in one packed value;
+        (`fpx.PackedQuotient.point_plan`, a whole point in one packed value;
         `fpx.PackedPoly.point_plan`, one packed run of rows per block,
         None for p > 13), else the row loop over its element
         operations."""

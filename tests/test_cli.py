@@ -67,6 +67,9 @@ def test_check_json_format(capsys):
     # a prime field has the one modulus x: 5,1 at p=3 once ran as a
     # second field
     ("check", "--char-p", "3", "--modulus", "5,1", "--tuple", "2,4"),
+    # q = 2^11 is above the table cap: the tables were once built, for
+    # minutes
+    ("check", "--char-p", "2", "--ext-e", "11", "--tuple", "1"),
 ])
 def test_bad_config_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -146,6 +149,45 @@ def test_sweep_deterministic_modulo_timing(tmp_path, capsys):
         return out
 
     assert norm(a) == norm(b)
+
+
+@pytest.mark.parametrize("jobs,workers", [(64, [6]), (6, [6]), (2, [2])])
+def test_sweep_asks_no_more_workers_than_tuples(monkeypatch, jobs, workers):
+    """`run_sweep` asks the pool for at most one worker per tuple, and
+    runs one tuple serially: a `ProcessPoolExecutor` starts all its
+    workers at once, so `--q 9 --wmax 32 --jobs 64` once forked 64
+    processes for 14 tuples.  The fake pool records `max_workers` and
+    maps serially, so the test starts no process."""
+    from ffmzv import cli
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    F = cli.field_for_q(3)
+    tuples = enumerate_tuples(3, 6, 2, False)
+    records = cli.run_sweep(F, tuples, jobs=jobs)
+    assert asked == workers
+
+    def untimed(rs):
+        return [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in rs]
+
+    assert untimed(records) == untimed(cli.run_sweep(F, tuples, jobs=1))
+    assert [r["tuple"] for r in records] == [list(s) for s in tuples]
+    cli.run_sweep(F, tuples[:1], jobs=jobs)
+    assert asked == workers
 
 
 def test_sweep_empty_range(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import contextlib
+import signal
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ffmzv.fields import (
+    MAX_Q,
     FieldError,
     FieldSpec,
     default_modulus,
@@ -106,3 +110,86 @@ def test_prime_field_modulus_must_be_x(p, modulus):
     with pytest.raises(FieldError):
         FieldSpec(p, 1, modulus)
     assert FieldSpec(p, 1, (0, 1)) == FieldSpec(p, 1, (p, 1)) == field_for_q(p)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the guarded block after `seconds`, so a
+    call that never returns fails the test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the call did not return")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FieldSpec(2, 11),
+    lambda: FieldSpec(257, 2),
+    lambda: field_for_q(2 ** 20),
+    lambda: field_for_q(1000003),
+], ids=["2^11", "257^2", "q=2^20", "q=1000003"])
+def test_fields_above_the_cap_raise_at_once(make):
+    """A q above MAX_Q = 1024 is refused before any table, modulus or
+    prime search: FieldSpec(2, 10) once took 33 s to build its tables
+    and FieldSpec(2, 11) did not finish in 80 s, and field_for_q of a
+    large prime ran trial division over every p below it first."""
+    assert MAX_Q == 1024
+    with _deadline(5.0), pytest.raises(FieldError, match="MAX_Q"):
+        make()
+
+
+def _extension_fields():
+    """Every (p, e) with e >= 2 and p^e <= 256."""
+    return [
+        (p, e) for p in range(2, 17) if is_prime(p)
+        for e in range(2, 9) if p ** e <= 256
+    ]
+
+
+@pytest.mark.parametrize("p,e", _extension_fields())
+def test_extension_tables_match_schoolbook(p, e):
+    """The add, neg, mul and inverse tables of every extension field
+    with q <= 256 equal a schoolbook built here from the field's
+    modulus: digit-wise sums, and products of digit lists reduced mod
+    the monic modulus one top digit at a time, the inverse as a^(q-2)."""
+    F = FieldSpec(p, e)
+    q, m = p ** e, F.modulus
+
+    def digits(n):
+        return [n // p ** i % p for i in range(e)]
+
+    def code(ds):
+        return sum(d * p ** i for i, d in enumerate(ds))
+
+    def mulmod(a, b):
+        out = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        for i in range(2 * e - 2, e - 1, -1):
+            c = out[i]
+            for j in range(e + 1):
+                out[i - e + j] = (out[i - e + j] - c * m[j]) % p
+        return out[:e]
+
+    ds = [digits(n) for n in range(q)]
+    mul = [[code(mulmod(a, b)) for b in ds] for a in ds]
+    assert F._mul == mul
+    assert F._add == [
+        [code([(x + y) % p for x, y in zip(a, b)]) for b in ds] for a in ds
+    ]
+    assert F._neg == [code([-x % p for x in a]) for a in ds]
+    inv = [0]
+    for a in range(1, q):
+        acc = 1
+        for _ in range(q - 2):
+            acc = mul[acc][a]
+        inv.append(acc)
+    assert F._inv == inv
