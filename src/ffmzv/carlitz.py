@@ -17,14 +17,18 @@ binomial coefficient B_{n,i} = Γ_{n+1}/(D_i·Γ_{n+1-q^i}) is a polynomial
 integrality is checked by an exact division of B_{n,i}, not assumed,
 and no fraction in t is ever formed.
 
-The recursion is written once, over the store's terms.  On a `packed`
-field (prime q < 256) an H_n is kept as rows of θ-digits (`_RowTerms`):
-a term is `fpx.PackedPoly.row_product` calls and H_n one packed sum of
-the terms (`row_sum`).  Elsewhere the terms are `BiPoly`s
-(`_BiPolyTerms`).  `anderson_thakur` builds the `BiPoly` of an H_n from
-the store on request and keeps it.  The optional disk cache
-(`CARLITZ_CACHE_DIR`) holds one θ-major list of t-coefficient lists per
-n, and every entry it loads must satisfy H_n|_{t=θ} = Γ_{n+1}.
+The recursion is written once, over the store's terms, and G_i is a
+product on them too.  There is one term type per ring, shared with the
+motive's reduction (`motive`), and `terms_for` picks it: on a `packed`
+field (prime q < 256) with integral coefficients, rows of θ-digits
+(`_RowTerms`), where a term of the fill is `fpx.PackedPoly.row_product`
+calls and H_n one packed sum of the terms (`row_sum`); elsewhere, and
+for rational motives, `BiPoly`s (`_BiPolyTerms`).  Each type also
+holds the worklist's operations in u = t-θ.  `anderson_thakur` builds
+the `BiPoly` of an H_n from the store on request and keeps it.  The
+optional disk cache (`CARLITZ_CACHE_DIR`) holds one θ-major list of
+t-coefficient lists per n, and every entry it loads must satisfy
+H_n|_{t=θ} = Γ_{n+1}.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from pathlib import Path
 
 from . import fpx
 from .fields import FieldSpec, field_for_q
-from .poly import BiPoly, Poly, RatFrac, packed_ring
+from .poly import BiPoly, Poly, RatFrac, packed_ring, taylor_shift
 
 CACHE_DIR_ENV = "CARLITZ_CACHE_DIR"
 
@@ -74,25 +78,52 @@ def from_theta_major(field: FieldSpec, tcoeffs):
     return BiPoly(field, rows)
 
 
-class _BiPolyTerms:
-    """The H_n store as `BiPoly`s with `Poly` rows: extension fields
-    and p >= 256."""
+def _check_laid(terms, b):
+    """The checks of `lay`: b a `BiPoly` over the terms' field, with
+    rational coefficients only where the terms are rational."""
+    if not isinstance(b, BiPoly):
+        raise TypeError("attached polynomial must be a BiPoly")
+    if b.field != terms.field:
+        raise ValueError(f"a BiPoly over {b.field} is not over {terms.field}")
+    if b.rational and not terms.rational:
+        raise ValueError("rational attached polynomial in integral motive")
 
-    def __init__(self, field: FieldSpec):
+
+class _BiPolyTerms:
+    """F_q[θ][v] (or k[v] when `rational`) as `BiPoly`s: the terms of
+    extension fields, of p >= 256 and of rational motives.  A term is a
+    polynomial in v = t (the H_n store, the seeds) or in v = t-θ (the
+    worklist, after `expand`); products are `BiPoly` products."""
+
+    mul = staticmethod(operator.mul)
+    add = add_coeff = staticmethod(operator.add)
+
+    def __init__(self, field: FieldSpec, rational: bool = False):
         self.field = field
-        self.one = BiPoly.one(field)
+        self.rational = rational
+        self.one = BiPoly.one(field, rational)
+        self._minus_one = field.neg(1)
+        self._twist_shift = ((1, 1), (self._minus_one, field.q))
 
     def lay(self, b: BiPoly):
+        """The term of a `BiPoly` in t, an integral one made rational
+        in rational terms."""
+        _check_laid(self, b)
+        if self.rational and not b.rational:
+            return BiPoly(
+                self.field, [RatFrac.from_poly(c) for c in b.coeffs], True
+            )
         return b
 
     def t_poly(self, b: Poly):
-        return BiPoly.from_tpoly(b.with_var("t"))
-
-    def mul(self, a, b):
-        return a * b
+        """A polynomial in t over F_q."""
+        return BiPoly.from_tpoly(b, self.rational)
 
     def sum(self, terms):
         return functools.reduce(operator.add, terms)
+
+    def neg(self, f):
+        return f.scale(self._minus_one)
 
     def theta_degree(self, h) -> int:
         return h.theta_degree()
@@ -107,30 +138,97 @@ class _BiPolyTerms:
         F = self.field
         return from_theta_major(F, [Poly(F, c, var="t") for c in tmajor])
 
+    # -- the worklist, in u = t-θ -----------------------------------------
+    def expand(self, f):
+        """The u-basis term of a term in t."""
+        return BiPoly(self.field, f.expand_tm_theta(), self.rational)
+
+    def u_power(self, w):
+        F = self.field
+        zero, one = (
+            (RatFrac.zero(F), RatFrac.one(F)) if self.rational
+            else (Poly.zero(F), Poly.one(F))
+        )
+        return BiPoly(F, [zero] * w + [one], self.rational)
+
+    def rows(self, f):
+        return len(f.coeffs)
+
+    def split(self, f, w):
+        """(γ, g) with f = γ + u^w·g and fewer than w rows in γ."""
+        return (
+            BiPoly(self.field, f.coeffs[:w], self.rational),
+            BiPoly(self.field, f.coeffs[w:], self.rational),
+        )
+
+    def twist(self, g):
+        """g^{(1)} in the u-basis: the twisted coefficients shifted by
+        θ - θ^q."""
+        return BiPoly(
+            self.field,
+            taylor_shift(
+                self.field, [c.twist(1) for c in g.coeffs], self._twist_shift
+            ),
+            self.rational,
+        )
+
+    def coeffs(self, f):
+        """(j, a) for every nonzero coefficient a of u^j."""
+        return [(j, a) for j, a in enumerate(f.coeffs) if a]
+
+    def export(self, a):
+        return a
+
 
 class _RowTerms:
-    """The H_n store on a `packed` field: an element of F_p[θ][t] is
-    the pair (x, width) that `fpx.PackedPoly.row_product` takes, digit
-    i·width + j of x the coefficient of θ^j·t^i, trailing zeros dropped
-    and width the θ-degree plus one.  A product is one `row_product`, a
-    sum of terms one `row_sum`, and a θ-major column of the disk cache
-    a strided slice x[j::width]."""
+    """F_p[θ][v] on a `packed` field, integral: a term is the pair
+    (x, width) that `fpx.PackedPoly.row_product` takes, digit
+    i·width + j of x the coefficient of θ^j·v^i, v = t (the H_n store,
+    the seeds) or v = t-θ (the worklist, after `expand`), trailing zero
+    digits dropped and width above every θ-degree.  The store's terms
+    are tight, width the θ-degree plus one.
+
+    A product is one `row_product` (a Kronecker product), a sum one
+    packed sum (`add`, `row_sum`), a θ-major column of the disk cache a
+    strided slice x[j::width], the shift t ↦ u + θ and the twist's
+    shift by θ - θ^p a `fpx.PackedPoly.taylor_shift` whose Horner
+    steps are packed sums, so every slot bound is derived in `fpx`.  A
+    coefficient of u^j in the worklist is a `bytes` of
+    `fpx.PackedPoly`."""
+
+    rational = False
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        ring = packed_ring(field.p)
+        self.ring = ring = packed_ring(field.p)
         self.one = b"\1", 1
         self.mul = ring.row_product
         self.sum = ring.row_sum
+        self.add_coeff = ring.add
+        self._twist_shift = ((1, 1), (field.neg(1), field.p))
 
     def lay(self, b: BiPoly):
-        return b.to_rows()
+        """The rows of a `BiPoly` in t."""
+        _check_laid(self, b)
+        x, width = b.to_rows()
+        return x.rstrip(b"\0"), width
 
     def t_poly(self, b: Poly):
         """A polynomial in t over F_p: one digit per row."""
         return bytes(b.coeffs), 1
 
+    def add(self, a, b):
+        (x, wa), (y, wb) = a, b
+        width = max(wa, wb)
+        return self.ring.add(
+            fpx.relayout(x, wa, width), fpx.relayout(y, wb, width)
+        ), width
+
+    def neg(self, f):
+        return self.ring.neg(f[0]), f[1]
+
     def theta_degree(self, h) -> int:
+        """The θ-degree of a tight term."""
         x, width = h
         return width - 1 if x else -1
 
@@ -148,6 +246,64 @@ class _RowTerms:
             x[j:len(col) * width:width] = bytes(col)
         return fpx.tighten(bytes(x), width)
 
+    # -- the worklist, in u = t-θ -----------------------------------------
+    def expand(self, f):
+        """The u-basis term of a term in t: the shift by θ raises a
+        θ-degree by at most the t-degree, so the rows are re-laid that
+        much wider first."""
+        x, width = f
+        if not x:
+            return b"", 1
+        wide = width + self.rows(f) - 1
+        return self.ring.taylor_shift(
+            (fpx.relayout(x, width, wide), wide), ((1, 1),)
+        )
+
+    def u_power(self, w):
+        return bytes(w) + b"\1", 1
+
+    def rows(self, f):
+        x, width = f
+        return -(-len(x) // width)
+
+    def split(self, f, w):
+        """(γ, g) with f = γ + u^w·g and fewer than w rows in γ."""
+        x, width = f
+        return (x[:w * width].rstrip(b"\0"), width), fpx.tighten(x[w * width:], width)
+
+    def twist(self, g):
+        """g^{(1)} in the u-basis: θ^j ↦ θ^{pj} spreads the digits p
+        apart, in rows of width p·width, then the shift by θ - θ^p."""
+        x, width = g
+        p, rows = self.field.p, self.rows(g)
+        # the shift by θ - θ^p raises a θ-degree by at most p·(rows - 1)
+        wide = p * (width + rows - 2) + 1
+        y = fpx.relayout(self.ring.frob(x, 1), p * width, wide)
+        return self.ring.taylor_shift((y, wide), self._twist_shift)
+
+    def coeffs(self, f):
+        """(j, a) for every nonzero coefficient a of u^j."""
+        x, width = f
+        out = []
+        for i in range(0, len(x), width):
+            a = x[i:i + width].rstrip(b"\0")
+            if a:
+                out.append((i // width, a))
+        return out
+
+    def export(self, a):
+        return Poly(self.field, a)
+
+
+def terms_for(field: FieldSpec, rational: bool = False):
+    """The terms of F_q[θ][t] for `field`: packed rows (`_RowTerms`) on
+    a `packed` field for integral coefficients, `BiPoly`s
+    (`_BiPolyTerms`) otherwise.  The one place these terms read
+    `field.packed`."""
+    if field.packed and not rational:
+        return _RowTerms(field)
+    return _BiPolyTerms(field, rational)
+
 
 class CarlitzCache:
     """Memoized Carlitz quantities for a fixed F_q."""
@@ -160,7 +316,7 @@ class CarlitzCache:
         self._big_l = {0: Poly.one(field)}
         self._g = {}
         self._g_laid = {}
-        self._terms = (_RowTerms if field.packed else _BiPolyTerms)(field)
+        self._terms = terms_for(field)
         self._h = self._trivial_h()
         self._h_bipoly = {}
         self._bc = {}
@@ -241,17 +397,10 @@ class CarlitzCache:
 
     # -- the H_n family ----------------------------------------------------
     def g_poly(self, i: int) -> BiPoly:
-        """G_i(θ) = Π_{j=1..i} (t^{q^i} - θ^{q^j}) in F_q[t,θ]."""
+        """G_i(θ) = Π_{j=1..i} (t^{q^i} - θ^{q^j}) in F_q[t,θ], the
+        `BiPoly` of the store's `_g_terms`."""
         if i not in self._g:
-            F = self.field
-            qi = self.q ** i
-            out = BiPoly.one(F)
-            for j in range(1, i + 1):
-                factor = BiPoly(
-                    F, [-Poly.gen(F).twist(j)] + [Poly.zero(F)] * (qi - 1) + [Poly.one(F)]
-                )
-                out = out * factor
-            self._g[i] = out
+            self._g[i] = self._terms.bipoly(self._g_terms(i))
         return self._g[i]
 
     def anderson_thakur(self, n: int) -> BiPoly:
@@ -276,7 +425,7 @@ class CarlitzCache:
 
     def _derive_h(self, h, n: int):
         """Extend the memo h, which holds H_0..H_{q-1} = 1, to H_0..H_n,
-        in the store's terms (`_RowTerms` or `_BiPolyTerms`).
+        in the store's terms (`terms_for`).
 
         Ascending in m, H_m = Σ_{q^i ≤ m} G_i(θ,t)·H_{m-q^i}·B_{m,i}(t):
         the generating identity multiplied through by Γ_{m+1}(t).  Every
@@ -308,9 +457,18 @@ class CarlitzCache:
             h[m] = acc
 
     def _g_terms(self, i: int):
-        """G_i in the store's terms, laid out once per i."""
+        """G_i in the store's terms, a product of the factors
+        t^{q^i} - θ^{q^j} on those terms, formed once per i."""
         if i not in self._g_laid:
-            self._g_laid[i] = self._terms.lay(self.g_poly(i))
+            F, T = self.field, self._terms
+            qi = self.q ** i
+            out = T.one
+            for j in range(1, i + 1):
+                factor = BiPoly(
+                    F, [-Poly.gen(F).twist(j)] + [Poly.zero(F)] * (qi - 1) + [Poly.one(F)]
+                )
+                out = T.mul(out, T.lay(factor))
+            self._g_laid[i] = out
         return self._g_laid[i]
 
     def _at_theta(self, cols) -> Poly:

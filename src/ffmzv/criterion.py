@@ -298,10 +298,10 @@ def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
     is Eulerian.
 
     Every s_i must be divisible by q-1 and every u_i nonzero.  A u_i is
-    a RatFrac, a Poly or an int element code in range(q).  When
-    some u_i has degree >= s_i·q/(q-1) the convergence/non-vanishing
-    hypotheses behind the criterion are unverified and the verdict is
-    flagged conditional.
+    a RatFrac or a Poly in θ over `field`, or an int element code in
+    range(q).  When some u_i has degree >= s_i·q/(q-1) the
+    convergence/non-vanishing hypotheses behind the criterion are
+    unverified and the verdict is flagged conditional.
     """
     t0 = time.perf_counter()
     s = composition(s)
@@ -319,6 +319,8 @@ def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
                 f"coordinate {x!r} is not a RatFrac, a Poly or an element "
                 f"code in range({q})"
             )
+        if f.field != field or f.num.var != "θ" or f.den.var != "θ":
+            raise ValueError(f"coordinate {x!r} is not in {field}(θ)")
         if f.is_zero():
             raise ValueError("evaluation point has a zero coordinate")
         us.append(f)
@@ -415,8 +417,9 @@ def _witness_kernel(motive: Motive, seed_groups, bound: int):
     def vanishes(polys):
         # Σ ρ_{a_i}(P_i) in exact arithmetic, as one reduction of the
         # a_i-multiples of the seeds (the reduction is linear)
+        T = motive.domain()
         scaled = [
-            (m, f.coeff_mul_t(a), ell)
+            (m, T.mul(f, T.t_poly(a)), ell)
             for seeds, a in zip(seed_groups, polys)
             for m, f, ell in seeds
         ]

@@ -122,9 +122,19 @@ class FieldSpec:
             # element n as its e base-p digits, and back
             elements = [bytes(n // p ** i % p for i in range(e)) for n in range(q)]
             code = {x: n for n, x in enumerate(elements)}
+            # row a is a plus every element: a's digits repeated q times
+            # plus all q elements end to end, one packed sum whose slots
+            # hold at most 2(p-1) <= 60 (e >= 2 under MAX_Q keeps
+            # p <= 31), so one byte each, and one translate mod p
+            mod_p = bytes(i % p for i in range(256))
+            every, n = int.from_bytes(b"".join(elements), "little"), q * e
             self._add = [
-                [code[bytes((x + y) % p for x, y in zip(a, b))] for b in elements]
-                for a in elements
+                [code[row[i:i + e]] for i in range(0, n, e)]
+                for row in (
+                    (int.from_bytes(a * q, "little") + every)
+                    .to_bytes(n, "little").translate(mod_p)
+                    for a in elements
+                )
             ]
             # row a is a times every element: one `mul_rows` of q rows
             ring = fpx.PackedQuotient(self.modulus, p)

@@ -28,8 +28,8 @@ until every coefficient has t-degree < w_ℓ and drops into the σ-basis.
 Every term stays in the (t-θ)-adic basis u = t-θ from seed to finish,
 so the split is a slice and a finished coefficient of u^j is the
 coefficient of its row.  A seed given in t is expanded once (the Taylor
-shift f(t) ↦ f(u+θ), `BiPoly.expand_tm_theta`), each Q_ℓ once per
-motive, and the ρ_t seed (t-θ)^{w_ℓ} is u^{w_ℓ} as it stands.  The
+shift f(t) ↦ f(u+θ)), each Q_ℓ once per motive, and the ρ_t seed
+(t-θ)^{w_ℓ} is u^{w_ℓ} as it stands.  The
 twist keeps t and raises θ to θ^q, so g^{(1)} is the twist of the
 coefficients of g followed by the Taylor shift by θ - θ^q; in
 characteristic p that shift is Horner's rule in u^m + θ^m - θ^{qm}
@@ -40,168 +40,31 @@ contributes a_j·τ^n at its row when collecting the operator, and plainly
 a_j when collecting a point (the σ-level cancels against the q^n-th
 power in the quotient map, so points never see it).
 
-The worklist runs over one of two coefficient domains, like
-`tmodule.TModule.apply_t`: packed F_p digits (`_PackedTerms`, on the
-shared `poly.packed_ring`, whose sums, products in u, Frobenius and
-Taylor shift are `fpx.PackedPoly`'s, so no slot bound is derived
-here) where the field is `packed` (prime q < 256) and the
-coefficients integral, `BiPoly` terms in u with `Poly` or
-`RatFrac` coefficients (`_PolyTerms`) for every other field, p >= 256
-included, and for the polylogarithm motives.
+The terms, seeds and worklist alike, are the H_n fill's, one type per
+ring (`carlitz.terms_for`), like the coefficient domains of
+`tmodule.TModule.apply_t`: packed rows of F_p digits
+(`carlitz._RowTerms`, on the shared `poly.packed_ring`, whose sums,
+products, Frobenius and Taylor shift are `fpx.PackedPoly`'s, so no slot
+bound is derived here) where the field is `packed` (prime q < 256) and
+the coefficients integral, `BiPoly` terms with `Poly` or `RatFrac`
+coefficients (`carlitz._BiPolyTerms`) for every other field, p >= 256
+included, and for the polylogarithm motives.  Each Q_ℓ is laid out as
+a term in t once, when the motive is built, and the seeds of the points
+are products of those terms, so a packed motive builds no `BiPoly`.
 """
 from __future__ import annotations
 
-from . import fpx
-from .carlitz import cache_for
+from functools import cached_property
+
+from .carlitz import cache_for, terms_for
 from .fields import FieldSpec, composition
-from .poly import BiPoly, Poly, RatFrac, packed_ring, taylor_shift
+from .poly import Poly, RatFrac
 
 _BUDGET = 10 ** 6
 
 
 class ReductionBudgetError(RuntimeError):
     """The worklist exceeded its step budget (should never happen)."""
-
-
-class _PolyTerms:
-    """A[u] (or k[u]), u = t-θ, as `BiPoly` terms whose variable is u:
-    the worklist's domain for extension fields, p >= 256 and rational
-    attached polynomials."""
-
-    def __init__(self, field: FieldSpec, rational: bool):
-        self.field = field
-        self.rational = rational
-        self._minus_one = field.neg(1)
-        self._twist_shift = ((1, 1), (self._minus_one, field.q))
-
-    def expand(self, f):
-        """The u-basis term of a `BiPoly` in t."""
-        return BiPoly(self.field, f.expand_tm_theta(), self.rational)
-
-    def u_power(self, w):
-        zero = RatFrac.zero(self.field) if self.rational else Poly.zero(self.field)
-        one = RatFrac.one(self.field) if self.rational else Poly.one(self.field)
-        return BiPoly(self.field, [zero] * w + [one], self.rational)
-
-    def rows(self, f):
-        return len(f.coeffs)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, f):
-        return f.scale(self._minus_one)
-
-    def split(self, f, w):
-        """(γ, g) with f = γ + u^w·g and fewer than w rows in γ."""
-        return (
-            BiPoly(self.field, f.coeffs[:w], self.rational),
-            BiPoly(self.field, f.coeffs[w:], self.rational),
-        )
-
-    def twist(self, g):
-        """g^{(1)} in the u-basis: the twisted coefficients shifted by
-        θ - θ^q."""
-        return BiPoly(
-            self.field,
-            taylor_shift(
-                self.field, [c.twist(1) for c in g.coeffs], self._twist_shift
-            ),
-            self.rational,
-        )
-
-    def coeffs(self, f):
-        """(j, a) for every nonzero coefficient a of u^j."""
-        return [(j, a) for j, a in enumerate(f.coeffs) if a]
-
-    def add_coeff(self, a, b):
-        return a + b
-
-    def export(self, a):
-        return a
-
-
-class _PackedTerms:
-    """A[u], u = t-θ, on packed F_p digits (prime p < 256, integral
-    coefficients): the worklist's domain wherever the probe runs.
-
-    A term is a pair (x, W): x a `bytes` whose digit i·W + j is the
-    coefficient of θ^j·u^i, trailing zero digits dropped, and W a row
-    width above every θ-degree of the term, so x spells the term at
-    u = θ^W (Kronecker substitution): the pair `fpx.PackedPoly`'s
-    `row_product` takes.  A sum is one packed sum, a product in u one
-    Kronecker product (`fpx.PackedPoly.row_product`, the A[t] product
-    of `poly.BiPoly` too), the twist a strided copy
-    (`fpx.PackedPoly.frob`) followed by a Taylor shift whose Horner
-    steps are packed sums (`fpx.PackedPoly.taylor_shift`), so every
-    slot bound is derived in `fpx`.  A coefficient of the result is a
-    `bytes` of `fpx.PackedPoly`.
-    """
-
-    def __init__(self, field: FieldSpec):
-        self.field = field
-        self.p = p = field.p
-        self.ring = ring = packed_ring(p)
-        self.add_coeff = ring.add
-        self.mul = ring.row_product
-        self._twist_shift = ((1, 1), (field.neg(1), p))
-
-    def expand(self, f):
-        """The u-basis term of a `BiPoly` in t."""
-        if not f.coeffs:
-            return b"", 1
-        # the shift by θ raises a θ-degree by at most deg_t f
-        width = f.theta_degree() + len(f.coeffs)
-        x = fpx.lay_rows(map(self.ring.convert, f.coeffs), width)
-        return self.ring.taylor_shift((x, width), ((1, 1),))
-
-    def u_power(self, w):
-        return bytes(w) + b"\1", 1
-
-    def rows(self, f):
-        x, width = f
-        return -(-len(x) // width)
-
-    def add(self, a, b):
-        (x, wa), (y, wb) = a, b
-        width = max(wa, wb)
-        return self.ring.add(
-            fpx.relayout(x, wa, width), fpx.relayout(y, wb, width)
-        ), width
-
-    def neg(self, f):
-        return self.ring.neg(f[0]), f[1]
-
-    def split(self, f, w):
-        """(γ, g) with f = γ + u^w·g and fewer than w rows in γ."""
-        x, width = f
-        return (x[:w * width].rstrip(b"\0"), width), fpx.tighten(x[w * width:], width)
-
-    def twist(self, g):
-        """g^{(1)} in the u-basis: θ^j ↦ θ^{pj} spreads the digits p
-        apart, in rows of width p·W, then the shift by θ - θ^p."""
-        x, width = g
-        p, rows = self.p, self.rows(g)
-        # the shift by θ - θ^p raises a θ-degree by at most p·(rows - 1)
-        wide = p * (width + rows - 2) + 1
-        y = fpx.relayout(self.ring.frob(x, 1), p * width, wide)
-        return self.ring.taylor_shift((y, wide), self._twist_shift)
-
-    def coeffs(self, f):
-        """(j, a) for every nonzero coefficient a of u^j."""
-        x, width = f
-        out = []
-        for i in range(0, len(x), width):
-            a = x[i:i + width].rstrip(b"\0")
-            if a:
-                out.append((i // width, a))
-        return out
-
-    def export(self, a):
-        return Poly(self.field, a)
 
 
 class Motive:
@@ -227,11 +90,13 @@ class Motive:
             if len(Q) != self.r:
                 raise ValueError("need one attached polynomial per entry")
         self.Q = Q
+        self._terms = terms_for(field, rational)
+        # each Q_ℓ laid out once, in t
+        self._laid = [self._terms.lay(f) for f in Q]
         # suffix weights: weights[ℓ-1] = s_ℓ + ... + s_r
         self.weights = [sum(s[i:]) for i in range(self.r)]
         self.d = sum(self.weights)
         self._offsets = [sum(self.weights[:i]) for i in range(self.r)]
-        self._dom = None
 
     # -- indexing ----------------------------------------------------------
     def row(self, ell: int, j: int) -> int:
@@ -243,17 +108,15 @@ class Motive:
 
     # -- the reduction worklist -------------------------------------------
     def domain(self):
-        """The worklist's coefficient domain, built on first use together
-        with the u-basis Q_1, ..., Q_{r-1} that the telescoping
-        multiplies by."""
-        if self._dom is None:
-            if self.field.packed and not self.rational:
-                dom = _PackedTerms(self.field)
-            else:
-                dom = _PolyTerms(self.field, self.rational)
-            self._uq = [dom.expand(self._as_bipoly(q)) for q in self.Q[:-1]]
-            self._dom = dom
-        return self._dom
+        """The motive's terms of F_q[θ][t] (`carlitz.terms_for`): the
+        seeds are terms in t, the worklist's terms in u = t-θ."""
+        return self._terms
+
+    @cached_property
+    def _uq(self):
+        """The u-basis Q_1, ..., Q_{r-1} that the telescoping multiplies
+        by, expanded on first use."""
+        return [self._terms.expand(f) for f in self._laid[:-1]]
 
     def _worklist(self, terms):
         """Drive u-basis terms (n, f, ℓ) to the σ-basis, yielding the
@@ -316,7 +179,11 @@ class Motive:
         return [(n, dom.expand(f), ell) for n, f, ell in seeds]
 
     def reduce(self, seeds):
-        """Drive seeds (n, f, ℓ), f a `BiPoly` in t, to the σ-basis.
+        """Drive seeds (n, f, ℓ), f a term in t of `domain()`, to the
+        σ-basis.  A caller holding a `BiPoly` passes `domain().lay(f)`,
+        and `domain().bipoly(f)` gives a seed's f back as a `BiPoly`;
+        `reduce_point` takes, and `point_v_seeds` and `point_u_seeds`
+        return, seeds of the same kind.
 
         Returns the finished contributions as (n, coeff, row) triples,
         one per σ-level and row, coeff a nonzero element of the
@@ -361,38 +228,18 @@ class Motive:
         Pre-telescoped by hand: the (t-θ)^{s_r} factor is exactly the
         diagonal entry of block r, so the seeds sit at σ-level 1.
         """
-        seeds = [(1, self._as_bipoly(self.Q[-1]), self.r)]
-        prod = self._as_bipoly(self.Q[-1])
-        minus_one = self.field.neg(1)
+        T, laid = self._terms, self._laid
+        prod = laid[-1]
+        seeds = [(1, prod, self.r)]
         for i in range(1, self.r):
-            prod = prod * self._as_bipoly(self.Q[self.r - 1 - i])
-            seeds.append((1, prod.scale(minus_one) if i % 2 else prod, self.r - i))
+            prod = T.mul(prod, laid[self.r - 1 - i])
+            seeds.append((1, T.neg(prod) if i % 2 else prod, self.r - i))
         return seeds
 
     def point_u_seeds(self):
         """Seeds for H_{w-1}^{(-1)}(t-θ)^w m_1 (the depth-collapsed point)."""
-        cache = cache_for(self.field)
-        h = cache.anderson_thakur(self.weights[0] - 1)
-        if self.rational:
-            h = BiPoly(
-                self.field,
-                [RatFrac.from_poly(c) for c in h.coeffs],
-                True,
-            )
-        return [(1, h, 1)]
+        h = cache_for(self.field).anderson_thakur(self.weights[0] - 1)
+        return [(1, self._terms.lay(h), 1)]
 
     def special_point_v(self):
         return self.reduce_point(self.point_v_seeds())
-
-    def _as_bipoly(self, qpoly) -> BiPoly:
-        if isinstance(qpoly, BiPoly):
-            if qpoly.rational == self.rational:
-                return qpoly
-            if self.rational and not qpoly.rational:
-                return BiPoly(
-                    self.field,
-                    [RatFrac.from_poly(c) for c in qpoly.coeffs],
-                    True,
-                )
-            raise ValueError("rational attached polynomial in integral motive")
-        raise TypeError("attached polynomial must be a BiPoly")

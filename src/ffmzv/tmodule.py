@@ -377,9 +377,6 @@ class TModule:
             for i in range(self.d)
         ]
 
-    def nilpotent_check(self) -> bool:
-        return self.nilpotency_index() is not None
-
     def nilpotency_index(self):
         """Smallest k >= 1 with (ρ_t|_{τ=0} - θI)^k = 0, or None if not
         nilpotent within d steps."""

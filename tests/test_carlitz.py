@@ -411,22 +411,27 @@ def test_h_at_t_theta_is_gamma(q, nmax):
 
 
 def test_h_bipolys_are_built_on_request(monkeypatch):
-    """One fill of H_0..H_61 builds the `BiPoly` of H_61 only, once
-    (G_0..G_3, `BiPoly` products, are built before counting)."""
+    """A fresh fill of H_0..H_61 at q=3 multiplies no `BiPoly`s, G_0..G_3
+    included, and builds the `BiPoly` of H_61 only, once."""
     c = CarlitzCache(field_for_q(3))
-    for i in range(4):
-        c.g_poly(i)
-    built = []
+    built, products = [], []
     from_rows = BiPoly.from_rows.__func__
+    mul = BiPoly.__mul__
 
     def counting(cls, field, rows):
         built.append(rows)
         return from_rows(cls, field, rows)
 
+    def counting_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
     monkeypatch.setattr(BiPoly, "from_rows", classmethod(counting))
+    monkeypatch.setattr(BiPoly, "__mul__", counting_mul)
     h = c.anderson_thakur(61)
     assert c.anderson_thakur(61) is h
     assert len(built) == 1
+    assert products == []
 
 
 @pytest.mark.parametrize("corrupt", ["empty", "copy_of_11"])

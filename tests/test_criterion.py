@@ -23,7 +23,7 @@ from ffmzv.fields import field_for_q
 from ffmzv.linalg import rref_nullspace
 from ffmzv.motive import Motive
 from ffmzv.oracle import SeriesContext, zeta_laurent
-from ffmzv.poly import Poly, RatFrac
+from ffmzv.poly import BiPoly, Poly, RatFrac
 from ffmzv.tmodule import TModule
 
 
@@ -285,6 +285,27 @@ def test_cmpl_rejects_int_outside_element_codes(u):
         is_cmpl_eulerian(F, (8,), (u,))
 
 
+def test_attached_polynomials_and_coordinates_are_checked():
+    """An attached polynomial or a polylogarithm coordinate over another
+    field, or a coordinate in t, is refused with a ValueError, as is a
+    rational attached polynomial in an integral motive; an attached
+    polynomial that is not a `BiPoly` is a TypeError."""
+    F3, F5 = field_for_q(3), field_for_q(5)
+    with pytest.raises(ValueError):
+        Motive(F3, (2,), Q=[BiPoly(F5, [Poly(F5, [4, 3])])])
+    with pytest.raises(ValueError):
+        Motive(F3, (2,), Q=[BiPoly(F3, [RatFrac.one(F3)], rational=True)])
+    with pytest.raises(TypeError):
+        Motive(F3, (2,), Q=[Poly(F3, [1])])
+    for u in (
+        Poly(F5, [4, 3]),
+        RatFrac(Poly.one(F5), Poly.gen(F5)),
+        Poly(F3, [0, 1], var="t"),
+    ):
+        with pytest.raises(ValueError):
+            is_cmpl_eulerian(F3, (2,), [u])
+
+
 def test_cmpl_rational_point():
     F = field_for_q(3)
     th = Poly.gen(F)
@@ -392,11 +413,12 @@ def _reduction_iterates(motive, seeds, count):
     seeds, each one reduction of the t^j-multiples of the seeds: the
     reduction is linear and commutes with t, so no ρ_t is applied."""
     F = motive.field
+    T = motive.domain()
     t = Poly(F, [0, 1], var="t")
     tpow = Poly.one(F, var="t")
     out = []
     for _ in range(count + 1):
-        scaled = [(n, f.coeff_mul_t(tpow), ell) for n, f, ell in seeds]
+        scaled = [(n, T.mul(f, T.t_poly(tpow)), ell) for n, f, ell in seeds]
         out.append(motive.reduce_point(scaled))
         tpow = tpow * t
     return out
@@ -553,3 +575,23 @@ def test_verdict_json_schema():
         "eulerian", "precheck", "annihilator_degree", "elapsed_ms",
     }
     assert d["q"] == 3 and d["tuple"] == [2, 4] and d["eulerian"] is True
+
+
+def test_warm_zetalike_search_builds_no_bipoly(monkeypatch):
+    """A second `is_zeta_like(F3, (1, 2), 11)`, its H_n filled and their
+    `BiPoly`s built by the first, builds no `BiPoly`: on a packed field
+    the seeds, their products and `vanishes` run on packed rows."""
+    F = field_for_q(3)
+    first = is_zeta_like(F, (1, 2), 11)
+    built = []
+    init = BiPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BiPoly, "__init__", counting)
+    again = is_zeta_like(F, (1, 2), 11)
+    assert again.outcome == first.outcome
+    assert again.witness_a == first.witness_a
+    assert built == []

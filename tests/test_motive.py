@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+from ffmzv.carlitz import _RowTerms
 from ffmzv.cli import enumerate_tuples
 from ffmzv.fields import field_for_q
-from ffmzv.motive import Motive, _PackedTerms
+from ffmzv.motive import Motive
 from ffmzv.poly import BiPoly, Poly, RatFrac, taylor_shift
 from ffmzv.tmodule import (
     TModule,
@@ -154,9 +155,10 @@ def test_rho_t_compatible_with_module_t_action(q, s):
     motive = Motive(F, s)
     tm = TModule.from_motive(motive)
     seeds = motive.point_v_seeds()
-    t = Poly(F, [0, 1], var="t")
+    T = motive.domain()
+    t = T.t_poly(Poly(F, [0, 1], var="t"))
     direct = motive.reduce_point(
-        [(n, f.coeff_mul_t(t), ell) for n, f, ell in seeds]
+        [(n, T.mul(f, t), ell) for n, f, ell in seeds]
     )
     assert tm.apply_t(motive.special_point_v()) == direct
 
@@ -177,7 +179,8 @@ def _rho_t_by_worklist(motive):
         seed = t  # t·(t-θ)^j, one factor t - θ more per column
         for j in range(motive.weights[ell - 1]):
             col = motive.row(ell, j)
-            for n, a, row in motive.reduce([(0, seed, ell)]):
+            laid = motive.domain().lay(seed)
+            for n, a, row in motive.reduce([(0, laid, ell)]):
                 slot = entries.setdefault((row, col), {})
                 slot[n] = slot[n] + a if n in slot else a
             seed = seed * tmt
@@ -228,8 +231,9 @@ def test_apply_poly_matches_seed_scaling(q, s):
     tm = TModule.from_motive(motive)
     seeds = motive.point_v_seeds()
     a = Poly(F, [1, 0, 1, 1], var="t")
+    T = motive.domain()
     via_seeds = motive.reduce_point(
-        [(n, f.coeff_mul_t(a), ell) for n, f, ell in seeds]
+        [(n, T.mul(f, T.t_poly(a)), ell) for n, f, ell in seeds]
     )
     assert tm.apply_poly(motive.special_point_v(), a) == via_seeds
 
@@ -286,21 +290,21 @@ def test_telescope_sign_is_field_minus_one(q):
     `field.neg(1)` at q=9, where the element q−1 is not −1."""
     F = field_for_q(q)
     m = Motive(F, (2, 3, q + 1))
-    Q = [m._as_bipoly(x) for x in m.Q]
+    dom = m.domain()
+    Q = m.Q
     minus_one = F.neg(1)
     if q == 4:
         assert minus_one == 1
     want_v = [Q[2], (Q[2] * Q[1]).scale(minus_one), Q[2] * Q[1] * Q[0]]
-    assert [a for _n, a, _l in m.point_v_seeds()] == want_v
+    assert [dom.bipoly(a) for _n, a, _l in m.point_v_seeds()] == want_v
     g = BiPoly(F, [Poly.gen(F), Poly.one(F)])
     g1 = g.twist(1)
     want_t = [g1, (g1 * Q[1]).scale(minus_one), g1 * Q[1] * Q[0]]
     # the worklist telescopes u-basis terms, u = t-θ: compare the
     # coefficients of u^j with the expansions of the t-basis products
-    dom = m.domain()
-    got = m.telescope_expand(dom.expand(g), 3)
+    got = m.telescope_expand(dom.expand(dom.lay(g)), 3)
     assert [dom.coeffs(a) for _n, a, _l in got] == [
-        dom.coeffs(dom.expand(a)) for a in want_t
+        dom.coeffs(dom.expand(dom.lay(a))) for a in want_t
     ]
 
 
@@ -315,7 +319,8 @@ def _point_by_t_basis_worklist(motive, seeds):
     def rebuild(coeffs):
         return BiPoly(F, taylor_shift(F, coeffs, ((minus_one, 1),)), rational)
 
-    Q = [motive._as_bipoly(x) for x in motive.Q]
+    dom = motive.domain()
+    Q = [dom.bipoly(dom.lay(x)) for x in motive.Q]
     pending = {}
 
     def push(n, f, ell):
@@ -323,7 +328,7 @@ def _point_by_t_basis_worklist(motive, seeds):
         pending[key] = pending[key] + f if key in pending else f
 
     for n, f, ell in seeds:
-        push(n, f, ell)
+        push(n, dom.bipoly(f), ell)
     zero = RatFrac.zero(F) if rational else Poly.zero(F)
     coords = [zero] * motive.d
     while pending:
@@ -398,10 +403,37 @@ def test_point_reduction_matches_t_basis_worklist():
     count = 0
     for motive in _point_motives():
         packed = motive.field.packed and not motive.rational
-        assert isinstance(motive.domain(), _PackedTerms) == packed, (
+        assert isinstance(motive.domain(), _RowTerms) == packed, (
             motive.field, motive.s)
         for seeds in (motive.point_v_seeds(), motive.point_u_seeds()):
             assert motive.reduce_point(seeds) == _point_by_t_basis_worklist(
                 motive, seeds), motive.s
         count += 1
     assert count > 500
+
+
+def test_warm_motive_builds_no_bipoly(monkeypatch):
+    """On a packed field a motive whose H_n are filled, and their
+    `BiPoly`s built, builds no `BiPoly` for ρ_t, v and u: each Q_ℓ is
+    laid out in rows once, and the seeds are products on rows."""
+    F = field_for_q(3)
+
+    def run():
+        motive = Motive(F, (8, 18, 54))
+        return (
+            motive.rho_t_entries(),
+            motive.special_point_v(),
+            motive.reduce_point(motive.point_u_seeds()),
+        )
+
+    first = run()
+    built = []
+    init = BiPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BiPoly, "__init__", counting)
+    assert run() == first
+    assert built == []
