@@ -28,9 +28,10 @@ for p <= 13; larger p take the row loop over its element
 operations); its `mul` the large products in F_p[θ] of `poly.Poly`;
 its `row_product` the product of polynomials whose coefficients are
 rows of θ-digits (laid out by `lay_rows`): the A[t] product of
-`poly.BiPoly`, the product in u of the point reduction (`motive`) and
-the products of the H_n fill (`carlitz`), whose sums are one `row_sum`
-each; and its `taylor_shift` the point reduction's shift in u.  The
+`poly.BiPoly` and the product in u of the point reduction (`motive`);
+its `row_difference` every product of the H_n fill (`carlitz`), a
+factor of two terms at a time, whose sums are one `row_sum` each; and
+its `taylor_shift` the point reduction's shift in u.  The
 kernel of a matrix over F_p (`_PackedDigits.nullspace`, behind
 `linalg.nullspace`) keeps each column as one packed integer with its
 F_p-combination in the high slots.  Only this module packs, calls the
@@ -661,8 +662,10 @@ class PackedPoly(_PackedDigits):
     apart, one strided assignment.  `row_product` multiplies
     polynomials in a second variable whose coefficients are elements
     laid out in rows, by the same one big-int product, `row_sum` adds
-    any number of them in one packed sum, and `taylor_shift` shifts
-    that variable by a polynomial in x with packed sums.
+    any number of them in one packed sum, `row_difference` multiplies
+    one by a two-term u^a - x^b·u^c with one packed sum, and
+    `taylor_shift` shifts that variable by a polynomial in x with
+    packed sums.
     """
 
     def __init__(self, p):
@@ -749,6 +752,17 @@ class PackedPoly(_PackedDigits):
         n = max(-(-len(x) // w) for x, w in terms) * width
         total = sum(pack(relayout(x, w, width), slot) for x, w in terms)
         return tighten(self.digits(total, n, slot), width)
+
+    def row_difference(self, f, a, b, c, width):
+        """f·(u^a - x^b·u^c), f a pair (x, w) laid out as `row_product`
+        takes it, as such a pair at `width`, which must exceed every
+        x-degree of f by b: f re-laid at `width` (nothing to do when w
+        is `width` already) and moved a rows up, minus f moved c rows
+        and b digits up, as one packed sum (`add`) of two digits per
+        slot, so no Kronecker product.  Trailing zeros are dropped."""
+        x = relayout(*f, width)
+        moved = bytes(c * width + b) + self.neg(x)
+        return self.add(bytes(a * width) + x, moved), width
 
     def taylor_shift(self, f, shift):
         """f(u + c) for f a polynomial in u laid out as `row_product`

@@ -124,6 +124,26 @@ def test_carlitz_binomial_is_polynomial(q):
             i += 1
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_binomial_is_a_bracket_product(q):
+    """B_{m,i} = [i+1]·[i+2]···[k], [l] = θ^{q^l} - θ, k the position
+    of the next nonzero base-q digit of m above position i (1 when
+    digit i is nonzero): the identity the fill multiplies by, against
+    the exact division of Carlitz factorials in `binomial`, for every
+    m <= 300 and q^i <= m."""
+    c = CarlitzCache(field_for_q(q))
+    for m in range(1, 301):
+        digits = base_q_digits(m, q)
+        for i, d in enumerate(digits):
+            k = i if d else next(
+                k for k in range(i + 1, len(digits)) if digits[k]
+            )
+            product = Poly.one(c.field)
+            for l in range(i + 1, k + 1):
+                product = product * c.bracket(l)
+            assert c.binomial(m, i) == product, (m, i)
+
+
 def _h_digest(q, nmax):
     c = CarlitzCache(field_for_q(q))
     hs = [
@@ -194,7 +214,7 @@ def test_generating_identity(q, order):
     rhs[0] = one
     i = 0
     while q ** i <= order:
-        gi = frac(c.g_poly(i), c.big_d(i).with_var("t"))
+        gi = frac(_g_poly(F, i), c.big_d(i).with_var("t"))
         rhs[q ** i] = rhs[q ** i] + frac(
             gi.num.scale(F.neg(1)), gi.den
         )
@@ -365,17 +385,32 @@ def test_disk_cache_rejects_a_wrong_trivial_entry(tmp_path, monkeypatch):
     assert CarlitzCache(F).anderson_thakur(1) == BiPoly.one(F)
 
 
+def _g_poly(F, i):
+    """G_i = Π_{j=1..i} (t^{q^i} - θ^{q^j}) as a product of `BiPoly`s."""
+    qi = F.q ** i
+    out = BiPoly.one(F)
+    for j in range(1, i + 1):
+        out = out * BiPoly(
+            F, [-Poly.gen(F).twist(j)] + [Poly.zero(F)] * (qi - 1) + [Poly.one(F)]
+        )
+    return out
+
+
 def _reference_fill(c, n):
     """H_0..H_n by the recursion on `BiPoly`s: each term a `BiPoly`
-    product, each H_m a `BiPoly` sum of `Poly` rows.  The reference for
-    the fill on packed rows."""
+    product by G_i and by B_{m,i} = `binomial`, an exact division of
+    Carlitz factorials, each H_m a `BiPoly` sum of `Poly` rows.  The
+    reference for the fill by two-term differences."""
     F, q = c.field, c.q
+    g = {}
     h = [BiPoly.one(F)] * q
     for m in range(q, n + 1):
         acc = BiPoly.zero(F)
         i = 0
         while q ** i <= m:
-            term = c.g_poly(i) * h[m - q ** i]
+            if i not in g:
+                g[i] = _g_poly(F, i)
+            term = g[i] * h[m - q ** i]
             b = c.binomial(m, i)
             if not b.is_one():
                 term = term.coeff_mul_t(b.with_var("t"))
@@ -385,11 +420,16 @@ def _reference_fill(c, n):
     return h
 
 
-@pytest.mark.parametrize("q,nmax", [(7, 96), (131, 300)])
+@pytest.mark.parametrize("q,nmax", [
+    (7, 96), (131, 300), (251, 502), (4, 70), (9, 100), (257, 520),
+])
 def test_fill_matches_the_bipoly_recursion(q, nmax):
-    """The fill on packed rows equals the `BiPoly` recursion.  At
-    q = 131 a sum adds 2 terms of digits up to 130, which needs
-    two-byte slots."""
+    """The fill by two-term differences equals the `BiPoly` recursion,
+    on packed rows and, at q = 4, 9 and 257, on `BiPoly`s.  Above
+    p = 128 a difference adds two digits up to p-1 in a slot,
+    which needs two-byte slots: at q = 131 a slot first sums past 255
+    at n = 262, and at q = 251 at n = 502, where a digit p-1 of X
+    meets a digit p-1 of -X, 500 in one slot, in [1]·H_501."""
     ref = _reference_fill(CarlitzCache(field_for_q(q)), nmax)
     c = CarlitzCache(field_for_q(q))
     for n in range(nmax, -1, -1):

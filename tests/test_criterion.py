@@ -306,6 +306,21 @@ def test_attached_polynomials_and_coordinates_are_checked():
             is_cmpl_eulerian(F3, (2,), [u])
 
 
+@pytest.mark.parametrize("rational", [False, True])
+def test_attached_polynomial_with_coefficients_in_t_is_refused(rational):
+    """A `BiPoly` whose coefficients are polynomials in t, not θ, used
+    to be laid out as if in θ, giving the v of the same Q in θ; it is
+    refused with a ValueError, integral or rational."""
+    F3 = field_for_q(3)
+    c = Poly(F3, [0, 1], var="t")
+    if rational:
+        Q = BiPoly(F3, [RatFrac.from_poly(c)], rational=True)
+    else:
+        Q = BiPoly(F3, [c])
+    with pytest.raises(ValueError, match="in t"):
+        Motive(F3, (2,), Q=[Q], rational=rational)
+
+
 def test_cmpl_rational_point():
     F = field_for_q(3)
     th = Poly.gen(F)
