@@ -7,7 +7,10 @@ Everything downstream is built out of a handful of classical quantities:
 * the degree-indexed polynomials H_n in A[t] defined through the
   generating identity (1 - Σ_i G_i(θ)/D_i(t) x^{q^i})^{-1}
   = Σ_n H_n/Γ_{n+1}(t) x^n,  with G_i(θ) = Π_{j=1..i} (t^{q^i} - θ^{q^j}),
-* the Bernoulli-style coefficients BC(n) from the series z/exp_C(z).
+* the Bernoulli-Carlitz numbers BC(n), the coefficients of z/exp_C(z)
+  times Γ_{n+1}, from one recursion per field on numerators over
+  factored denominators Π D_k^{e(k)}, whose every step is a product and
+  a sum in A, with a single gcd at the end (`bernoulli_carlitz`).
 
 All of it is cached per field in a `CarlitzCache`.  H_n is filled
 ascending by the division-free recursion
@@ -337,6 +340,8 @@ class CarlitzCache:
         self._terms = terms_for(field)
         self._h = self._trivial_h()
         self._h_bipoly = {}
+        self._d_powers = {}
+        self._g = {0: (Poly.one(field), {})}
         self._bc = {}
         self._disk_loaded = False
 
@@ -357,6 +362,14 @@ class CarlitzCache:
             self._big_d[i] = self.bracket(i) * self.big_d(i - 1).twist(1)
         return self._big_d[i]
 
+    def _d_power(self, i: int, e: int) -> Poly:
+        """D_i^e, e >= 0, from a memo of D_i^0, D_i^1, ... per i that the
+        Bernoulli-Carlitz recursion, `gamma` and `_d_ratio` share."""
+        powers = self._d_powers.setdefault(i, [Poly.one(self.field)])
+        while len(powers) <= e:
+            powers.append(powers[-1] * self.big_d(i))
+        return powers[e]
+
     def big_l(self, i: int) -> Poly:
         """L_i = (θ - θ^q)···(θ - θ^{q^i})."""
         if i not in self._big_l:
@@ -370,7 +383,7 @@ class CarlitzCache:
         out = Poly.one(self.field)
         for i, d in enumerate(base_q_digits(n - 1, self.q)):
             if d:
-                out = out * self.big_d(i) ** d
+                out = out * self._d_power(i, d)
         return out
 
     def gamma_exponents(self, n: int):
@@ -408,9 +421,9 @@ class CarlitzCache:
         for i in set(hi) | set(lo):
             e = hi.get(i, 0) - lo.get(i, 0)
             if e > 0:
-                num = num * self.big_d(i) ** e
+                num = num * self._d_power(i, e)
             elif e < 0:
-                den = den * self.big_d(i) ** (-e)
+                den = den * self._d_power(i, -e)
         return num.exact_div(den)
 
     # -- the H_n family ----------------------------------------------------
@@ -582,6 +595,22 @@ class CarlitzCache:
         """BC(n): coefficient of z^n in z/exp_C(z), times Γ_{n+1}.
 
         Zero whenever n > 0 and (q-1) does not divide n.
+
+        The coefficients g_m of z/exp_C(z) = (Σ_{i≥0} z^{q^i-1}/D_i)^{-1}
+        satisfy g_0 = 1 and g_m = -Σ_{i≥1, q^i-1≤m} g_{m-q^i+1}/D_i.
+        Each g_m is kept as N_m/Δ_m, a polynomial N_m over
+        Δ_m = Π_k D_k^{e_m(k)}, and Δ_m only as its exponent map e_m:
+        e_m(k) is the largest e_{m-q^i+1}(k) + [k=i] over the i whose
+        g_{m-q^i+1} is nonzero, and
+        N_m = -Σ_i N_{m-q^i+1}·Π_k D_k^{e_m(k) - e_{m-q^i+1}(k) - [k=i]}.
+        Every exponent there is >= 0 because e_m(k) is the largest of
+        the e_{m-q^i+1}(k) + [k=i], so each step is polynomial products
+        and a sum in A, with no division and no gcd.  The recursion runs
+        once per field, ascending, over m ≡ 0 mod q-1 only (q^i - 1 is a
+        multiple of q-1, so g_m = 0 for the other m).  Then
+        BC(n) = N_n·Γ_{n+1}/Δ_n: Γ_{n+1} = Π D_k^{n_k} over the base-q
+        digits of n is cancelled against e_n exponent by exponent, and
+        one `RatFrac` reduction, one gcd, gives the lowest terms.
         """
         if n < 0:
             raise ValueError("BC(n) needs n >= 0")
@@ -590,31 +619,42 @@ class CarlitzCache:
         if n % (self.q - 1) != 0 and self.q > 2:
             return RatFrac.zero(self.field)
         if n not in self._bc:
-            g = self._series_z_over_exp(n)
-            self._bc[n] = g[n] * RatFrac.from_poly(self.gamma(n + 1))
+            self._extend_g(n)
+            num, e = self._g[n]
+            gamma = self.gamma_exponents(n + 1)
+            den = Poly.one(self.field)
+            for k in set(gamma) | set(e):
+                common = min(gamma.get(k, 0), e.get(k, 0))
+                num = num * self._d_power(k, gamma.get(k, 0) - common)
+                den = den * self._d_power(k, e.get(k, 0) - common)
+            self._bc[n] = RatFrac(num, den)
         return self._bc[n]
 
-    def _series_z_over_exp(self, order: int):
-        """Coefficients g_0..g_order of z/exp_C(z) = (Σ z^{q^i-1}/D_i)^{-1}."""
-        F = self.field
-        support = {}
-        i = 0
-        while self.q ** i - 1 <= order:
-            support[self.q ** i - 1] = RatFrac(
-                Poly.one(F), self.big_d(i), reduce=False
-            )
-            i += 1
-        g = [RatFrac.zero(F)] * (order + 1)
-        g[0] = RatFrac.one(F)
-        for m in range(1, order + 1):
-            acc = RatFrac.zero(F)
-            for j, fj in support.items():
-                if 0 < j <= m:
-                    t = g[m - j]
-                    if not t.is_zero():
-                        acc = acc + fj * t
-            g[m] = -acc
-        return g
+    def _extend_g(self, n: int):
+        """Extend the memo of (N_m, e_m) to every m <= n with
+        m ≡ 0 mod q-1 (`bernoulli_carlitz`)."""
+        g, q = self._g, self.q
+        for m in range(max(g) + q - 1, n + 1, q - 1):
+            terms = []
+            i = 1
+            while q ** i - 1 <= m:
+                num, e = g[m - q ** i + 1]
+                if num:
+                    terms.append((i, num, e))
+                i += 1
+            top = {}
+            for i, _, e in terms:
+                for k in set(e) | {i}:
+                    top[k] = max(top.get(k, 0), e.get(k, 0) + (k == i))
+            acc = Poly.zero(self.field)
+            for i, num, e in terms:
+                factor = Poly.one(self.field)
+                for k, ek in top.items():
+                    factor = factor * self._d_power(
+                        k, ek - e.get(k, 0) - (k == i)
+                    )
+                acc = acc + num * factor
+            g[m] = -acc, top
 
     def bc_denominator(self, n: int) -> Poly:
         """Monic denominator of BC(n); the unit polynomial when BC(n)=0."""

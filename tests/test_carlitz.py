@@ -230,12 +230,35 @@ def test_generating_identity(q, order):
         assert prod[n] == zero
 
 
+def _series_z_over_exp(c, order):
+    """Coefficients g_0..g_order of z/exp_C(z) = (Σ z^{q^i-1}/D_i)^{-1},
+    one reduced `RatFrac` sum per term: the reference for the
+    numerator recursion of `bernoulli_carlitz`."""
+    F = c.field
+    support = {}
+    i = 0
+    while c.q ** i - 1 <= order:
+        support[c.q ** i - 1] = RatFrac(Poly.one(F), c.big_d(i), reduce=False)
+        i += 1
+    g = [RatFrac.zero(F)] * (order + 1)
+    g[0] = RatFrac.one(F)
+    for m in range(1, order + 1):
+        acc = RatFrac.zero(F)
+        for j, fj in support.items():
+            if 0 < j <= m:
+                t = g[m - j]
+                if not t.is_zero():
+                    acc = acc + fj * t
+        g[m] = -acc
+    return g
+
+
 @pytest.mark.parametrize("q,order", [(2, 8), (3, 9)])
 def test_exp_inversion(q, order):
     """The z/exp series times exp_C(z)/z is 1 to the stated order."""
     c = cache_for_q(q)
     F = c.field
-    g = c._series_z_over_exp(order)
+    g = _series_z_over_exp(c, order)
     # exp_C(z)/z = Σ z^{q^i - 1}/D_i
     exp = [RatFrac.zero(F)] * (order + 1)
     i = 0
@@ -247,6 +270,24 @@ def test_exp_inversion(q, order):
         for j in range(m + 1):
             acc = acc + g[j] * exp[m - j]
         assert acc.is_zero() if m else acc == RatFrac.one(F)
+
+
+@pytest.mark.parametrize("q,nmax", [
+    (2, 64), (3, 162), (4, 255), (5, 250), (7, 343), (9, 400), (131, 800),
+], ids=["2", "3", "4", "5", "7", "9", "131"])
+def test_bc_matches_the_series(q, nmax):
+    """BC(n) = g_n·Γ_{n+1}, numerator and denominator, for every
+    n <= nmax, g_n from the `RatFrac` series.  One fresh cache is asked
+    in descending order, so one call runs the whole recursion, and
+    another in ascending order, so every call extends it."""
+    ref = CarlitzCache(field_for_q(q))
+    g = _series_z_over_exp(ref, nmax)
+    want = [g[n] * RatFrac.from_poly(ref.gamma(n + 1)) for n in range(nmax + 1)]
+    for order in (range(nmax, -1, -1), range(nmax + 1)):
+        c = CarlitzCache(field_for_q(q))
+        for n in order:
+            bc = c.bernoulli_carlitz(n)
+            assert (bc.num, bc.den) == (want[n].num, want[n].den), n
 
 
 def test_bc_known_values():
