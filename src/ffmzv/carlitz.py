@@ -32,25 +32,18 @@ difference is one `fpx.PackedPoly.row_difference`, a packed sum, and
 H_n one packed sum of the terms (`row_sum`); elsewhere, and for
 rational motives, `BiPoly`s (`_BiPolyTerms`).  Each type also holds
 the worklist's operations in u = t-θ.  `anderson_thakur` builds the
-`BiPoly` of an H_n from the store on request and keeps it.  The
-optional disk cache (`CARLITZ_CACHE_DIR`) holds one θ-major list of
-t-coefficient lists per n, and every entry it loads must satisfy
-H_n|_{t=θ} = Γ_{n+1}.
+`BiPoly` of an H_n from the store on request and keeps it.  Nothing is
+read from or written to disk: a fill costs about what reading it back
+and checking it would.
 """
 from __future__ import annotations
 
 import functools
-import json
 import operator
-import os
-import tempfile
-from pathlib import Path
 
 from . import fpx
 from .fields import FieldSpec, field_for_q
 from .poly import BiPoly, Poly, RatFrac, packed_ring, taylor_shift
-
-CACHE_DIR_ENV = "CARLITZ_CACHE_DIR"
 
 
 def base_q_digits(n: int, q: int):
@@ -74,15 +67,6 @@ def theta_major(b: BiPoly):
     return [
         Poly(F, [c[i] for c in b.coeffs], var="t") for i in range(dth + 1)
     ]
-
-
-def from_theta_major(field: FieldSpec, tcoeffs):
-    """Inverse of `theta_major`."""
-    dt = max((c.degree for c in tcoeffs), default=-1)
-    rows = []
-    for j in range(dt + 1):
-        rows.append(Poly(field, [c[j] for c in tcoeffs]))
-    return BiPoly(field, rows)
 
 
 def _check_laid(terms, b):
@@ -152,13 +136,6 @@ class _BiPolyTerms:
     def bipoly(self, h) -> BiPoly:
         return h
 
-    def theta_major(self, h):
-        return [list(c.coeffs) for c in theta_major(h)]
-
-    def from_theta_major(self, tmajor):
-        F = self.field
-        return from_theta_major(F, [Poly(F, c, var="t") for c in tmajor])
-
     # -- the worklist, in u = t-θ -----------------------------------------
     def expand(self, f):
         """The u-basis term of a term in t."""
@@ -211,8 +188,7 @@ class _RowTerms:
 
     A product is one `row_product` (a Kronecker product), a product by
     a two-term factor of the fill one `row_difference`, a sum one
-    packed sum (`add`, `row_sum`), a θ-major column of the disk cache a
-    strided slice x[j::width], the shift t ↦ u + θ and the twist's
+    packed sum (`add`, `row_sum`), the shift t ↦ u + θ and the twist's
     shift by θ - θ^p a `fpx.PackedPoly.taylor_shift` whose Horner
     steps are packed sums, so every slot bound is derived in `fpx`.  A
     coefficient of u^j in the worklist is a `bytes` of
@@ -257,17 +233,6 @@ class _RowTerms:
 
     def bipoly(self, h) -> BiPoly:
         return BiPoly.from_rows(self.field, h)
-
-    def theta_major(self, h):
-        x, width = h
-        return [list(x[j::width].rstrip(b"\0")) for j in range(width)]
-
-    def from_theta_major(self, tmajor):
-        width = max(len(tmajor), 1)
-        x = bytearray(max(map(len, tmajor), default=0) * width)
-        for j, col in enumerate(tmajor):
-            x[j:len(col) * width:width] = bytes(col)
-        return fpx.tighten(bytes(x), width)
 
     # -- the worklist, in u = t-θ -----------------------------------------
     def expand(self, f):
@@ -338,12 +303,12 @@ class CarlitzCache:
         self._big_d = {0: Poly.one(field)}
         self._big_l = {0: Poly.one(field)}
         self._terms = terms_for(field)
-        self._h = self._trivial_h()
+        # H_0..H_{q-1} = 1, the start of the fill
+        self._h = {m: self._terms.one for m in range(self.q)}
         self._h_bipoly = {}
         self._d_powers = {}
         self._g = {0: (Poly.one(field), {})}
         self._bc = {}
-        self._disk_loaded = False
 
     # -- brackets and factorials ------------------------------------------
     def bracket(self, l: int) -> Poly:
@@ -364,7 +329,7 @@ class CarlitzCache:
 
     def _d_power(self, i: int, e: int) -> Poly:
         """D_i^e, e >= 0, from a memo of D_i^0, D_i^1, ... per i that the
-        Bernoulli-Carlitz recursion, `gamma` and `_d_ratio` share."""
+        Bernoulli-Carlitz recursion, `gamma` and `binomial` share."""
         powers = self._d_powers.setdefault(i, [Poly.one(self.field)])
         while len(powers) <= e:
             powers.append(powers[-1] * self.big_d(i))
@@ -395,61 +360,58 @@ class CarlitzCache:
         }
 
     def gamma_ratio(self, s: int) -> Poly:
-        """Γ_{s+1}/Γ_s, which is always a polynomial (the negative D_i
-        exponents from the base-q carry chain divide out exactly); s >= 1."""
+        """Γ_{s+1}/Γ_s = [1]·[2]···[k] = (-1)^k·L_k for s >= 1, where k
+        is the position of the lowest nonzero base-q digit of s.
+
+        Proof: Γ_{s+1} = Π D_j^{s_j} over the base-q digits s_j of s, and
+        s - 1 borrows from digit k: its digits 0..k-1 are q-1 and its
+        digit k is s_k - 1, so Γ_{s+1}/Γ_s = D_k/Π_{j<k} D_j^{q-1}.
+        That is D_0 = 1 at k = 0, and raising k by one multiplies it by
+        D_{k+1}/D_k^q = [k+1], as D_l = [l]·D_{l-1}^q: the induction that
+        proves `_derive_h`'s B_{m,i} a bracket product."""
         if s < 1:
             raise ValueError("Γ_{s+1}/Γ_s needs s >= 1")
-        return self._d_ratio(
-            self.gamma_exponents(s + 1), self.gamma_exponents(s)
-        )
+        k = next(k for k, d in enumerate(base_q_digits(s, self.q)) if d)
+        return -self.big_l(k) if k % 2 else self.big_l(k)
 
     def binomial(self, n: int, i: int) -> Poly:
         """The Carlitz binomial coefficient B_{n,i} = Γ_{n+1}/(D_i·Γ_{n+1-q^i})
-        for q^i <= n: 1 when digit i of n is nonzero, otherwise
-        D_k/(D_i^q·Π_{i<j<k} D_j^{q-1}) for the next nonzero digit k."""
+        for q^i <= n, by an exact division of Carlitz factorials that
+        raises on a nonzero remainder: the reference for the bracket
+        product that `_derive_h` multiplies by."""
         if i < 0 or self.q ** i > n:
             raise ValueError("B_{n,i} needs i >= 0 and q^i <= n")
+        hi = self.gamma_exponents(n + 1)
         lo = self.gamma_exponents(n + 1 - self.q ** i)
         lo[i] = lo.get(i, 0) + 1
-        return self._d_ratio(self.gamma_exponents(n + 1), lo)
-
-    def _d_ratio(self, hi, lo) -> Poly:
-        """Π D_i^{hi_i - lo_i} for exponent maps hi, lo, by an exact
-        division that raises on a nonzero remainder."""
         num = Poly.one(self.field)
         den = Poly.one(self.field)
-        for i in set(hi) | set(lo):
-            e = hi.get(i, 0) - lo.get(i, 0)
+        for j in set(hi) | set(lo):
+            e = hi.get(j, 0) - lo.get(j, 0)
             if e > 0:
-                num = num * self._d_power(i, e)
+                num = num * self._d_power(j, e)
             elif e < 0:
-                den = den * self._d_power(i, -e)
+                den = den * self._d_power(j, -e)
         return num.exact_div(den)
 
     # -- the H_n family ----------------------------------------------------
     def anderson_thakur(self, n: int) -> BiPoly:
         """H_n in A[t]: H_n = 1 for 0 <= n <= q-1, and in general the
         coefficient of x^n in the generating identity times Γ_{n+1}(t).
-        One call fills and saves every missing H_m, m <= n; the `BiPoly`
-        of H_n is built from the store on the first request for it."""
+        One call fills every missing H_m, m <= n; the `BiPoly` of H_n is
+        built from the store on the first request for it."""
         if n < 0:
             raise ValueError("H_n needs n >= 0")
-        self._load_disk_cache()
         if n not in self._h:
-            self._derive_h(self._h, n)
-            self._save_disk_cache()
+            self._derive_h(n)
         h = self._h_bipoly.get(n)
         if h is None:
             h = self._h_bipoly[n] = self._terms.bipoly(self._h[n])
         return h
 
-    def _trivial_h(self):
-        """H_0..H_{q-1} = 1, the start of every fill."""
-        return {m: self._terms.one for m in range(self.q)}
-
-    def _derive_h(self, h, n: int):
-        """Extend the memo h, which holds H_0..H_{q-1} = 1, to H_0..H_n,
-        in the store's terms (`terms_for`).
+    def _derive_h(self, n: int):
+        """Extend the store, which holds H_0..H_{q-1} = 1, to H_0..H_n, in
+        its terms (`terms_for`).
 
         Ascending in m, H_m = Σ_{q^i ≤ m} G_i(θ,t)·H_{m-q^i}·B_{m,i}(t):
         the generating identity multiplied through by Γ_{m+1}(t).  Every
@@ -475,11 +437,8 @@ class CarlitzCache:
         holds the θ-degrees of all of them (G_i adds q + ... + q^i), so
         each H_{m-q^i} is re-laid once, by its first factor or by the
         sum, and H_m is one sum of the terms."""
-        T = self._terms
-        q = self.q
-        for m in range(q, n + 1):
-            if m in h:
-                continue
+        T, h, q = self._terms, self._h, self.q
+        for m in range(max(h) + 1, n + 1):
             digits = base_q_digits(m, q)
             # the θ-degree plus 1 + q + ... + q^i
             width = max(
@@ -500,95 +459,6 @@ class CarlitzCache:
                 "H_n degree bound violated"
             )
             h[m] = acc
-
-    def _at_theta(self, cols) -> Poly:
-        """H(θ, θ) for H given by its θ-major columns C_j(t):
-        Σ_j θ^j·C_j(θ)."""
-        F = self.field
-        out = Poly.zero(F)
-        for j, col in enumerate(cols):
-            out = out + Poly(F, col).shift(j)
-        return out
-
-    # -- optional on-disk cache for the H_n family -------------------------
-    def _cache_path(self):
-        root = os.environ.get(CACHE_DIR_ENV)
-        if not root:
-            return None
-        F = self.field
-        tag = "-".join(str(c) for c in F.modulus)
-        return Path(root) / f"at_h_p{F.p}_e{F.e}_m{tag}.json"
-
-    def _load_disk_cache(self):
-        """Read the file, one θ-major list of columns per n, into the
-        store.  Every entry must keep H_n's degree bound and
-        H_n|_{t=θ} = Γ_{n+1} (the Anderson–Thakur identity at d = 0),
-        and the smallest n >= q is re-derived from H_0..H_{q-1} = 1 as
-        a spot check; a file that fails any check is discarded."""
-        if self._disk_loaded:
-            return
-        self._disk_loaded = True
-        path = self._cache_path()
-        if path is None or not path.exists():
-            return
-        T = self._terms
-        try:
-            raw = json.loads(path.read_text())
-            if not isinstance(raw, dict):
-                raise ValueError("not a JSON object")
-            loaded = {}
-            for key, tmajor in raw.items():
-                n = int(key)
-                if any(c not in range(self.q) for col in tmajor for c in col):
-                    raise ValueError("coefficient code outside range(q)")
-                h = T.from_theta_major(tmajor)
-                if T.theta_degree(h) * (self.q - 1) > n * self.q:
-                    raise ValueError("degree bound violated")
-                if n < self.q and h != self._h[n]:
-                    raise ValueError("H_n = 1 for n < q")
-                if self._at_theta(tmajor) != self.gamma(n + 1):
-                    raise ValueError("H_n(θ, θ) is not Γ_{n+1}")
-                loaded[n] = h
-            # corruption spot check: re-derive one nontrivial entry from
-            # H_0..H_{q-1} = 1 alone, without touching the file
-            probe = min((n for n in loaded if n >= self.q), default=None)
-            if probe is not None:
-                derived = self._trivial_h()
-                self._derive_h(derived, probe)
-                if derived[probe] != loaded[probe]:
-                    raise ValueError("cache disagrees with re-derivation")
-                self._h.update(derived)
-            self._h.update(loaded)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    def _save_disk_cache(self):
-        path = self._cache_path()
-        if path is None:
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = {
-                str(n): self._terms.theta_major(h)
-                for n, h in self._h.items()
-            }
-            # a private temp file per writer, so parallel workers never
-            # interleave their writes; the rename is atomic
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.stem, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(json.dumps(payload))
-                os.replace(tmp, path)
-            except OSError:
-                os.unlink(tmp)
-                raise
-        except OSError:
-            pass
 
     # -- Bernoulli-Carlitz -------------------------------------------------
     def bernoulli_carlitz(self, n: int) -> RatFrac:

@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 )
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
-    env.pop("CARLITZ_CACHE_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )

@@ -106,7 +106,7 @@ def test_prime_field_modulus_must_be_x(p, modulus):
     """An element of F_p is its residue mod p whatever the modulus, so a
     prime field has one modulus, x.  FieldSpec(3, 1, (2, 1)) was once
     accepted as a field unequal to field_for_q(3), with a Carlitz cache
-    and a disk-cache file of its own."""
+    of its own."""
     with pytest.raises(FieldError):
         FieldSpec(p, 1, modulus)
     assert FieldSpec(p, 1, (0, 1)) == FieldSpec(p, 1, (p, 1)) == field_for_q(p)

@@ -437,3 +437,39 @@ def test_warm_motive_builds_no_bipoly(monkeypatch):
     monkeypatch.setattr(BiPoly, "__init__", counting)
     assert run() == first
     assert built == []
+
+
+_SUFFIX_CASES = [
+    (2, (1, 1, 2)), (2, (1, 3)), (2, (3, 5)), (2, (1, 2, 4)),
+    (3, (2, 4)), (3, (4, 2, 2)), (3, (8, 18, 54)), (3, (2, 6, 18, 54)),
+    (5, (4, 4)), (5, (4, 8, 4)),
+]
+_SUFFIX_IDS = [f"q{q}-" + ",".join(map(str, s)) for q, s in _SUFFIX_CASES]
+
+
+@pytest.mark.parametrize("q,s", _SUFFIX_CASES, ids=_SUFFIX_IDS)
+def test_rho_t_blocks_are_closed_downward(q, s):
+    """Block ℓ's τ-terms of ρ_t land only in rows of blocks 1..ℓ, so
+    blocks 1..k span a sub-t-module for every k."""
+    motive = Motive(field_for_q(q), s)
+    for ell, block in enumerate(motive.rho_t_entries(), 1):
+        end = sum(motive.weights[:ell])
+        assert block and all(row < end for row, _, _ in block), ell
+
+
+@pytest.mark.parametrize("q,s", _SUFFIX_CASES, ids=_SUFFIX_IDS)
+def test_suffix_motive_is_the_quotient_by_block_one(q, s):
+    """For ℓ >= 2, the τ-terms of block ℓ of M(s_1, t) in blocks >= 2,
+    their rows shifted down by w_1, are block ℓ-1 of M(t), and the
+    point v of (s_1, t) on those rows is t's: the structure behind
+    "ζ(s) Eulerian ⇒ ζ(t) Eulerian"."""
+    F = field_for_q(q)
+    whole, suffix = Motive(F, s), Motive(F, s[1:])
+    w1 = whole.weights[0]
+    blocks = whole.rho_t_entries()
+    for ell, (block, want) in enumerate(
+        zip(blocks[1:], suffix.rho_t_entries()), 2
+    ):
+        got = {(row - w1, n): c for row, n, c in block if row >= w1}
+        assert got and got == {(row, n): c for row, n, c in want}, ell
+    assert whole.special_point_v()[w1:] == suffix.special_point_v()
