@@ -24,15 +24,26 @@ so every product of the fill is a shift and a difference
 (`difference`), no fraction in t is ever formed, and no product of two
 polynomials is either.
 
+H_n lies in F_q[θ^q][t].  Proof, by induction on n: H_0..H_{q-1} = 1
+do; every factor t^{q^i} - θ^{q^j} of G_i has j >= 1, so θ appears in
+it only as a power of θ^q; B_{n,i} lies in F_q[t]; and H_n is a sum of
+products of these with H_{n-q^i}, n-q^i < n.  So the store keeps
+K_n = H_n^{(-1)}, the polynomial with K_n(θ^q, t) = H_n(θ, t), filled
+by the same recursion with each θ^{q^j} replaced by θ^{q^{j-1}}, at
+1/q of H_n's θ-width; H_n is the twist K_n^{(1)} (`frob` of the
+terms), spread once per n on request.
+
 The recursion is written once, over the store's terms.  There is one
 term type per ring, shared with the motive's reduction (`motive`), and
 `terms_for` picks it: on a `packed` field (prime q < 256) with
 integral coefficients, rows of θ-digits (`_RowTerms`), where a
 difference is one `fpx.PackedPoly.row_difference`, a packed sum, and
-H_n one packed sum of the terms (`row_sum`); elsewhere, and for
+K_n one packed sum of the terms (`row_sum`); elsewhere, and for
 rational motives, `BiPoly`s (`_BiPolyTerms`).  Each type also holds
-the worklist's operations in u = t-θ.  `anderson_thakur` builds the
-`BiPoly` of an H_n from the store on request and keeps it.  Nothing is
+the worklist's operations in u = t-θ.  `anderson_thakur`, the one
+entry point that fills, keeps per n the term of H_n in t
+(`h_term`), its `BiPoly`, and, on request, its u-basis expansion
+(`h_expanded`), which every motive with the entry shares.  Nothing is
 read from or written to disk: a fill costs about what reading it back
 and checking it would.
 """
@@ -133,6 +144,10 @@ class _BiPolyTerms:
     def theta_degree(self, h) -> int:
         return h.theta_degree()
 
+    def frob(self, h):
+        """h^{(1)} for a term h in t: θ ↦ θ^q, t fixed."""
+        return h.twist(1)
+
     def bipoly(self, h) -> BiPoly:
         return h
 
@@ -231,18 +246,36 @@ class _RowTerms:
         x, width = h
         return width - 1 if x else -1
 
+    def frob(self, h):
+        """h^{(1)} for a tight term h in t: θ^j ↦ θ^{pj} spreads the
+        digits p apart, in rows of width p·width, re-laid tight at
+        p·(width - 1) + 1."""
+        x, width = h
+        wide = self.field.p * (width - 1) + 1
+        y = fpx.relayout(self.ring.frob(x, 1), self.field.p * width, wide)
+        return y.rstrip(b"\0"), wide
+
     def bipoly(self, h) -> BiPoly:
         return BiPoly.from_rows(self.field, h)
 
     # -- the worklist, in u = t-θ -----------------------------------------
     def expand(self, f):
-        """The u-basis term of a term in t: the shift by θ raises a
-        θ-degree by at most the t-degree, so the rows are re-laid that
-        much wider first."""
+        """The u-basis term of a term in t, laid out at width D + 1 for
+        the staircase bound D = max_j (deg a_j + j) over the rows a_j
+        of f (`fpx.staircase`).
+
+        Proof that D + 1 holds every digit the shift by θ writes:
+        f(u + θ) = Σ_j a_j·Σ_{k ≤ j} C(j, k)·θ^{j-k}·u^k, and each
+        product there has θ-degree deg a_j + j - k <= D - k.  A Horner
+        step of `fpx.PackedPoly.taylor_shift` adds to row k a product
+        θ^m·b moved down m rows, b a row k + m of the shift of a run of
+        f's rows, whose every product has θ-degree at most
+        D - (k + m) by the same count, so no single product, before
+        any cancellation mod p, passes D - k."""
         x, width = f
         if not x:
             return b"", 1
-        wide = width + self.rows(f) - 1
+        wide = fpx.staircase(x, width) + 1
         return self.ring.taylor_shift(
             (fpx.relayout(x, width, wide), wide), ((1, 1),)
         )
@@ -261,11 +294,19 @@ class _RowTerms:
 
     def twist(self, g):
         """g^{(1)} in the u-basis: θ^j ↦ θ^{pj} spreads the digits p
-        apart, in rows of width p·width, then the shift by θ - θ^p."""
+        apart, in rows of width p·width, then the shift by θ - θ^p, laid
+        out at width p·D + 1 for the staircase bound
+        D = max_j (deg b_j + j) over the rows b_j of g (`fpx.staircase`).
+
+        Proof: g^{(1)} = Σ_j b_j^{(1)}·Σ_{k ≤ j} C(j, k)·(θ - θ^p)^{j-k}·u^k,
+        and each product there has θ-degree at most
+        p·deg b_j + p·(j - k) <= p·D - p·k.  A Horner step adds to row k
+        the products of (θ^m - θ^{pm})·b, b a row k + m whose products
+        are bounded by p·D - p·(k + m) by the same count, so no single
+        product passes p·D - p·k."""
         x, width = g
-        p, rows = self.field.p, self.rows(g)
-        # the shift by θ - θ^p raises a θ-degree by at most p·(rows - 1)
-        wide = p * (width + rows - 2) + 1
+        p = self.field.p
+        wide = p * fpx.staircase(x, width) + 1
         y = fpx.relayout(self.ring.frob(x, 1), p * width, wide)
         return self.ring.taylor_shift((y, wide), self._twist_shift)
 
@@ -303,9 +344,12 @@ class CarlitzCache:
         self._big_d = {0: Poly.one(field)}
         self._big_l = {0: Poly.one(field)}
         self._terms = terms_for(field)
-        # H_0..H_{q-1} = 1, the start of the fill
+        # K_m = H_m^{(-1)}; K_0..K_{q-1} = 1, the start of the fill
         self._h = {m: self._terms.one for m in range(self.q)}
+        # per n: H_n's term in t, its BiPoly, its u-basis expansion
+        self._h_term = {}
         self._h_bipoly = {}
+        self._h_u = {}
         self._d_powers = {}
         self._g = {0: (Poly.one(field), {})}
         self._bc = {}
@@ -398,20 +442,44 @@ class CarlitzCache:
     def anderson_thakur(self, n: int) -> BiPoly:
         """H_n in A[t]: H_n = 1 for 0 <= n <= q-1, and in general the
         coefficient of x^n in the generating identity times Γ_{n+1}(t).
-        One call fills every missing H_m, m <= n; the `BiPoly` of H_n is
-        built from the store on the first request for it."""
+        The one entry point that fills: a call fills every missing
+        K_m = H_m^{(-1)}, m <= n, and the `BiPoly` of H_n is built from
+        `h_term` on the first request for it and kept."""
         if n < 0:
             raise ValueError("H_n needs n >= 0")
-        if n not in self._h:
-            self._derive_h(n)
         h = self._h_bipoly.get(n)
         if h is None:
-            h = self._h_bipoly[n] = self._terms.bipoly(self._h[n])
+            if n not in self._h:
+                self._derive_h(n)
+            h = self._h_bipoly[n] = self._terms.bipoly(self.h_term(n))
         return h
 
+    def h_term(self, n: int):
+        """H_n as a term in t of `terms_for(field)`, tight packed rows
+        on a `packed` field, twisted from K_n once per n and kept: what
+        a motive lays a canonical Q_ℓ out as, with no `BiPoly` round
+        trip.  A K_n not yet filled is filled by a call of
+        `anderson_thakur`, so every fill runs inside that one entry
+        point; a K_n already filled, below a larger one, builds no
+        `BiPoly`."""
+        if n not in self._h:
+            self.anderson_thakur(n)
+        h = self._h_term.get(n)
+        if h is None:
+            h = self._h_term[n] = self._terms.frob(self._h[n])
+        return h
+
+    def h_expanded(self, n: int):
+        """H_n in the u-basis, u = t-θ (`expand` of `h_term`), expanded
+        once per n for every motive that multiplies by it."""
+        u = self._h_u.get(n)
+        if u is None:
+            u = self._h_u[n] = self._terms.expand(self.h_term(n))
+        return u
+
     def _derive_h(self, n: int):
-        """Extend the store, which holds H_0..H_{q-1} = 1, to H_0..H_n, in
-        its terms (`terms_for`).
+        """Extend the store, which holds K_0..K_{q-1} = 1, to K_0..K_n,
+        K_m = H_m^{(-1)}, in its terms (`terms_for`).
 
         Ascending in m, H_m = Σ_{q^i ≤ m} G_i(θ,t)·H_{m-q^i}·B_{m,i}(t):
         the generating identity multiplied through by Γ_{m+1}(t).  Every
@@ -433,29 +501,40 @@ class CarlitzCache:
         D_l = [l]·D_{l-1}^q, that is D_{i+1}/D_i^q = [i+1] at k = i+1,
         and raising k by one multiplies it by D_{k+1}/D_k^q = [k+1].
 
-        Every difference of H_m's terms is laid out at one width, which
-        holds the θ-degrees of all of them (G_i adds q + ... + q^i), so
-        each H_{m-q^i} is re-laid once, by its first factor or by the
-        sum, and H_m is one sum of the terms."""
+        The store holds K_m, not H_m.  H_m lies in F_q[θ^q][t]: every
+        θ in a factor t^{q^i} - θ^{q^j} of G_i comes as θ^{q^j} with
+        j >= 1, B_{m,i} has no θ, and H_0..H_{q-1} = 1, so by induction
+        on m every term of the recursion, and H_m, is a polynomial in
+        θ^q.  The twist back θ^q ↦ θ is a ring map of F_q[θ^q][t] onto
+        F_q[θ][t] fixing t, so K_m satisfies the same recursion with
+        each factor t^{q^i} - θ^{q^{j-1}}, j = 1..i, and one row of K_m
+        holds 1/q of the θ-digits of the row of H_m.
+
+        Every difference of K_m's terms is laid out at one width, which
+        holds the θ-degrees of all of them (G_i^{(-1)} adds
+        1 + q + ... + q^{i-1}), so each K_{m-q^i} is re-laid once, by
+        its first factor or by the sum, and K_m is one sum of the
+        terms."""
         T, h, q = self._terms, self._h, self.q
         for m in range(max(h) + 1, n + 1):
             digits = base_q_digits(m, q)
-            # the θ-degree plus 1 + q + ... + q^i
+            # the θ-degree plus 1 + (1 + q + ... + q^{i-1})
             width = max(
-                T.theta_degree(h[m - q ** i]) + (q ** (i + 1) - 1) // (q - 1)
+                T.theta_degree(h[m - q ** i]) + (q ** i - 1) // (q - 1) + 1
                 for i in range(len(digits))
             )
             terms = []
             for i in range(len(digits)):
                 term = h[m - q ** i]
-                for j in range(1, i + 1):
+                for j in range(i):
                     term = T.difference(term, q ** i, q ** j, 0, width)
                 k = next(k for k in range(i, len(digits)) if digits[k])
                 for l in range(i + 1, k + 1):
                     term = T.difference(term, q ** l, 0, 1, width)
                 terms.append(term)
             acc = T.sum(terms)
-            assert T.theta_degree(acc) * (q - 1) <= m * q, (
+            # deg H_m <= m·q/(q-1), and deg K_m = deg H_m / q
+            assert T.theta_degree(acc) * (q - 1) <= m, (
                 "H_n degree bound violated"
             )
             h[m] = acc

@@ -1031,6 +1031,22 @@ def tighten(x, width):
     return lay_rows(rows, tight).rstrip(b"\0"), tight
 
 
+def staircase(x, width):
+    """max_j (deg a_j + j) over the nonzero rows a_j of x, in rows of
+    `width` digits (0 for zero): the bound on the x-degrees of a Taylor
+    shift by x of the polynomial in u whose coefficient of u^j is a_j.
+    Rows are read from the top down, and the scan stops at the first
+    row j with j + width - 1 at or below the largest found."""
+    best = 0
+    for j in range(-(-len(x) // width) - 1, -1, -1):
+        if j + width - 1 <= best:
+            break
+        deg = len(x[j * width:(j + 1) * width].rstrip(b"\0")) - 1
+        if deg >= 0 and deg + j > best:
+            best = deg + j
+    return best
+
+
 def _room(need):
     """The width a block is laid out at when it needs `need` digits per
     row: an eighth more, so that rows growing by one digit a step do

@@ -28,8 +28,9 @@ until every coefficient has t-degree < w_ℓ and drops into the σ-basis.
 Every term stays in the (t-θ)-adic basis u = t-θ from seed to finish,
 so the split is a slice and a finished coefficient of u^j is the
 coefficient of its row.  A seed given in t is expanded once (the Taylor
-shift f(t) ↦ f(u+θ)), each Q_ℓ once per motive, and the ρ_t seed
-(t-θ)^{w_ℓ} is u^{w_ℓ} as it stands.  The
+shift f(t) ↦ f(u+θ)), a canonical Q_ℓ = H_{s_ℓ-1} once per n for
+every motive (`carlitz.CarlitzCache.h_expanded`), any other Q_ℓ once
+per motive, and the ρ_t seed (t-θ)^{w_ℓ} is u^{w_ℓ} as it stands.  The
 twist keeps t and raises θ to θ^q, so g^{(1)} is the twist of the
 coefficients of g followed by the Taylor shift by θ - θ^q; in
 characteristic p that shift is Horner's rule in u^m + θ^m - θ^{qm}
@@ -48,9 +49,10 @@ products, Frobenius and Taylor shift are `fpx.PackedPoly`'s, so no slot
 bound is derived here) where the field is `packed` (prime q < 256) and
 the coefficients integral, `BiPoly` terms with `Poly` or `RatFrac`
 coefficients (`carlitz._BiPolyTerms`) for every other field, p >= 256
-included, and for the polylogarithm motives.  Each Q_ℓ is laid out as
-a term in t once, when the motive is built, and the seeds of the points
-are products of those terms, so a packed motive builds no `BiPoly`.
+included, and for the polylogarithm motives.  Each Q_ℓ is a term in t
+once the motive is built, a canonical one the cache's term of H_n
+(`carlitz.CarlitzCache.h_term`), and the seeds of the points are
+products of those terms, so a packed motive builds no `BiPoly`.
 """
 from __future__ import annotations
 
@@ -80,19 +82,22 @@ class Motive:
         self.s = s = composition(s)
         self.r = len(s)
         self.rational = rational
+        self._terms = terms_for(field, rational)
+        self._canonical = Q is None
         if Q is None:
-            cache = cache_for(field)
-            Q = [cache.anderson_thakur(si - 1) for si in s]
             if rational:
                 raise ValueError("canonical Q is integral; rational=False")
+            cache = cache_for(field)
+            Q = [cache.anderson_thakur(si - 1) for si in s]
+            # the cache's terms of H_{s_ℓ-1}, laid out once per n
+            self._laid = [cache.h_term(si - 1) for si in s]
         else:
             Q = list(Q)
             if len(Q) != self.r:
                 raise ValueError("need one attached polynomial per entry")
+            # each Q_ℓ laid out once, in t
+            self._laid = [self._terms.lay(f) for f in Q]
         self.Q = Q
-        self._terms = terms_for(field, rational)
-        # each Q_ℓ laid out once, in t
-        self._laid = [self._terms.lay(f) for f in Q]
         # suffix weights: weights[ℓ-1] = s_ℓ + ... + s_r
         self.weights = [sum(s[i:]) for i in range(self.r)]
         self.d = sum(self.weights)
@@ -115,7 +120,12 @@ class Motive:
     @cached_property
     def _uq(self):
         """The u-basis Q_1, ..., Q_{r-1} that the telescoping multiplies
-        by, expanded on first use."""
+        by: the canonical ones from the cache, expanded once per n for
+        every motive (`carlitz.CarlitzCache.h_expanded`), others
+        expanded here on first use."""
+        if self._canonical:
+            cache = cache_for(self.field)
+            return [cache.h_expanded(si - 1) for si in self.s[:-1]]
         return [self._terms.expand(f) for f in self._laid[:-1]]
 
     def _worklist(self, terms):
@@ -238,8 +248,10 @@ class Motive:
 
     def point_u_seeds(self):
         """Seeds for H_{w-1}^{(-1)}(t-θ)^w m_1 (the depth-collapsed point)."""
-        h = cache_for(self.field).anderson_thakur(self.weights[0] - 1)
-        return [(1, self._terms.lay(h), 1)]
+        cache, n = cache_for(self.field), self.weights[0] - 1
+        if self.rational:
+            return [(1, self._terms.lay(cache.anderson_thakur(n)), 1)]
+        return [(1, cache.h_term(n), 1)]
 
     def special_point_v(self):
         return self.reduce_point(self.point_v_seeds())

@@ -1,12 +1,15 @@
 import contextlib
 import hashlib
 import json
+import random
 import signal
 
 import pytest
 
+from ffmzv import fpx
 from ffmzv.carlitz import (
     CarlitzCache,
+    _RowTerms,
     base_q_digits,
     cache_for_q,
     theta_major,
@@ -393,6 +396,91 @@ def test_fill_matches_the_bipoly_recursion(q, nmax):
     c = CarlitzCache(field_for_q(q))
     for n in range(nmax, -1, -1):
         assert c.anderson_thakur(n) == ref[n], n
+
+
+@pytest.mark.parametrize("q,nmax", [
+    (2, 64), (3, 100), (4, 64), (5, 75), (9, 100), (257, 520),
+])
+def test_store_twists_to_the_reference_fill(q, nmax):
+    """The store keeps K_n = H_n^{(-1)}: its twist, one `frob` of the
+    terms (a spread of packed rows at q = 2, 3, 5, `BiPoly.twist` at
+    q = 4, 9 and 257), equals the `BiPoly` recursion's H_n, every
+    θ-exponent of which is divisible by q."""
+    ref = _reference_fill(CarlitzCache(field_for_q(q)), nmax)
+    c = CarlitzCache(field_for_q(q))
+    c.anderson_thakur(nmax)
+    T = c._terms
+    for n in range(nmax + 1):
+        k = c._h[n]
+        assert T.bipoly(T.frob(k)) == ref[n], n
+        assert T.bipoly(k).twist(1) == ref[n], n
+        assert c.h_term(n) == T.frob(k), n
+        for coeff in ref[n].coeffs:
+            assert all(e % q == 0 for e, a in enumerate(coeff.coeffs) if a), n
+
+
+def _rectangle_shift(ring, f, wide, shift):
+    """The Taylor shift of the rows f laid out at `wide`: the reference
+    for the staircase widths, at the row-rectangle bound."""
+    x, width = f
+    return ring.taylor_shift((fpx.relayout(x, width, wide), wide), shift)
+
+
+def _random_rows(rng, p, rows, top, shape):
+    """A tight term of `rows` rows in t over F_p[θ]: random digits at
+    random θ-degrees up to `top`, or all p-1 up to a degree that falls
+    with the row ("falling"), rises with it ("rising") or is `top` on
+    every row ("full")."""
+    out = []
+    for j in range(rows):
+        if shape == "random":
+            deg = rng.randrange(-1, top + 1)
+            row = [rng.randrange(p) for _ in range(deg)]
+            row += [rng.randrange(1, p)] if deg >= 0 else []
+        else:
+            deg = {
+                "falling": top - top * j // rows,
+                "rising": top * j // rows,
+                "full": top,
+            }[shape]
+            row = [p - 1] * (deg + 1)
+        out.append(bytes(row))
+    out[-1] = out[-1] or b"\1"
+    width = max(map(len, out))
+    return fpx.lay_rows(out, width).rstrip(b"\0"), width
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 131, 251])
+def test_expand_and_twist_at_the_staircase_width(p):
+    """`_RowTerms.expand` and `_RowTerms.twist`, laid out at the
+    staircase bound D + 1 and p·D + 1, equal the same Taylor shifts at
+    the row-rectangle widths width + rows - 1 and
+    p·(width + rows - 2) + 1, on random terms and on terms of all p-1
+    digits shaped as a falling or rising staircase or a rectangle.  At
+    p = 131 and 251 the rectangle widths are p times wider, so fewer
+    cases run there."""
+    T = _RowTerms(field_for_q(p))
+    ring = T.ring
+    rng = random.Random(2900 + p)
+    small = p < 100
+    cases = [
+        _random_rows(rng, p, rng.randrange(1, 40 if small else 16),
+                     rng.randrange(0, 30), "random")
+        for _ in range(60 if small else 12)
+    ] + [
+        _random_rows(rng, p, rows, top, shape)
+        for rows in ((1, 2, 3, 16, 37) if small else (1, 2, 12))
+        for top in (0, 1, 17)
+        for shape in ("falling", "rising", "full")
+    ]
+    for f in cases:
+        x, width = f
+        rows = T.rows(f)
+        assert T.expand(f) == _rectangle_shift(
+            ring, f, width + rows - 1, ((1, 1),)), f
+        assert T.twist(f) == _rectangle_shift(
+            ring, (ring.frob(x, 1), p * width), p * (width + rows - 2) + 1,
+            T._twist_shift), f
 
 
 @pytest.mark.parametrize("q,nmax", [

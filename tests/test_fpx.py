@@ -310,3 +310,25 @@ def test_row_sum_at_its_worst_case(p, widths, slot):
     assert _rows(x, got_width) == [bytes(r).rstrip(b"\0") for r in want]
     a = (bytes([1, 2, 0, 1]), 2)
     assert ring.row_sum([a, (ring.neg(a[0]), 2)]) == (b"", 1)
+
+
+def test_staircase_is_the_largest_degree_plus_row():
+    """`staircase` equals max_j (deg a_j + j) over the nonzero rows,
+    read row by row, on random rows with zero rows among them, and is
+    0 for zero and for a constant."""
+    rng = random.Random(29)
+    for _ in range(300):
+        width = rng.randrange(1, 12)
+        rows = [
+            bytes(rng.randrange(3) for _ in range(rng.randrange(width + 1)))
+            for _ in range(rng.randrange(1, 20))
+        ]
+        x = fpx.lay_rows(rows, width).rstrip(b"\0")
+        want = max(
+            (len(r.rstrip(b"\0")) - 1 + j
+             for j, r in enumerate(rows) if r.rstrip(b"\0")),
+            default=0,
+        )
+        assert fpx.staircase(x, width) == want, (rows, width)
+    assert fpx.staircase(b"", 4) == 0
+    assert fpx.staircase(b"\1", 1) == 0

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from ffmzv.carlitz import _RowTerms
+from ffmzv import fpx, poly
+from ffmzv.carlitz import CarlitzCache, _RowTerms, cache_for
 from ffmzv.cli import enumerate_tuples
 from ffmzv.fields import field_for_q
 from ffmzv.motive import Motive
@@ -437,6 +438,56 @@ def test_warm_motive_builds_no_bipoly(monkeypatch):
     monkeypatch.setattr(BiPoly, "__init__", counting)
     assert run() == first
     assert built == []
+
+
+def test_canonical_rational_motive_fills_nothing(monkeypatch):
+    """A rational motive with the canonical Q is refused before any
+    H_n is asked for, filled or built."""
+    calls = []
+    at = CarlitzCache.anderson_thakur
+
+    def counting(self, n):
+        calls.append(n)
+        return at(self, n)
+
+    monkeypatch.setattr(CarlitzCache, "anderson_thakur", counting)
+    with pytest.raises(ValueError):
+        Motive(field_for_q(3), (20, 40), rational=True)
+    assert calls == []
+
+
+@pytest.mark.parametrize("q,first,second", [
+    (3, (8, 18, 54), (8, 18, 62)),
+    (4, (3, 6, 9), (3, 6, 12)),
+], ids=["q3-packed", "q4-bipoly"])
+def test_shared_entries_are_expanded_once(monkeypatch, q, first, second):
+    """The u-basis Q_1..Q_{r-1} of a canonical motive are the cache's,
+    expanded once per n: a second motive whose entries other than the
+    last are the first one's makes no Taylor shift for its Q's, on
+    packed rows and on `BiPoly`s, and they equal the expansion of its
+    own Q's."""
+    F = field_for_q(q)
+    Motive(F, first).rho_t_entries()
+    m = Motive(F, second)
+    shifts = []
+    row_shift, bipoly_shift = fpx.PackedPoly.taylor_shift, poly.taylor_shift
+
+    def counting_rows(self, *args):
+        shifts.append(args)
+        return row_shift(self, *args)
+
+    def counting_bipoly(*args):
+        shifts.append(args)
+        return bipoly_shift(*args)
+
+    monkeypatch.setattr(fpx.PackedPoly, "taylor_shift", counting_rows)
+    monkeypatch.setattr(poly, "taylor_shift", counting_bipoly)
+    uq = m._uq
+    assert shifts == []
+    monkeypatch.undo()
+    dom = m.domain()
+    assert uq == [dom.expand(dom.lay(f)) for f in m.Q[:-1]]
+    assert uq[0] is cache_for(F).h_expanded(second[0] - 1)
 
 
 _SUFFIX_CASES = [
