@@ -31,7 +31,7 @@ products of these with H_{n-q^i}, n-q^i < n.  So the store keeps
 K_n = H_n^{(-1)}, the polynomial with K_n(θ^q, t) = H_n(θ, t), filled
 by the same recursion with each θ^{q^j} replaced by θ^{q^{j-1}}, at
 1/q of H_n's θ-width; H_n is the twist K_n^{(1)} (`frob` of the
-terms), spread once per n on request.
+terms), spread on each request.
 
 The recursion is written once, over the store's terms.  There is one
 term type per ring, shared with the motive's reduction (`motive`), and
@@ -40,12 +40,16 @@ integral coefficients, rows of θ-digits (`_RowTerms`), where a
 difference is one `fpx.PackedPoly.row_difference`, a packed sum, and
 K_n one packed sum of the terms (`row_sum`); elsewhere, and for
 rational motives, `BiPoly`s (`_BiPolyTerms`).  Each type also holds
-the worklist's operations in u = t-θ.  `anderson_thakur`, the one
-entry point that fills, keeps per n the term of H_n in t
-(`h_term`), its `BiPoly`, and, on request, its u-basis expansion
-(`h_expanded`), which every motive with the entry shares.  Nothing is
-read from or written to disk: a fill costs about what reading it back
-and checking it would.
+the worklist's operations in u = t-θ.  On a packed field integral
+A[t] lives in these rows alone: `_RowTerms` is the one place that
+lays a `BiPoly` out in rows (`lay`) and reads one back (`bipoly`),
+and no library path multiplies `BiPoly`s there.  Per n the cache
+keeps K_n, the u-basis expansion of H_n on request (`h_expanded`),
+which every motive with the entry shares, and the `BiPoly` that
+`anderson_thakur`, the one entry point that fills, returns; H_n's
+term in t (`h_term`) is twisted from K_n on every request and not
+kept.  Nothing is read from or written to disk: a fill costs about
+what reading it back and checking it would.
 """
 from __future__ import annotations
 
@@ -222,9 +226,11 @@ class _RowTerms:
         self._twist_shift = ((1, 1), (field.neg(1), field.p))
 
     def lay(self, b: BiPoly):
-        """The rows of a `BiPoly` in t."""
+        """The rows of a `BiPoly` in t, at width the θ-degree plus one:
+        digit i·width + j is the coefficient of θ^j·t^i."""
         _check_laid(self, b)
-        x, width = b.to_rows()
+        width = max(b.theta_degree() + 1, 1)
+        x = fpx.lay_rows(self.ring.convert_all(b.coeffs), width)
         return x.rstrip(b"\0"), width
 
     def t_poly(self, b: Poly):
@@ -256,7 +262,14 @@ class _RowTerms:
         return y.rstrip(b"\0"), wide
 
     def bipoly(self, h) -> BiPoly:
-        return BiPoly.from_rows(self.field, h)
+        """The inverse of `lay`: row i, its trailing zeros dropped in
+        one `bytes.rstrip`, is the coefficient of t^i."""
+        x, width = h
+        F = self.field
+        return BiPoly(F, [
+            Poly(F, x[i:i + width].rstrip(b"\0"))
+            for i in range(0, len(x), width)
+        ])
 
     # -- the worklist, in u = t-θ -----------------------------------------
     def expand(self, f):
@@ -346,8 +359,7 @@ class CarlitzCache:
         self._terms = terms_for(field)
         # K_m = H_m^{(-1)}; K_0..K_{q-1} = 1, the start of the fill
         self._h = {m: self._terms.one for m in range(self.q)}
-        # per n: H_n's term in t, its BiPoly, its u-basis expansion
-        self._h_term = {}
+        # per n: the BiPoly of H_n, its u-basis expansion
         self._h_bipoly = {}
         self._h_u = {}
         self._d_powers = {}
@@ -444,7 +456,9 @@ class CarlitzCache:
         coefficient of x^n in the generating identity times Γ_{n+1}(t).
         The one entry point that fills: a call fills every missing
         K_m = H_m^{(-1)}, m <= n, and the `BiPoly` of H_n is built from
-        `h_term` on the first request for it and kept."""
+        `h_term` on the first request for it and kept.  No library path
+        multiplies it: a motive reads its attached polynomials from
+        `h_term` and `h_expanded`."""
         if n < 0:
             raise ValueError("H_n needs n >= 0")
         h = self._h_bipoly.get(n)
@@ -456,18 +470,16 @@ class CarlitzCache:
 
     def h_term(self, n: int):
         """H_n as a term in t of `terms_for(field)`, tight packed rows
-        on a `packed` field, twisted from K_n once per n and kept: what
-        a motive lays a canonical Q_ℓ out as, with no `BiPoly` round
-        trip.  A K_n not yet filled is filled by a call of
+        on a `packed` field: what a canonical motive takes its Q_ℓ as,
+        with no `BiPoly` round trip.  It is twisted from K_n on every
+        call and not kept; on rows the twist is one strided spread of
+        K_n's digits.  A K_n not yet filled is filled by a call of
         `anderson_thakur`, so every fill runs inside that one entry
         point; a K_n already filled, below a larger one, builds no
         `BiPoly`."""
         if n not in self._h:
             self.anderson_thakur(n)
-        h = self._h_term.get(n)
-        if h is None:
-            h = self._h_term[n] = self._terms.frob(self._h[n])
-        return h
+        return self._terms.frob(self._h[n])
 
     def h_expanded(self, n: int):
         """H_n in the u-basis, u = t-θ (`expand` of `h_term`), expanded

@@ -27,8 +27,9 @@ per τ-level and target block and one `digits` call (`_PackedBlocks`,
 for p <= 13; larger p take the row loop over its element
 operations); its `mul` the large products in F_p[θ] of `poly.Poly`;
 its `row_product` the product of polynomials whose coefficients are
-rows of θ-digits (laid out by `lay_rows`): the A[t] product of
-`poly.BiPoly` and the product in u of the point reduction (`motive`);
+rows of θ-digits (laid out by `lay_rows`): every A[t] product on a
+packed field, the seed products in t and the products in u of the
+point reduction (`carlitz._RowTerms`, `motive`);
 its `row_difference` every product of the H_n fill (`carlitz`), a
 factor of two terms at a time, whose sums are one `row_sum` each; and
 its `taylor_shift` the point reduction's shift in u.  The
@@ -729,7 +730,7 @@ class PackedPoly(_PackedDigits):
         of a row product stay below it, so the slots of two u-powers
         never meet, and a coefficient sums at most
         min(rows)·min(wa, wb) products of two digits, which sets the
-        slot width.  For `poly.BiPoly` factors of θ-degrees da and db,
+        slot width.  For tight factors in t of θ-degrees da and db,
         laid out at w = da + 1 and db + 1, the width is da + db + 1 and
         the bound min(t-lengths)·(min(da, db) + 1): the slots, and so
         the digits, of packing θ^j·t^i at digit i·(da + db + 1) + j

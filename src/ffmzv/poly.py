@@ -2,13 +2,12 @@
 and the bivariate ring A[t] together with the (t-θ)-adic operations and
 Frobenius twisting that the reduction engine relies on.
 
-Where the field is `packed` (prime q < 256) a large product in F_q[θ],
-and every integral product in A[t], is one big-integer product of byte
-digits (Kronecker substitution) in the one `fpx.PackedPoly` ring per
-prime (`packed_ring`), which the point reduction (`motive`) and the
-exact confirmation (`criterion`) share: `PackedPoly.mul` in F_q[θ], and
-in A[t] `PackedPoly.row_product`, the product in u of the point
-reduction too.
+Where the field is `packed` (prime q < 256) a large product in F_q[θ]
+is one big-integer product of byte digits (Kronecker substitution),
+`fpx.PackedPoly.mul` in the one `fpx.PackedPoly` ring per prime
+(`packed_ring`), which the H_n fill, the point reduction and the exact
+confirmation share.  On such a field A[t] lives in rows of θ-digits
+(`carlitz._RowTerms`); a `BiPoly` is built there only on request.
 Every other field multiplies by its tables.  The (t-θ)-adic expansion is
 the Taylor shift f(t) ↦ f(u+θ), and the twist of a polynomial kept in
 the (t-θ)-adic basis the shift of its twisted coefficients by θ - θ^q,
@@ -268,14 +267,7 @@ class Poly:
         out[::step] = self.coeffs
         return Poly(self.field, out, self.var)
 
-    # -- evaluation / conversion ------------------------------------------
-    def eval_scalar(self, x: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
+    # -- conversion --------------------------------------------------------
     def with_var(self, var: str) -> "Poly":
         if var == self.var:
             return self
@@ -411,12 +403,11 @@ class BiPoly:
     """Polynomial in t with coefficients in A = F_q[θ] (or in k for the
     polylog mode).  Stored as a tuple of coefficients, ascending in t.
 
-    Over a `packed` field with integral coefficients a product is one
-    big-int product, `fpx.PackedPoly.row_product` of the factors' rows
-    of θ-digits (`to_rows`, `from_rows`, the layout the H_n fill of
-    `carlitz` keeps too); every other product is the schoolbook
-    one over the coefficient ring.  The (t-θ)-adic expansion is the
-    Taylor shift f(u+θ), exact over the coefficient ring.
+    A product is the schoolbook one over the coefficient ring, on
+    every field: on a `packed` field the library keeps integral A[t]
+    as packed rows (`carlitz._RowTerms`), and this product is the
+    reference they are checked against.  The (t-θ)-adic expansion is
+    the Taylor shift f(u+θ), exact over the coefficient ring.
     """
 
     __slots__ = ("field", "coeffs", "rational")
@@ -454,11 +445,6 @@ class BiPoly:
         return cls(tp.field, [mk(c) for c in tp.coeffs], rational)
 
     # -- queries -----------------------------------------------------------
-    @property
-    def deg_t(self) -> int:
-        """t-degree, -1 sentinel for zero."""
-        return len(self.coeffs) - 1
-
     def is_zero(self):
         return not self.coeffs
 
@@ -475,19 +461,11 @@ class BiPoly:
     def __hash__(self):
         return hash((self.field, self.coeffs))
 
-    def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._czero()
-
     def theta_degree(self) -> int:
         """Max θ-degree over all t-coefficients (-1 for zero; integral only)."""
         if self.rational:
             raise ValueError("θ-degree only defined for integral coefficients")
         return max((c.degree for c in self.coeffs), default=-1)
-
-    def is_integral(self) -> bool:
-        if not self.rational:
-            return True
-        return all(c.is_integral() for c in self.coeffs)
 
     # -- ring ops ----------------------------------------------------------
     def __add__(self, other: "BiPoly") -> "BiPoly":
@@ -508,8 +486,6 @@ class BiPoly:
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if self.is_zero() or other.is_zero():
             return BiPoly.zero(self.field, self.rational)
-        if self.field.packed and not self.rational:
-            return self._packed_mul(other)
         out = [self._czero() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
             if a:
@@ -518,39 +494,8 @@ class BiPoly:
                         out[i + j] = out[i + j] + a * b
         return BiPoly(self.field, out, self.rational)
 
-    def _packed_mul(self, other: "BiPoly") -> "BiPoly":
-        """The product as one Kronecker product of rows
-        (`fpx.PackedPoly.row_product` of the factors' `to_rows`)."""
-        ring = packed_ring(self.field.p)
-        return BiPoly.from_rows(
-            self.field, ring.row_product(self.to_rows(), other.to_rows())
-        )
-
-    def to_rows(self):
-        """On a `packed` field, with integral coefficients: the pair
-        (x, width) of `fpx.PackedPoly.row_product`, the t-coefficients
-        laid out as rows of width the θ-degree plus one, so digit
-        i·width + j is the coefficient of θ^j·t^i."""
-        width = max(self.theta_degree() + 1, 1)
-        ring = packed_ring(self.field.p)
-        return fpx.lay_rows(map(ring.convert, self.coeffs), width), width
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        """The inverse of `to_rows`: row i, its trailing zeros dropped in
-        one `bytes.rstrip`, is the coefficient of t^i."""
-        x, width = rows
-        return cls(field, [
-            Poly(field, x[i:i + width].rstrip(b"\0"))
-            for i in range(0, len(x), width)
-        ])
-
     def scale(self, c: int) -> "BiPoly":
         return BiPoly(self.field, [x.scale(c) for x in self.coeffs], self.rational)
-
-    def coeff_mul_t(self, tp: Poly) -> "BiPoly":
-        """Multiply by a polynomial in t with F_q coefficients."""
-        return self * BiPoly.from_tpoly(tp, self.rational)
 
     # -- Frobenius ---------------------------------------------------------
     def twist(self, n: int) -> "BiPoly":
@@ -566,7 +511,7 @@ class BiPoly:
         """Coefficients (a_0, a_1, ...) with f = Σ a_j (t-θ)^j, that is
         the coefficients of f(u+θ) in u.
 
-        Length is deg_t + 1 (empty for the zero polynomial).
+        One per t-coefficient (empty for the zero polynomial).
         """
         return taylor_shift(self.field, self.coeffs, ((1, 1),))
 

@@ -180,7 +180,8 @@ class _Frac:
         if self.num.is_zero():
             return other
         return _Frac(
-            self.num.coeff_mul_t(other.den) + other.num.coeff_mul_t(self.den),
+            self.num * BiPoly.from_tpoly(other.den)
+            + other.num * BiPoly.from_tpoly(self.den),
             self.den * other.den,
         )
 
@@ -188,8 +189,9 @@ class _Frac:
         return _Frac(self.num * other.num, self.den * other.den)
 
     def __eq__(self, other):
-        return self.num.coeff_mul_t(other.den) == other.num.coeff_mul_t(
-            self.den
+        return (
+            self.num * BiPoly.from_tpoly(other.den)
+            == other.num * BiPoly.from_tpoly(self.den)
         )
 
 
@@ -375,7 +377,7 @@ def _reference_fill(c, n):
             term = g[i] * h[m - q ** i]
             b = c.binomial(m, i)
             if not b.is_one():
-                term = term.coeff_mul_t(b.with_var("t"))
+                term = term * BiPoly.from_tpoly(b.with_var("t"))
             acc = acc + term
             i += 1
         h.append(acc)
@@ -502,20 +504,38 @@ def test_h_bipolys_are_built_on_request(monkeypatch):
     included, and builds the `BiPoly` of H_61 only, once."""
     c = CarlitzCache(field_for_q(3))
     built, products = [], []
-    from_rows = BiPoly.from_rows.__func__
+    bipoly = _RowTerms.bipoly
     mul = BiPoly.__mul__
 
-    def counting(cls, field, rows):
-        built.append(rows)
-        return from_rows(cls, field, rows)
+    def counting(self, h):
+        built.append(h)
+        return bipoly(self, h)
 
     def counting_mul(a, b):
         products.append((a, b))
         return mul(a, b)
 
-    monkeypatch.setattr(BiPoly, "from_rows", classmethod(counting))
+    monkeypatch.setattr(_RowTerms, "bipoly", counting)
     monkeypatch.setattr(BiPoly, "__mul__", counting_mul)
     h = c.anderson_thakur(61)
     assert c.anderson_thakur(61) is h
     assert len(built) == 1
     assert products == []
+
+
+def test_h_term_walk_keeps_no_h_terms():
+    """A walk of `h_term(n)` over every n <= 241 at q=3, after a fill to
+    H_241, adds nothing to the cache: each H_n is twisted from K_n on
+    request and not kept, so the cache holds no H_n term beyond the
+    store's K_n (and the one `BiPoly` the fill returned)."""
+    c = CarlitzCache(field_for_q(3))
+    c.anderson_thakur(241)
+
+    def sizes():
+        return {k: len(v) for k, v in vars(c).items() if isinstance(v, dict)}
+
+    before = sizes()
+    terms = [c.h_term(n) for n in range(242)]
+    assert sizes() == before
+    assert list(c._h_bipoly) == [241] and c._h_u == {}
+    assert c._terms.bipoly(terms[241]) == c.anderson_thakur(241)

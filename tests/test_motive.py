@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ffmzv import fpx, poly
+from ffmzv import carlitz, fpx, poly
 from ffmzv.carlitz import CarlitzCache, _RowTerms, cache_for
 from ffmzv.cli import enumerate_tuples
 from ffmzv.fields import field_for_q
@@ -309,6 +309,46 @@ def test_telescope_sign_is_field_minus_one(q):
     ]
 
 
+@pytest.mark.parametrize(
+    "q,s", [(3, (18, 62)), (3, (8, 10, 62)), (4, (2, 3, 5))],
+    ids=["q3-18,62", "q3-8,10,62", "q4-2,3,5"],
+)
+def test_canonical_q_is_built_on_first_read(monkeypatch, q, s):
+    """A canonical motive whose H_n are filled takes its Q_ℓ from
+    `CarlitzCache.h_term` alone: building it, ρ_t and the points v and
+    u call no `anderson_thakur`, and on packed rows (q=3) build no
+    `BiPoly`.  `Motive.Q`, built on first read, is the cache's
+    H_{s_ℓ-1}."""
+    F = field_for_q(q)
+    cache = CarlitzCache(F)
+    monkeypatch.setitem(carlitz._caches, F, cache)
+    cache.anderson_thakur(sum(s) - 1)
+    calls, built = [], []
+    anderson_thakur, init = CarlitzCache.anderson_thakur, BiPoly.__init__
+
+    def counting_calls(self, n):
+        calls.append(n)
+        return anderson_thakur(self, n)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CarlitzCache, "anderson_thakur", counting_calls)
+    if F.packed:
+        monkeypatch.setattr(BiPoly, "__init__", counting_init)
+    m = Motive(F, s)
+    m.rho_t_entries()
+    m.special_point_v()
+    m.reduce_point(m.point_u_seeds())
+    assert calls == [] and built == []
+    Q = m.Q
+    assert calls == [si - 1 for si in s]
+    assert m.Q is Q
+    monkeypatch.undo()
+    assert Q == [cache.anderson_thakur(si - 1) for si in s]
+
+
 def _point_by_t_basis_worklist(motive, seeds):
     """Reference point reduction: the split-and-rebuild worklist on
     t-basis terms.  Each split expands f in t-θ, rebuilds both halves
@@ -333,14 +373,14 @@ def _point_by_t_basis_worklist(motive, seeds):
     zero = RatFrac.zero(F) if rational else Poly.zero(F)
     coords = [zero] * motive.d
     while pending:
-        key = max(pending, key=lambda k: (k[1], pending[k].deg_t))
+        key = max(pending, key=lambda k: (k[1], len(pending[k].coeffs)))
         n, ell = key
         f = pending.pop(key)
         if f.is_zero():
             continue
         w = motive.weights[ell - 1]
         coeffs = f.expand_tm_theta()
-        if f.deg_t < w:
+        if len(f.coeffs) - 1 < w:
             for j, a in enumerate(coeffs):
                 coords[motive.row(ell, j)] = coords[motive.row(ell, j)] + a
             continue

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffmzv.carlitz import _RowTerms
 from ffmzv.fields import field_for_q
 from ffmzv.poly import (
     BiPoly,
@@ -109,16 +110,6 @@ def test_negative_twist_rejected():
     F = field_for_q(3)
     with pytest.raises(TwistError):
         Poly.gen(F).twist(-1)
-
-
-@given(st.sampled_from([2, 3, 9]), st.data())
-def test_eval_scalar_is_homomorphism(q, data):
-    F = field_for_q(q)
-    a = data.draw(polys(q))
-    b = data.draw(polys(q))
-    x = data.draw(st.integers(0, q - 1))
-    assert (a * b).eval_scalar(x) == F.mul(a.eval_scalar(x), b.eval_scalar(x))
-    assert (a + b).eval_scalar(x) == F.add(a.eval_scalar(x), b.eval_scalar(x))
 
 
 def test_getitem_past_degree_is_zero():
@@ -249,7 +240,7 @@ def test_bipoly_divrem_tm_theta(q, data):
     f = BiPoly(F, rows)
     w = data.draw(st.integers(1, 3))
     g, gamma = _divrem_tm_theta(f, w)
-    assert gamma.deg_t < w
+    assert len(gamma.coeffs) - 1 < w
     back = g * _t_minus_theta_power(F, w) + gamma
     assert back == f
 
@@ -284,8 +275,8 @@ def _coeff_ring(F, rational):
 
 
 def _expand_by_synthetic_division(f):
-    """Reference (t-θ)-adic expansion: deg_t + 1 synthetic divisions of
-    f by (t-θ), each remainder one coefficient."""
+    """Reference (t-θ)-adic expansion: one synthetic division of f by
+    (t-θ) per t-coefficient, each remainder one coefficient."""
     zero, th = _coeff_ring(f.field, f.rational)
     out = []
     cur = list(f.coeffs)
@@ -366,7 +357,7 @@ def test_taylor_shift_matches_synthetic_division(q, rational):
                 n, e)
 
 
-# -- the packed A[t] product against the schoolbook ---------------------------
+# -- the A[t] product against the schoolbook on plain ints --------------------
 
 def _schoolbook_bimul(a, b):
     """Reference A[t] product on plain ints, reduced mod p at the end."""
@@ -398,14 +389,26 @@ def _filled(F, len_t, deg, c):
     (257, [(9, 8), (9, 9)]),
 ])
 def test_packed_bipoly_mul_matches_schoolbook(p, worst):
+    """The A[t] product on plain ints equals `BiPoly`'s product and, on
+    a packed field, the product of the rows (`_RowTerms.mul`, one
+    `fpx.PackedPoly.row_product`), all-(p-1) factors at the slot
+    bound included."""
     import random
 
     F = field_for_q(p)
     rng = random.Random(p)
+
+    def check(a, b):
+        want = _schoolbook_bimul(a, b)
+        assert a * b == want
+        if F.packed:
+            T = _RowTerms(F)
+            assert T.bipoly(T.mul(T.lay(a), T.lay(b))) == want
+
     (la, da), (lb, db) = worst
     a, b = _filled(F, la, da, p - 1), _filled(F, lb, db, p - 1)
-    assert a * b == _schoolbook_bimul(a, b)
-    assert a * a == _schoolbook_bimul(a, a)
+    check(a, b)
+    check(a, a)
     for _ in range(25):
         a, b = (
             BiPoly(F, [
@@ -414,7 +417,7 @@ def test_packed_bipoly_mul_matches_schoolbook(p, worst):
             ] + [Poly.one(F)])
             for _ in range(2)
         )
-        assert a * b == _schoolbook_bimul(a, b)
+        check(a, b)
     # a univariate product above the packing threshold: one t-row each
     a = _filled(F, 1, 80, p - 1)
     b = BiPoly(F, [Poly(F, [rng.randrange(p) for _ in range(70)] + [1])])
