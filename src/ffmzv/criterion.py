@@ -34,17 +34,21 @@ and the polylogarithm variant, whose motive has rational coordinates,
 walk the exact `Poly` domain alone.  In every domain the work is the
 same: `_annihilates` applies ρ_a to v, and the witness search builds
 its linear system from the iterates ρ_{t^j} of the points, both
-through `TModule`.  A nonzero residual certifies non-torsion and an
-empty kernel rules out every witness in any domain, while a zero
-residual counts only in the exact domain and a witness only once an
-independent reduction (`vanishes`) confirms it.
+through `TModule`.  The iterates stay in the domain's plan of ρ_t and
+come out as the columns of the system (`TModule.iterates`), which
+`linalg.nullspace` eliminates on as they come: on packed digits a
+column is one packed integer.  The witness search's probe has at
+least `WITNESS_ROWS_PER_COLUMN` rows per column, so that its kernel is
+not nonempty by counting alone.  A nonzero residual certifies
+non-torsion and an empty kernel rules out every witness in any
+domain, while a zero residual counts only in the exact domain and a
+witness only once an independent reduction (`vanishes`) confirms it.
 """
 from __future__ import annotations
 
 import operator
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import compress
 from typing import Optional
 
 from .carlitz import cache_for
@@ -55,6 +59,8 @@ from .poly import BiPoly, Poly, RatFrac, packed_ring
 from .tmodule import ProbeDomain, TModule
 
 PROBE_DEGREE = 21
+# the witness search's probe has at least this many rows per column
+WITNESS_ROWS_PER_COLUMN = 2
 
 
 @dataclass(frozen=True)
@@ -228,15 +234,15 @@ def _modulus_of(field: FieldSpec):
     return field.modulus if field.e > 1 else None
 
 
-def _ladder(motive: Motive):
+def _ladder(motive: Motive, probe_degree: int = 0):
     """The operator of the motive and the domains a torsion test walks,
     in order: on a `packed` field and for an integral motive the modular
-    probe, then A = F_p[θ] on packed digits (`packed_ring`); otherwise
-    the exact `Poly` (or `RatFrac`) domain alone.  The last domain is
-    always exact."""
+    probe, of degree max(PROBE_DEGREE, probe_degree), then A = F_p[θ]
+    on packed digits (`packed_ring`); otherwise the exact `Poly` (or
+    `RatFrac`) domain alone.  The last domain is always exact."""
     tm = TModule.from_motive(motive)
     if motive.field.packed and not motive.rational:
-        probe = ProbeDomain(motive.field, PROBE_DEGREE, 0)
+        probe = ProbeDomain(motive.field, max(PROBE_DEGREE, probe_degree), 0)
         return tm, [probe, packed_ring(motive.field.p)]
     return tm, [tm.exact]
 
@@ -358,61 +364,30 @@ def default_zetalike_bound(q: int, weight: int) -> int:
     return q ** (e + 1)
 
 
-def _flatten_rows(vectors):
-    """One F_q-linear equation per (coordinate, digit) pair that is not
-    identically zero, in coordinate then digit order; column k is
-    vectors[k].  A coordinate is a `Poly` in θ, read by its
-    coefficients, or a `bytes` of F_p digits (probe field or packed
-    ring), read as is; a digit beyond its end is 0.
-
-    A coordinate whose n = len(vectors) digit strings fill at least
-    half of the width·n cells of its rows, width the longest string,
-    is padded and transposed whole by `zip`.  Otherwise most cells
-    would be padding, as in the exact iterates ρ_{t^j}, whose θ-degrees
-    grow q-fold with j, and only the nonzero digits of each string are
-    read, found by `compress`."""
-    rows = []
-    n = len(vectors)
-    for coords in zip(*vectors):
-        digits = [getattr(c, "coeffs", c) for c in coords]
-        width = max(map(len, digits))
-        if 2 * sum(map(len, digits)) >= width * n:
-            padded = [tuple(d) + (0,) * (width - len(d)) for d in digits]
-            rows += (list(r) for r in zip(*padded) if any(r))
-            continue
-        at = {}
-        for col, d in enumerate(digits):
-            for j in compress(range(len(d)), d):
-                row = at.get(j)
-                if row is None:
-                    row = at[j] = [0] * n
-                row[col] = d[j]
-        rows += (at[j] for j in sorted(at))
-    return rows
-
-
 def _witness_kernel(motive: Motive, seed_groups, bound: int):
     """First kernel basis vector of (a_1, ..., a_k) ↦ Σ ρ_{a_i}(P_i) over
     deg a_i <= bound, P_i the point with seeds seed_groups[i], returned
     as the list [a_1, ..., a_k]; None if the kernel is zero.
 
-    Each domain of `_ladder` builds the system from the iterates
-    ρ_{t^j}(P_i), j <= bound, by `TModule.apply_t`: one row per
-    (coordinate, digit).  In the probe a coordinate is one element of
-    F_{p^deg}, deg digits, instead of a polynomial of growing degree.
-    An empty kernel in any domain rules out every witness; a kernel
-    vector counts once `vanishes`, a reduction independent of ρ_t,
-    accepts it, which in the exact domain it must."""
+    Each domain of `_ladder` builds the system by `TModule.iterates`:
+    one column per iterate ρ_{t^j}(P_i), j <= bound, laid out as the
+    domain's plan holds it.  In the probe a column is the d·deg digits
+    of a point of F_{p^deg}^d, instead of d polynomials of growing
+    degree, and deg is at least WITNESS_ROWS_PER_COLUMN times the
+    columns per coordinate: with fewer rows than columns the probe
+    kernel is nonempty by counting alone, and the search would go on
+    to exact iterates whose degrees grow q-fold with j.  An empty
+    kernel in any domain rules out every witness; a kernel vector
+    counts once `vanishes`, a reduction independent of ρ_t, accepts
+    it, which in the exact domain it must."""
     field = motive.field
     n = bound + 1
-    tm, doms = _ladder(motive)
+    ncols = n * len(seed_groups)
+    tm, doms = _ladder(motive, -(-WITNESS_ROWS_PER_COLUMN * ncols // motive.d))
     points = [motive.reduce_point(seeds) for seeds in seed_groups]
 
     def split(vec):
-        return [
-            Poly(field, vec[i * n:(i + 1) * n], var="t")
-            for i in range(len(seed_groups))
-        ]
+        return [Poly(field, vec[i:i + n], var="t") for i in range(0, ncols, n)]
 
     def vanishes(polys):
         # Σ ρ_{a_i}(P_i) in exact arithmetic, as one reduction of the
@@ -426,14 +401,7 @@ def _witness_kernel(motive: Motive, seed_groups, bound: int):
         return all(c.is_zero() for c in motive.reduce_point(scaled))
 
     for dom in doms:
-        iters = []
-        for point in points:
-            cur = dom.convert_all(point)
-            for j in range(n):
-                iters.append(cur)
-                if j < bound:
-                    cur = tm.apply_t(cur, dom)
-        basis = nullspace(field, _flatten_rows(iters), len(iters))
+        basis = nullspace(field, tm.iterates(points, n, dom))
         # Each probe row is an F_p-combination of exact rows (θ ↦ ξ is
         # F_p-linear), so the exact kernel lies inside the probe kernel:
         # an empty kernel in any domain rules out every witness.

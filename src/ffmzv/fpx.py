@@ -34,14 +34,18 @@ its `row_difference` every product of the H_n fill (`carlitz`), a
 factor of two terms at a time, whose sums are one `row_sum` each; and
 its `taylor_shift` the point reduction's shift in u.  The
 kernel of a matrix over F_p (`_PackedDigits.nullspace`, behind
-`linalg.nullspace`) keeps each column as one packed integer with its
-F_p-combination in the high slots.  Only this module packs, calls the
-Kronecker `product` and derives the slot bounds of packed products,
-sums, reductions and eliminations.  A packed integer is read back to
-digits by a byte-sliced reduction (`_PackedDigits.digits`): one
-`bytes.translate` per byte of a slot and round, never a loop over the
-slots.  Where the packed F_p[θ] runs is `fields.FieldSpec.packed`;
-p >= 256 and extension fields take the table-driven `Poly` arithmetic.
+`linalg.nullspace`) takes the matrix by columns and packs each one as
+it comes into one packed integer with its F_p-combination in the high
+slots; the witness search's columns are its iterates as both plans
+hold them (`columns`): a probe point's d·deg digits, or the packed
+ring's blocks, each re-laid at its widest width.  Only this module
+packs, calls the Kronecker `product` and derives the slot bounds of
+packed products, sums, reductions and eliminations.  A packed integer
+is read back to digits by a byte-sliced reduction
+(`_PackedDigits.digits`): one `bytes.translate` per byte of a slot and
+round, never a loop over the slots.  Where the packed F_p[θ] runs is
+`fields.FieldSpec.packed`; p >= 256 and extension fields take the
+table-driven `Poly` arithmetic.
 """
 from __future__ import annotations
 
@@ -237,23 +241,22 @@ class _PackedDigits:
             table = self._times[c] = bytes(c * i % p for i in range(256))
         return table
 
-    def nullspace(self, matrix: bytes, nrows: int, ncols: int):
-        """The right kernel of an nrows × ncols matrix over F_p, its
-        digits row after row in `matrix`, as the basis `linalg.rref`
-        reads off: one vector per free column c, in order, with 1 at c
-        and 0 at every other free column.
+    def nullspace(self, columns):
+        """The right kernel of a matrix over F_p given by its columns,
+        each a `bytes` (or a list of ints) of its nrows digits, as the
+        basis `linalg.rref` reads off: one vector per free column c, in
+        order, with 1 at c and 0 at every other free column.
 
-        Each column, one strided slice of the matrix, is one packed
-        integer of nrows + ncols slots: its entries, then its
-        F_p-combination of the columns, which starts as a 1 at its own
-        column, so one big-int operation updates both.  The columns are
-        walked in order, and each is reduced against the pivots found
-        so far, in the order they were found: with f the pivot row's
-        slot mod p, one v += (p-f)·P, slots left unreduced, then one
-        `digits` call.  A column left nonzero is a pivot: its pivot row
-        is its lowest nonzero digit, where it is normalized to 1.  A
-        column left zero is free, and its combination is the basis
-        vector.
+        Each column is packed as it comes into one integer of
+        nrows + ncols slots: its entries, then its F_p-combination of
+        the columns, which starts as a 1 at its own column, so one
+        big-int operation updates both.  The columns are walked in
+        order, and each is reduced against the pivots found so far, in
+        the order they were found: with f the pivot row's slot mod p,
+        one v += (p-f)·P, slots left unreduced, then one `digits` call.
+        A column left nonzero is a pivot: its pivot row is its lowest
+        nonzero digit, where it is normalized to 1.  A column left zero
+        is free, and its combination is the basis vector.
 
         Why the basis is the RREF's.  Pivot k was reduced by every
         earlier pivot, and each of those is zero at the pivot rows
@@ -264,7 +267,8 @@ class _PackedDigits:
         then the RREF's.  A pivot's combination involves only its own
         column and earlier pivot columns, so a free column's has 1 at
         that column and 0 at every other free column, and only one
-        kernel vector has that pattern.
+        kernel vector has that pattern.  Neither depends on the order
+        of the rows, or on rows of zeros.
 
         Slot bound.  A column enters with digits below p.  Every pivot
         is reduced and normalized, so its digits are below p, and a
@@ -274,13 +278,14 @@ class _PackedDigits:
         exceeds ncols·(p-1)^2 + (p-1) (`_kernel_slot`).  No slot
         reaches 256^slot, no carry crosses a slot, and each f read and
         each `digits` slot is the exact sum, read mod p."""
-        p = self.p
+        p, ncols = self.p, len(columns)
+        nrows = len(columns[0]) if columns else 0
         slot = _kernel_slot(p, ncols)
         bits, k = 8 * slot, nrows + ncols
         mask = (1 << bits) - 1
         pivots, basis = [], []
-        for c in range(ncols):
-            v = pack(matrix[c::ncols], slot) | 1 << bits * (nrows + c)
+        for c, column in enumerate(columns):
+            v = pack(column, slot) | 1 << bits * (nrows + c)
             for shift, pivot in pivots:
                 f = (v >> shift & mask) % p
                 if f:
@@ -591,6 +596,11 @@ class _PackedPoint:
 
     def is_zero(self, point):
         return point == self._zero
+
+    def columns(self, points):
+        """Points as the columns of one matrix: each its own d·deg
+        digits."""
+        return points
 
     def times(self, x, c):
         """c·x for a digit c."""
@@ -925,6 +935,19 @@ class _PackedBlocks:
 
     def is_zero(self, point):
         return not any(x for x, _ in point)
+
+    def columns(self, points):
+        """Points as the columns of one matrix, all of one length: each
+        block re-laid at its widest width over the points and padded to
+        its rows."""
+        widths = [max(ws) for ws in zip(*([w for _, w in pt] for pt in points))]
+        return [
+            b"".join(
+                relayout(x, w, width).ljust(r * width, b"\0")
+                for (x, w), width, r in zip(pt, widths, self._rows)
+            )
+            for pt in points
+        ]
 
     def times(self, point, c):
         """c·point for a digit c."""

@@ -363,7 +363,7 @@ def rational_reconstruct(x: LaurentNumber, max_deg: int):
         rows.append(row)
     if not rows:
         return None
-    for vec in nullspace(F, rows, nq + np_):
+    for vec in nullspace(F, list(zip(*rows))):
         qpoly = Poly(F, vec[:nq])
         if qpoly.is_zero():
             continue

@@ -1,12 +1,13 @@
 """Dense linear algebra over F_q.
 
-Matrices are lists of lists of field-element ints.  `nullspace` returns
-the basis that the reduced row echelon form (`rref`) reads off.  On a
-`packed` field (prime q < 256) it runs on packed columns instead, one
-big integer per column with its F_p-combination in the high slots
-(`fpx._PackedDigits.nullspace`); extension fields and p >= 256 take the
-list-based `rref`, which is also the reference the packed path is
-tested against.
+`nullspace` takes a matrix by its columns and returns the basis that
+the reduced row echelon form (`rref`, on a list of rows of
+field-element ints) reads off.  On a `packed` field (prime q < 256) it
+packs each column as it comes into one big integer with its
+F_p-combination in the high slots (`fpx._PackedDigits.nullspace`);
+extension fields and p >= 256 transpose the columns once, drop the
+rows of zeros and take the list-based `rref`, which is also the
+reference the packed path is tested against.
 """
 from __future__ import annotations
 
@@ -51,30 +52,27 @@ def rref(field: FieldSpec, rows):
     return m, pivots
 
 
-def nullspace(field: FieldSpec, rows, ncols=None):
-    """Basis of the right kernel of the matrix, as coefficient vectors:
-    one per free column c of the RREF, in order, with 1 at c and 0 at
-    every other free column.  Every row must hold ncols element codes
-    in range(q)."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("need ncols for an empty matrix")
-        ncols = len(rows[0])
-    if not rows:
-        return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
-    if set(map(len, rows)) != {ncols}:
-        raise ValueError(f"every row must have ncols = {ncols} entries")
+def nullspace(field: FieldSpec, columns):
+    """Basis of the right kernel of the matrix with the given columns,
+    as coefficient vectors: one per free column c of the RREF, in
+    order, with 1 at c and 0 at every other free column.  Every column
+    must hold the same number of element codes in range(q); a column
+    is a `bytes` or a sequence of ints."""
+    if len(set(map(len, columns))) > 1:
+        raise ValueError("every column must have the same number of entries")
     if field.packed:
         try:
-            matrix = b"".join(map(bytes, rows))
+            columns = [bytes(c) for c in columns]
         except ValueError:  # an entry outside range(256)
-            matrix = None
-        if matrix is not None and not matrix.translate(None, bytes(range(field.p))):
-            return packed_ring(field.p).nullspace(matrix, len(rows), ncols)
-    elif not ncols or (
-        0 <= min(map(min, rows)) and max(map(max, rows)) < field.q
-    ):
-        return rref_nullspace(field, rows, ncols)
+            columns = [b"\xff"]  # a digit of no p < 256
+        if not b"".join(columns).translate(None, bytes(range(field.p))):
+            return packed_ring(field.p).nullspace(columns)
+    else:
+        rows = [r for r in zip(*columns) if any(r)]
+        if not rows or (
+            0 <= min(map(min, rows)) and max(map(max, rows)) < field.q
+        ):
+            return rref_nullspace(field, rows, len(columns))
     raise ValueError(f"matrix entries must be element codes in range({field.q})")
 
 

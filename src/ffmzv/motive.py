@@ -43,7 +43,7 @@ power in the quotient map, so points never see it).
 
 The terms, seeds and worklist alike, are the H_n fill's, one type per
 ring (`carlitz.terms_for`), like the coefficient domains of
-`tmodule.TModule.apply_t`: packed rows of F_p digits
+`tmodule.TModule`: packed rows of F_p digits
 (`carlitz._RowTerms`, on the shared `poly.packed_ring`, whose sums,
 products, Frobenius and Taylor shift are `fpx.PackedPoly`'s, so no slot
 bound is derived here) where the field is `packed` (prime q < 256) and

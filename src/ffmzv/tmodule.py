@@ -50,7 +50,9 @@ over the domain's element operations (zero, is_zero, add, mul,
 theta_step, scalar, frob, convert), which `ExactDomain` and the packed
 ring for p > 13 take.  Every domain converts a list at a time
 (`convert_all`).  A point enters the plan once per call and leaves it
-as a list of coordinates.
+as a list of coordinates, or, for the witness search, as columns of
+its linear system (`TModule.iterates`): the first n iterates of each
+point, stepped inside the plan and laid out by it (`columns`).
 
 ρ_a for a in F_q[t] is Horner in ρ_t from the leading coefficient of a
 (`TModule.apply_poly`): deg a applications of ρ_t, with the point added
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import compress
 
 from . import fpx
 from .carlitz import cache_for, theta_major
@@ -226,6 +229,22 @@ class _RowLoop:
         cs = dom.scalar(c)
         return [dom.mul(cs, y) for y in x]
 
+    def columns(self, points):
+        """The points as the columns of one matrix of digits: per
+        coordinate, the digit of each point at every position where
+        some point's digit is nonzero, found by `compress`.  Most
+        positions of the exact iterates ρ_{t^j}(P) are zero, as their
+        θ-degrees grow q-fold with j and a Frobenius twist spreads the
+        digits apart."""
+        cols = [[] for _ in points]
+        for coords in zip(*points):
+            digits = [getattr(x, "coeffs", x) for x in coords]
+            at = sorted(set().union(*(compress(range(len(d)), d) for d in digits)))
+            for col, d in zip(cols, digits):
+                n = len(d)
+                col += [d[j] if j < n else 0 for j in at]
+        return cols
+
     def step(self, vec, c, x):
         """ρ_t(vec) + c·x: per row one θ-step, θ·x_i + x_{i+1} inside a
         block and θ·x_i + 0 at its end, then the τ-terms of the top
@@ -320,10 +339,29 @@ class TModule:
 
     def apply_t(self, vec, dom=None):
         """One application of ρ_t: θ·x_i + x_{i+1} inside a block and
-        θ·x_i at its end, plus the τ-terms of the top columns."""
+        θ·x_i at its end, plus the τ-terms of the top columns.  The
+        one-step reference that `iterates` is tested against."""
         dom = dom or self.exact
         plan = self._plan(dom)
         return plan.leave(plan.step(plan.enter(vec), 0, None))
+
+    def iterates(self, points, n: int, dom=None):
+        """The first n iterates ρ_{t^j}(P), j < n, of each point P, point
+        after point, as the columns of one matrix over F_q
+        (`linalg.nullspace`).  Each point enters the domain's plan once
+        and takes its n - 1 applications of ρ_t there; the plan then
+        lays its iterates out as columns of one length (`columns`): a
+        probe point's d·deg digits as they are, the packed ring's blocks
+        each at its widest width over the iterates, and the row loop's
+        coordinates by their nonzero digits."""
+        dom = dom or self.exact
+        plan = self._plan(dom)
+        out = []
+        for vec in points:
+            out.append(plan.enter(dom.convert_all(vec)))
+            for _ in range(n - 1):
+                out.append(plan.step(out[-1], 0, None))
+        return plan.columns(out)
 
     def apply_poly(self, vec, a: Poly, dom=None):
         """ρ_a(vec) for a in F_q[t], by Horner in ρ_t from the leading

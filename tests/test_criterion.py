@@ -1,14 +1,20 @@
+import hashlib
+import json
 import operator
+import os
 import random
 import signal
+import subprocess
+import sys
 from functools import lru_cache, reduce
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from ffmzv import criterion
 from ffmzv.cli import enumerate_tuples
 from ffmzv.criterion import (
-    _flatten_rows,
     annihilator_cmpl,
     annihilator_mzv,
     check_suffix_consistency,
@@ -453,7 +459,7 @@ def _exact_first_kernel_vector(q, s, bound, with_u):
     iters = [
         it for g in groups for it in _reduction_iterates(motive, g, bound)
     ]
-    basis = rref_nullspace(F, _flatten_rows(iters), len(iters))
+    basis = rref_nullspace(F, _whole_scan(iters), len(iters))
     if not basis:
         return None
     n = bound + 1
@@ -466,9 +472,20 @@ def _exact_first_kernel_vector(q, s, bound, with_u):
 @pytest.mark.parametrize("probe_degree", [criterion.PROBE_DEGREE, 2])
 def test_witness_search_matches_exact_reference(monkeypatch, probe_degree):
     """Probe first, then exact: the same witness as the exact system.  At
-    probe degree 2 the probe kernel is often too large and the search
-    falls back to the exact domain; extension fields run it alone."""
+    probe degree 2, with no floor of rows per column, the probe kernel
+    is often too large and the search falls back to the exact domain;
+    extension fields run it alone."""
     monkeypatch.setattr(criterion, "PROBE_DEGREE", probe_degree)
+    if probe_degree == 2:
+        monkeypatch.setattr(criterion, "WITNESS_ROWS_PER_COLUMN", 0)
+    systems = []
+    nullspace = criterion.nullspace
+
+    def counting(field, columns):
+        systems.append(len(columns))
+        return nullspace(field, columns)
+
+    monkeypatch.setattr(criterion, "nullspace", counting)
     for q, s, bound in WITNESS_CASES:
         w = torsion_witness(field_for_q(q), s, bound)
         got = None if w is None else (str(w),)
@@ -486,12 +503,17 @@ def test_witness_search_matches_exact_reference(monkeypatch, probe_degree):
         assert got == _exact_first_kernel_vector(q, s, bound, True), (q, s)
     v = is_zeta_like(field_for_q(4), (1, 1), 8)
     assert v.outcome == "none-up-to-bound"
+    # the packed searches that fell back built a second, exact system
+    falls_back = len(systems) > len(WITNESS_CASES) + len(cases) + 1
+    assert falls_back == (probe_degree == 2)
 
 
 def _whole_scan(vectors):
-    """The row scan the witness search used before sparse coordinates
-    were read by their nonzero digits: every coordinate padded to the
-    longest and transposed whole.  The reference for `_flatten_rows`."""
+    """The rows of a witness system whose column k is the iterate
+    vectors[k]: one per (coordinate, digit) that is not identically
+    zero, every coordinate padded to the longest and transposed whole.
+    A coordinate is a `Poly`, read by its coefficients, or a `bytes`
+    of digits."""
     rows = []
     for coords in zip(*vectors):
         digits = [tuple(getattr(c, "coeffs", c)) for c in coords]
@@ -503,14 +525,16 @@ def _whole_scan(vectors):
 
 @pytest.mark.parametrize("q,s,bound", [
     (4, (1, 1), 6), (2, (1, 2), 10), (3, (1, 2), 8), (5, (1, 3), 6),
+    (17, (1, 2), 3),
 ])
-def test_flatten_rows_matches_whole_scan(q, s, bound):
-    """The rows of a witness system equal the whole-coordinate scan, in
-    the same order, in every domain the search walks: the exact `Poly`
-    iterates and the packed ring's `bytes`, whose lengths grow q-fold
-    with j, so most cells are padding and only nonzero digits are
-    read, and the probe's `bytes`, all deg digits long and transposed
-    whole.  Both ways of reading occur at every prime q checked."""
+def test_iterate_columns_match_whole_scan(q, s, bound):
+    """The columns `TModule.iterates` lays out, transposed with their
+    rows of zeros dropped, are the whole-coordinate scan of the
+    iterates that `apply_t` steps one at a time, in the same order, in
+    every domain the search can walk: the exact `Poly` iterates and the
+    packed ring's row loop (p = 17), both read by their nonzero digits,
+    the packed ring's blocks (p <= 13), each re-laid at its widest
+    width, and the probe's points, d·deg digits each."""
     F = field_for_q(q)
     motive = Motive(F, s)
     tm, doms = criterion._ladder(motive)
@@ -518,7 +542,6 @@ def test_flatten_rows_matches_whole_scan(q, s, bound):
         motive.reduce_point(motive.point_v_seeds()),
         motive.reduce_point(motive.point_u_seeds()),
     ]
-    padded_most = []
     for dom in [tm.exact] + doms:
         iters = []
         for point in points:
@@ -526,13 +549,13 @@ def test_flatten_rows_matches_whole_scan(q, s, bound):
             for _ in range(bound + 1):
                 iters.append(cur)
                 cur = tm.apply_t(cur, dom)
-        assert _flatten_rows(iters) == _whole_scan(iters)
-        for coords in zip(*iters):
-            lengths = [len(getattr(c, "coeffs", c)) for c in coords]
-            padded_most.append(2 * sum(lengths) < max(lengths) * len(lengths))
-    assert any(padded_most)
-    # the probe's coordinates all have deg digits
-    assert not all(padded_most) or not F.packed
+        columns = tm.iterates(points, bound + 1, dom)
+        assert len(columns) == len(iters)
+        assert len(set(map(len, columns))) == 1
+        if dom is doms[0] and F.packed:
+            assert len(columns[0]) == motive.d * dom.deg
+        rows = [list(r) for r in zip(*columns) if any(r)]
+        assert rows == _whole_scan(iters)
 
 
 def test_zetalike_default_bound():
@@ -557,6 +580,76 @@ def test_zetalike_at_the_default_bound(s, want):
     else:
         assert v.outcome == "zeta-like"
         assert (str(v.witness_a), str(v.witness_b)) == want
+
+
+def _compositions(w, r):
+    """The compositions of w into r parts, in lexicographic order."""
+    for cuts in combinations(range(1, w), r - 1):
+        ends = (0,) + cuts + (w,)
+        yield tuple(b - a for a, b in zip(ends, ends[1:]))
+
+
+# sha256 of the json.dumps of [tuple, bound, outcome, witness_a,
+# witness_b] for every q = 3 search of depth 2 or 3 at odd weight <= 13
+# (203 tuples), weight then depth then lexicographic order, at the
+# default bound: the answers of the search before its kernel took the
+# iterates as columns
+PINNED_Q3_SEARCHES = "17377ad8778a5475ee7c884745c1883133b9a201c9bd45552e450f4ae3411d1c"
+
+
+def test_default_bound_q3_searches_match_their_pin():
+    F = field_for_q(3)
+    records, zeta_like = [], []
+    for w in range(3, 14, 2):
+        for r in (2, 3):
+            for s in _compositions(w, r):
+                v = is_zeta_like(F, s)
+                a, b = v.witness_a, v.witness_b
+                records.append([
+                    list(s), v.bound, v.outcome,
+                    str(a) if a else None, str(b) if b else None,
+                ])
+                if v.outcome == "zeta-like":
+                    zeta_like.append(s)
+    assert len(records) == 203
+    assert zeta_like == [(1, 2), (1, 4), (1, 6), (1, 8), (3, 6), (1, 2, 6)]
+    got = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert got == PINNED_Q3_SEARCHES
+
+
+# searches whose probe system had more columns than rows at probe
+# degree 21: their probe kernel was never empty, and the exact fallback
+# reduced multiples of degree 125 (q = 5) and 49 (q = 7)
+WIDE_SEARCHES = [
+    (7, (1, 1)), (5, (1, 5)), (5, (2, 4)), (5, (3, 3)), (5, (5, 1)),
+    (5, (1, 1, 4)), (5, (1, 2, 3)), (5, (2, 2, 2)), (5, (1, 4, 1)),
+]
+
+
+def test_wide_default_bound_searches_fit_in_memory():
+    """Each search of `WIDE_SEARCHES` at its default bound answers
+    none-up-to-bound in a child process capped at 1 GB of address
+    space and 60 s: they used to raise MemoryError under that cap."""
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import resource, signal\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))\n"
+        "signal.alarm(60)\n"
+        "from ffmzv.criterion import is_zeta_like\n"
+        "from ffmzv.fields import field_for_q\n"
+        f"for q, s in {WIDE_SEARCHES!r}:\n"
+        "    print(is_zeta_like(field_for_q(q), s).outcome, flush=True)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["none-up-to-bound"] * len(WIDE_SEARCHES)
 
 
 def test_zetalike_requires_depth_two():

@@ -51,6 +51,13 @@ def _check_kernel(field, rows, ncols, basis):
         assert [v[c] for c in free].count(0) == len(free) - 1
 
 
+def _columns(field, rows):
+    """The columns of the matrix with the given rows, as `nullspace`
+    takes them: `bytes` on a packed field, lists of ints otherwise."""
+    cols = zip(*rows)
+    return [bytes(c) for c in cols] if field.packed else [list(c) for c in cols]
+
+
 def _cases(p, rng):
     """Matrices over F_p that cover every rank, dependent and duplicate
     columns, the zero and identity matrices and one column."""
@@ -82,8 +89,9 @@ def test_packed_nullspace_matches_rref(p):
     rng = random.Random(p)
     for rows in _cases(p, rng):
         ncols = len(rows[0])
-        basis = nullspace(field, rows, ncols)
+        basis = nullspace(field, _columns(field, rows))
         assert basis == rref_nullspace(field, rows, ncols), rows
+        assert nullspace(field, [list(c) for c in zip(*rows)]) == basis
         _check_kernel(field, rows, ncols, basis)
 
 
@@ -96,7 +104,7 @@ def test_packed_nullspace_matches_rref_at_size(p, nrows, ncols, rank):
     """Up to 500 × 170, the size of a witness system at a high bound."""
     field = field_for_q(p)
     rows = _of_rank(random.Random(nrows + ncols + p), p, nrows, ncols, rank)
-    basis = nullspace(field, rows, ncols)
+    basis = nullspace(field, _columns(field, rows))
     assert len(basis) == ncols - rank
     assert basis == rref_nullspace(field, rows, ncols)
     _check_kernel(field, rows, ncols, basis)
@@ -104,11 +112,13 @@ def test_packed_nullspace_matches_rref_at_size(p, nrows, ncols, rank):
 
 @pytest.mark.parametrize("q", PRIMES + [4, 9, 257])
 def test_empty_rows_give_the_identity(q):
+    """Columns of no entries: every column is free.  With no columns
+    there is nothing to solve for, and the basis is empty."""
     field = field_for_q(q)
-    assert nullspace(field, [], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert nullspace(field, [], 0) == []
-    with pytest.raises(ValueError, match="ncols"):
-        nullspace(field, [])
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace(field, [[], [], []]) == identity
+    assert nullspace(field, [b"", b"", b""]) == identity
+    assert nullspace(field, []) == []
 
 
 def _worst_case(p, n):
@@ -144,7 +154,7 @@ def test_packed_nullspace_at_its_worst_case(p, n):
     without its ncols factor carries into the next slot."""
     field = field_for_q(p)
     rows = _worst_case(p, n)
-    basis = nullspace(field, rows, n)
+    basis = nullspace(field, _columns(field, rows))
     assert basis == [[0] * (n - 2) + [p - 1, 1]]
     _check_kernel(field, rows, n, basis)
     top = (n - 1) * (p - 1) ** 2 + (1 - n) % p
@@ -153,20 +163,26 @@ def test_packed_nullspace_at_its_worst_case(p, n):
 
 @pytest.mark.parametrize("q", [3, 4, 251, 257])
 def test_rows_must_have_ncols_codes(q):
-    """A row longer than ncols used to lose its extra entries
-    (`nullspace(F, [[1, 0, 1]], 2)` gave [[0, 1]]), and a short or
-    ragged row failed with a bare IndexError."""
+    """Every row must hold one element code per column: ragged columns,
+    which leave a row short of an entry, and entries outside range(q)
+    raise.  When the matrix came by rows, a row longer than ncols used
+    to lose its extra entries (`nullspace(F, [[1, 0, 1]], 2)` gave
+    [[0, 1]]), and a short or ragged row failed with a bare
+    IndexError."""
     field = field_for_q(q)
-    for rows, ncols in [
-        ([[1, 0, 1]], 2), ([[1, 0]], 3), ([[1, 0, 1], [1, 0]], 3),
-        ([[1, 0], [1, 0, 1]], None), ([[1, 0], []], 2),
+    for cols in [
+        [[1], [0], [1, 0]], [[1, 0], [0]], [[1, 0], []], [[], [1]],
+        [b"\x01", b"\x00\x01"],
     ]:
-        with pytest.raises(ValueError, match="ncols"):
-            nullspace(field, rows, ncols)
+        with pytest.raises(ValueError, match="same number"):
+            nullspace(field, cols)
     for bad in [-1, q, q + 256]:
         with pytest.raises(ValueError, match="range"):
-            nullspace(field, [[1, 0], [0, bad]], 2)
-    assert nullspace(field, [[1, 0, q - 1]], 3) == rref_nullspace(
+            nullspace(field, [[1, 0], [0, bad]])
+    if q < 256:
+        with pytest.raises(ValueError, match="range"):
+            nullspace(field, [b"\x01\x00", bytes([0, q])])
+    assert nullspace(field, [[1], [0], [q - 1]]) == rref_nullspace(
         field, [[1, 0, q - 1]], 3
     )
 
@@ -180,7 +196,7 @@ def test_extension_field_keeps_rref():
     rows = [[rng.randrange(9) for _ in range(10)] for _ in range(6)]
     rows.append(rows[0])
     rows.append([field.add(x, field.mul(5, y)) for x, y in zip(*rows[1:3])])
-    basis = nullspace(field, rows, 10)
+    basis = nullspace(field, _columns(field, rows))
     assert len(basis) >= 4
     assert basis == rref_nullspace(field, rows, 10)
     _check_kernel(field, rows, 10, basis)
