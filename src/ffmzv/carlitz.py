@@ -44,12 +44,12 @@ the worklist's operations in u = t-θ.  On a packed field integral
 A[t] lives in these rows alone: `_RowTerms` is the one place that
 lays a `BiPoly` out in rows (`lay`) and reads one back (`bipoly`),
 and no library path multiplies `BiPoly`s there.  Per n the cache
-keeps K_n, the u-basis expansion of H_n on request (`h_expanded`),
-which every motive with the entry shares, and the `BiPoly` that
-`anderson_thakur`, the one entry point that fills, returns; H_n's
-term in t (`h_term`) is twisted from K_n on every request and not
-kept.  Nothing is read from or written to disk: a fill costs about
-what reading it back and checking it would.
+keeps K_n and, on request, the u-basis expansion of H_n
+(`h_expanded`), which every motive with the entry shares.  It keeps no
+`BiPoly`: `anderson_thakur`, the one entry point that fills, builds the
+one it returns on each call, and H_n's term in t (`h_term`) is twisted
+from K_n on every request.  Nothing is read from or written to disk: a
+fill costs about what reading it back and checking it would.
 """
 from __future__ import annotations
 
@@ -359,8 +359,7 @@ class CarlitzCache:
         self._terms = terms_for(field)
         # K_m = H_m^{(-1)}; K_0..K_{q-1} = 1, the start of the fill
         self._h = {m: self._terms.one for m in range(self.q)}
-        # per n: the BiPoly of H_n, its u-basis expansion
-        self._h_bipoly = {}
+        # per n: the u-basis expansion of H_n
         self._h_u = {}
         self._d_powers = {}
         self._g = {0: (Poly.one(field), {})}
@@ -455,18 +454,15 @@ class CarlitzCache:
         """H_n in A[t]: H_n = 1 for 0 <= n <= q-1, and in general the
         coefficient of x^n in the generating identity times Γ_{n+1}(t).
         The one entry point that fills: a call fills every missing
-        K_m = H_m^{(-1)}, m <= n, and the `BiPoly` of H_n is built from
-        `h_term` on the first request for it and kept.  No library path
+        K_m = H_m^{(-1)}, m <= n, and builds the `BiPoly` of H_n from
+        `h_term`, on every call, keeping none.  No library path
         multiplies it: a motive reads its attached polynomials from
         `h_term` and `h_expanded`."""
         if n < 0:
             raise ValueError("H_n needs n >= 0")
-        h = self._h_bipoly.get(n)
-        if h is None:
-            if n not in self._h:
-                self._derive_h(n)
-            h = self._h_bipoly[n] = self._terms.bipoly(self.h_term(n))
-        return h
+        if n not in self._h:
+            self._derive_h(n)
+        return self._terms.bipoly(self.h_term(n))
 
     def h_term(self, n: int):
         """H_n as a term in t of `terms_for(field)`, tight packed rows
@@ -475,8 +471,8 @@ class CarlitzCache:
         call and not kept; on rows the twist is one strided spread of
         K_n's digits.  A K_n not yet filled is filled by a call of
         `anderson_thakur`, so every fill runs inside that one entry
-        point; a K_n already filled, below a larger one, builds no
-        `BiPoly`."""
+        point, which builds one `BiPoly` and drops it; a K_n already
+        filled, below a larger one, builds none."""
         if n not in self._h:
             self.anderson_thakur(n)
         return self._terms.frob(self._h[n])

@@ -663,8 +663,8 @@ class PackedPoly(_PackedDigits):
     with x = θ.
 
     An element is a `bytes`, digit j the coefficient of x^j, with no
-    trailing zero digit, so b"" is zero; `convert` takes a `Poly` over
-    F_p to its digits, and `Poly(field, x)` takes them back.  A sum,
+    trailing zero digit, so b"" is zero; `convert_all` takes `Poly`s
+    over F_p to their digits, and `Poly(field, x)` takes them back.  A sum,
     and the step x·a + b, adds at most two digits per slot, 2(p-1),
     which sets `slot`: one byte for p <= 128, two above.  A product is
     one big-int product whose slots hold its largest coefficient sum,
@@ -695,11 +695,8 @@ class PackedPoly(_PackedDigits):
             raise ValueError(f"scalar {c!r} is not a digit in range({self.p})")
         return bytes((c,)) if c else b""
 
-    def convert(self, c):
-        """The digits of a polynomial over F_p (anything with `coeffs`)."""
-        return bytes(c.coeffs)
-
     def convert_all(self, cs):
+        """The digits of polynomials over F_p (anything with `coeffs`)."""
         return [bytes(c.coeffs) for c in cs]
 
     def add(self, a, b):

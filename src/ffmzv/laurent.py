@@ -87,21 +87,9 @@ class LaurentNumber:
     def window_empty(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, e: int) -> int:
-        """Coefficient of θ^e; raises PrecisionError below the window."""
-        if self.unknown is not None and e <= self.unknown:
-            raise PrecisionError(f"coefficient of θ^{e} is below precision")
-        if not self.coeffs or e > self.top:
-            return 0
-        return self.coeffs[self.top - e]
-
     def known_floor(self):
         """Lowest exponent with a known coefficient (None = all of them)."""
         return None if self.unknown is None else self.unknown + 1
-
-    def valuation(self):
-        """Exponent of the leading term; None if no nonzero digit is known."""
-        return self.top if self.coeffs else None
 
     # -- arithmetic --------------------------------------------------------
     def _join_unknown(self, other):
@@ -158,15 +146,6 @@ class LaurentNumber:
         row = self.field._mul[c]
         return LaurentNumber(
             self.field, self.top, [row[x] for x in self.coeffs], self.unknown
-        )
-
-    def shift(self, n: int) -> "LaurentNumber":
-        """Multiply by θ^n (n may be negative)."""
-        return LaurentNumber(
-            self.field,
-            self.top + n,
-            self.coeffs,
-            None if self.unknown is None else self.unknown + n,
         )
 
     def __mul__(self, other: "LaurentNumber") -> "LaurentNumber":

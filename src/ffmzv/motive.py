@@ -53,7 +53,7 @@ included, and for the polylogarithm motives.  Each Q_ℓ is a term in t
 once the motive is built, a canonical one the cache's term of H_n
 (`carlitz.CarlitzCache.h_term`), and the seeds of the points are
 products of those terms, so a packed motive whose H_n are filled builds
-no `BiPoly`; `Motive.Q` builds them on first read.
+no `BiPoly`, and keeps none.
 """
 from __future__ import annotations
 
@@ -88,29 +88,19 @@ class Motive:
         if Q is None:
             if rational:
                 raise ValueError("canonical Q is integral; rational=False")
-            # the cache's terms of H_{s_ℓ-1}; `Q` is built on first read
+            # the cache's terms of H_{s_ℓ-1}
             cache = cache_for(field)
             self._laid = [cache.h_term(si - 1) for si in s]
         else:
             Q = list(Q)
             if len(Q) != self.r:
                 raise ValueError("need one attached polynomial per entry")
-            # shadows the `Q` property; each Q_ℓ laid out once, in t
-            self.Q = Q
+            # each Q_ℓ laid out once, in t
             self._laid = [self._terms.lay(f) for f in Q]
         # suffix weights: weights[ℓ-1] = s_ℓ + ... + s_r
         self.weights = [sum(s[i:]) for i in range(self.r)]
         self.d = sum(self.weights)
         self._offsets = [sum(self.weights[:i]) for i in range(self.r)]
-
-    @cached_property
-    def Q(self):
-        """The attached polynomials as `BiPoly`s.  For a canonical
-        motive, the cache's H_{s_ℓ-1} (`carlitz.CarlitzCache.
-        anderson_thakur`), read on first access: no library path reads
-        them, the reduction runs on `_laid`."""
-        cache = cache_for(self.field)
-        return [cache.anderson_thakur(si - 1) for si in self.s]
 
     # -- indexing ----------------------------------------------------------
     def row(self, ell: int, j: int) -> int:

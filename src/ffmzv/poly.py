@@ -339,9 +339,6 @@ class RatFrac:
     def is_one(self):
         return self.num.is_one() and self.den.is_one()
 
-    def is_integral(self):
-        return self.den.is_one()
-
     def __bool__(self):
         return bool(self.num)
 

@@ -16,7 +16,7 @@ packed ring:
   `RatFrac`) objects; fully rigorous both ways, but repeated τ's raise
   degrees q-fold, so a non-torsion point blows up quickly under a large
   annihilator.  It serves every field and the polylogarithm points,
-  and the diagnostics (`TModule.entry`, `render`, `nilpotency_index`).
+  and the diagnostics (`TModule.entry`, `render`).
 * `ProbeDomain` — the image of A under θ ↦ ξ for ξ a root of an
   irreducible of chosen degree over F_p (`packed` fields and `Poly`
   coordinates only).  The map is a ring homomorphism commuting with
@@ -24,7 +24,9 @@ packed ring:
   result nonzero.  A zero probe proves nothing and must be confirmed
   exactly.  A probe element is a `bytes` of F_p digits, with a product
   one big-int product of the packed digits and x ↦ x^{q^n} a
-  precomputed F_p-linear map (`fpx.PackedQuotient`).  A probe point is
+  precomputed F_p-linear map (`fpx.PackedQuotient`, the domain's
+  `ring`); the domain itself offers no element operation but
+  `is_zero`, as ρ_t never runs on it row by row.  A probe point is
   one packed integer, all its rows side by side, and one application
   of ρ_t a few big-int operations on it with one reduction, plus one
   product and one grouped Barrett reduction per τ-level with
@@ -47,8 +49,8 @@ The operator code below never asks which domain it runs in.  Each
 once: the domain's own (`fpx.PackedQuotient.point_plan` for the
 probe, `fpx.PackedPoly.point_plan`), or else the row loop (`_RowLoop`)
 over the domain's element operations (zero, is_zero, add, mul,
-theta_step, scalar, frob, convert), which `ExactDomain` and the packed
-ring for p > 13 take.  Every domain converts a list at a time
+theta_step, scalar, frob), which `ExactDomain` and the packed ring for
+p > 13 take.  Every domain converts a list at a time
 (`convert_all`).  A point enters the plan once per call and leaves it
 as a list of coordinates, or, for the witness search, as columns of
 its linear system (`TModule.iterates`): the first n iterates of each
@@ -71,7 +73,7 @@ from itertools import compress
 from . import fpx
 from .carlitz import cache_for, theta_major
 from .fields import FieldSpec
-from .poly import Poly, RatFrac, not_a_code
+from .poly import Poly, RatFrac
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +96,6 @@ class ExactDomain:
 
     def add(self, a, b):
         return a + b
-
-    def neg(self, x):
-        return -x
 
     def mul(self, a, b):
         return a * b
@@ -125,11 +124,15 @@ class ExactDomain:
 
 
 def _find_irreducible(p: int, deg: int, rng) -> tuple:
-    """Random monic irreducible of degree `deg` over F_p: the first draw
-    from `rng` with a nonzero constant term that `fpx.is_irreducible`
-    accepts.  That test is exact, so a seed always names the same
-    modulus; most draws are rejected at a small factor, most of them by
-    its root test."""
+    """Random monic irreducible of degree `deg` >= 1 over F_p: the first
+    draw from `rng` with a nonzero constant term that
+    `fpx.is_irreducible` accepts.  That test is exact, so a seed always
+    names the same modulus; most draws are rejected at a small factor,
+    most of them by its root test.  Below degree 1 every draw is the
+    constant 1, which the test rejects, so such a degree raises
+    `ValueError` before the search."""
+    if deg < 1:
+        raise ValueError(f"a probe field needs degree >= 1, not {deg}")
     while True:
         m = [rng.randrange(p) for _ in range(deg)] + [1]
         if m[0] and fpx.is_irreducible(m, p):
@@ -151,8 +154,8 @@ class ProbeDomain:
     """A → F_{p^deg} via θ ↦ ξ (`packed` fields, `Poly` coordinates only).
 
     An element is a `bytes` of length deg, digit j the coefficient of
-    ξ^j, and every operation is `fpx.PackedQuotient`'s: a product is
-    one big-int product of the packed digits and one Barrett
+    ξ^j, and every operation is `fpx.PackedQuotient`'s (`ring`): a
+    product is one big-int product of the packed digits and one Barrett
     reduction, x ↦ x^(p^n) a precomputed F_p-linear map, and
     coefficients and coordinates are converted many at a time
     (`convert_all`, `PackedQuotient.elements`): a plan's coefficients
@@ -163,39 +166,19 @@ class ProbeDomain:
     `fpx.PackedQuotient.point_plan`): the probe's plan and its slot
     proof live in `fpx`."""
 
-    def __init__(self, field: FieldSpec, deg: int = 21, seed: int = 0):
+    def __init__(self, field: FieldSpec, deg: int, seed: int = 0):
         if not field.packed:
             raise ValueError("modular probe supports prime q < 256 only")
         self.field = field
-        self.p = field.p
         self.deg = deg
-        self.ring = ring = _probe_tables(self.p, deg, seed)
+        self.ring = ring = _probe_tables(field.p, deg, seed)
         self.modulus = ring.modulus
         self._zero = ring.zero
-        # the element operations and the plan of ρ_t are the ring's own
-        self.add = ring.add
-        self.neg = ring.neg
-        self.mul = ring.mul
-        self.frob = ring.frob
+        # the plan of ρ_t is the ring's own
         self.point_plan = ring.point_plan
-
-    def zero(self):
-        return self._zero
 
     def is_zero(self, x):
         return x == self._zero
-
-    def scalar(self, c):
-        """The constant with element code c in range(p) as a probe
-        element."""
-        if not 0 <= c < self.p:
-            raise not_a_code(self.field, c)
-        return self.ring.elements([[c]])[0]
-
-    def convert(self, c):
-        """Image of a Poly in θ: its coefficients reduced mod the
-        probe modulus (`convert_all` on one)."""
-        return self.convert_all([c])[0]
 
     def convert_all(self, cs):
         """The images of Polys in θ, all in one pass
@@ -406,37 +389,6 @@ class TModule:
             )
         return terms
 
-    # -- diagnostics -------------------------------------------------------
-    def tau0_matrix(self):
-        """The τ-free part of ρ_t as a dense matrix of coefficients."""
-        z = self.exact.zero()
-        return [
-            [self.entry(i, j).get(0, z) for j in range(self.d)]
-            for i in range(self.d)
-        ]
-
-    def nilpotency_index(self):
-        """Smallest k >= 1 with (ρ_t|_{τ=0} - θI)^k = 0, or None if not
-        nilpotent within d steps."""
-        th = self.exact.theta
-        m = self.tau0_matrix()
-        n = [
-            [m[i][j] - th if i == j else m[i][j] for j in range(self.d)]
-            for i in range(self.d)
-        ]
-        cur = n
-        for k in range(1, self.d + 2):
-            if all(x.is_zero() for row in cur for x in row):
-                return k
-            cur = [
-                [
-                    _poly_dot(cur[i], [n[t][j] for t in range(self.d)])
-                    for j in range(self.d)
-                ]
-                for i in range(self.d)
-            ]
-        return None
-
     def render(self):
         """Text layout of ρ_t with aligned columns (θ/τ notation)."""
         cells = [
@@ -467,14 +419,6 @@ def _format_entry(terms):
         else:
             parts.append(f"{cs}{tau}")
     return " + ".join(parts)
-
-
-def _poly_dot(row, col):
-    acc = None
-    for a, b in zip(row, col):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
 
 
 # ---------------------------------------------------------------------------

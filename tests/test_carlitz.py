@@ -501,7 +501,7 @@ def test_h_at_t_theta_is_gamma(q, nmax):
 
 def test_h_bipolys_are_built_on_request(monkeypatch):
     """A fresh fill of H_0..H_61 at q=3 multiplies no `BiPoly`s, G_0..G_3
-    included, and builds the `BiPoly` of H_61 only, once."""
+    included, and builds the `BiPoly` of H_61 only, once per call."""
     c = CarlitzCache(field_for_q(3))
     built, products = [], []
     bipoly = _RowTerms.bipoly
@@ -518,8 +518,9 @@ def test_h_bipolys_are_built_on_request(monkeypatch):
     monkeypatch.setattr(_RowTerms, "bipoly", counting)
     monkeypatch.setattr(BiPoly, "__mul__", counting_mul)
     h = c.anderson_thakur(61)
-    assert c.anderson_thakur(61) is h
     assert len(built) == 1
+    assert c.anderson_thakur(61) == h
+    assert len(built) == 2
     assert products == []
 
 
@@ -527,7 +528,8 @@ def test_h_term_walk_keeps_no_h_terms():
     """A walk of `h_term(n)` over every n <= 241 at q=3, after a fill to
     H_241, adds nothing to the cache: each H_n is twisted from K_n on
     request and not kept, so the cache holds no H_n term beyond the
-    store's K_n (and the one `BiPoly` the fill returned)."""
+    store's K_n, and no `BiPoly` at all, not even the one the fill
+    returned."""
     c = CarlitzCache(field_for_q(3))
     c.anderson_thakur(241)
 
@@ -537,5 +539,10 @@ def test_h_term_walk_keeps_no_h_terms():
     before = sizes()
     terms = [c.h_term(n) for n in range(242)]
     assert sizes() == before
-    assert list(c._h_bipoly) == [241] and c._h_u == {}
+    assert c._h_u == {}
+    kept = [
+        x for v in vars(c).values()
+        for x in (v.values() if isinstance(v, dict) else (v,))
+    ]
+    assert not any(isinstance(x, BiPoly) for x in kept)
     assert c._terms.bipoly(terms[241]) == c.anderson_thakur(241)

@@ -545,7 +545,7 @@ def test_iterate_columns_match_whole_scan(q, s, bound):
     for dom in [tm.exact] + doms:
         iters = []
         for point in points:
-            cur = [dom.convert(x) for x in point]
+            cur = dom.convert_all(point)
             for _ in range(bound + 1):
                 iters.append(cur)
                 cur = tm.apply_t(cur, dom)

@@ -23,6 +23,13 @@ def _theta_poly(field, coeffs):
     return Poly(field, coeffs)
 
 
+def _canonical_q(field, s):
+    """The canonical attached polynomials H_{s_ℓ-1} of s as `BiPoly`s,
+    from the field's cache."""
+    cache = cache_for(field)
+    return [cache.anderson_thakur(si - 1) for si in s]
+
+
 def _rho_t_dict(tm):
     """ρ_t as {(i, j): {n: c}}, read entry by entry, empty entries left
     out."""
@@ -292,7 +299,7 @@ def test_telescope_sign_is_field_minus_one(q):
     F = field_for_q(q)
     m = Motive(F, (2, 3, q + 1))
     dom = m.domain()
-    Q = m.Q
+    Q = _canonical_q(F, m.s)
     minus_one = F.neg(1)
     if q == 4:
         assert minus_one == 1
@@ -317,8 +324,7 @@ def test_canonical_q_is_built_on_first_read(monkeypatch, q, s):
     """A canonical motive whose H_n are filled takes its Q_ℓ from
     `CarlitzCache.h_term` alone: building it, ρ_t and the points v and
     u call no `anderson_thakur`, and on packed rows (q=3) build no
-    `BiPoly`.  `Motive.Q`, built on first read, is the cache's
-    H_{s_ℓ-1}."""
+    `BiPoly`."""
     F = field_for_q(q)
     cache = CarlitzCache(F)
     monkeypatch.setitem(carlitz._caches, F, cache)
@@ -342,11 +348,6 @@ def test_canonical_q_is_built_on_first_read(monkeypatch, q, s):
     m.special_point_v()
     m.reduce_point(m.point_u_seeds())
     assert calls == [] and built == []
-    Q = m.Q
-    assert calls == [si - 1 for si in s]
-    assert m.Q is Q
-    monkeypatch.undo()
-    assert Q == [cache.anderson_thakur(si - 1) for si in s]
 
 
 def _point_by_t_basis_worklist(motive, seeds):
@@ -361,7 +362,7 @@ def _point_by_t_basis_worklist(motive, seeds):
         return BiPoly(F, taylor_shift(F, coeffs, ((minus_one, 1),)), rational)
 
     dom = motive.domain()
-    Q = [dom.bipoly(dom.lay(x)) for x in motive.Q]
+    Q = [dom.bipoly(x) for x in motive._laid]
     pending = {}
 
     def push(n, f, ell):
@@ -526,7 +527,9 @@ def test_shared_entries_are_expanded_once(monkeypatch, q, first, second):
     assert shifts == []
     monkeypatch.undo()
     dom = m.domain()
-    assert uq == [dom.expand(dom.lay(f)) for f in m.Q[:-1]]
+    assert uq == [
+        dom.expand(dom.lay(f)) for f in _canonical_q(F, second[:-1])
+    ]
     assert uq[0] is cache_for(F).h_expanded(second[0] - 1)
 
 

@@ -187,10 +187,12 @@ def test_ratfrac_field_axioms(q, data):
 
 
 def test_ratfrac_is_integral():
+    """A fraction is integral when its reduced denominator is 1."""
     F = field_for_q(3)
     th = Poly.gen(F)
-    assert RatFrac.from_poly(th).is_integral()
-    assert not RatFrac(Poly.one(F), th).is_integral()
+    assert RatFrac.from_poly(th).den.is_one()
+    assert RatFrac(th ** 2 + th, th).den.is_one()
+    assert not RatFrac(Poly.one(F), th).den.is_one()
 
 
 # -- two-variable polynomials ------------------------------------------------
