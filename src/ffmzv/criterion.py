@@ -15,7 +15,31 @@ the factor (t^{q^h} - t)^{p^ℓ}, which in characteristic p is the
 two-term t^{q^h·p^ℓ} - t^{p^ℓ}; a is kept as the tuple of its factors,
 each a plain polynomial in t (`AnnihilatorData`).  The polylogarithm
 variant swaps the attached polynomials for the evaluation point, adds
-the factor for w_0 = s_r and drops the depth-one factor.
+the factor for w_0 = s_r and drops the depth-one factor; its factors
+are applied smallest degree first.
+
+The multizeta factors come as a tower: the depth-one factor, then the
+factors of w_1, ..., w_{r-1}.  The first k of them, a_k, are the
+annihilator of the depth-k suffix s' = (s_{r-k+1}, ..., s_r) as it
+stands, not divided by p, and `TModule.apply_annihilator` stops after
+factor k < r if the last k blocks of the point are nonzero (`tails`).
+Why the stop gives the verdict the whole annihilator gives:
+
+* block ℓ's τ-terms land only in blocks 1..ℓ, so the projection π onto
+  the last k blocks is a map of t-modules onto the t-module of s', and
+  it sends v to v', the point of s' (both facts are tests in
+  `tests/test_motive.py`); so the last k blocks hold ρ_{a_k}(v');
+* a_k annihilates v' whenever v' is torsion: the criterion for s' as
+  it stands, which a test checks against `is_eulerian` on every
+  p-divisible tuple of depth <= 2 in a range of weights;
+* so a nonzero ρ_{a_k}(v') makes v' non-torsion, ρ_a(v') = π(ρ_a(v))
+  is nonzero, and so is ρ_a(v): s is non-Eulerian, as the paper's
+  theorem says of a tuple with a non-Eulerian suffix.
+
+In the probe a nonzero tail is the image of a nonzero exact one, so a
+stop there is as rigorous.  After the depth-one factor the last block
+is zero (every depth-one value with (q-1) | s_r is Eulerian), so the
+first check that can stop is the one after factor 2.
 
 When the total weight is NOT divisible by q-1 the question becomes
 whether some nonzero pair (a, b) satisfies ρ_a(v) + ρ_b(u) = 0; that is
@@ -104,9 +128,14 @@ def decompose_weight(q: int, w: int) -> WeightDecomp:
 class AnnihilatorData:
     """A factored annihilator: a tuple of polynomials in F_q[t], the
     Frobenius-difference factors (t^{q^h} - t)^{p^ℓ} in their closed
-    form t^{q^h·p^ℓ} - t^{p^ℓ}, plus an optional depth-one factor."""
+    form t^{q^h·p^ℓ} - t^{p^ℓ}, plus an optional depth-one factor, in
+    the order `TModule.apply_annihilator` applies them; and `tails`,
+    per factor the number k of last blocks of the point whose nonzero
+    residual after it ends the application (0, or no entry: no check).
+    Only the multizeta tower (`annihilator_mzv`) sets tails."""
 
     factors: tuple  # of Poly in t
+    tails: tuple = ()  # of int, no longer than factors
 
     @property
     def degree(self) -> int:
@@ -135,25 +164,32 @@ def _suffix_factors(field: FieldSpec, s: tuple, first: int) -> list:
 
 
 def annihilator_mzv(field: FieldSpec, s) -> AnnihilatorData:
-    """Annihilator for the multizeta point of s.
+    """Annihilator for the multizeta point of s, as the tower of its
+    suffixes' annihilators.
 
-    One Frobenius-difference factor per suffix weight
-    w_i = s_{r-i} + ... + s_r (i = 1..r-1), times the depth-one factor
-    (Γ_{s_r+1}/Γ_{s_r})·denBC(s_r) with θ replaced by t.  Every entry
-    must be divisible by q-1.
+    The depth-one factor (Γ_{s_r+1}/Γ_{s_r})·denBC(s_r) with θ replaced
+    by t comes first, then one Frobenius-difference factor per suffix
+    weight w_i = s_{r-i} + ... + s_r, i = 1..r-1.  So the first k
+    factors are `annihilator_mzv` of the depth-k suffix
+    (s_{r-k+1}, ..., s_r), as it stands, and after factor k < r the
+    application checks the last k blocks of the point (tails k).
+    Every entry must be divisible by q-1.
     """
     s = tuple(s)
-    factors = _suffix_factors(field, s, 1)
+    suffixes = _suffix_factors(field, s, 1)
     cache = cache_for(field)
     depth_one = cache.gamma_ratio(s[-1]) * cache.bc_denominator(s[-1])
-    factors.append(depth_one.with_var("t"))
-    return AnnihilatorData(tuple(factors))
+    return AnnihilatorData(
+        (depth_one.with_var("t"), *suffixes), (*range(1, len(s)), 0)
+    )
 
 
 def annihilator_cmpl(field: FieldSpec, s) -> AnnihilatorData:
     """Annihilator for the polylogarithm point: factors for
-    w_0 = s_r through w_{r-1}, no depth-one polynomial factor."""
-    return AnnihilatorData(tuple(_suffix_factors(field, tuple(s), 0)))
+    w_0 = s_r through w_{r-1}, smallest degree first, no depth-one
+    polynomial factor and no tails."""
+    factors = _suffix_factors(field, tuple(s), 0)
+    return AnnihilatorData(tuple(sorted(factors, key=lambda f: f.degree)))
 
 
 @dataclass
@@ -247,14 +283,16 @@ def _ladder(motive: Motive, probe_degree: int = 0):
     return tm, [tm.exact]
 
 
-def _annihilates(motive: Motive, factors) -> bool:
+def _annihilates(motive: Motive, ann: AnnihilatorData) -> bool:
     """Whether ρ_a(v) = 0 for the factored annihilator a and the point
     v of the motive: a nonzero residual in any domain of `_ladder`
     certifies non-torsion, a zero counts only in the last, exact one."""
     tm, doms = _ladder(motive)
     v = motive.special_point_v()
     return all(
-        tm.is_zero_point(tm.apply_annihilator(v, factors, dom), dom)
+        tm.is_zero_point(
+            tm.apply_annihilator(v, ann.factors, dom, ann.tails), dom
+        )
         for dom in doms
     )
 
@@ -295,7 +333,7 @@ def is_eulerian(field: FieldSpec, s) -> Verdict:
         reduced = tuple(x // field.p for x in reduced)
 
     ann = annihilator_mzv(field, reduced)
-    eulerian = _annihilates(Motive(field, reduced), ann.factors)
+    eulerian = _annihilates(Motive(field, reduced), ann)
     return done(reduced, eulerian, None, ann.degree)
 
 
@@ -340,7 +378,7 @@ def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
     ann = annihilator_cmpl(field, s)
     qs = [BiPoly(field, [f], rational=True) for f in us]
     motive = Motive(field, s, Q=qs, rational=True)
-    eulerian = _annihilates(motive, ann.factors)
+    eulerian = _annihilates(motive, ann)
     return Verdict(
         q=q,
         s=s,

@@ -219,13 +219,12 @@ class _PackedDigits:
             ).to_bytes(k * width, "little")
         return raw.translate(self._mod_p)
 
-    def product(self, a, b, terms: int) -> bytes:
+    def product(self, a, b, top: int) -> bytes:
         """The digits of the product of two digit strings, by one
-        big-int product: at most `terms` products of two digits add up
-        in one coefficient, which sets the slot width.  All
-        len(a) + len(b) - 1 digits are returned, trailing zeros
-        included."""
-        slot = slot_width(terms * (self.p - 1) ** 2)
+        big-int product: no coefficient sum exceeds `top`, which sets
+        the slot width.  All len(a) + len(b) - 1 digits are returned,
+        trailing zeros included."""
+        slot = slot_width(top)
         return self.digits(
             pack(a, slot) * pack(b, slot), len(a) + len(b) - 1, slot
         )
@@ -546,7 +545,6 @@ class _PackedPoint:
         p, deg = ring.p, ring.deg
         d = blocks[-1][1]
         self.ring, self.deg, self.size = ring, deg, d * deg
-        self._zero = bytes(d * deg)
         # per block with τ-terms, its levels n in order, each with the
         # (row, digit) of its constant coefficients and {row: c} of the
         # others; and each row's τ-term share of the slot bound
@@ -594,8 +592,9 @@ class _PackedPoint:
         deg = self.deg
         return [point[i:i + deg] for i in range(0, self.size, deg)]
 
-    def is_zero(self, point):
-        return point == self._zero
+    def is_zero(self, point, row=0):
+        """Whether the rows from `row` on are zero."""
+        return not any(point[row * self.deg:])
 
     def columns(self, points):
         """Points as the columns of one matrix: each its own d·deg
@@ -724,7 +723,7 @@ class PackedPoly(_PackedDigits):
             return b.translate(self._scaled(a[0]))
         # the leading digit is a product of two nonzero digits, so the
         # product has no trailing zero
-        return self.product(a, b, len(a))
+        return self.product(a, b, len(a) * (self.p - 1) ** 2)
 
     def row_product(self, a, b):
         """The product of two polynomials in a second variable u (t or
@@ -735,20 +734,36 @@ class PackedPoly(_PackedDigits):
 
         One Kronecker product at the width wa + wb - 1: the x-degrees
         of a row product stay below it, so the slots of two u-powers
-        never meet, and a coefficient sums at most
-        min(rows)·min(wa, wb) products of two digits, which sets the
-        slot width.  For tight factors in t of θ-degrees da and db,
-        laid out at w = da + 1 and db + 1, the width is da + db + 1 and
-        the bound min(t-lengths)·(min(da, db) + 1): the slots, and so
-        the digits, of packing θ^j·t^i at digit i·(da + db + 1) + j
-        directly."""
+        never meet.  A coefficient of the Kronecker product is
+        Σ x_i·y_j over the digit pairs with i + j fixed, so it is
+        bounded two ways, and the slot takes the smaller bound:
+
+        * densely, by min(rows)·min(wa, wb) products of two digits,
+          each at most (p-1)^2;
+        * by digit sums: each digit x_i meets at most one y_j, itself
+          at most p-1, so the sum is at most (p-1)·Σ x_i, and likewise
+          at most (p-1)·Σ y_j.  Re-laying moves digits and adds
+          zeros, so Σ x_i is the digit sum of x as given.
+
+        The digit sums cost a pass over both factors, so they are
+        taken only when the dense bound needs more than one byte:
+        H_n's rows, for one, hold nonzero θ-digits at multiples of q
+        only.  For tight factors in t of θ-degrees da and db, laid out
+        at w = da + 1 and db + 1, the width is da + db + 1 and the
+        dense bound min(t-lengths)·(min(da, db) + 1)·(p-1)^2: the slots,
+        and so the digits, of packing θ^j·t^i at digit
+        i·(da + db + 1) + j directly."""
         (x, wa), (y, wb) = a, b
         if not x or not y:
             return b"", 1
+        p = self.p
         width = wa + wb - 1
-        terms = min(-(-len(x) // wa), -(-len(y) // wb)) * min(wa, wb)
+        rows = min(-(-len(x) // wa), -(-len(y) // wb))
+        top = rows * min(wa, wb) * (p - 1) ** 2
+        if top > 255:
+            top = min(top, (p - 1) * min(sum(x), sum(y)))
         return tighten(self.product(
-            relayout(x, wa, width), relayout(y, wb, width), terms
+            relayout(x, wa, width), relayout(y, wb, width), top
         ), width)
 
     def row_sum(self, terms):
@@ -930,8 +945,10 @@ class _PackedBlocks:
             for i in range(0, r * w, w)
         ]
 
-    def is_zero(self, point):
-        return not any(x for x, _ in point)
+    def is_zero(self, point, row=0):
+        """Whether the rows from `row`, the first row of a block, on
+        are zero."""
+        return not any(x for x, _ in point[self._starts.index(row):])
 
     def columns(self, points):
         """Points as the columns of one matrix, all of one length: each

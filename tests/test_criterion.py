@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ffmzv import criterion
+from ffmzv import criterion, fpx, tmodule
 from ffmzv.cli import enumerate_tuples
 from ffmzv.criterion import (
     annihilator_cmpl,
@@ -29,8 +29,8 @@ from ffmzv.fields import field_for_q
 from ffmzv.linalg import rref_nullspace
 from ffmzv.motive import Motive
 from ffmzv.oracle import SeriesContext, zeta_laurent
-from ffmzv.poly import BiPoly, Poly, RatFrac
-from ffmzv.tmodule import TModule
+from ffmzv.poly import BiPoly, Poly, RatFrac, packed_ring
+from ffmzv.tmodule import ProbeDomain, TModule
 
 
 # -- weight decomposition ----------------------------------------------------
@@ -110,18 +110,20 @@ def test_suffix_factors_are_the_frobenius_differences(q):
     """Every suffix weight w <= 80 with (q-1) | w, as the suffixes of
     (q-1, ..., q-1): its factor, a polynomial in t, is (t^{q^h} - t)^{p^ℓ}
     for w = p^ℓ·n·(q^h - 1), and the degree is Σ q^h·p^ℓ, read off
-    `decompose_weight`."""
+    `decompose_weight`.  The factors come smallest degree first, the
+    order they are applied in."""
     F = field_for_q(q)
     k = 80 // (q - 1)
     ann = annihilator_cmpl(F, (q - 1,) * k)
     t = Poly(F, [0, 1], var="t")
-    assert len(ann.factors) == k
+    want = []
     degree = 0
-    for i, f in enumerate(ann.factors):
+    for i in range(k):
         dec = decompose_weight(q, (i + 1) * (q - 1))
-        assert f.var == "t"
-        assert f == (t ** (q ** dec.h) - t) ** (F.p ** dec.ell)
+        want.append((t ** (q ** dec.h) - t) ** (F.p ** dec.ell))
         degree += q ** dec.h * F.p ** dec.ell
+    assert all(f.var == "t" for f in ann.factors)
+    assert ann.factors == tuple(sorted(want, key=lambda f: f.degree))
     assert ann.degree == degree
 
 
@@ -190,6 +192,148 @@ def test_probe_and_exact_agree():
         assert is_eulerian(F, s).eulerian == tm.is_zero_point(exact), s
 
 
+# -- the tower of suffix annihilators ----------------------------------------
+
+@pytest.mark.parametrize("q,s", [
+    (3, (2,)), (3, (2, 4)), (3, (2, 6, 18)), (3, (6, 6, 6)),
+    (2, (1, 2, 4, 8)), (5, (4, 20)), (4, (3, 9)),
+])
+def test_tower_prefixes_are_the_suffix_annihilators(q, s):
+    """The first k factors of `annihilator_mzv` are `annihilator_mzv`
+    of the depth-k suffix as it stands, not divided by p, and tails k
+    follows factor k < r."""
+    F = field_for_q(q)
+    ann = annihilator_mzv(F, s)
+    r = len(s)
+    assert ann.tails == (*range(1, r), 0)
+    for k in range(1, r + 1):
+        assert ann.factors[:k] == annihilator_mzv(F, s[r - k:]).factors, k
+
+
+def _probe_steps(monkeypatch):
+    """A list that counts the probe's applications of ρ_t."""
+    steps = []
+    step = fpx._PackedPoint.step
+
+    def counted(self, *args):
+        steps.append(1)
+        return step(self, *args)
+
+    monkeypatch.setattr(fpx._PackedPoint, "step", counted)
+    return steps
+
+
+def test_probe_stops_at_the_first_non_eulerian_suffix(monkeypatch):
+    """q=3 (2,2,2): the suffix (2,2) is non-Eulerian, and the factors
+    have degrees 3 (depth one), 3 and 9.  The probe stops after the
+    second factor, 6 applications of ρ_t instead of all 15."""
+    F = field_for_q(3)
+    assert not is_eulerian(F, (2, 2)).eulerian
+    steps = _probe_steps(monkeypatch)
+    assert not is_eulerian(F, (2, 2, 2)).eulerian
+    assert len(steps) == 6
+    factors = annihilator_mzv(F, (2, 2, 2)).factors
+    assert [f.degree for f in factors] == [3, 3, 9]
+
+
+@pytest.mark.parametrize("domain", ["exact", "packed", "probe"])
+def test_stopped_point_holds_the_suffix_residual(domain):
+    """Where the tower stops, after factor k, the last k blocks of the
+    point are the suffix's own residual ρ_{a_k}(v'), nonzero, on the
+    row loop (`ExactDomain`), the packed blocks and the probe."""
+    F = field_for_q(3)
+    s, suffix = (2, 2, 2), (2, 2)
+    ann = annihilator_mzv(F, s)
+    motive, sub = Motive(F, s), Motive(F, suffix)
+    tm, tsub = TModule.from_motive(motive), TModule.from_motive(sub)
+    dom = {
+        "exact": tm.exact,
+        "packed": packed_ring(3),
+        "probe": ProbeDomain(F, criterion.PROBE_DEGREE, 0),
+    }[domain]
+    v = motive.special_point_v()
+    out = tm.apply_annihilator(v, ann.factors, dom, ann.tails)
+    assert out == tm.apply_annihilator(v, ann.factors[:2], dom)
+    residual = tsub.apply_annihilator(
+        sub.special_point_v(), annihilator_mzv(F, suffix).factors, dom
+    )
+    assert out[tm.starts[1]:] == residual
+    assert not tsub.is_zero_point(residual, dom)
+
+
+@pytest.mark.parametrize("q,wmax", [(3, 26), (2, 8)])
+def test_tower_verdicts_match_the_full_application(monkeypatch, q, wmax):
+    """On every tuple of the acceptance sweep (depth <= 3), in the probe
+    and, where the probe's full application leaves zero, in the packed
+    exact ring: the tower's residual is zero exactly when that of the
+    whole annihilator, applied without stops, is, and `is_eulerian` is
+    the verdict of the full application.  The tower stops at stage
+    k < r only where `is_eulerian` of the depth-k suffix is False, and
+    never at the depth-one stage: the depth-one rule, checked
+    numerically."""
+    F = field_for_q(q)
+    tuples = enumerate_tuples(q, wmax, 3, False)
+    verdicts = {s: is_eulerian(F, s) for s in tuples}
+    applied = [0]
+    horner = tmodule._horner
+
+    def counted(*args):
+        applied[0] += 1
+        return horner(*args)
+
+    monkeypatch.setattr(tmodule, "_horner", counted)
+    stops = []
+    for s in tuples:
+        reduced = verdicts[s].reduced
+        ann = annihilator_mzv(F, reduced)
+        motive = Motive(F, reduced)
+        tm, doms = criterion._ladder(motive)
+        v = motive.special_point_v()
+        full_zero = True
+        for dom in doms:
+            full = tm.apply_annihilator(v, ann.factors, dom)
+            before = applied[0]
+            tower = tm.apply_annihilator(v, ann.factors, dom, ann.tails)
+            k = applied[0] - before
+            zero = tm.is_zero_point(tower, dom)
+            assert zero == tm.is_zero_point(full, dom), (s, dom)
+            if not zero and k < len(ann.factors):
+                assert k >= 2, (s, dom)
+                assert not verdicts[reduced[-k:]].eulerian, (s, k)
+                stops.append(s)
+            full_zero = zero
+            if not zero:
+                break
+        assert verdicts[s].eulerian == full_zero, s
+    assert stops
+
+
+@pytest.mark.parametrize("q,wmax,count", [
+    (2, 24, 78), (3, 60, 55), (5, 120, 21), (7, 210, 15),
+])
+def test_unreduced_suffixes_give_the_verdict(q, wmax, count):
+    """The tower takes each suffix as it stands, not divided by p.  On
+    every tuple of depth <= 2 up to wmax whose entries p·(q-1) divides,
+    the torsion test on the motive of the tuple itself, with its own
+    annihilator, tower or not, agrees with `is_eulerian`, which
+    divides by p first."""
+    F = field_for_q(q)
+    step = (q - 1) * F.p
+    tuples = [(a,) for a in range(step, wmax + 1, step)] + [
+        (a, b) for a in range(step, wmax, step)
+        for b in range(step, wmax - a + 1, step)
+    ]
+    assert len(tuples) == count
+    for s in tuples:
+        ann = annihilator_mzv(F, s)
+        motive = Motive(F, s)
+        want = is_eulerian(F, s)
+        assert want.reduced != s
+        assert criterion._annihilates(motive, ann) == want.eulerian, s
+        full = criterion.AnnihilatorData(ann.factors)
+        assert criterion._annihilates(motive, full) == want.eulerian, s
+
+
 @pytest.mark.parametrize("q,wmax,count,eulerian", [
     (4, 24, 92, [(3,), (6,), (9,), (12,), (3, 9), (15,), (3, 12), (18,),
                  (21,), (24,), (6, 18)]),
@@ -239,9 +383,9 @@ def test_torsion_is_confirmed_on_packed_digits_where_the_probe_runs(
     seen = []
     real = TModule.apply_annihilator
 
-    def spy(self, vec, factors, dom=None):
+    def spy(self, vec, factors, dom=None, tails=()):
         seen.append(type(dom).__name__)
-        return real(self, vec, factors, dom)
+        return real(self, vec, factors, dom, tails)
 
     monkeypatch.setattr(TModule, "apply_annihilator", spy)
     cases = [

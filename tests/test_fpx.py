@@ -285,6 +285,85 @@ def test_row_product_matches_schoolbook(p):
         assert _rows(x, width) == _row_schoolbook(a, b, p)
 
 
+def _product_slots(ring, monkeypatch):
+    """The slot of each `digits` call on the ring, as a list."""
+    slots = []
+    digits = ring.digits
+
+    def spy(n, k, slot):
+        slots.append(slot)
+        return digits(n, k, slot)
+
+    monkeypatch.setattr(ring, "digits", spy)
+    return slots
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_row_product_slot_follows_the_digit_sums(p, monkeypatch):
+    """A sparse factor of `count` digits p-1 against an all-(p-1) one,
+    both 20 rows of 40 digits, so that the dense bound needs more than
+    one byte: the digit of the product at row 19, digit 39 sums all
+    count products (p-1)^2, which is the digit-sum bound
+    (p-1)·min(Σx, Σy).
+    With count = ⌊255/(p-1)^2⌋ the slot is one byte, one digit more
+    takes two, and both products equal the schoolbook product."""
+    ring = fpx.PackedPoly(p)
+    slots = _product_slots(ring, monkeypatch)
+    rows, width = 20, 40
+    k = 255 // (p - 1) ** 2
+    assert fpx.slot_width(rows * width * (p - 1) ** 2) > 1
+    dense = [[p - 1] * width] * rows
+    for count, slot in ((k, 1), (k + 1, 2)):
+        cells = [0] * (rows * width)
+        for i in range(count):
+            cells[3 * i] = p - 1
+        sparse = [cells[i:i + width] for i in range(0, rows * width, width)]
+        slots.clear()
+        x, got = ring.row_product(
+            (bytes(cells), width), (bytes([p - 1]) * (rows * width), width)
+        )
+        top = sum(
+            sparse[i][j] * dense[rows - 1 - i][width - 1 - j]
+            for i in range(rows) for j in range(width)
+        )
+        assert top == count * (p - 1) ** 2
+        assert slots == [slot], count
+        want, got = _row_schoolbook(sparse, dense, p), _rows(x, got)
+        assert got == want[:len(got)] and not any(want[len(got):])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_row_product_of_sparse_rows_matches_schoolbook(p, monkeypatch):
+    """Random rows whose nonzero digits sit at multiples of a step, as
+    H_n's θ-digits sit at multiples of q, at uneven widths and row
+    counts: products whose dense bound needs more than one byte, many
+    of them in one-byte slots by their digit sums, equal the
+    schoolbook product on plain ints."""
+    ring = fpx.PackedPoly(p)
+    slots = _product_slots(ring, monkeypatch)
+    rng = random.Random(100 + p)
+    for _ in range(40):
+        step = rng.choice([1, p, 3 * p])
+        factors = []
+        for _ in range(2):
+            w = rng.randrange(8, 40)
+            rows = [
+                [rng.randrange(p) if j % step == 0 else 0 for j in range(w - 1)]
+                for _ in range(rng.randrange(2, 16))
+            ]
+            rows[-1][0] = rng.randrange(1, p)
+            factors.append((rows, w))
+        (a, wa), (b, wb) = factors
+        x, width = ring.row_product(
+            (fpx.lay_rows(map(bytes, a), wa), wa),
+            (fpx.lay_rows(map(bytes, b), wb), wb),
+        )
+        want = _row_schoolbook(a, b, p)
+        got = _rows(x, width)
+        assert got == want[:len(got)] and not any(want[len(got):])
+    assert 1 in slots
+
+
 @pytest.mark.parametrize("p,widths,slot", [
     # k all-(p-1) terms sum k·(p-1) per slot, the bound the slot width
     # follows
