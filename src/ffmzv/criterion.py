@@ -19,27 +19,31 @@ the factor for w_0 = s_r and drops the depth-one factor; its factors
 are applied smallest degree first.
 
 The multizeta factors come as a tower: the depth-one factor, then the
-factors of w_1, ..., w_{r-1}.  The first k of them, a_k, are the
-annihilator of the depth-k suffix s' = (s_{r-k+1}, ..., s_r) as it
-stands, not divided by p, and `TModule.apply_annihilator` stops after
-factor k < r if the last k blocks of the point are nonzero (`tails`).
-Why the stop gives the verdict the whole annihilator gives:
+factors of w_1, ..., w_{r-1}, so the first k of them are the
+annihilator of the depth-k suffix as it stands, not divided by p.
+
+`is_eulerian` decides the proper suffix first.  For a tuple s of depth
+r >= 3 (after the division by p) it decides s' = (s_2, ..., s_r),
+divided by p as far as it goes, the same way, down to depth 2; a
+suffix of depth one that passed the q-1 precheck is Eulerian
+(Carlitz).  When s' is non-Eulerian, so is s, and s's own motive is
+never built.  Why this is the verdict ρ_a(v) = 0 would give:
 
 * block ℓ's τ-terms land only in blocks 1..ℓ, so the projection π onto
-  the last k blocks is a map of t-modules onto the t-module of s', and
-  it sends v to v', the point of s' (both facts are tests in
-  `tests/test_motive.py`); so the last k blocks hold ρ_{a_k}(v');
-* a_k annihilates v' whenever v' is torsion: the criterion for s' as
-  it stands, which a test checks against `is_eulerian` on every
-  p-divisible tuple of depth <= 2 in a range of weights;
-* so a nonzero ρ_{a_k}(v') makes v' non-torsion, ρ_a(v') = π(ρ_a(v))
-  is nonzero, and so is ρ_a(v): s is non-Eulerian, as the paper's
-  theorem says of a tuple with a non-Eulerian suffix.
+  the last r-1 blocks is a map of t-modules onto the t-module of the
+  suffix (s_2, ..., s_r) as it stands, and it sends v to its point v'
+  (both facts are tests in `tests/test_motive.py`);
+* a tuple and its quotient by p are Eulerian together (ζ(p·s) = ζ(s)^p
+  and π̃^{p·w} = (π̃^w)^p), so a non-Eulerian s', divided by p or not,
+  makes v' non-torsion;
+* so ρ_a(v') = π(ρ_a(v)) is nonzero for every nonzero a, and so is
+  ρ_a(v): s is non-Eulerian, as the paper's theorem says of a tuple
+  with a non-Eulerian suffix.
 
-In the probe a nonzero tail is the image of a nonzero exact one, so a
-stop there is as rigorous.  After the depth-one factor the last block
-is zero (every depth-one value with (q-1) | s_r is Eulerian), so the
-first check that can stop is the one after factor 2.
+The verdicts of the suffixes are kept in one memo per field
+(`_SUFFIX_VERDICTS`, one bool per reduced tuple): every decision of
+depth >= 2 writes to it, and only the suffix lookups read it, so a
+call always decides its own tuple unless its suffix prunes it.
 
 When the total weight is NOT divisible by q-1 the question becomes
 whether some nonzero pair (a, b) satisfies ρ_a(v) + ρ_b(u) = 0; that is
@@ -129,13 +133,9 @@ class AnnihilatorData:
     """A factored annihilator: a tuple of polynomials in F_q[t], the
     Frobenius-difference factors (t^{q^h} - t)^{p^ℓ} in their closed
     form t^{q^h·p^ℓ} - t^{p^ℓ}, plus an optional depth-one factor, in
-    the order `TModule.apply_annihilator` applies them; and `tails`,
-    per factor the number k of last blocks of the point whose nonzero
-    residual after it ends the application (0, or no entry: no check).
-    Only the multizeta tower (`annihilator_mzv`) sets tails."""
+    the order `TModule.apply_annihilator` applies them."""
 
     factors: tuple  # of Poly in t
-    tails: tuple = ()  # of int, no longer than factors
 
     @property
     def degree(self) -> int:
@@ -171,23 +171,20 @@ def annihilator_mzv(field: FieldSpec, s) -> AnnihilatorData:
     by t comes first, then one Frobenius-difference factor per suffix
     weight w_i = s_{r-i} + ... + s_r, i = 1..r-1.  So the first k
     factors are `annihilator_mzv` of the depth-k suffix
-    (s_{r-k+1}, ..., s_r), as it stands, and after factor k < r the
-    application checks the last k blocks of the point (tails k).
-    Every entry must be divisible by q-1.
+    (s_{r-k+1}, ..., s_r), as it stands.  Every entry must be
+    divisible by q-1.
     """
     s = tuple(s)
     suffixes = _suffix_factors(field, s, 1)
     cache = cache_for(field)
     depth_one = cache.gamma_ratio(s[-1]) * cache.bc_denominator(s[-1])
-    return AnnihilatorData(
-        (depth_one.with_var("t"), *suffixes), (*range(1, len(s)), 0)
-    )
+    return AnnihilatorData((depth_one.with_var("t"), *suffixes))
 
 
 def annihilator_cmpl(field: FieldSpec, s) -> AnnihilatorData:
     """Annihilator for the polylogarithm point: factors for
     w_0 = s_r through w_{r-1}, smallest degree first, no depth-one
-    polynomial factor and no tails."""
+    polynomial factor."""
     factors = _suffix_factors(field, tuple(s), 0)
     return AnnihilatorData(tuple(sorted(factors, key=lambda f: f.degree)))
 
@@ -290,11 +287,41 @@ def _annihilates(motive: Motive, ann: AnnihilatorData) -> bool:
     tm, doms = _ladder(motive)
     v = motive.special_point_v()
     return all(
-        tm.is_zero_point(
-            tm.apply_annihilator(v, ann.factors, dom, ann.tails), dom
-        )
+        tm.is_zero_point(tm.apply_annihilator(v, ann.factors, dom), dom)
         for dom in doms
     )
+
+
+# suffix verdicts: {field: {reduced tuple of depth >= 2: Eulerian}}
+_SUFFIX_VERDICTS: dict = {}
+
+
+def _reduce(field: FieldSpec, s: tuple) -> tuple:
+    """s divided by p while every entry allows it."""
+    while all(x % field.p == 0 for x in s):
+        s = tuple(x // field.p for x in s)
+    return s
+
+
+def _decide(field: FieldSpec, reduced: tuple, ann=None) -> bool:
+    """Whether the reduced tuple, every entry divisible by q-1, is
+    Eulerian: non-Eulerian at once when its proper suffix, divided by
+    p, is, else ρ_a(v) = 0 for its annihilator a (`ann`, or built
+    here).  A suffix of depth one is Eulerian (Carlitz); a longer one
+    is read from the field's memo or decided first, and every verdict
+    of depth >= 2 goes into the memo."""
+    memo = _SUFFIX_VERDICTS.setdefault(field, {})
+    eulerian = True
+    if len(reduced) > 2:
+        suffix = _reduce(field, reduced[1:])
+        eulerian = memo[suffix] if suffix in memo else _decide(field, suffix)
+    if eulerian:
+        eulerian = _annihilates(
+            Motive(field, reduced), ann or annihilator_mzv(field, reduced)
+        )
+    if len(reduced) > 1:
+        memo[reduced] = eulerian
+    return eulerian
 
 
 def is_eulerian(field: FieldSpec, s) -> Verdict:
@@ -302,7 +329,9 @@ def is_eulerian(field: FieldSpec, s) -> Verdict:
 
     An entry not divisible by q-1 decides "non-Eulerian" at once (the
     precheck).  Otherwise s is divided by p while every entry allows it,
-    and the verdict is ρ_a(v) = 0 for the annihilator a of the result.
+    and the result is non-Eulerian if its proper suffix, decided first,
+    is (the module docstring has the argument); else the verdict is
+    ρ_a(v) = 0 for the annihilator a of the result.
     """
     t0 = time.perf_counter()
     s = composition(s)
@@ -328,13 +357,9 @@ def is_eulerian(field: FieldSpec, s) -> Verdict:
             s, False, f"entry {bad[0]} not divisible by q-1 = {q - 1}", 0
         )
 
-    reduced = s
-    while all(x % field.p == 0 for x in reduced):
-        reduced = tuple(x // field.p for x in reduced)
-
+    reduced = _reduce(field, s)
     ann = annihilator_mzv(field, reduced)
-    eulerian = _annihilates(Motive(field, reduced), ann)
-    return done(reduced, eulerian, None, ann.degree)
+    return done(reduced, _decide(field, reduced, ann), None, ann.degree)
 
 
 def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
@@ -529,6 +554,12 @@ def check_suffix_consistency(verdicts: dict) -> list:
     `verdicts` maps tuples to booleans and must contain the proper
     suffix of every Eulerian tuple of depth >= 2.  Returns a list of
     (tuple, suffix) pairs where the implication fails.
+
+    `is_eulerian` decides the proper suffix first and prunes a tuple
+    of depth >= 3 whose suffix is non-Eulerian, so pruned tuples pass
+    this check by construction; the independent check is
+    `test_tower_verdicts_match_the_full_application`, which applies
+    every sweep tuple's whole annihilator to its own motive.
     """
     out = []
     for s, eul in verdicts.items():

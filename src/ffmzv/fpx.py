@@ -545,6 +545,7 @@ class _PackedPoint:
         p, deg = ring.p, ring.deg
         d = blocks[-1][1]
         self.ring, self.deg, self.size = ring, deg, d * deg
+        self._zero = bytes(d * deg)
         # per block with τ-terms, its levels n in order, each with the
         # (row, digit) of its constant coefficients and {row: c} of the
         # others; and each row's τ-term share of the slot bound
@@ -592,9 +593,8 @@ class _PackedPoint:
         deg = self.deg
         return [point[i:i + deg] for i in range(0, self.size, deg)]
 
-    def is_zero(self, point, row=0):
-        """Whether the rows from `row` on are zero."""
-        return not any(point[row * self.deg:])
+    def is_zero(self, point):
+        return point == self._zero
 
     def columns(self, points):
         """Points as the columns of one matrix: each its own d·deg
@@ -945,10 +945,8 @@ class _PackedBlocks:
             for i in range(0, r * w, w)
         ]
 
-    def is_zero(self, point, row=0):
-        """Whether the rows from `row`, the first row of a block, on
-        are zero."""
-        return not any(x for x, _ in point[self._starts.index(row):])
+    def is_zero(self, point):
+        return not any(x for x, _ in point)
 
     def columns(self, points):
         """Points as the columns of one matrix, all of one length: each

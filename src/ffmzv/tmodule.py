@@ -62,18 +62,14 @@ back at each nonzero coefficient.  Annihilators are kept factored, a
 sequence of plain polynomials in t; a Frobenius-difference factor
 (t^{q^h} - t)^{p^ℓ} arrives already in closed form, the two-term
 t^{q^h·p^ℓ} - t^{p^ℓ}.  Factors are applied in the order given, and
-the rest are skipped once the point dies, or once a tail check after
-a factor finds the last blocks of the point nonzero
-(`TModule.apply_annihilator`): the multizeta annihilator comes as the
-tower of its suffixes' annihilators, and a nonzero suffix residual
-settles the verdict.  Every plan's `is_zero` tests a point, or its
-rows from the first row of a block on.
+the rest are skipped once the point dies
+(`TModule.apply_annihilator`).
 """
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import compress, zip_longest
+from itertools import compress
 
 from . import fpx
 from .carlitz import cache_for, theta_major
@@ -206,9 +202,8 @@ class _RowLoop:
     def leave(self, vec):
         return vec
 
-    def is_zero(self, vec, row=0):
-        """Whether the rows from `row` on are zero."""
-        return all(map(self.dom.is_zero, vec[row:]))
+    def is_zero(self, vec):
+        return all(map(self.dom.is_zero, vec))
 
     def times(self, x, c):
         """c·x for an element code c: x itself for 1."""
@@ -360,28 +355,22 @@ class TModule:
         plan = self._plan(dom)
         return plan.leave(_horner(plan, plan.enter(vec), a.coeffs))
 
-    def apply_annihilator(self, vec, factors, dom=None, tails=()):
+    def apply_annihilator(self, vec, factors, dom=None):
         """Apply a factored annihilator, a sequence of polynomials in
-        F_q[t], in the order given, by Horner.  The remaining factors
-        are skipped once the point vanishes, and after factor i once
-        the last tails[i] blocks of the point are nonzero (no check
-        where tails[i] is 0 or missing).  The point enters the domain's
-        plan once and leaves it once, as a list of coordinates.
-
-        For the tower of `criterion.annihilator_mzv`, whose module
-        docstring holds the argument, the last k blocks after factor k
-        hold the depth-k suffix's own residual, and a nonzero one
-        decides that ρ_a of the point is nonzero, whatever factors
-        follow."""
+        F_q[t], in the order given, by Horner; the remaining factors
+        are skipped once the point vanishes.  The point enters the
+        domain's plan once and leaves it once, as a list of
+        coordinates.  Nothing else stops the multizeta tower midway:
+        `criterion.is_eulerian` decides a tuple's proper suffix before
+        it builds the tuple's motive, so a tuple whose suffix is
+        non-Eulerian never gets here."""
         dom = dom or self.exact
         plan = self._plan(dom)
         cur = plan.enter(dom.convert_all(vec))
-        for f, k in zip_longest(factors, tails, fillvalue=0):
+        for f in factors:
             if plan.is_zero(cur):
                 break
             cur = _horner(plan, cur, f.coeffs)
-            if k and not plan.is_zero(cur, self.starts[-k]):
-                break
         return plan.leave(cur)
 
     def is_zero_point(self, vec, dom=None):

@@ -136,7 +136,11 @@ def test_acceptance_5_sweep_q2(sweep_q2):
 
 def test_acceptance_6_suffix_consistency(sweep_q3, sweep_q2):
     """Across both sweeps: an Eulerian tuple's proper suffix is
-    Eulerian (zero violations)."""
+    Eulerian (zero violations).  `is_eulerian` prunes a tuple whose
+    suffix is non-Eulerian, so pruned tuples pass by construction; the
+    independent check is `test_tower_verdicts_match_the_full_application`
+    in `test_criterion.py`, the whole annihilator applied to each
+    tuple's own motive."""
     t0 = time.perf_counter()
     violations = []
     for records, _ in (sweep_q3, sweep_q2):

@@ -192,7 +192,7 @@ def test_probe_and_exact_agree():
         assert is_eulerian(F, s).eulerian == tm.is_zero_point(exact), s
 
 
-# -- the tower of suffix annihilators ----------------------------------------
+# -- the tower of suffix annihilators and the suffix-first decision -----------
 
 @pytest.mark.parametrize("q,s", [
     (3, (2,)), (3, (2, 4)), (3, (2, 6, 18)), (3, (6, 6, 6)),
@@ -200,47 +200,88 @@ def test_probe_and_exact_agree():
 ])
 def test_tower_prefixes_are_the_suffix_annihilators(q, s):
     """The first k factors of `annihilator_mzv` are `annihilator_mzv`
-    of the depth-k suffix as it stands, not divided by p, and tails k
-    follows factor k < r."""
+    of the depth-k suffix as it stands, not divided by p."""
     F = field_for_q(q)
     ann = annihilator_mzv(F, s)
     r = len(s)
-    assert ann.tails == (*range(1, r), 0)
     for k in range(1, r + 1):
         assert ann.factors[:k] == annihilator_mzv(F, s[r - k:]).factors, k
 
 
-def _probe_steps(monkeypatch):
-    """A list that counts the probe's applications of ρ_t."""
+def _motives_built(monkeypatch):
+    """A list of the tuples whose `Motive` `criterion` builds."""
+    built = []
+    real = criterion.Motive
+
+    def counted(field, s, *args, **kwargs):
+        built.append(tuple(s))
+        return real(field, s, *args, **kwargs)
+
+    monkeypatch.setattr(criterion, "Motive", counted)
+    return built
+
+
+def _suffix_verdict(F, reduced):
+    """`is_eulerian` of the proper suffix of a reduced tuple, divided by
+    p; None below depth 3, where that suffix has depth one."""
+    if len(reduced) < 3:
+        return None
+    return is_eulerian(F, criterion._reduce(F, reduced[1:])).eulerian
+
+
+def test_pruned_tuples_build_no_motive(monkeypatch):
+    """On the q=3 w<=26 and q=2 w<=8 sweeps, the suffix memo cleared
+    first: a tuple whose proper suffix, divided by p, is non-Eulerian
+    is non-Eulerian and builds no motive of its own reduced tuple, and
+    every other tuple builds its own motive exactly once.  So q=3
+    (2,2,2), whose suffix (2,2) is non-Eulerian, applies ρ_t 6 times
+    on the motive of (2,2) (factors of degrees 3 and 3) and not once
+    on its own."""
+    F = field_for_q(3)
     steps = []
+    weights = []
+    apply = TModule.apply_annihilator
     step = fpx._PackedPoint.step
 
+    def applied(self, *args):
+        weights.append(self.weights)
+        return apply(self, *args)
+
     def counted(self, *args):
-        steps.append(1)
+        steps.append(weights[-1])
         return step(self, *args)
 
+    monkeypatch.setattr(TModule, "apply_annihilator", applied)
     monkeypatch.setattr(fpx._PackedPoint, "step", counted)
-    return steps
-
-
-def test_probe_stops_at_the_first_non_eulerian_suffix(monkeypatch):
-    """q=3 (2,2,2): the suffix (2,2) is non-Eulerian, and the factors
-    have degrees 3 (depth one), 3 and 9.  The probe stops after the
-    second factor, 6 applications of ρ_t instead of all 15."""
-    F = field_for_q(3)
-    assert not is_eulerian(F, (2, 2)).eulerian
-    steps = _probe_steps(monkeypatch)
     assert not is_eulerian(F, (2, 2, 2)).eulerian
-    assert len(steps) == 6
-    factors = annihilator_mzv(F, (2, 2, 2)).factors
-    assert [f.degree for f in factors] == [3, 3, 9]
+    assert steps.count(tuple(Motive(F, (2, 2)).weights)) == 6
+    assert steps.count(tuple(Motive(F, (2, 2, 2)).weights)) == 0
+    assert [f.degree for f in annihilator_mzv(F, (2, 2, 2)).factors] == [3, 3, 9]
+
+    built = _motives_built(monkeypatch)
+    for q, wmax in [(3, 26), (2, 8)]:
+        F = field_for_q(q)
+        criterion._SUFFIX_VERDICTS.clear()
+        pruned = 0
+        for s in enumerate_tuples(q, wmax, 3, False):
+            built.clear()
+            verdict = is_eulerian(F, s)
+            own = built.count(verdict.reduced)
+            if _suffix_verdict(F, verdict.reduced) is False:
+                assert own == 0 and not verdict.eulerian, s
+                pruned += 1
+            else:
+                assert own == 1, s
+        assert pruned, q
 
 
 @pytest.mark.parametrize("domain", ["exact", "packed", "probe"])
 def test_stopped_point_holds_the_suffix_residual(domain):
-    """Where the tower stops, after factor k, the last k blocks of the
-    point are the suffix's own residual ρ_{a_k}(v'), nonzero, on the
-    row loop (`ExactDomain`), the packed blocks and the probe."""
+    """After the suffix's factors, the first two of q=3 (2,2,2)'s
+    tower, the last two blocks of the point are the suffix (2,2)'s
+    own residual ρ_{a_2}(v'), nonzero, on the row loop
+    (`ExactDomain`), the packed blocks and the probe: the fact the
+    suffix-first decision rests on."""
     F = field_for_q(3)
     s, suffix = (2, 2, 2), (2, 2)
     ann = annihilator_mzv(F, s)
@@ -252,8 +293,7 @@ def test_stopped_point_holds_the_suffix_residual(domain):
         "probe": ProbeDomain(F, criterion.PROBE_DEGREE, 0),
     }[domain]
     v = motive.special_point_v()
-    out = tm.apply_annihilator(v, ann.factors, dom, ann.tails)
-    assert out == tm.apply_annihilator(v, ann.factors[:2], dom)
+    out = tm.apply_annihilator(v, ann.factors[:2], dom)
     residual = tsub.apply_annihilator(
         sub.special_point_v(), annihilator_mzv(F, suffix).factors, dom
     )
@@ -265,47 +305,58 @@ def test_stopped_point_holds_the_suffix_residual(domain):
 def test_tower_verdicts_match_the_full_application(monkeypatch, q, wmax):
     """On every tuple of the acceptance sweep (depth <= 3), in the probe
     and, where the probe's full application leaves zero, in the packed
-    exact ring: the tower's residual is zero exactly when that of the
-    whole annihilator, applied without stops, is, and `is_eulerian` is
-    the verdict of the full application.  The tower stops at stage
-    k < r only where `is_eulerian` of the depth-k suffix is False, and
-    never at the depth-one stage: the depth-one rule, checked
-    numerically."""
+    exact ring: `is_eulerian` is the verdict of the whole annihilator
+    applied to the tuple's own motive.  A tuple is pruned (builds no
+    motive of its own) only at depth >= 3 and where its proper suffix,
+    divided by p, is non-Eulerian, and there the full application is
+    nonzero; some tuple is pruned."""
     F = field_for_q(q)
-    tuples = enumerate_tuples(q, wmax, 3, False)
-    verdicts = {s: is_eulerian(F, s) for s in tuples}
-    applied = [0]
-    horner = tmodule._horner
-
-    def counted(*args):
-        applied[0] += 1
-        return horner(*args)
-
-    monkeypatch.setattr(tmodule, "_horner", counted)
-    stops = []
-    for s in tuples:
-        reduced = verdicts[s].reduced
+    real = criterion.Motive
+    built = _motives_built(monkeypatch)
+    pruned = []
+    for s in enumerate_tuples(q, wmax, 3, False):
+        built.clear()
+        verdict = is_eulerian(F, s)
+        reduced = verdict.reduced
+        was_pruned = reduced not in built
         ann = annihilator_mzv(F, reduced)
-        motive = Motive(F, reduced)
+        motive = real(F, reduced)
         tm, doms = criterion._ladder(motive)
         v = motive.special_point_v()
-        full_zero = True
         for dom in doms:
             full = tm.apply_annihilator(v, ann.factors, dom)
-            before = applied[0]
-            tower = tm.apply_annihilator(v, ann.factors, dom, ann.tails)
-            k = applied[0] - before
-            zero = tm.is_zero_point(tower, dom)
-            assert zero == tm.is_zero_point(full, dom), (s, dom)
-            if not zero and k < len(ann.factors):
-                assert k >= 2, (s, dom)
-                assert not verdicts[reduced[-k:]].eulerian, (s, k)
-                stops.append(s)
-            full_zero = zero
-            if not zero:
+            full_zero = tm.is_zero_point(full, dom)
+            if not full_zero:
                 break
-        assert verdicts[s].eulerian == full_zero, s
-    assert stops
+        assert verdict.eulerian == full_zero, s
+        if was_pruned:
+            assert _suffix_verdict(F, reduced) is False, s
+            assert not full_zero, s
+            pruned.append(s)
+    assert pruned
+
+
+@pytest.mark.parametrize("q,wmax,rmax", [(3, 40, 3), (2, 12, 4)])
+def test_suffix_memo_leaves_the_records_unchanged(q, wmax, rmax):
+    """The sweep decided in a seeded shuffled order with the suffix
+    memo kept, and again with it cleared before every call: the
+    records, `elapsed_ms` dropped, are the same."""
+    F = field_for_q(q)
+    tuples = enumerate_tuples(q, wmax, rmax, False)
+    shuffled = list(tuples)
+    random.Random(2035).shuffle(shuffled)
+
+    def record(s):
+        out = is_eulerian(F, s).to_json()
+        del out["elapsed_ms"]
+        return out
+
+    kept = {s: record(s) for s in shuffled}
+    cleared = {}
+    for s in tuples:
+        criterion._SUFFIX_VERDICTS.clear()
+        cleared[s] = record(s)
+    assert [kept[s] for s in tuples] == [cleared[s] for s in tuples]
 
 
 @pytest.mark.parametrize("q,wmax,count", [
@@ -383,9 +434,9 @@ def test_torsion_is_confirmed_on_packed_digits_where_the_probe_runs(
     seen = []
     real = TModule.apply_annihilator
 
-    def spy(self, vec, factors, dom=None, tails=()):
+    def spy(self, vec, factors, dom=None):
         seen.append(type(dom).__name__)
-        return real(self, vec, factors, dom, tails)
+        return real(self, vec, factors, dom)
 
     monkeypatch.setattr(TModule, "apply_annihilator", spy)
     cases = [
