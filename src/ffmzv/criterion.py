@@ -79,7 +79,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .carlitz import cache_for
+from .carlitz import base_q_digits, cache_for
 from .fields import FieldSpec, composition, field_for_q
 from .linalg import nullspace
 from .motive import Motive
@@ -142,25 +142,29 @@ class AnnihilatorData:
         return sum(f.degree for f in self.factors)
 
 
-def _suffix_factors(field: FieldSpec, s: tuple, first: int) -> list:
-    """One Frobenius-difference factor per suffix weight
-    w_i = s_{r-i} + ... + s_r, i = first..r-1 (w_0 = s_r): for
-    w_i = p^ℓ·n·(q^h - 1), (t^{q^h} - t)^{p^ℓ} = t^{q^h·p^ℓ} - t^{p^ℓ}
-    in characteristic p."""
+def _suffix_exponents(field: FieldSpec, s: tuple, first: int) -> list:
+    """The pair (q^h·p^ℓ, p^ℓ) per suffix weight w_i = s_{r-i} + ... +
+    s_r = p^ℓ·n·(q^h - 1), i = first..r-1 (w_0 = s_r): the exponents of
+    its Frobenius-difference factor (t^{q^h} - t)^{p^ℓ} =
+    t^{q^h·p^ℓ} - t^{p^ℓ} in characteristic p."""
     q = field.q
     bad = [x for x in s if x % (q - 1) != 0]
     if bad:
         raise ValueError(f"entries {bad} not divisible by q-1 = {q - 1}")
     r = len(s)
-    factors = []
+    out = []
     for i in range(first, r):
         dec = decompose_weight(q, sum(s[r - 1 - i:]))
-        low = field.p ** dec.ell
-        factors.append(
-            Poly.monomial(field, 1, q ** dec.h * low, "t")
-            - Poly.monomial(field, 1, low, "t")
-        )
-    return factors
+        out.append((q ** dec.h * field.p ** dec.ell, field.p ** dec.ell))
+    return out
+
+
+def _suffix_factors(field: FieldSpec, s: tuple, first: int) -> list:
+    """The factors t^{q^h·p^ℓ} - t^{p^ℓ} of `_suffix_exponents`."""
+    return [
+        Poly.monomial(field, 1, high, "t") - Poly.monomial(field, 1, low, "t")
+        for high, low in _suffix_exponents(field, s, first)
+    ]
 
 
 def annihilator_mzv(field: FieldSpec, s) -> AnnihilatorData:
@@ -179,6 +183,21 @@ def annihilator_mzv(field: FieldSpec, s) -> AnnihilatorData:
     cache = cache_for(field)
     depth_one = cache.gamma_ratio(s[-1]) * cache.bc_denominator(s[-1])
     return AnnihilatorData((depth_one.with_var("t"), *suffixes))
+
+
+def annihilator_mzv_degree(field: FieldSpec, s) -> int:
+    """`annihilator_mzv(field, s).degree`, without building a factor:
+    deg L_k = q + ... + q^k for (Γ_{s_r+1}/Γ_{s_r}) = ±L_k, k the
+    position of the lowest nonzero base-q digit of s_r
+    (`CarlitzCache.gamma_ratio`), plus deg denBC(s_r), plus q^h·p^ℓ
+    for each suffix weight (`_suffix_exponents`)."""
+    s = tuple(s)
+    k = next(k for k, d in enumerate(base_q_digits(s[-1], field.q)) if d)
+    return (
+        sum(field.q ** i for i in range(1, k + 1))
+        + cache_for(field).bc_denominator(s[-1]).degree
+        + sum(high for high, _ in _suffix_exponents(field, s, 1))
+    )
 
 
 def annihilator_cmpl(field: FieldSpec, s) -> AnnihilatorData:
@@ -303,13 +322,13 @@ def _reduce(field: FieldSpec, s: tuple) -> tuple:
     return s
 
 
-def _decide(field: FieldSpec, reduced: tuple, ann=None) -> bool:
+def _decide(field: FieldSpec, reduced: tuple) -> bool:
     """Whether the reduced tuple, every entry divisible by q-1, is
     Eulerian: non-Eulerian at once when its proper suffix, divided by
-    p, is, else ρ_a(v) = 0 for its annihilator a (`ann`, or built
-    here).  A suffix of depth one is Eulerian (Carlitz); a longer one
-    is read from the field's memo or decided first, and every verdict
-    of depth >= 2 goes into the memo."""
+    p, is, else ρ_a(v) = 0 for its annihilator a, built only then.  A
+    suffix of depth one is Eulerian (Carlitz); a longer one is read
+    from the field's memo or decided first, and every verdict of
+    depth >= 2 goes into the memo."""
     memo = _SUFFIX_VERDICTS.setdefault(field, {})
     eulerian = True
     if len(reduced) > 2:
@@ -317,7 +336,7 @@ def _decide(field: FieldSpec, reduced: tuple, ann=None) -> bool:
         eulerian = memo[suffix] if suffix in memo else _decide(field, suffix)
     if eulerian:
         eulerian = _annihilates(
-            Motive(field, reduced), ann or annihilator_mzv(field, reduced)
+            Motive(field, reduced), annihilator_mzv(field, reduced)
         )
     if len(reduced) > 1:
         memo[reduced] = eulerian
@@ -331,7 +350,9 @@ def is_eulerian(field: FieldSpec, s) -> Verdict:
     precheck).  Otherwise s is divided by p while every entry allows it,
     and the result is non-Eulerian if its proper suffix, decided first,
     is (the module docstring has the argument); else the verdict is
-    ρ_a(v) = 0 for the annihilator a of the result.
+    ρ_a(v) = 0 for the annihilator a of the result.  The recorded
+    `annihilator_degree` is deg a by its closed form
+    (`annihilator_mzv_degree`), so a pruned tuple builds no factor.
     """
     t0 = time.perf_counter()
     s = composition(s)
@@ -358,8 +379,12 @@ def is_eulerian(field: FieldSpec, s) -> Verdict:
         )
 
     reduced = _reduce(field, s)
-    ann = annihilator_mzv(field, reduced)
-    return done(reduced, _decide(field, reduced, ann), None, ann.degree)
+    return done(
+        reduced,
+        _decide(field, reduced),
+        None,
+        annihilator_mzv_degree(field, reduced),
+    )
 
 
 def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:

@@ -10,12 +10,22 @@ Precision propagates pessimistically: the unknown tail of one factor
 multiplies the leading term of the other, so a product is trusted only
 above max(u1 + top2, u2 + top1).  Nothing here reports a digit it cannot
 vouch for, and the equality helpers compare known windows only.
+
+The arithmetic runs on `Poly`.  The known window is a polynomial P in
+x = 1/θ, the value being θ^top·P(1/θ) plus the unknown tail, so a sum
+is a `Poly` sum of the two windows shifted to a common top, a product
+one `Poly` product (Kronecker-packed above `poly._KRONECKER_THRESHOLD`
+on packed fields), negation and `scale` are `Poly`'s, and a reciprocal
+is one `Poly` floor division; each result is cut at its `unknown`.
+`Poly` is the plain ring F_q[x], with no t-module, motive or
+annihilator code in it, so a numeric check built on this module stays
+independent of the decision procedures it checks.
 """
 from __future__ import annotations
 
 from .fields import FieldSpec
 from .linalg import nullspace
-from .poly import Poly, RatFrac, not_a_code
+from .poly import Poly, RatFrac
 
 
 class PrecisionError(ValueError):
@@ -92,6 +102,19 @@ class LaurentNumber:
         return None if self.unknown is None else self.unknown + 1
 
     # -- arithmetic --------------------------------------------------------
+    def _window(self) -> Poly:
+        """The known coefficients as a polynomial P in x = 1/θ: the
+        value is θ^top·P(1/θ) plus the unknown tail."""
+        return Poly(self.field, self.coeffs, "x")
+
+    @classmethod
+    def _from_window(cls, top: int, window: Poly, unknown):
+        """θ^top·window(1/θ), cut to the exponents above `unknown`."""
+        coeffs = window.coeffs
+        if unknown is not None:
+            coeffs = coeffs[: max(top - unknown, 0)]
+        return cls(window.field, top, coeffs, unknown)
+
     def _join_unknown(self, other):
         if self.unknown is None:
             return other.unknown
@@ -100,28 +123,11 @@ class LaurentNumber:
         return max(self.unknown, other.unknown)
 
     def __add__(self, other: "LaurentNumber") -> "LaurentNumber":
-        F = self.field
-        u = self._join_unknown(other)
-        if not self.coeffs:
-            if u == other.unknown:
-                return other
-            keep = max(other.top - u, 0)
-            return LaurentNumber(F, other.top, other.coeffs[:keep], u)
-        if not other.coeffs:
-            if u == self.unknown:
-                return self
-            keep = max(self.top - u, 0)
-            return LaurentNumber(F, self.top, self.coeffs[:keep], u)
         top = max(self.top, other.top)
-        floor = u + 1 if u is not None else min(
-            self.top - len(self.coeffs) + 1, other.top - len(other.coeffs) + 1
+        total = self._window().shift(top - self.top) + other._window().shift(
+            top - other.top
         )
-        add = F.add
-        out = [
-            add(self.coeff_unchecked(e), other.coeff_unchecked(e))
-            for e in range(top, floor - 1, -1)
-        ]
-        return LaurentNumber(F, top, out, u)
+        return LaurentNumber._from_window(top, total, self._join_unknown(other))
 
     def coeff_unchecked(self, e: int) -> int:
         if not self.coeffs or e > self.top:
@@ -130,83 +136,58 @@ class LaurentNumber:
         return self.coeffs[i] if i < len(self.coeffs) else 0
 
     def __neg__(self):
-        neg = self.field._neg
-        return LaurentNumber(
-            self.field, self.top, [neg[c] for c in self.coeffs], self.unknown
-        )
+        return LaurentNumber._from_window(self.top, -self._window(), self.unknown)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: int) -> "LaurentNumber":
-        if not 0 <= c < self.field.q:
-            raise not_a_code(self.field, c)
-        if c == 0:
-            return LaurentNumber.zero(self.field, self.unknown)
-        row = self.field._mul[c]
-        return LaurentNumber(
-            self.field, self.top, [row[x] for x in self.coeffs], self.unknown
+        return LaurentNumber._from_window(
+            self.top, self._window().scale(c), self.unknown
         )
 
     def __mul__(self, other: "LaurentNumber") -> "LaurentNumber":
-        F = self.field
-        if self.is_exact() and not self.coeffs:
-            return LaurentNumber.zero(F)
-        if other.is_exact() and not other.coeffs:
-            return LaurentNumber.zero(F)
+        """The pessimistic precision of the module docstring; only the
+        first top - unknown coefficients of each window reach the
+        known part of the product."""
+        if (self.is_exact() and not self.coeffs) or (
+            other.is_exact() and not other.coeffs
+        ):
+            return LaurentNumber.zero(self.field)
         u = None
         if self.unknown is not None:
             u = self.unknown + other.top
         if other.unknown is not None:
             u2 = other.unknown + self.top
             u = u2 if u is None else max(u, u2)
-        if not self.coeffs or not other.coeffs:
-            return LaurentNumber.zero(F, u)
         top = self.top + other.top
-        floor = u + 1 if u is not None else top - (len(self.coeffs) + len(other.coeffs) - 2)
-        n_out = top - floor + 1
-        mul = F._mul
-        add = F.add
-        out = [0] * n_out
-        for i, a in enumerate(self.coeffs):
-            if a:
-                row = mul[a]
-                jmax = min(len(other.coeffs), n_out - i)
-                for j in range(jmax):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] = add(out[i + j], row[b])
-        return LaurentNumber(F, top, out, u)
+        n = None if u is None else max(top - u, 0)
+        a = Poly(self.field, self.coeffs[:n], "x")
+        b = Poly(self.field, other.coeffs[:n], "x")
+        return LaurentNumber._from_window(top, a * b, u)
 
     def inv(self, prec: int = None) -> "LaurentNumber":
         """Reciprocal.  For exact input, `prec` sets the window length;
-        otherwise the window length is preserved."""
+        otherwise the window length is preserved.
+
+        The first n coefficients of 1/P(x), P the window in x = 1/θ cut
+        to its first m+1 <= n coefficients, are the coefficients of
+        x^(n-1+m) // R(x) read from the top, R = x^m·P(1/x) the
+        reversed window: x^(n-1+m)/R(x) = Σ_k b_k x^(n-1-k) for
+        1/P = Σ_k b_k x^k."""
         if not self.coeffs:
             raise ZeroDivisionError("no known leading term to invert")
-        F = self.field
         n = len(self.coeffs)
         if self.unknown is None:
             if prec is None:
                 raise PrecisionError("inverting an exact value needs prec")
+            if prec < 1:
+                raise ValueError(f"precision must be at least 1, got {prec}")
             n = prec
-        c0_inv = F.inv(self.coeffs[0])
-        out = [c0_inv]
-        mul = F._mul
-        sub = F.sub
-        for k in range(1, n):
-            acc = 0
-            for j in range(1, k + 1):
-                a = self.coeff_window(j)
-                b = out[k - j]
-                if a and b:
-                    acc = F.add(acc, mul[a][b])
-            out.append(mul[F.neg(acc)][c0_inv])
+        rev = Poly(self.field, self.coeffs[:n][::-1], "x")
+        quo = Poly.monomial(self.field, 1, n - 1 + rev.degree, "x") // rev
         top = -self.top
-        return LaurentNumber(F, top, out, top - n)
-
-    def coeff_window(self, i: int) -> int:
-        """i-th coefficient below the top (0 within exact tails)."""
-        return self.coeffs[i] if i < len(self.coeffs) else 0
+        return LaurentNumber(self.field, top, quo.coeffs[::-1], top - n)
 
     def __truediv__(self, other: "LaurentNumber") -> "LaurentNumber":
         if other.is_exact():
@@ -224,8 +205,9 @@ class LaurentNumber:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def truncate(self, unknown: int) -> "LaurentNumber":

@@ -11,12 +11,22 @@ vector (d_1, ..., d_r) has valuation >= Σ s_i d_i, so truncating at N
 known 1/θ-coefficients needs only the degree vectors with
 Σ s_i d_i <= N — a finite, desk-scale enumeration (q^d monic
 polynomials per degree d, computed by direct summation and cached).
+The monic a of degree d are read off the base-q digits of
+0 .. q^d - 1 (`carlitz.base_q_digits`), and each term is the reciprocal
+of the exact a^s, to the window.
+
+The series arithmetic is `laurent`'s, which runs on `Poly`, the plain
+ring F_q[x].  Of the rest of the library the oracle takes only
+`carlitz`'s closed forms (BC, Γ and the brackets, through
+`CarlitzCache`) for the identity corpus: it never imports `motive`,
+`tmodule` or `criterion`, so no code of the decision procedures lies
+on both sides of the comparison.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .carlitz import cache_for
+from .carlitz import base_q_digits, cache_for
 from .fields import FieldSpec, composition
 from .laurent import LaurentNumber, PrecisionError, rational_reconstruct
 from .poly import Poly, RatFrac
@@ -41,11 +51,14 @@ class SeriesContext:
     def __post_init__(self):
         if self.prec < 1:
             raise ValueError("precision must be at least 1")
+        if self.degree_budget < 0:
+            raise ValueError("degree budget must be at least 0")
         self._power_sums = {}
 
     def power_sum(self, s: int, d: int) -> LaurentNumber:
         """S_d(s) = Σ_{a monic, deg a = d} a^{-s}, to the context
-        precision, by direct enumeration of the q^d monic polynomials."""
+        precision, by direct enumeration of the q^d monic polynomials:
+        one reciprocal of the exact a^s each."""
         key = (s, d)
         hit = self._power_sums.get(key)
         if hit is not None:
@@ -59,14 +72,9 @@ class SeriesContext:
         window = self.prec + 2
         acc = LaurentNumber.zero(F)
         for code in range(q ** d):
-            coeffs = []
-            c = code
-            for _ in range(d):
-                coeffs.append(c % q)
-                c //= q
-            coeffs.append(1)
-            a = LaurentNumber.from_poly(Poly(F, coeffs))
-            acc = acc + a.inv(window) ** s
+            digits = base_q_digits(code, q)
+            a = Poly(F, digits + [0] * (d - len(digits)) + [1])
+            acc = acc + LaurentNumber.from_poly(a ** s).inv(window)
         self._power_sums[key] = acc
         return acc
 

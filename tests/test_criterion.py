@@ -208,6 +208,24 @@ def test_tower_prefixes_are_the_suffix_annihilators(q, s):
         assert ann.factors[:k] == annihilator_mzv(F, s[r - k:]).factors, k
 
 
+def test_annihilator_degree_is_the_closed_form():
+    """On every precheck-passing tuple of the q=3 w<=26 and q=2 w<=8
+    sweeps (depth <= 3) and the four weight-80 tuples at q=3, reduced:
+    `annihilator_mzv_degree` equals the degree of the built
+    `annihilator_mzv`, and `is_eulerian` records it (the sweep)."""
+    weight80 = [(18, 62), (26, 54), (8, 18, 54), (8, 10, 62)]
+    cases = [(q, s) for q, wmax in [(3, 26), (2, 8)]
+             for s in enumerate_tuples(q, wmax, 3, False)]
+    assert len(cases) == 469
+    for q, s in cases + [(3, s) for s in weight80]:
+        F = field_for_q(q)
+        reduced = criterion._reduce(F, s)
+        degree = annihilator_mzv(F, reduced).degree
+        assert criterion.annihilator_mzv_degree(F, reduced) == degree, s
+        if sum(s) <= 26:
+            assert is_eulerian(F, s).annihilator_degree == degree, s
+
+
 def _motives_built(monkeypatch):
     """A list of the tuples whose `Motive` `criterion` builds."""
     built = []

@@ -43,6 +43,17 @@ def test_inv_times_self_is_one():
         assert prod.coeff_unchecked(e) == 0
 
 
+@pytest.mark.parametrize("prec", [0, -2])
+def test_nonpositive_precision_is_refused(prec):
+    """inv and from_ratfrac name the precision, not the window."""
+    F = field_for_q(3)
+    th = Poly.gen(F)
+    with pytest.raises(ValueError, match="precision"):
+        LaurentNumber.from_poly(th + Poly.one(F)).inv(prec)
+    with pytest.raises(ValueError, match="precision"):
+        LaurentNumber.from_ratfrac(RatFrac(Poly.one(F), th), prec)
+
+
 @given(st.sampled_from([2, 3]), st.data())
 @settings(max_examples=40)
 def test_mul_matches_poly_mul(q, data):

@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from ffmzv.carlitz import cache_for_q
+from ffmzv.cli import enumerate_tuples
 from ffmzv.criterion import is_eulerian
 from ffmzv.fields import field_for_q
 from ffmzv.laurent import LaurentNumber
@@ -178,3 +182,45 @@ def test_verify_never_reports_inconsistent_on_certified_data():
 def test_series_context_rejects_nonpositive_precision(prec):
     with pytest.raises(ValueError):
         SeriesContext(field_for_q(3), prec=prec)
+
+
+def test_series_context_rejects_a_negative_degree_budget():
+    """Refused at construction, not at the first power sum; a budget
+    of 0 still allows the degree-0 sums."""
+    with pytest.raises(ValueError, match="budget"):
+        SeriesContext(field_for_q(3), degree_budget=-1)
+    ctx = SeriesContext(field_for_q(3), degree_budget=0)
+    assert ctx.power_sum(2, 0).agrees(LaurentNumber.one(ctx.field))
+
+
+# -- pinned windows --------------------------------------------------------
+
+def _oracle_digest(q, wmax, prec):
+    """sha256 of the `zeta_laurent` window (top, coeffs, unknown) and
+    the `verify_verdict` outcome of every composition with entries
+    divisible by q-1, weight <= wmax and depth <= 3, of `pi_power` at
+    each of their weights, and of `run_identity_corpus`, all at
+    precision `prec` with degree budget `prec`."""
+    F = field_for_q(q)
+    ctx = SeriesContext(F, prec=prec, degree_budget=prec)
+    out = []
+    for s in enumerate_tuples(q, wmax, 3, False):
+        z = zeta_laurent(ctx, s)
+        outcome = verify_verdict(ctx, s, is_eulerian(F, s))
+        out.append([list(s), z.top, list(z.coeffs), z.unknown, outcome])
+    for w in range(q - 1, wmax + 1, q - 1):
+        pi = pi_power(ctx, w)
+        out.append([w, pi.top, list(pi.coeffs), pi.unknown])
+    out.append(sorted(run_identity_corpus(ctx).items()))
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q,wmax,prec,digest", [
+    (3, 26, 16, "ad1712b8a6057a39344498db0427981b1d6c1e267937704ccaa09742cb67bc28"),
+    (2, 8, 14, "9e7a9c86c744f14d4ed70dc1d65835d7af5803c83b2695095f3357538d07e98e"),
+])
+def test_oracle_is_pinned(q, wmax, prec, digest):
+    """The oracle's windows and outcomes on the two acceptance sweeps,
+    recorded with the schoolbook window loops that preceded the `Poly`
+    arithmetic."""
+    assert _oracle_digest(q, wmax, prec) == digest
