@@ -38,8 +38,10 @@ term type per ring, shared with the motive's reduction (`motive`), and
 `terms_for` picks it: on a `packed` field (prime q < 256) with
 integral coefficients, rows of θ-digits (`_RowTerms`), where a
 difference is one `fpx.PackedPoly.row_difference`, a packed sum, and
-K_n one packed sum of the terms (`row_sum`); elsewhere, and for
-rational motives, `BiPoly`s (`_BiPolyTerms`).  Each type also holds
+K_n one packed sum of the terms (`row_sum`), a polylogarithm motive
+at a point in F_q[θ]^r included; elsewhere, and for rational motives
+(a polylogarithm point with a coordinate outside F_q[θ]), `BiPoly`s
+(`_BiPolyTerms`).  Each type also holds
 the worklist's operations in u = t-θ.  On a packed field integral
 A[t] lives in these rows alone: `_RowTerms` is the one place that
 lays a `BiPoly` out in rows (`lay`) and reads one back (`bipoly`),
@@ -86,13 +88,11 @@ def theta_major(b: BiPoly):
 
 def _check_laid(terms, b):
     """The checks of `lay`: b a `BiPoly` over the terms' field, its
-    coefficients in θ, and rational only where the terms are rational."""
+    coefficients in θ."""
     if not isinstance(b, BiPoly):
         raise TypeError("attached polynomial must be a BiPoly")
     if b.field != terms.field:
         raise ValueError(f"a BiPoly over {b.field} is not over {terms.field}")
-    if b.rational and not terms.rational:
-        raise ValueError("rational attached polynomial in integral motive")
     for c in b.coeffs:
         for f in (c.num, c.den) if isinstance(c, RatFrac) else (c,):
             if f.var != "θ":
@@ -101,7 +101,8 @@ def _check_laid(terms, b):
 
 class _BiPolyTerms:
     """F_q[θ][v] (or k[v] when `rational`) as `BiPoly`s: the terms of
-    extension fields, of p >= 256 and of rational motives.  A term is a
+    extension fields, of p >= 256 and of rational motives, those with a
+    rational attached polynomial.  A term is a
     polynomial in v = t (the H_n store, the seeds) or in v = t-θ (the
     worklist, after `expand`); products are `BiPoly` products."""
 
@@ -339,9 +340,10 @@ class _RowTerms:
 
 def terms_for(field: FieldSpec, rational: bool = False):
     """The terms of F_q[θ][t] for `field`: packed rows (`_RowTerms`) on
-    a `packed` field for integral coefficients, `BiPoly`s
-    (`_BiPolyTerms`) otherwise.  The one place these terms read
-    `field.packed`."""
+    a `packed` field for integral coefficients, those of every
+    multizeta motive and of a polylogarithm one at a point in
+    F_q[θ]^r, `BiPoly`s (`_BiPolyTerms`) otherwise.  The one place
+    these terms read `field.packed`."""
     if field.packed and not rational:
         return _RowTerms(field)
     return _BiPolyTerms(field, rational)

@@ -54,23 +54,25 @@ one point; both go through `_witness_kernel`.
 The torsion test `_annihilates` and the witness search run "probe,
 then confirm exactly" over one list of coefficient domains
 (`_ladder`): on a `packed` field (prime q < 256) and for an integral
-motive, first a fast modular image of A, a ring homomorphism, which
-cannot turn a zero into a nonzero, then A = F_p[θ] itself, on packed
-digits in the one packed ring per prime (`poly.packed_ring`).
-Extension fields, primes above 255 (whose digits do not fit a byte)
-and the polylogarithm variant, whose motive has rational coordinates,
-walk the exact `Poly` domain alone.  In every domain the work is the
-same: `_annihilates` applies ρ_a to v, and the witness search builds
-its linear system from the iterates ρ_{t^j} of the points, both
-through `TModule`.  The iterates stay in the domain's plan of ρ_t and
-come out as the columns of the system (`TModule.iterates`), which
-`linalg.nullspace` eliminates on as they come: on packed digits a
-column is one packed integer.  The witness search's probe has at
-least `WITNESS_ROWS_PER_COLUMN` rows per column, so that its kernel is
-not nonempty by counting alone.  A nonzero residual certifies
-non-torsion and an empty kernel rules out every witness in any
-domain, while a zero residual counts only in the exact domain and a
-witness only once an independent reduction (`vanishes`) confirms it.
+motive, multizeta or polylogarithm at a point in F_q[θ]^r, first a
+fast modular image of A, a ring homomorphism, which cannot turn a
+zero into a nonzero, then A = F_p[θ] itself, on packed digits in the
+one packed ring per prime (`poly.packed_ring`).  Extension fields and
+primes above 255 (whose digits do not fit a byte) walk the exact
+`Poly` domain alone, and a polylogarithm point with a coordinate
+outside F_q[θ], whose motive is rational, the exact `RatFrac` one.
+In every domain the work is the same: `_annihilates` applies ρ_a to
+v, and the witness search builds its linear system from the iterates
+ρ_{t^j} of the points, both through `TModule`.  The iterates stay in
+the domain's plan of ρ_t and come out as the columns of the system
+(`TModule.iterates`), which `linalg.nullspace` eliminates on as they
+come: on packed digits a column is one packed integer.  The witness
+search's probe has at least `WITNESS_ROWS_PER_COLUMN` rows per column,
+so that its kernel is not nonempty by counting alone.  A nonzero
+residual certifies non-torsion and an empty kernel rules out every
+witness in any domain, while a zero residual counts only in the exact
+domain and a witness only once an independent reduction (`vanishes`)
+confirms it.
 """
 from __future__ import annotations
 
@@ -288,10 +290,12 @@ def _modulus_of(field: FieldSpec):
 
 def _ladder(motive: Motive, probe_degree: int = 0):
     """The operator of the motive and the domains a torsion test walks,
-    in order: on a `packed` field and for an integral motive the modular
-    probe, of degree max(PROBE_DEGREE, probe_degree), then A = F_p[θ]
-    on packed digits (`packed_ring`); otherwise the exact `Poly` (or
-    `RatFrac`) domain alone.  The last domain is always exact."""
+    in order: on a `packed` field and for an integral motive (every
+    multizeta motive, and a polylogarithm one at a point in F_q[θ]^r)
+    the modular probe, of degree max(PROBE_DEGREE, probe_degree), then
+    A = F_p[θ] on packed digits (`packed_ring`); otherwise the exact
+    `Poly` domain alone, or the `RatFrac` one for a rational motive.
+    The last domain is always exact."""
     tm = TModule.from_motive(motive)
     if motive.field.packed and not motive.rational:
         probe = ProbeDomain(motive.field, max(PROBE_DEGREE, probe_degree), 0)
@@ -388,26 +392,30 @@ def is_eulerian(field: FieldSpec, s) -> Verdict:
 
 
 def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
-    """Decide whether the polylogarithm value at the rational point u
-    is Eulerian.
+    """Decide whether the polylogarithm value at the point u is
+    Eulerian.
 
     Every s_i must be divisible by q-1 and every u_i nonzero.  A u_i is
     a RatFrac or a Poly in θ over `field`, or an int element code in
-    range(q).  When some u_i has degree >= s_i·q/(q-1) the
-    convergence/non-vanishing hypotheses behind the criterion are
-    unverified and the verdict is flagged conditional.
+    range(q).  The attached polynomial Q_ℓ is the coordinate as given:
+    a Poly or a code gives an integral one, so a point in F_q[θ]^r
+    builds an integral motive and walks `_ladder` as a multizeta motive
+    does, while a RatFrac makes the motive rational.  When some u_i has
+    degree >= s_i·q/(q-1) the convergence/non-vanishing hypotheses
+    behind the criterion are unverified and the verdict is flagged
+    conditional.
     """
     t0 = time.perf_counter()
     s = composition(s)
     q = field.q
-    us = []
+    us, qs = [], []
     for x in u:
+        if isinstance(x, int) and 0 <= x < q:
+            x = Poly(field, [x])
         if isinstance(x, RatFrac):
             f = x
         elif isinstance(x, Poly):
             f = RatFrac.from_poly(x)
-        elif isinstance(x, int) and 0 <= x < q:
-            f = RatFrac.from_poly(Poly(field, [x]))
         else:
             raise ValueError(
                 f"coordinate {x!r} is not a RatFrac, a Poly or an element "
@@ -418,6 +426,8 @@ def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
         if f.is_zero():
             raise ValueError("evaluation point has a zero coordinate")
         us.append(f)
+        # Q_ℓ is the coordinate as given: integral for a Poly
+        qs.append(BiPoly(field, [x], rational=isinstance(x, RatFrac)))
     if len(us) != len(s):
         raise ValueError("need one coordinate per composition entry")
 
@@ -426,8 +436,7 @@ def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
         for f, si in zip(us, s)
     )
     ann = annihilator_cmpl(field, s)
-    qs = [BiPoly(field, [f], rational=True) for f in us]
-    motive = Motive(field, s, Q=qs, rational=True)
+    motive = Motive(field, s, Q=qs)
     eulerian = _annihilates(motive, ann)
     return Verdict(
         q=q,

@@ -49,11 +49,12 @@ products, Frobenius and Taylor shift are `fpx.PackedPoly`'s, so no slot
 bound is derived here) where the field is `packed` (prime q < 256) and
 the coefficients integral, `BiPoly` terms with `Poly` or `RatFrac`
 coefficients (`carlitz._BiPolyTerms`) for every other field, p >= 256
-included, and for the polylogarithm motives.  Each Q_ℓ is a term in t
-once the motive is built, a canonical one the cache's term of H_n
-(`carlitz.CarlitzCache.h_term`), and the seeds of the points are
-products of those terms, so a packed motive whose H_n are filled builds
-no `BiPoly`, and keeps none.
+included, and for the rational motives: a motive is rational exactly
+when one of its attached polynomials is a rational `BiPoly`.  Each Q_ℓ
+is a term in t once the motive is built, a canonical one the cache's
+term of H_n (`carlitz.CarlitzCache.h_term`), and the seeds of the
+points are products of those terms, so a packed motive whose H_n are
+filled builds no `BiPoly`, and keeps none.
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ from functools import cached_property
 
 from .carlitz import cache_for, terms_for
 from .fields import FieldSpec, composition
-from .poly import Poly, RatFrac
+from .poly import BiPoly, Poly, RatFrac
 
 _BUDGET = 10 ** 6
 
@@ -75,26 +76,26 @@ class Motive:
 
     By default Q_ℓ is the canonical degree-(s_ℓ - 1) polynomial H_{s_ℓ-1}
     (the multizeta case).  A polylogarithm instance passes its own
-    constants-in-t tuple via `Q`, possibly with rational coefficients.
+    constants-in-t tuple via `Q`, one `BiPoly` per entry.  The motive
+    is `rational` exactly when one of them is a rational `BiPoly`; its
+    other Q_ℓ are then laid out with `RatFrac` coefficients too.
     """
 
-    def __init__(self, field: FieldSpec, s, Q=None, rational: bool = False):
+    def __init__(self, field: FieldSpec, s, Q=None):
         self.field = field
         self.s = s = composition(s)
         self.r = len(s)
-        self.rational = rational
-        self._terms = terms_for(field, rational)
         self._canonical = Q is None
-        if Q is None:
-            if rational:
-                raise ValueError("canonical Q is integral; rational=False")
+        Q = [] if Q is None else list(Q)
+        if not self._canonical and len(Q) != self.r:
+            raise ValueError("need one attached polynomial per entry")
+        self.rational = any(isinstance(f, BiPoly) and f.rational for f in Q)
+        self._terms = terms_for(field, self.rational)
+        if self._canonical:
             # the cache's terms of H_{s_ℓ-1}
             cache = cache_for(field)
             self._laid = [cache.h_term(si - 1) for si in s]
         else:
-            Q = list(Q)
-            if len(Q) != self.r:
-                raise ValueError("need one attached polynomial per entry")
             # each Q_ℓ laid out once, in t
             self._laid = [self._terms.lay(f) for f in Q]
         # suffix weights: weights[ℓ-1] = s_ℓ + ... + s_r

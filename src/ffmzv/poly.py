@@ -398,8 +398,9 @@ class RatFrac:
 
 
 class BiPoly:
-    """Polynomial in t with coefficients in A = F_q[θ] (or in k for the
-    polylog mode).  Stored as a tuple of coefficients, ascending in t.
+    """Polynomial in t with coefficients in A = F_q[θ] (or in k when
+    `rational`, as for a polylogarithm point with a coordinate outside
+    F_q[θ]).  Stored as a tuple of coefficients, ascending in t.
 
     A product is the schoolbook one over the coefficient ring, on
     every field: on a `packed` field the library keeps integral A[t]

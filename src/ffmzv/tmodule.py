@@ -15,18 +15,20 @@ packed ring:
 * `ExactDomain` — coordinates in A = F_q[θ] (or F_q(θ)) as `Poly` (or
   `RatFrac`) objects; fully rigorous both ways, but repeated τ's raise
   degrees q-fold, so a non-torsion point blows up quickly under a large
-  annihilator.  It serves every field and the polylogarithm points,
-  and the diagnostics (`TModule.entry`, `render`).
+  annihilator.  It serves every field, the `RatFrac` coordinates of a
+  rational motive (a polylogarithm point with a coordinate outside
+  F_q[θ]) and the diagnostics (`TModule.entry`, `render`).
 * `ProbeDomain` — the image of A under θ ↦ ξ for ξ a root of an
   irreducible of chosen degree over F_p (`packed` fields and `Poly`
-  coordinates only).  The map is a ring homomorphism commuting with
-  x ↦ x^q, so a NONZERO probe result rigorously certifies the exact
-  result nonzero.  A zero probe proves nothing and must be confirmed
-  exactly.  A probe element is a `bytes` of F_p digits, with a product
-  one big-int product of the packed digits and x ↦ x^{q^n} a
-  precomputed F_p-linear map (`fpx.PackedQuotient`, the domain's
-  `ring`); the domain itself offers no element operation but
-  `is_zero`, as ρ_t never runs on it row by row.  A probe point is
+  coordinates only, a polylogarithm point in F_q[θ]^r included).  The
+  map is a ring homomorphism commuting with x ↦ x^q, so a NONZERO
+  probe result rigorously certifies the exact result nonzero.  A zero
+  probe proves nothing and must be confirmed exactly.  A probe element
+  is a `bytes` of F_p digits, with a product one big-int product of
+  the packed digits and x ↦ x^{q^n} a precomputed F_p-linear map
+  (`fpx.PackedQuotient`, the domain's `ring`); the domain itself
+  offers no element operation but `is_zero`, as ρ_t never runs on it
+  row by row.  A probe point is
   one packed integer, all its rows side by side, and one application
   of ρ_t a few big-int operations on it with one reduction, plus one
   product and one grouped Barrett reduction per τ-level with

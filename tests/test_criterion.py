@@ -445,10 +445,12 @@ def test_torsion_is_confirmed_on_packed_digits_where_the_probe_runs(
     monkeypatch,
 ):
     """A probe zero is confirmed in F_p[θ] on packed digits, in the
-    shared packed ring, for prime q < 256 and an integral point, also
-    at q=131, where a packed sum takes two-byte slots; an extension
-    field and a polylogarithm point are confirmed on `Poly`
-    coordinates, with no probe."""
+    shared packed ring, for prime q < 256 and an integral point, a
+    polylogarithm point in F_q[θ] included, also at q=131, where a
+    packed sum takes two-byte slots; an extension field is confirmed
+    on `Poly` coordinates, with no probe, and a polylogarithm point
+    with a coordinate outside F_q[θ] (1/θ, non-Eulerian at (2,)) is
+    decided on `RatFrac` coordinates alone."""
     seen = []
     real = TModule.apply_annihilator
 
@@ -457,18 +459,21 @@ def test_torsion_is_confirmed_on_packed_digits_where_the_probe_runs(
         return real(self, vec, factors, dom)
 
     monkeypatch.setattr(TModule, "apply_annihilator", spy)
+    F3 = field_for_q(3)
+    over_theta = RatFrac(Poly.one(F3), Poly.gen(F3))
     cases = [
-        (lambda: is_eulerian(field_for_q(3), (2, 4)),
-         ["ProbeDomain", "PackedPoly"]),
+        (lambda: is_eulerian(F3, (2, 4)), ["ProbeDomain", "PackedPoly"], True),
         (lambda: is_eulerian(field_for_q(131), (130,)),
-         ["ProbeDomain", "PackedPoly"]),
-        (lambda: is_eulerian(field_for_q(4), (3, 9)), ["ExactDomain"]),
-        (lambda: is_cmpl_eulerian(field_for_q(3), (2,), (1,)),
-         ["ExactDomain"]),
+         ["ProbeDomain", "PackedPoly"], True),
+        (lambda: is_eulerian(field_for_q(4), (3, 9)), ["ExactDomain"], True),
+        (lambda: is_cmpl_eulerian(F3, (2,), (1,)),
+         ["ProbeDomain", "PackedPoly"], True),
+        (lambda: is_cmpl_eulerian(F3, (2,), (over_theta,)),
+         ["ExactDomain"], False),
     ]
-    for run, domains in cases:
+    for run, domains, eulerian in cases:
         seen.clear()
-        assert run().eulerian
+        assert run().eulerian is eulerian
         assert seen == domains
 
 
@@ -506,14 +511,11 @@ def test_cmpl_rejects_int_outside_element_codes(u):
 
 def test_attached_polynomials_and_coordinates_are_checked():
     """An attached polynomial or a polylogarithm coordinate over another
-    field, or a coordinate in t, is refused with a ValueError, as is a
-    rational attached polynomial in an integral motive; an attached
-    polynomial that is not a `BiPoly` is a TypeError."""
+    field, or a coordinate in t, is refused with a ValueError; an
+    attached polynomial that is not a `BiPoly` is a TypeError."""
     F3, F5 = field_for_q(3), field_for_q(5)
     with pytest.raises(ValueError):
         Motive(F3, (2,), Q=[BiPoly(F5, [Poly(F5, [4, 3])])])
-    with pytest.raises(ValueError):
-        Motive(F3, (2,), Q=[BiPoly(F3, [RatFrac.one(F3)], rational=True)])
     with pytest.raises(TypeError):
         Motive(F3, (2,), Q=[Poly(F3, [1])])
     for u in (
@@ -537,7 +539,7 @@ def test_attached_polynomial_with_coefficients_in_t_is_refused(rational):
     else:
         Q = BiPoly(F3, [c])
     with pytest.raises(ValueError, match="in t"):
-        Motive(F3, (2,), Q=[Q], rational=rational)
+        Motive(F3, (2,), Q=[Q])
 
 
 def test_cmpl_rational_point():
@@ -547,6 +549,64 @@ def test_cmpl_rational_point():
     v = is_cmpl_eulerian(F, (2,), (u,))
     assert v.conditional is False
     assert isinstance(v.eulerian, bool)
+
+
+# (q, wmax) of the polylogarithm corpora
+CMPL_CORPUS = [(2, 6), (3, 12), (4, 9), (5, 16), (7, 18)]
+
+
+def _cmpl_points(q, wmax, rmax):
+    """Every tuple of depth <= rmax and weight <= wmax whose entries are
+    divisible by q-1, each with one integral point: its coordinates
+    drawn by random.Random(q) from the nonzero polynomials of degree
+    <= 1."""
+    F = field_for_q(q)
+    nonzero = [Poly(F, [a, b]) for b in range(q) for a in range(q) if a or b]
+    rng = random.Random(q)
+    return [
+        (s, [rng.choice(nonzero) for _ in s])
+        for s in enumerate_tuples(q, wmax, rmax, False)
+    ]
+
+
+@pytest.mark.parametrize("rmax,over_theta,count,digest", [
+    (3, False, 110,
+     "6509c50f343bf6067774ac8456804240ebe92ba113977cfd266ad1edc660b9a7"),
+    (2, True, 64,
+     "7f9064cc7f47bc106de450870300368401f4488d510e4ff85d94525ea4c70563"),
+], ids=["integral", "over-theta"])
+def test_cmpl_verdicts_are_pinned(rmax, over_theta, count, digest):
+    """The polylogarithm records (`to_json` without `elapsed_ms`) of
+    every tuple of the corpora with its seeded integral point, and at
+    depth <= 2 with each coordinate divided by θ, hashed by sha256."""
+    records = []
+    for q, wmax in CMPL_CORPUS:
+        F = field_for_q(q)
+        th = Poly.gen(F)
+        for s, u in _cmpl_points(q, wmax, rmax):
+            if over_theta:
+                u = [RatFrac(x, th) for x in u]
+            rec = is_cmpl_eulerian(F, s, u).to_json()
+            del rec["elapsed_ms"]
+            records.append(rec)
+    assert len(records) == count
+    got = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert got == digest
+
+
+@pytest.mark.parametrize("q,wmax", CMPL_CORPUS)
+def test_integral_point_verdicts_match_the_ratfrac_path(q, wmax):
+    """Every integral point of the pinned corpus builds an integral
+    motive, decided on the ladder of its field; the same point with
+    each coordinate made a `RatFrac` builds a rational motive, decided
+    on `RatFrac` coordinates.  The two agree."""
+    F = field_for_q(q)
+    for s, u in _cmpl_points(q, wmax, 3):
+        Q = [BiPoly(F, [RatFrac.from_poly(x)], rational=True) for x in u]
+        motive = Motive(F, s, Q=Q)
+        assert motive.rational
+        old = criterion._annihilates(motive, annihilator_cmpl(F, s))
+        assert is_cmpl_eulerian(F, s, u).eulerian == old, s
 
 
 # -- zeta-like search --------------------------------------------------------

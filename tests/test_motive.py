@@ -227,7 +227,7 @@ def test_rho_t_closed_form_matches_worklist_rational(q, s, us):
         BiPoly(F, [RatFrac(Poly(F, num), Poly(F, den))], rational=True)
         for num, den in us
     ]
-    motive = Motive(F, s, Q=qs, rational=True)
+    motive = Motive(F, s, Q=qs)
     tm = TModule.from_motive(motive)
     assert _rho_t_dict(tm) == _rho_t_by_worklist(motive)
 
@@ -433,7 +433,7 @@ def _point_motives():
     for s in [(2, 4), (1, 2)]:
         Q = [_random_q(F, rng, len(s) + 1 - i, rational=True)
              for i in range(len(s))]
-        yield Motive(F, s, Q=Q, rational=True)
+        yield Motive(F, s, Q=Q)
 
 
 def test_point_reduction_matches_t_basis_worklist():
@@ -479,22 +479,6 @@ def test_warm_motive_builds_no_bipoly(monkeypatch):
     monkeypatch.setattr(BiPoly, "__init__", counting)
     assert run() == first
     assert built == []
-
-
-def test_canonical_rational_motive_fills_nothing(monkeypatch):
-    """A rational motive with the canonical Q is refused before any
-    H_n is asked for, filled or built."""
-    calls = []
-    at = CarlitzCache.anderson_thakur
-
-    def counting(self, n):
-        calls.append(n)
-        return at(self, n)
-
-    monkeypatch.setattr(CarlitzCache, "anderson_thakur", counting)
-    with pytest.raises(ValueError):
-        Motive(field_for_q(3), (20, 40), rational=True)
-    assert calls == []
 
 
 @pytest.mark.parametrize("q,first,second", [

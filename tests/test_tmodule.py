@@ -528,7 +528,7 @@ def test_render_is_pinned():
         BiPoly(F, [RatFrac(one, th)], rational=True),
         BiPoly(F, [RatFrac(th, th + one)], rational=True),
     ]
-    polylog = Motive(F, (2, 4), Q=Q, rational=True)
+    polylog = Motive(F, (2, 4), Q=Q)
     h.update(TModule.from_motive(polylog).render().encode())
     assert h.hexdigest() == (
         "cb79097c9027bd6c3817ccc3f70f67691058b7953151a11a7ae3fb88eea771d0"
