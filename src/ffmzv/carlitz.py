@@ -21,7 +21,7 @@ lowest nonzero base-q digit of n at or above position i (so 1 when
 digit i is nonzero; the proof is at `_derive_h`).  Every factor of a
 term, a bracket or a factor t^{q^i} - θ^{q^j} of G_i, has two terms,
 so every product of the fill is a shift and a difference
-(`difference`), no fraction in t is ever formed, and no product of two
+(`differences`), no fraction in t is ever formed, and no product of two
 polynomials is either.
 
 H_n lies in F_q[θ^q][t].  Proof, by induction on n: H_0..H_{q-1} = 1
@@ -37,7 +37,8 @@ The recursion is written once, over the store's terms.  There is one
 term type per ring, shared with the motive's reduction (`motive`), and
 `terms_for` picks it: on a `packed` field (prime q < 256) with
 integral coefficients, rows of θ-digits (`_RowTerms`), where a
-difference is one `fpx.PackedPoly.row_difference`, a packed sum, and
+term's differences are one `fpx.PackedPoly.row_differences`, a packed
+sum each, read back only where a slot could overflow, and
 K_n one packed sum of the terms (`row_sum`), a polylogarithm motive
 at a point in F_q[θ]^r included; elsewhere, and for rational motives
 (a polylogarithm point with a coordinate outside F_q[θ]), `BiPoly`s
@@ -136,15 +137,18 @@ class _BiPolyTerms:
     def neg(self, f):
         return f.scale(self._minus_one)
 
-    def difference(self, f, a, b, c, width):
-        """f·(t^a - θ^b·t^c) for an integral f: f moved a coefficients
+    def differences(self, f, factors, width):
+        """f·Π (t^a - θ^b·t^c) over the triples (a, b, c) of `factors`
+        for an integral f, one factor at a time: f moved a coefficients
         up, minus f moved c up with each coefficient times θ^b.  The
         width of the packed rows' layout is not needed here."""
-        out = [Poly.zero(self.field)] * (len(f.coeffs) + max(a, c))
-        out[a:a + len(f.coeffs)] = f.coeffs
-        for k, x in enumerate(f.coeffs, c):
-            out[k] = out[k] - x.shift(b)
-        return BiPoly(self.field, out)
+        for a, b, c in factors:
+            out = [Poly.zero(self.field)] * (len(f.coeffs) + max(a, c))
+            out[a:a + len(f.coeffs)] = f.coeffs
+            for k, x in enumerate(f.coeffs, c):
+                out[k] = out[k] - x.shift(b)
+            f = BiPoly(self.field, out)
+        return f
 
     def theta_degree(self, h) -> int:
         return h.theta_degree()
@@ -207,7 +211,7 @@ class _RowTerms:
     are tight, width the θ-degree plus one.
 
     A product is one `row_product` (a Kronecker product), a product by
-    a two-term factor of the fill one `row_difference`, a sum one
+    the two-term factors of a fill term one `row_differences`, a sum one
     packed sum (`add`, `row_sum`), the shift t ↦ u + θ and the twist's
     shift by θ - θ^p a `fpx.PackedPoly.taylor_shift` whose Horner
     steps are packed sums, so every slot bound is derived in `fpx`.  A
@@ -222,7 +226,7 @@ class _RowTerms:
         self.one = b"\1", 1
         self.mul = ring.row_product
         self.sum = ring.row_sum
-        self.difference = ring.row_difference
+        self.differences = ring.row_differences
         self.add_coeff = ring.add
         self._twist_shift = ((1, 1), (field.neg(1), field.p))
 
@@ -494,7 +498,8 @@ class CarlitzCache:
         Ascending in m, H_m = Σ_{q^i ≤ m} G_i(θ,t)·H_{m-q^i}·B_{m,i}(t):
         the generating identity multiplied through by Γ_{m+1}(t).  Every
         factor of a term has two terms, so each product is one
-        `difference` of the terms, X·(t^a - θ^b·t^c):
+        difference of the terms, X·(t^a - θ^b·t^c), and the factors of
+        one term are applied by one `differences`:
 
         * G_i is the product of t^{q^i} - θ^{q^j}, j = 1..i;
         * B_{m,i} = [i+1]·[i+2]···[k] with [l] = t^{q^l} - t, where k is
@@ -535,13 +540,10 @@ class CarlitzCache:
             )
             terms = []
             for i in range(len(digits)):
-                term = h[m - q ** i]
-                for j in range(i):
-                    term = T.difference(term, q ** i, q ** j, 0, width)
                 k = next(k for k in range(i, len(digits)) if digits[k])
-                for l in range(i + 1, k + 1):
-                    term = T.difference(term, q ** l, 0, 1, width)
-                terms.append(term)
+                factors = [(q ** i, q ** j, 0) for j in range(i)]
+                factors += [(q ** l, 0, 1) for l in range(i + 1, k + 1)]
+                terms.append(T.differences(h[m - q ** i], factors, width))
             acc = T.sum(terms)
             # deg H_m <= m·q/(q-1), and deg K_m = deg H_m / q
             assert T.theta_degree(acc) * (q - 1) <= m, (

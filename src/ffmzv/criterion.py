@@ -398,12 +398,13 @@ def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
     Every s_i must be divisible by q-1 and every u_i nonzero.  A u_i is
     a RatFrac or a Poly in θ over `field`, or an int element code in
     range(q).  The attached polynomial Q_ℓ is the coordinate as given:
-    a Poly or a code gives an integral one, so a point in F_q[θ]^r
-    builds an integral motive and walks `_ladder` as a multizeta motive
-    does, while a RatFrac makes the motive rational.  When some u_i has
-    degree >= s_i·q/(q-1) the convergence/non-vanishing hypotheses
-    behind the criterion are unverified and the verdict is flagged
-    conditional.
+    a Poly, a code or a RatFrac with denominator 1 (read as its
+    numerator) gives an integral one, so a point in F_q[θ]^r, however
+    given, builds an integral motive and walks `_ladder` as a multizeta
+    motive does, while any other RatFrac makes the motive rational.
+    When some u_i has degree >= s_i·q/(q-1) the convergence/non-vanishing
+    hypotheses behind the criterion are unverified and the verdict is
+    flagged conditional.
     """
     t0 = time.perf_counter()
     s = composition(s)
@@ -412,6 +413,8 @@ def is_cmpl_eulerian(field: FieldSpec, s, u) -> Verdict:
     for x in u:
         if isinstance(x, int) and 0 <= x < q:
             x = Poly(field, [x])
+        if isinstance(x, RatFrac) and x.den.is_one():
+            x = x.num
         if isinstance(x, RatFrac):
             f = x
         elif isinstance(x, Poly):

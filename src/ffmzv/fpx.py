@@ -22,17 +22,17 @@ Frobenius a strided copy.  One `PackedPoly` per prime
 (`poly.packed_ring`) serves every packed consumer: it is the exact
 domain that confirms the probe's zeros (`criterion`), where its
 `point_plan` keeps a point as one packed run of rows per block and
-applies ρ_t to each block with one packed sum, one Kronecker product
-per τ-level and target block and one `digits` call (`_PackedBlocks`,
-for p <= 13; larger p take the row loop over its element
-operations); its `mul` the large products in F_p[θ] of `poly.Poly`;
-its `row_product` the product of polynomials whose coefficients are
-rows of θ-digits (laid out by `lay_rows`): every A[t] product on a
-packed field, the seed products in t and the products in u of the
-point reduction (`carlitz._RowTerms`, `motive`);
-its `row_difference` every product of the H_n fill (`carlitz`), a
-factor of two terms at a time, whose sums are one `row_sum` each; and
-its `taylor_shift` the point reduction's shift in u.  The
+applies ρ_t to each block with one packed sum and one Kronecker
+product per τ-level and target block (`_PackedBlocks`, for p <= 13;
+larger p take the row loop over its element operations); its `mul`
+the large products in F_p[θ] of `poly.Poly`; its `row_product` the
+product of polynomials whose coefficients are rows of θ-digits (laid
+out by `lay_rows`): every A[t] product on a packed field, the seed
+products in t and the products in u of the point reduction
+(`carlitz._RowTerms`, `motive`); its `row_differences` every product
+of the H_n fill (`carlitz`), all two-term factors of one term at a
+time, whose sums are one `row_sum` each; and its `taylor_shift` the
+point reduction's shift in u.  The
 kernel of a matrix over F_p (`_PackedDigits.nullspace`, behind
 `linalg.nullspace`) takes the matrix by columns and packs each one as
 it comes into one packed integer with its F_p-combination in the high
@@ -43,7 +43,26 @@ packs, calls the Kronecker `product` and derives the slot bounds of
 packed products, sums, reductions and eliminations.  A packed integer
 is read back to digits by a byte-sliced reduction
 (`_PackedDigits.digits`): one `bytes.translate` per byte of a slot and
-round, never a loop over the slots.  Where the packed F_p[θ] runs is
+round, never a loop over the slots.
+
+Three kernels read back late, the delayed modular reduction of
+Dumas, Giorgi and Pernet ("Dense linear algebra over word-size prime
+fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008): each is
+Z-linear in the digits, so the reduction mod p can wait until a slot
+could overflow.  `PackedPoly.taylor_shift` across its Horner steps,
+`PackedPoly.row_differences` across the factors of one fill term and
+`_PackedBlocks.step` across the exact confirm's applications of ρ_t
+each carry a packed integer and a running bound on its slots, and
+call `digits` only where the value is read (it leaves the kernel, is
+tested for zero, becomes columns, is re-laid, or is a top coordinate
+for the τ-products, read back alone) or before a step whose bound
+would pass 256^slot - 1.  Each slot is set, as before, for one step
+from reduced digits, so a read before every step is the case where
+the bound allows one.  The probe's `_PackedPoint` reads back at every
+step: its top digits fold back times x^deg mod m, so a bound grows
+(p+1)-fold a step, and a delayed plan, prototyped, was no faster on
+the sweeps.
+Where the packed F_p[θ] runs is
 `fields.FieldSpec.packed`; p >= 256 and extension fields take the
 table-driven `Poly` arithmetic.
 """
@@ -672,10 +691,11 @@ class PackedPoly(_PackedDigits):
     apart, one strided assignment.  `row_product` multiplies
     polynomials in a second variable whose coefficients are elements
     laid out in rows, by the same one big-int product, `row_sum` adds
-    any number of them in one packed sum, `row_difference` multiplies
-    one by a two-term u^a - x^b·u^c with one packed sum, and
-    `taylor_shift` shifts that variable by a polynomial in x with
-    packed sums.
+    any number of them in one packed sum, `row_differences` multiplies
+    one by two-term factors u^a - x^b·u^c with one packed sum each,
+    and `taylor_shift` shifts that variable by a polynomial in x with
+    packed sums; these two read their digits back only where a slot
+    could overflow.
     """
 
     def __init__(self, p):
@@ -776,16 +796,43 @@ class PackedPoly(_PackedDigits):
         total = sum(pack(relayout(x, w, width), slot) for x, w in terms)
         return tighten(self.digits(total, n, slot), width)
 
-    def row_difference(self, f, a, b, c, width):
-        """f·(u^a - x^b·u^c), f a pair (x, w) laid out as `row_product`
-        takes it, as such a pair at `width`, which must exceed every
-        x-degree of f by b: f re-laid at `width` (nothing to do when w
-        is `width` already) and moved a rows up, minus f moved c rows
-        and b digits up, as one packed sum (`add`) of two digits per
-        slot, so no Kronecker product.  Trailing zeros are dropped."""
+    def row_differences(self, f, factors, width):
+        """f·Π (u^a - x^b·u^c) over the triples (a, b, c) of `factors`,
+        f a pair (x, w) laid out as `row_product` takes it, as such a
+        pair at `width`, which must exceed every x-degree of f by the
+        sum of the b: f re-laid at `width` and packed once, then per
+        factor the integer moved a rows up plus its negation moved c
+        rows and b digits up, so no Kronecker product.  Trailing zeros
+        are dropped; f itself is returned for no factors.
+
+        Delayed reduction.  The negation is p-1 times the integer
+        (p-1 ≡ -1) wherever that fits: a factor takes a slot bound B to
+        B + (p-1)·B = p·B.  Where p·B would pass 256^slot - 1, the
+        digits are read back, unless they just were, and negated by
+        one translate (`neg`), so the factor's sums hold at most
+        2(p-1), the bound of `add` that sets `slot`.  So at p = 3 four
+        factors share one read, at p = 131 two, and for 13 < p < 128,
+        in one-byte slots, each factor is read back, as a sum of two
+        digit strings always was.  No slot reaches 256^slot, no carry
+        crosses a slot, and each slot read is the exact sum mod p."""
+        if not factors:
+            return f
+        p, slot = self.p, self.slot
+        room, bits = 256 ** slot - 1, 8 * slot
         x = relayout(*f, width)
-        moved = bytes(c * width + b) + self.neg(x)
-        return self.add(bytes(a * width) + x, moved), width
+        v, bound, n = pack(x, slot), p - 1, len(x)
+        for a, b, c in factors:
+            if p * bound <= room:
+                neg, bound = (p - 1) * v, p * bound
+            else:
+                if x is None:
+                    x = self.digits(v, n, slot)
+                    v = pack(x, slot)
+                neg, bound = pack(self.neg(x), slot), 2 * (p - 1)
+            x = None
+            v = (v << bits * a * width) + (neg << bits * (c * width + b))
+            n += max(a * width, c * width + b)
+        return self.digits(v, n, slot).rstrip(b"\0"), width
 
     def taylor_shift(self, f, shift):
         """f(u + c) for f a polynomial in u laid out as `row_product`
@@ -793,21 +840,34 @@ class PackedPoly(_PackedDigits):
         (a, e) in `shift`, as in `poly.taylor_shift`: its Taylor shift,
         each level m = 1, p, p^2, ... run at once on every group of p
         blocks of m rows.  Returns the pair, tightened; `width` must
-        exceed every x-degree of the result.
+        exceed the x-degree of every product the shift sums, before any
+        cancellation mod p (the staircase widths of `carlitz._RowTerms`
+        are proved so).
 
         In place, the Horner step acc <- B_k + (u^m + c^m)·acc of a
         group leaves acc where it lies, which is u^m·acc seen from block
         k, and adds c^m·acc moved one block down: the blocks above k of
         every group are masked out, moved down one block, shifted by
-        e·m digits and times a per monomial, and added to the whole:
-        one packed sum of at most (p-1)·(1 + Σ a) per slot and one
-        `digits` call per step."""
+        e·m digits and times a per monomial, and added to the whole,
+        one packed sum.
+
+        Delayed reduction.  A step takes a slot bound B to
+        B·(1 + Σ a), so the slot is set for one step on reduced digits,
+        (p-1)·(1 + Σ a), and the running bound decides when the digits
+        are read back: only before a step that would pass
+        256^slot - 1, and once at the end.  The shift by θ at p = 3
+        runs six steps on one reduction, the twist's shift by θ - θ^3
+        three.  No slot then reaches 256^slot, no carry crosses a slot,
+        and each slot read is the exact sum mod p."""
         x, width = f
         p = self.p
-        slot = slot_width((p - 1) * (1 + sum(a for a, _ in shift)))
+        grow = 1 + sum(a for a, _ in shift)
+        slot = slot_width((p - 1) * grow)
+        room = 256 ** slot - 1
         rows = -(-len(x) // width)
         n = rows * width
         unit = b"\xff" * slot
+        acc, bound = pack(x, slot), p - 1
         m = 1
         while m < rows:
             block = m * width
@@ -815,15 +875,16 @@ class PackedPoly(_PackedDigits):
             down = 8 * slot * block
             # blocks at and above rows / m are empty
             for k in range(min(p, -(-rows // m)) - 2, -1, -1):
+                if bound * grow > room:
+                    acc, bound = pack(self.digits(acc, n, slot), slot), p - 1
                 above = bytes(slot * (k + 1) * block) + unit * ((p - 1 - k) * block)
                 mask = int.from_bytes(above * groups, "little")
-                acc = pack(x, slot)
                 top = (acc & mask) >> down
                 for a, e in shift:
                     acc += top * a << 8 * slot * e * m
-                x = self.digits(acc, n, slot)
+                bound *= grow
             m *= p
-        return tighten(x, width)
+        return tighten(self.digits(acc, n, slot), width)
 
     def frob(self, x, n: int):
         """x^(p^n): digit i moves to i·p^n."""
@@ -849,51 +910,65 @@ class PackedPoly(_PackedDigits):
 
 class _PackedBlocks:
     """ρ_t on an exact point of F_p[x]^d held as one packed run of rows
-    per block of a `tmodule.TModule`: block b a pair (x, w), x its rows
-    end to end in rows of w digits (trailing zeros dropped, so an
-    all-zero block is b""), each block at a width of its own.
+    per block of a `tmodule.TModule`: block b a triple (v, w, B), v the
+    integer its rows spell at the point slot, end to end in rows of w
+    digits, each block at a width of its own, and B the running bound
+    on its slots: p-1 once its digits are reduced, and an all-zero
+    block is (0, 1, 0).
 
-    One application ρ_t(v) + c·y, per block, is one packed sum and one
-    `digits` call at the point slot: the block shifted up one slot (θ·I)
-    plus the block shifted down one row (the in-block shift N; the last
-    row takes nothing), plus c times y's block, packed once per width,
-    plus one reduced τ-product per (source block, level) with a term in
-    the block.  Per source block and level, the block's top coordinate
-    x_0 is twisted once, x_0^(p^n) (`PackedPoly.frob`), and multiplied by
-    the level's coefficients into each target block, laid out as rows
-    of the target's width from its first to its last row with a term,
-    in one Kronecker product reduced at a slot of its own.
+    One application ρ_t(v) + c·y, per block, is one packed sum at the
+    point slot: the block shifted up one slot (θ·I) plus the block
+    shifted down one row (the in-block shift N; the last row takes
+    nothing), plus c times y's block, packed once per width, plus one
+    reduced τ-product per (source block, level) with a term in the
+    block.  Per source block and level, the block's top coordinate x_0,
+    its first row read back alone, is twisted once, x_0^(p^n)
+    (`PackedPoly.frob`), and multiplied by the level's coefficients
+    into each target block, laid out as rows of the target's width from
+    its first to its last row with a term, in one Kronecker product
+    reduced at a slot of its own.
 
     Widths.  Before a step every block must have room for what lands in
-    it: the θ-shift needs every row's digit w-1 to be zero (one strided
-    check of the top digits), c·y needs y's rows, and the τ-product of a
-    row needs (len x_0 - 1)·p^n + len c digits.  A block short of room
-    is re-laid, at an eighth more than it needs (`_room`).  After the
-    step, a block whose digit w//2 is zero in every row (one strided
-    check) and whose rows all end below half its width is re-laid
-    narrower, and an all-zero block drops to width 1.  Within a step no
-    row then reaches the next one, so every sum below is per row and
-    per slot.
+    it: the θ-shift needs slot w-1 of every row to be zero (one strided
+    mask on the integer, kept per block for its latest width), c·y
+    needs y's rows, and the τ-product of a row needs
+    (len x_0 - 1)·p^n + len c digits.  A block short of room is read
+    back and re-laid, at an eighth more than it needs (`_room`).
+    Wherever a block is read back to be packed again, a block whose
+    digit w//2 is zero in every row (one strided check) and whose rows
+    all end below half its width is re-laid narrower, and an all-zero
+    block drops to width 1.  Within a step no row then reaches the next
+    one, so every sum below is per row and per slot.
 
     Slot bounds.  A τ-product slot of target row i holds a coefficient of
     x_0^(p^n)·c_i: the nonzero digits of x_0^(p^n) lie p^n apart, so it
     sums at most ceil(len c_i / p^n) products of two digits, and
     (p-1)^2·ceil(len c / p^n) over the level's coefficients into the
     block bounds it.  Its rows stay apart because the width holds every
-    row's product.  A point slot of row i, before the reduction, holds
-    at most
+    row's product.  A point slot of row i, after a step from slots at
+    most B, holds at most
 
-        p-1       the digit below it in its row, shifted up;
-        p-1       the same digit of row i+1, inside a block;
-        (p-1)^2   c·y, c and the digit of y below p;
+        B         the slot below it in its row, shifted up;
+        B         the same slot of row i+1, inside a block;
+        c·(p-1)   c·y, the digits of y below p;
         p-1       per τ-term of row i, a reduced τ-product digit;
 
-    so 2(p-1) + (p-1)^2 plus p-1 per τ-term of the row, and the slot
-    holds the largest of these bounds over the rows (`_point_slot`).
-    Every digit read is below p, because a point enters as reduced
-    digits and each step starts from the previous `digits`.  So no slot
-    reaches 256^slot, no carry crosses a slot, and each slot is the
-    exact coefficient sum that `digits` reads mod p."""
+    so a block's bound goes B -> 2B + c·(p-1) plus the largest share, p-1
+    per τ-term, of its rows.  The slot is set for one step from reduced
+    digits with c a digit: 2(p-1) + (p-1)^2 plus the largest share of
+    a row (`_point_slot`).
+
+    Delayed reduction (the delayed modular reduction of Dumas, Giorgi
+    and Pernet, "Dense linear algebra over word-size prime fields: the
+    FFLAS and FFPACK packages", ACM TOMS 35(3), 2008).  A block is read
+    back by one `digits` call only where its value is read (`leave`,
+    `is_zero`, `columns`, a re-lay, Horner's y, `times` by a digit
+    other than 1) or before a step that would take its bound past
+    256^slot - 1; a top coordinate is read back alone.  In the q=3
+    exact confirms of the weight-80 tuples and of Eu_5 a block takes
+    about eight steps per read.
+    So no slot reaches 256^slot, no carry crosses a slot, and each slot
+    read is the exact coefficient sum mod p."""
 
     def __init__(self, ring, blocks):
         p = self.p = ring.p
@@ -926,32 +1001,71 @@ class _PackedBlocks:
                     ])
                     for n, targets in sorted(levels.items())
                 ]))
+        self._shares = [max(share[start:end]) for start, end, _ in blocks]
         self.slot = slot = _point_slot(p, max(share, default=0))
         self._bits = 8 * slot
+        self._top = 256 ** slot - 1
+        self._last = [(0, 0)] * len(blocks)
         self._y = None
+
+    def _packed(self, x, w):
+        """The block of reduced digits x in rows of w digits."""
+        return pack(x, self.slot), w, self.p - 1
+
+    def _digits(self, block, r):
+        """The digits of a block of r rows, read back mod p, trailing
+        zeros dropped."""
+        v, w, _ = block
+        return self.ring.digits(v, r * w, self.slot).rstrip(b"\0") if v else b""
+
+    def _reduced(self, block, r):
+        """The block read back and packed again, re-laid narrower when
+        its rows all end below half its width, which a zero digit w//2
+        in every row (one strided check) hints at."""
+        x, w = self._digits(block, r), block[1]
+        if not x:
+            return 0, 1, 0
+        if w > 8 and not any(x[w // 2::w]):
+            m = _row_len(x, w) + 1
+            if 2 * m < w:
+                x, w = _relay(x, w, m)
+        return self._packed(x, w)
+
+    def _last_slots(self, b, w):
+        """The mask of slot w-1 of every row of block b at width w."""
+        width, mask = self._last[b]
+        if width != w:
+            unit = bytes(self.slot * (w - 1)) + b"\xff" * self.slot
+            mask = int.from_bytes(unit * self._rows[b], "little")
+            self._last[b] = w, mask
+        return mask
 
     def enter(self, vec):
         point = []
         for start, r in zip(self._starts, self._rows):
             rows = vec[start:start + r]
             w = _room(max(map(len, rows)) + 1)
-            point.append((lay_rows(rows, w).rstrip(b"\0"), w))
+            point.append(self._packed(lay_rows(rows, w), w))
         return point
 
     def leave(self, point):
-        return [
-            x[i:i + w].rstrip(b"\0")
-            for (x, w), r in zip(point, self._rows)
-            for i in range(0, r * w, w)
-        ]
+        out = []
+        for block, r in zip(point, self._rows):
+            x, w = self._digits(block, r), block[1]
+            out += [x[i:i + w].rstrip(b"\0") for i in range(0, r * w, w)]
+        return out
 
     def is_zero(self, point):
-        return not any(x for x, _ in point)
+        return not any(self._digits(b, r) for b, r in zip(point, self._rows))
 
     def columns(self, points):
         """Points as the columns of one matrix, all of one length: each
-        block re-laid at its widest width over the points and padded to
-        its rows."""
+        block read back, re-laid at its widest width over the points and
+        padded to its rows."""
+        points = [
+            [(self._digits(b, r), b[1]) for b, r in zip(pt, self._rows)]
+            for pt in points
+        ]
         widths = [max(ws) for ws in zip(*([w for _, w in pt] for pt in points))]
         return [
             b"".join(
@@ -966,28 +1080,42 @@ class _PackedBlocks:
         if c == 1:
             return point
         table = self.ring._scaled(c)
-        return [(x.translate(table).rstrip(b"\0"), w) for x, w in point]
+        return [
+            self._packed(self._digits(b, r).translate(table), b[1])
+            for b, r in zip(point, self._rows)
+        ]
 
     def _horner_y(self, y):
-        """y's longest row per block and its blocks packed per width, at
-        the point slot: Horner adds the same y at every step."""
+        """y's longest row per block, its blocks read back and its blocks
+        packed per width, at the point slot: Horner adds the same y at
+        every step."""
         if self._y is None or self._y[0] is not y:
-            self._y = (y, [_row_len(x, w) for x, w in y], {})
+            ys = [(self._digits(b, r), b[1]) for b, r in zip(y, self._rows)]
+            self._y = (y, [_row_len(x, w) for x, w in ys], ys, {})
         return self._y
 
     def step(self, point, c, y):
-        """ρ_t(point) + c·y: per block one packed sum and one reduction."""
+        """ρ_t(point) + c·y: per block one packed sum, read back first
+        only where the step would overflow its slot."""
         ring, slot, bits = self.ring, self.slot, self._bits
+        extra = c * (self.p - 1)
+        point = [
+            self._reduced(b, r) if 2 * b[2] + extra + s > self._top else b
+            for b, r, s in zip(point, self._rows, self._shares)
+        ]
         # the width each block needs: room for the θ-shift, for y's rows
         # and for each τ-product that lands in it
-        need = [w + 1 if any(x[w - 1::w]) else w for x, w in point]
+        need = [
+            w + 1 if v & self._last_slots(b, w) else w
+            for b, (v, w, _) in enumerate(point)
+        ]
         if c:
-            _, ylens, ypacked = self._horner_y(y)
+            _, ylens, ys, ypacked = self._horner_y(y)
             need = list(map(max, need, ylens))
         tops = []
         for s, levels in self._taus:
-            x, w = point[s]
-            top = x[:w].rstrip(b"\0")
+            v, w, _ = point[s]
+            top = ring.digits(v & ((1 << w * bits) - 1), w, slot).rstrip(b"\0")
             if top:
                 tops.append((top, levels))
                 k = len(top) - 1
@@ -995,8 +1123,8 @@ class _PackedBlocks:
                     for b, _, _, clen, _, _ in targets:
                         need[b] = max(need[b], k * stride + clen)
         point = [
-            _relay(x, w, m) if m > w else (x, w)
-            for (x, w), m in zip(point, need)
+            self._packed(*_relay(self._digits(b, r), b[1], m)) if m > b[1] else b
+            for b, r, m in zip(point, self._rows, need)
         ]
         acc = [0] * len(point)
         for top, levels in tops:
@@ -1012,27 +1140,15 @@ class _PackedBlocks:
                     )
                     acc[b] += pack(prod, slot) << lo * w * bits
         out = []
-        for b, ((x, w), r, a) in enumerate(zip(point, self._rows, acc)):
-            if x:
-                v = pack(x, slot)
+        for b, ((v, w, bound), a, s) in enumerate(zip(point, acc, self._shares)):
+            if v:
                 a += (v << bits) + (v >> w * bits)
             if c:
                 yb = ypacked.get((b, w))
                 if yb is None:
-                    yx, yw = y[b]
-                    yb = ypacked[b, w] = pack(relayout(yx, yw, w), slot)
+                    yb = ypacked[b, w] = pack(relayout(*ys[b], w), slot)
                 a += c * yb
-            if not a:
-                out.append((b"", 1))
-                continue
-            x = ring.digits(a, r * w, slot).rstrip(b"\0")
-            # a zero digit in the middle of every row hints that the rows
-            # fell well below the width: if so, shrink the block
-            if w > 8 and not any(x[w // 2::w]):
-                m = _row_len(x, w) + 1
-                if 2 * m < w:
-                    x, w = _relay(x, w, m)
-            out.append((x, w))
+            out.append((a, w, 2 * bound + extra + s) if a else (0, 1, 0))
         return out
 
 

@@ -39,11 +39,13 @@ packed ring:
   `bytes` of F_p digits (`fpx.PackedPoly`).  It confirms the probe's
   zeros exactly.  A point is one packed run of rows per block, each
   block at a row width of its own, and one application of ρ_t per
-  block one packed sum and one reduction: the θ-step a one-slot shift,
+  block one packed sum, read back only where a later step could
+  overflow a slot or the point is read: the θ-step a one-slot shift,
   the next-row add one shifted add, Horner's c·x one scaled add, and
   per (source block, level, target block) one Kronecker product of the
   twisted top coordinate and the level's coefficients laid out as
-  rows (`fpx._PackedBlocks` holds both slot bounds and their proofs).
+  rows (`fpx._PackedBlocks` holds both slot bounds, the running bound
+  of its delayed reduction and their proofs).
   For p > 13 the ring offers no such plan and the row loop runs.
 
 The operator code below never asks which domain it runs in.  Each

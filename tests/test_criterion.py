@@ -609,6 +609,31 @@ def test_integral_point_verdicts_match_the_ratfrac_path(q, wmax):
         assert is_cmpl_eulerian(F, s, u).eulerian == old, s
 
 
+def test_ratfrac_coordinate_over_one_walks_the_ladder():
+    """A `RatFrac` coordinate whose denominator is 1 is read as its
+    numerator: q=3 (16,2) at RatFrac.from_poly(2θ+1),
+    RatFrac.from_poly(θ+2) gives the record of the same point as
+    `Poly`s within 5 s.  Taken as rational, it took 35 s."""
+
+    def hang(signum, frame):
+        raise TimeoutError("is_cmpl_eulerian at a RatFrac point exceeded 5 s")
+
+    F = field_for_q(3)
+    u = [Poly(F, [1, 2]), Poly(F, [2, 1])]
+    want = is_cmpl_eulerian(F, (16, 2), u).to_json()
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        got = is_cmpl_eulerian(
+            F, (16, 2), [RatFrac.from_poly(x) for x in u]
+        ).to_json()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    del want["elapsed_ms"], got["elapsed_ms"]
+    assert got == want
+
+
 # -- zeta-like search --------------------------------------------------------
 
 def test_zetalike_delegates_when_weight_divisible():

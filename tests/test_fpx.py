@@ -411,3 +411,135 @@ def test_staircase_is_the_largest_degree_plus_row():
         assert fpx.staircase(x, width) == want, (rows, width)
     assert fpx.staircase(b"", 4) == 0
     assert fpx.staircase(b"\1", 1) == 0
+
+
+# -- delayed reduction -------------------------------------------------------
+
+def _shift_per_step(ring, f, shift):
+    """The Taylor shift with its digits read back after every Horner
+    step: the reference for `PackedPoly.taylor_shift`, whose reads wait
+    for its running slot bound."""
+    x, width = f
+    p = ring.p
+    slot = fpx.slot_width((p - 1) * (1 + sum(a for a, _ in shift)))
+    rows = -(-len(x) // width)
+    n = rows * width
+    m = 1
+    while m < rows:
+        block = m * width
+        groups = -(-rows // (p * m))
+        for k in range(min(p, -(-rows // m)) - 2, -1, -1):
+            above = bytes(slot * (k + 1) * block) + b"\xff" * slot * ((p - 1 - k) * block)
+            acc = fpx.pack(x, slot)
+            top = (acc & int.from_bytes(above * groups, "little")) >> 8 * slot * block
+            for a, e in shift:
+                acc += top * a << 8 * slot * e * m
+            x = ring.digits(acc, n, slot)
+        m *= p
+    return fpx.tighten(x, width)
+
+
+def _differences_per_factor(ring, f, factors, width):
+    """f·Π (u^a - x^b·u^c) one factor at a time, each a sum of two
+    reduced digit strings read back at once: the reference for
+    `PackedPoly.row_differences`."""
+    x = fpx.relayout(*f, width)
+    for a, b, c in factors:
+        moved = bytes(c * width + b) + ring.neg(x)
+        x = ring.add(bytes(a * width) + x, moved)
+    return x, width
+
+
+def _reads(ring, monkeypatch):
+    """The number of `digits` calls on the ring, as a one-item list."""
+    count = [0]
+    digits = ring.digits
+
+    def spy(n, k, slot):
+        count[0] += 1
+        return digits(n, k, slot)
+
+    monkeypatch.setattr(ring, "digits", spy)
+    return count
+
+
+# (p, shift, rows): all-(p-1) rows whose Horner steps cross at least
+# three reductions before the last read; the digit sum of the shift
+# sets how many steps one reduction covers, and p = 131, 251 run in
+# two-byte slots
+_DELAYED_SHIFTS = [
+    (2, [(1, e) for e in range(1, 8)], 128),
+    (3, [(2, 1), (2, 2), (2, 3)], 81),
+    (5, [(4, 1)], 25),
+    (7, [(1, 1), (1, 2)], 49),
+    (13, [(1, 1)], 40),
+    (131, [(1, 1)], 30),
+    (251, [(1, 1)], 30),
+]
+
+
+@pytest.mark.parametrize("p,shift,rows", _DELAYED_SHIFTS)
+def test_taylor_shift_delays_its_reductions(p, shift, rows, monkeypatch):
+    """`taylor_shift` of all-(p-1) rows of 40 digits, at a width that
+    holds every product, equals the shift read back after every step,
+    with at least three reads before the last and fewer reads than
+    steps."""
+    ring = fpx.PackedPoly(p)
+    width = 40 + max(e for _, e in shift) * rows
+    f = (fpx.lay_rows([bytes([p - 1] * 40)] * rows, width), width)
+    want = _shift_per_step(ring, f, shift)
+    reads = _reads(ring, monkeypatch)
+    assert ring.taylor_shift(f, shift) == want
+    steps, m = 0, 1
+    while m < rows:
+        steps += min(p, -(-rows // m)) - 1
+        m *= p
+    assert 4 <= reads[0] < steps, (reads, steps)
+
+
+def test_taylor_shift_bound_lands_on_the_slot_top():
+    """At p = 2 a shift by x + x^2 + ... + x^254 takes a slot bound of
+    1 to 255 in one step: the middle slots of all-ones rows of 300
+    digits reach it, so the next step reads the digits back first, and
+    both equal the shift read back at every step."""
+    ring = fpx.PackedPoly(2)
+    shift = [(1, e) for e in range(1, 255)]
+    assert fpx.slot_width(1 + sum(a for a, _ in shift)) == 1
+    for rows in (2, 4):
+        width = 300 + 254 * rows
+        f = (fpx.lay_rows([b"\1" * 300] * rows, width), width)
+        assert ring.taylor_shift(f, shift) == _shift_per_step(ring, f, shift)
+
+
+# (p, factors): all-(p-1) rows through at least three reads before the
+# last; p = 13 and 131, 251 (two-byte slots) read back every one or two
+# factors, and from p = 17 to 127 (one-byte slots) every factor is read
+# back and negated by a translate
+_DELAYED_DIFFERENCES = [
+    (2, [(1, 1, 0), (2, 0, 1)] * 12),
+    (3, [(3, 1, 0), (1, 0, 1), (9, 3, 0)] * 5),
+    (5, [(5, 1, 0), (1, 0, 1)] * 6),
+    (7, [(7, 1, 0), (1, 0, 1)] * 4),
+    (13, [(13, 1, 0), (1, 0, 1)] * 2),
+    (31, [(31, 1, 0), (1, 0, 1)] * 2),
+    (131, [(2, 1, 0), (1, 0, 1)] * 4),
+    (251, [(2, 1, 0), (1, 0, 1)] * 4),
+]
+
+
+@pytest.mark.parametrize("p,factors", _DELAYED_DIFFERENCES)
+def test_row_differences_delay_their_reductions(p, factors, monkeypatch):
+    """`row_differences` of all-(p-1) rows by two-term factors, as the
+    H_n fill takes them, equals the product read back after every
+    factor, with at least three reads before the last; p·B bounds a
+    factor's sums while it fits, so at p = 2 seven factors share one
+    read."""
+    ring = fpx.PackedPoly(p)
+    width = 12 + sum(b for _, b, _ in factors)
+    f = (bytes([p - 1] * 6 * 10), 10)
+    want = _differences_per_factor(ring, f, factors, width)
+    reads = _reads(ring, monkeypatch)
+    assert ring.row_differences(f, factors, width) == want
+    assert 4 <= reads[0] <= len(factors), reads
+    assert p > 7 or reads[0] < len(factors)
+    assert ring.row_differences(f, [], width) == f

@@ -899,3 +899,87 @@ def test_packed_exact_confirm_makes_no_element_sums(monkeypatch):
     dom = packed_ring(3)
     assert tm.is_zero_point(tm.apply_annihilator(v, factors, dom), dom)
     assert not calls
+
+
+# -- delayed reduction on the packed blocks ----------------------------------
+
+def _count_reads(plan, monkeypatch):
+    """The row counts of the blocks `plan` reads back, as a list."""
+    seen = []
+    digits = plan._digits
+
+    def spy(block, r):
+        seen.append(r)
+        return digits(block, r)
+
+    monkeypatch.setattr(plan, "_digits", spy)
+    return seen
+
+
+def _laid_wide(plan, x, width):
+    """The point x on the packed blocks at one generous width, where
+    `enter` leaves an eighth of room: the θ-shift and the τ-images
+    then fit for many steps, and no re-lay reads a block back."""
+    return [
+        plan._packed(fpx.lay_rows(x[start:start + r], width), width)
+        for start, r in zip(plan._starts, plan._rows)
+    ]
+
+
+@pytest.mark.parametrize("q,s", [
+    (2, (1, 2, 4)), (3, (2, 4, 6)), (5, (4, 8)), (7, (6, 12)), (13, (12, 12)),
+])
+def test_packed_blocks_delay_reductions(q, s, monkeypatch):
+    """Horner on the packed blocks, whose digits are read back only
+    before a step that could overflow a slot, equals the sparse-row
+    operator read back at every step, from the all-(p-1) point laid
+    out wide: by t^40, whose steps add no multiple of the point, so
+    that a bound goes B -> 2B plus the τ-share and every block crosses
+    at least three read-backs (a re-lay or a shrink reads a block back
+    too), fewer than its steps; and by the all-(p-1) polynomial of
+    degree 30, through `apply_poly`."""
+    F = field_for_q(q)
+    p = F.p
+    tm = TModule.from_motive(Motive(F, s))
+    dom = packed_ring(p)
+    plan = tm._plan(dom)
+    seen = _count_reads(plan, monkeypatch)
+    rows = _sparse_rows(tm.entry, tm.d, dom)
+    x = [bytes([p - 1] * 21)] * tm.d
+    a = Poly(F, [0] * 40 + [1], var="t")
+    got = plan.leave(_horner(plan, _laid_wide(plan, x, 2000), a.coeffs))
+    assert got == _reference_apply_poly(rows, x, a, dom)
+    # each block is read back once by `leave`, the others come first
+    counts = [seen.count(r) - 1 for r in tm.weights]
+    assert min(counts) >= 3 and max(counts) < 40, counts
+    a = Poly(F, [p - 1] * 30 + [1], var="t")
+    assert tm.apply_poly(x, a, dom) == _reference_apply_poly(rows, x, a, dom)
+
+
+def test_packed_block_bound_lands_on_the_slot_top(monkeypatch):
+    """A block of 20 rows with no τ-term at p = 2, under Horner by
+    1 + t + ... + t^12 from the all-ones point: its bound runs
+    1, 3, 7, ..., 255, which the slots of the middle rows reach after
+    seven steps, so the eighth step reads the block back first, and
+    a step let past the bound would carry.  The result equals the
+    sparse-row operator."""
+    F = field_for_q(2)
+    tm = TModule(F, (20,), [[]])
+    dom = packed_ring(2)
+    plan = tm._plan(dom)
+    assert plan.slot == 1
+    seen = _count_reads(plan, monkeypatch)
+    x = [b"\1" * 30] * 20
+    y = cur = _laid_wide(plan, x, 48)
+    for _ in range(7):
+        cur = plan.step(cur, 1, y)
+    (v, w, bound), = cur
+    assert bound == 255 and max(v.to_bytes(20 * w, "little")) == 255
+    assert seen == [20]  # y, read back once for Horner
+    cur = plan.step(cur, 1, y)
+    assert seen == [20, 20]
+    for _ in range(4):
+        cur = plan.step(cur, 1, y)
+    rows = _sparse_rows(tm.entry, tm.d, dom)
+    a = Poly(F, [1] * 13, var="t")
+    assert plan.leave(cur) == _reference_apply_poly(rows, x, a, dom)
