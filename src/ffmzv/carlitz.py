@@ -210,9 +210,13 @@ class _RowTerms:
     digits dropped and width above every θ-degree.  The store's terms
     are tight, width the θ-degree plus one.
 
-    A product is one `row_product` (a Kronecker product), a product by
-    the two-term factors of a fill term one `row_differences`, a sum one
-    packed sum (`add`, `row_sum`), the shift t ↦ u + θ and the twist's
+    A product is one `row_product`, a sum of row products: the factor
+    with more nonzero rows packed once (Kronecker substitution) times
+    each nonzero row of the other, in the slot one Kronecker product of
+    both would take, since every slot sums the same digit products; a
+    product by the two-term factors of a fill term one
+    `row_differences`, a sum one packed sum (`add`, `row_sum`), the
+    shift t ↦ u + θ and the twist's
     shift by θ - θ^p a `fpx.PackedPoly.taylor_shift` whose Horner
     steps are packed sums, so every slot bound is derived in `fpx`.  A
     coefficient of u^j in the worklist is a `bytes` of

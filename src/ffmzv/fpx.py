@@ -29,7 +29,10 @@ the large products in F_p[θ] of `poly.Poly`; its `row_product` the
 product of polynomials whose coefficients are rows of θ-digits (laid
 out by `lay_rows`): every A[t] product on a packed field, the seed
 products in t and the products in u of the point reduction
-(`carlitz._RowTerms`, `motive`); its `row_differences` every product
+(`carlitz._RowTerms`, `motive`), each a sum of row products, one
+factor packed once times each nonzero row of the other, whose every
+slot sums the digit products one Kronecker product of the two would,
+so one slot bound serves both; its `row_differences` every product
 of the H_n fill (`carlitz`), all two-term factors of one term at a
 time, whose sums are one `row_sum` each; and its `taylor_shift` the
 point reduction's shift in u.  The
@@ -690,8 +693,10 @@ class PackedPoly(_PackedDigits):
     is one `bytes.translate`.  x ↦ x^(p^n) spreads the digits p^n
     apart, one strided assignment.  `row_product` multiplies
     polynomials in a second variable whose coefficients are elements
-    laid out in rows, by the same one big-int product, `row_sum` adds
-    any number of them in one packed sum, `row_differences` multiplies
+    laid out in rows, as a sum of big-int products of one factor by
+    each nonzero row of the other, in the slot one Kronecker product
+    of the two would take, `row_sum` adds any number of them in one
+    packed sum, `row_differences` multiplies
     one by two-term factors u^a - x^b·u^c with one packed sum each,
     and `taylor_shift` shifts that variable by a polynomial in x with
     packed sums; these two read their digits back only where a slot
@@ -752,11 +757,19 @@ class PackedPoly(_PackedDigits):
         product as such a pair, re-laid at its largest found degree in
         x plus one (`tighten`), trailing zeros dropped.
 
-        One Kronecker product at the width wa + wb - 1: the x-degrees
-        of a row product stay below it, so the slots of two u-powers
-        never meet.  A coefficient of the Kronecker product is
-        Σ x_i·y_j over the digit pairs with i + j fixed, so it is
-        bounded two ways, and the slot takes the smaller bound:
+        A sum of row products at the width W = wa + wb - 1: the factor
+        with more nonzero rows is re-laid at W and packed once as A,
+        and each nonzero row b_i of the other adds A·b_i moved i rows
+        up, a big-int product by a short one whose cost follows the
+        digits b_i holds, not W, where a Kronecker product of both
+        factors would multiply the short one's padding too.  The
+        x-degrees of a row product stay below W, so the slots of two
+        u-powers never meet, and every slot of the sum, row k digit j,
+        is Σ x_{l,m}·y_{i,n} over l + i = k, m + n = j: the digit
+        products a Kronecker product at W would sum, each once, and a
+        partial sum over fewer rows b_i is at most the whole.  So the
+        slot of the whole bounds every partial sum, and it is bounded
+        two ways and takes the smaller bound:
 
         * densely, by min(rows)·min(wa, wb) products of two digits,
           each at most (p-1)^2;
@@ -768,23 +781,30 @@ class PackedPoly(_PackedDigits):
         The digit sums cost a pass over both factors, so they are
         taken only when the dense bound needs more than one byte:
         H_n's rows, for one, hold nonzero θ-digits at multiples of q
-        only.  For tight factors in t of θ-degrees da and db, laid out
-        at w = da + 1 and db + 1, the width is da + db + 1 and the
-        dense bound min(t-lengths)·(min(da, db) + 1)·(p-1)^2: the slots,
-        and so the digits, of packing θ^j·t^i at digit
-        i·(da + db + 1) + j directly."""
+        only.  No partial sum carries across a slot, and the sum is
+        read back once (`digits`).  Which factor is walked changes no
+        slot and no digit, so the product is symmetric byte for
+        byte."""
         (x, wa), (y, wb) = a, b
         if not x or not y:
             return b"", 1
         p = self.p
         width = wa + wb - 1
-        rows = min(-(-len(x) // wa), -(-len(y) // wb))
-        top = rows * min(wa, wb) * (p - 1) ** 2
+        xs, ys = _split(x, wa), _split(y, wb)
+        top = min(len(xs), len(ys)) * min(wa, wb) * (p - 1) ** 2
         if top > 255:
             top = min(top, (p - 1) * min(sum(x), sum(y)))
-        return tighten(self.product(
-            relayout(x, wa, width), relayout(y, wb, width), top
-        ), width)
+        slot = slot_width(top)
+        n = (len(xs) + len(ys) - 1) * width
+        if len(xs) - xs.count(b"") < len(ys) - ys.count(b""):
+            x, wa, xs, ys = y, wb, ys, xs
+        big = pack(x if wa == width else lay_rows(xs, width), slot)
+        bits = 8 * slot * width
+        total = 0
+        for i, row in enumerate(ys):
+            if row:
+                total += big * pack(row, slot) << bits * i
+        return tighten(self.digits(total, n, slot), width)
 
     def row_sum(self, terms):
         """The sum of polynomials laid out as `row_product` takes them,
@@ -1171,12 +1191,18 @@ def relayout(x, w, width):
     return lay_rows(rows, width)
 
 
+def _split(x, width):
+    """The rows of x, in rows of `width` digits, trailing zeros
+    dropped (b"" for a zero row)."""
+    return [x[i:i + width].rstrip(b"\0") for i in range(0, len(x), width)]
+
+
 def tighten(x, width):
     """The digits x, in rows of `width`, laid out again in rows of the
     largest degree plus one (width 1 for zero), trailing zeros
     dropped: big-int sizes then follow the degrees found, which are
     often far below their bounds."""
-    rows = [x[i:i + width].rstrip(b"\0") for i in range(0, len(x), width)]
+    rows = _split(x, width)
     tight = max(map(len, rows), default=1) or 1
     if tight == width:
         return x.rstrip(b"\0"), width
@@ -1214,10 +1240,7 @@ def _relay(x, w, need):
 
 def _row_len(x, w):
     """The length of the longest row of x, in rows of w digits."""
-    return max(
-        (len(x[i:i + w].rstrip(b"\0")) for i in range(0, len(x), w)),
-        default=0,
-    )
+    return max(map(len, _split(x, w)), default=0)
 
 
 def _kernel_slot(p, ncols):

@@ -227,6 +227,22 @@ def _rows(x, width):
     return [x[i:i + width].rstrip(b"\0") for i in range(0, len(x), width)]
 
 
+def _all_top_rows(rows, widths, p):
+    """The rows of the product of two all-(p-1) factors, rows[k] rows
+    of widths[k] digits: the coefficient of x^j·u^i sums, once per row
+    pair and digit pair that meet there, (p-1)^2 ≡ 1, so it is the
+    number of row pairs times the number of digit pairs, mod p."""
+    def meets(n, m, k):
+        return min(k, n - 1) - max(0, k - m + 1) + 1
+
+    (ra, rb), (wa, wb) = rows, widths
+    digits = bytes(meets(wa, wb, j) % p for j in range(wa + wb - 1))
+    return [
+        bytes(meets(ra, rb, i) * c % p for c in digits).rstrip(b"\0")
+        for i in range(ra + rb - 1)
+    ]
+
+
 @pytest.mark.parametrize("p,rows,widths,slot", [
     # all-(p-1) rows: the middle coefficient sums exactly
     # min(rows)·min(widths) products of two digits (p-1)·(p-1), the
@@ -237,31 +253,106 @@ def _rows(x, width):
     (131, (3, 4), (5, 7), 3),
     (251, (1, 3), (6, 4), 3),
     (251, (17, 20), (16, 30), 4),
+    # at each slot boundary: min(rows)·min(widths)·(p-1)^2 the largest
+    # sum a slot holds, then one product of two digits more; equal row
+    # counts among them
+    (2, (15, 20), (17, 30), 1),
+    (2, (16, 16), (16, 16), 2),
+    (2, (1, 2), (65535, 65600), 2),
+    (2, (1, 1), (65536, 65536), 3),
+    (3, (7, 7), (9, 12), 1),
+    (3, (8, 8), (8, 8), 2),
+    (3, (127, 140), (129, 150), 2),
+    (3, (128, 128), (128, 128), 3),
+    (131, (1, 3), (3, 8), 2),
+    (131, (2, 2), (2, 2), 3),
+    (131, (31, 40), (32, 50), 3),
+    (131, (3, 3), (331, 331), 4),
+    (251, (1, 1), (1, 9), 2),
+    (251, (2, 2), (1, 1), 3),
+    (251, (4, 9), (67, 80), 3),
+    (251, (1, 5), (269, 300), 4),
 ])
-def test_row_product_at_its_worst_case(p, rows, widths, slot):
-    """`row_product` equals the schoolbook product of its rows where
-    every digit is p-1, so its slots hold the largest sums the bound
-    allows.  Past one byte, a bound that dropped the min(wa, wb)
-    digit products per row pair would pick a narrower slot, and the
-    sums would carry into the next one."""
+def test_row_product_at_its_worst_case(p, rows, widths, slot, monkeypatch):
+    """`row_product` equals the exact product of its rows where every
+    digit is p-1 (`_all_top_rows`, and the schoolbook product where
+    that is small), so its slots hold the largest sums the bound allows,
+    and it reads them back once, at the slot of the bound.  Past one
+    byte, a bound that dropped the min(wa, wb) digit products per row
+    pair would pick a narrower slot, and the sums would carry into the
+    next one."""
     ring = fpx.PackedPoly(p)
+    slots = _product_slots(ring, monkeypatch)
     (ra, rb), (wa, wb) = rows, widths
     top = (p - 1) ** 2
-    assert fpx.slot_width(min(ra, rb) * min(wa, wb) * top) == slot
-    assert slot == 1 or fpx.slot_width(min(ra, rb) * top) < slot
-    a, b = [[p - 1] * wa] * ra, [[p - 1] * wb] * rb
-    x, width = ring.row_product(
-        (bytes([p - 1]) * (ra * wa), wa), (bytes([p - 1]) * (rb * wb), wb)
+    bound = min(ra, rb) * min(wa, wb) * top
+    assert fpx.slot_width(bound) == slot
+    # each case needs the width factor of the bound, or sits on a slot
+    # boundary: one product of two digits fewer, or more, changes the slot
+    assert (
+        slot == 1 or fpx.slot_width(min(ra, rb) * top) < slot
+        or fpx.slot_width(bound - top) < slot
+        or fpx.slot_width(bound + top) > slot
     )
-    want = _row_schoolbook(a, b, p)
+    a = (bytes([p - 1]) * (ra * wa), wa)
+    b = (bytes([p - 1]) * (rb * wb), wb)
+    x, width = ring.row_product(a, b)
+    assert slots == [slot]
+    want = _all_top_rows(rows, widths, p)
+    if ra * rb * wa * wb <= 250_000:
+        assert want == _row_schoolbook([[p - 1] * wa] * ra, [[p - 1] * wb] * rb, p)
     assert width == max(map(len, want)) and not x.endswith(b"\0")
     assert _rows(x, width) == want
+    assert ring.row_product(b, a) == (x, width)
+
+
+def _row_factor(rows, w):
+    """A factor of `row_product` from its rows, trailing zeros dropped."""
+    return fpx.lay_rows(map(bytes, rows), w).rstrip(b"\0"), w
+
+
+def _shaped_factor_pairs(p, rng):
+    """Pairs of factors, each a (rows, width), in the shapes the point
+    reduction multiplies: one or two long rows over many rows of one
+    digit each past the first few (g^{(1)} times H_n's u-expansion),
+    factors with zero rows between nonzero ones, as H_n in t has, and
+    a zero first row, and equal row counts, also with equal nonzero
+    row counts."""
+    def digits(n):
+        return [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)]
+
+    pairs = []
+    for long_rows in (1, 2):
+        w = rng.randrange(20, 60)
+        head = rng.randrange(1, 4)
+        h = [digits(5) for _ in range(head)] + [
+            [rng.randrange(1, p)] for _ in range(rng.randrange(15, 30))
+        ]
+        pairs.append(([digits(w) for _ in range(long_rows)], w, h, 5))
+        pairs.append(([digits(w) for _ in range(long_rows)], w, h[head:], 1))
+    for _ in range(3):
+        w = rng.randrange(3, 12)
+        gappy = [
+            digits(w) if rng.random() < 0.3 else []
+            for _ in range(rng.randrange(4, 20))
+        ] + [digits(w)]
+        gappy[0] = []
+        other = [digits(rng.randrange(1, 8)) for _ in range(rng.randrange(1, 6))]
+        pairs.append((gappy, w, other, 8))
+    for n in (1, 4, 9):
+        wa, wb = rng.randrange(1, 10), rng.randrange(1, 10)
+        pairs.append(([digits(wa) for _ in range(n)], wa,
+                      [digits(wb) for _ in range(n)], wb))
+    tie = [digits(4), [], digits(2), digits(3)]
+    pairs.append((tie, 4, [[], digits(6), digits(1), digits(6)], 6))
+    return pairs
 
 
 @pytest.mark.parametrize("p", [2, 3, 131, 251])
 def test_row_product_matches_schoolbook(p):
-    """Random rows, some short or zero, at uneven widths; a zero factor
-    gives zero."""
+    """Random rows, some short or zero, at uneven widths, and the
+    shapes of the point reduction's products (`_shaped_factor_pairs`);
+    a zero factor gives zero."""
     import random
 
     ring = fpx.PackedPoly(p)
@@ -283,6 +374,34 @@ def test_row_product_matches_schoolbook(p):
             (fpx.lay_rows(map(bytes, b), wb), wb),
         )
         assert _rows(x, width) == _row_schoolbook(a, b, p)
+    for a, wa, b, wb in _shaped_factor_pairs(p, rng):
+        x, width = ring.row_product(_row_factor(a, wa), _row_factor(b, wb))
+        assert _rows(x, width) == _row_schoolbook(a, b, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 131, 251])
+def test_row_product_is_symmetric(p):
+    """`row_product` walks the rows of the factor with fewer nonzero
+    rows, so either order of the factors gives the same pair, byte for
+    byte: random rows with zero rows among them, and the shapes of the
+    point reduction's products."""
+    ring = fpx.PackedPoly(p)
+    rng = random.Random(300 + p)
+    pairs = _shaped_factor_pairs(p, rng)
+    for _ in range(30):
+        factors = []
+        for _ in range(2):
+            w = rng.randrange(1, 15)
+            rows = [
+                [rng.randrange(p) for _ in range(rng.randrange(w + 1))]
+                if rng.random() < 0.6 else []
+                for _ in range(rng.randrange(1, 12))
+            ] + [[rng.randrange(1, p)]]
+            factors.extend((rows, w))
+        pairs.append(factors)
+    for a, wa, b, wb in pairs:
+        a, b = _row_factor(a, wa), _row_factor(b, wb)
+        assert ring.row_product(a, b) == ring.row_product(b, a)
 
 
 def _product_slots(ring, monkeypatch):

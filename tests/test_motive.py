@@ -278,17 +278,26 @@ def _reduction_digest(motive):
     return hashlib.sha256(repr((v, u, rho)).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("s,digest", [
-    ((8, 10, 62),
+@pytest.mark.parametrize("q,s,digest", [
+    (3, (8, 10, 62),
      "6bb3c1d3f66fae6ed5a41349071f4209b540f89f3a71b7b0c1d5c8bfe1cef982"),
-    ((18, 62),
+    (3, (18, 62),
      "aefa1cc852a64dfa9be5820ebe813def8dd278f0234324ddd11bc350cbd11db0"),
-], ids=["8-10-62", "18-62"])
-def test_weight80_reduction_is_pinned(s, digest):
-    """The points v and u and ρ_t at q=3, weight 80, hashed: digests
+    # products in two-byte slots: p = 13 by the digit sums, p = 131
+    # by every product of two digits
+    (13, (24, 168),
+     "128e208c496fe91d147d4482eaee9a6e29499437192073efe86f6fa4361cb393"),
+    (131, (260, 260),
+     "512e06651281e6715124f8f228ecfc05116eb4a7e051c23ae789d086f466ab26"),
+], ids=["8-10-62", "18-62", "q13-24-168", "q131-260-260"])
+def test_weight80_reduction_is_pinned(q, s, digest):
+    """The points v and u and ρ_t, hashed: at q=3, weight 80, digests
     recorded with the synthetic-division expansion and the schoolbook
-    A[t] product, so any drift in the point reduction fails here."""
-    assert _reduction_digest(Motive(field_for_q(3), s)) == digest
+    A[t] product, and at q=13 and q=131, whose products in t and u
+    take two-byte slots, recorded with one Kronecker product per
+    `fpx.PackedPoly.row_product`, so any drift in the point reduction
+    fails here."""
+    assert _reduction_digest(Motive(field_for_q(q), s)) == digest
 
 
 @pytest.mark.parametrize("q", [3, 4, 9])
